@@ -13,6 +13,7 @@ B(0, radix^radius_exp) at grid scale radix^-scale_exp.  Coordinates:
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,10 +33,48 @@ def point_budget() -> int:
 
 
 def _canon_points(arr: np.ndarray, d: int) -> np.ndarray:
+    """The distinct rows of `arr` (width d) in lexicographic order: the same
+    array as np.unique(arr, axis=0).
+
+    Each row is packed into one int64 key, a mixed-radix number over the
+    column spans after the column minima are subtracted, so that key order
+    is lexicographic row order.  The keys are sorted in place, adjacent
+    duplicates dropped and the rows decoded from the unique keys.  When the
+    product of the spans reaches 2^63 the keys would not fit, and the rows
+    go through np.unique(axis=0) instead.
+    """
     arr = np.asarray(arr, dtype=np.int64).reshape(-1, d)
     if len(arr) == 0:
         return arr
-    return np.unique(arr, axis=0)
+    lo = arr.min(axis=0)
+    spans = [int(h) - int(l) + 1 for h, l in zip(arr.max(axis=0), lo)]
+    if math.prod(spans) >= 2 ** 63:
+        return np.unique(arr, axis=0)
+    key = arr[:, 0] - lo[0]
+    for t in range(1, d):
+        key *= spans[t]
+        key += arr[:, t] - lo[t]
+    key.sort()
+    fresh = np.empty(len(key), dtype=bool)
+    fresh[0] = True
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    key = key[fresh]
+    out = np.empty((len(key), d), dtype=np.int64)
+    for t in range(d - 1, 0, -1):
+        key, out[:, t] = np.divmod(key, spans[t])
+    out[:, 0] = key
+    out += lo
+    return out
+
+
+def _row_norm_sq(pts: np.ndarray) -> np.ndarray:
+    """Exact squared Euclidean norm of every row: int64 when
+    d * max|coord|^2 < 2^63, Python ints in an object array otherwise."""
+    big = max(-int(pts.min()), int(pts.max()))
+    if pts.shape[1] * big * big < 2 ** 63:
+        return np.einsum("ij,ij->i", pts, pts)
+    obj = pts.astype(object)
+    return (obj * obj).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -148,27 +187,27 @@ class NCReport:
         }
 
 
-def _real_ball_counts(A: DSet, k: int):
-    """For each point, the number of set points in the open linf ball of
-    radius 2^-k around it (cell-bucketed scan)."""
-    u = 2 ** (A.scale_exp - k)  # radius in grid units
+def _real_ball_counts(A: DSet) -> np.ndarray:
+    """counts[k, i]: the number of set points in the open linf ball of
+    radius 2^-k around point i, for every k in 0..scale_exp.
+
+    Chebyshev distances are formed in row chunks of about 2^20 pairs and
+    compared with each radius; int64 while 2 * max|coord| < 2^63, Python
+    ints otherwise."""
     pts = A.points
-    shifted = pts // u
-    buckets = {}
-    for i, key in enumerate(map(tuple, shifted)):
-        buckets.setdefault(key, []).append(i)
-    d = A.alg.d
-    counts = np.zeros(len(pts), dtype=np.int64)
-    offs = list(itertools.product((-1, 0, 1), repeat=d))
-    for i, key in enumerate(map(tuple, shifted)):
-        x = pts[i]
-        c = 0
-        for off in offs:
-            nb = tuple(key[t] + off[t] for t in range(d))
-            for j in buckets.get(nb, ()):
-                if np.max(np.abs(pts[j] - x)) < u:
-                    c += 1
-        counts[i] = c
+    n = len(pts)
+    if 2 * max(-int(pts.min()), int(pts.max())) >= 2 ** 63:
+        pts = pts.astype(object)
+    radii = [2 ** (A.scale_exp - k) for k in range(A.scale_exp + 1)]
+    counts = np.empty((len(radii), n), dtype=np.int64)
+    step = max(1, (1 << 20) // n)
+    for lo in range(0, n, step):
+        block = pts[lo:lo + step]
+        cheb = np.abs(block[:, None, 0] - pts[None, :, 0])
+        for t in range(1, A.alg.d):
+            np.maximum(cheb, np.abs(block[:, None, t] - pts[None, :, t]), out=cheb)
+        for k, u in enumerate(radii):
+            counts[k, lo:lo + step] = (cheb < u).sum(axis=1)
     return counts
 
 
@@ -184,9 +223,11 @@ def is_nonconcentrated(A: DSet, s: float, C: float) -> NCReport:
     n = len(A)
     best_C = 0.0
     worst = (0, 0, n)
+    if A.alg.is_real_base:
+        ball_counts = _real_ball_counts(A)
     for k in range(0, A.scale_exp + 1):
         if A.alg.is_real_base:
-            counts = _real_ball_counts(A, k)
+            counts = ball_counts[k]
         else:
             ids = cell_ids(A, k)
             _, inverse, cnt = np.unique(ids, axis=0, return_inverse=True,
@@ -244,10 +285,8 @@ def remove_ball(A: DSet, center: Element, k: int) -> DSet:
         cu = np.array([al.round_half_away(v.numerator * 2 ** A.scale_exp,
                                           v.denominator) for v in vals],
                       dtype=np.int64)
-        diff = A.points - cu
-        dist_sq = np.sum(diff.astype(object) ** 2, axis=1)
         thresh = 4 ** (A.scale_exp - k)  # (2^(scale-k))^2 grid units squared
-        keep = np.array([ds > thresh for ds in dist_sq])
+        keep = _row_norm_sq(A.points - cu) > thresh
         return DSet(alg, A.scale_exp, A.radius_exp, A.points[keep])
     p = alg.p
     if center.unit_exp > A.radius_exp:

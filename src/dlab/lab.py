@@ -290,10 +290,11 @@ def _recenter(A: DSet) -> DSet:
     (lexicographic tie-break)."""
     if len(A) == 0 or not A.alg.is_real_base:
         return A
-    best = min(range(len(A.points)),
-               key=lambda i: (int(np.max(np.abs(A.points[i]))),
-                              tuple(map(int, A.points[i]))))
-    return DSet(A.alg, A.scale_exp, A.radius_exp, A.points - A.points[best])
+    pts = A.points
+    # lexsort's last key is the primary one: max norm, then coordinates
+    best = np.lexsort([pts[:, t] for t in range(pts.shape[1] - 1, -1, -1)]
+                      + [np.abs(pts).max(axis=1)])[0]
+    return DSet(A.alg, A.scale_exp, A.radius_exp, pts - pts[best])
 
 
 def run_expansion(A: DSet, schedule: Schedule, exp_id="expand", seed=None,

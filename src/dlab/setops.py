@@ -18,7 +18,7 @@ import numpy as np
 
 from . import algebra as al
 from .algebra import AlgebraDescriptor, Element
-from .dset import DSet, make_dset, point_budget
+from .dset import DSet, _canon_points, _row_norm_sq, make_dset, point_budget
 from .errors import (
     AlgebraMismatch,
     BudgetExceeded,
@@ -42,10 +42,7 @@ class PairSet:
     pairs: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2 * self.alg.d)
-        if len(arr):
-            arr = np.unique(arr, axis=0)
-        object.__setattr__(self, "pairs", arr)
+        object.__setattr__(self, "pairs", _canon_points(self.pairs, 2 * self.alg.d))
 
     def __len__(self):
         return len(self.pairs)
@@ -312,9 +309,7 @@ def ball_intersect(A: DSet, radius_exp: int = 0) -> DSet:
     if len(A) == 0:
         return DSet(alg, A.scale_exp, radius_exp, A.points)
     if alg.is_real_base:
-        bound = 4 ** (A.scale_exp + radius_exp)
-        keep = np.array([int(np.dot(row.astype(object), row.astype(object))) <= bound
-                         for row in A.points])
+        keep = _row_norm_sq(A.points) <= 4 ** (A.scale_exp + radius_exp)
         return DSet(alg, A.scale_exp, radius_exp, A.points[keep])
     p = alg.p
     if radius_exp >= A.radius_exp:
@@ -450,12 +445,12 @@ def quotient_set(A: DSet, rho_exp: int, side: str = "Left",
     if len(diffs) * len(dens) > point_budget():
         raise BudgetExceeded("quotient set too large",
                              {"pairs": len(diffs) * len(dens)})
+    den_list = [(dens[ev], _inv_of_value(alg, ev))
+                for ev in sorted(dens, key=lambda v: dens[v][0].coords + dens[v][1].coords)]
     cells = {}
     for dv in sorted(diffs, key=lambda v: diffs[v][0].coords + diffs[v][1].coords):
         wa, wb = diffs[dv]
-        for ev in sorted(dens, key=lambda v: dens[v][0].coords + dens[v][1].coords):
-            wc, wd = dens[ev]
-            inv_ev = _inv_of_value(alg, ev)
+        for (wc, wd), inv_ev in den_list:
             if side == "Left":
                 q = mul_value_coords(alg, dv, inv_ev)
             else:

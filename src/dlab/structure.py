@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from sympy import factorint
 
 from . import algebra as al
 from .algebra import AlgebraDescriptor, Element
@@ -97,12 +96,27 @@ def _gf_pow(alg, a, e):
     return r
 
 
+def _prime_factors(n: int) -> list:
+    """Distinct prime factors of n >= 1 by trial division up to sqrt(n)."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def residue_field_generator(alg):
     """Smallest multiplicative generator of F_{p^d} under the power basis."""
     p, d = alg.p, alg.d
     order = p ** d - 1
     one = tuple([1] + [0] * (d - 1))
-    primes = list(factorint(order))
+    primes = _prime_factors(order)
     for coords in itertools.product(range(p), repeat=d):
         g = tuple(reversed(coords))  # low-degree-last iteration order
         if all(c == 0 for c in g):

@@ -1,5 +1,7 @@
 """Grid sets: covering numbers, non-concentration, refinement, file IO."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,9 @@ from hypothesis import strategies as hst
 from dlab import algebra as al
 from dlab.dset import (
     DSet,
+    _canon_points,
+    _real_ball_counts,
+    _row_norm_sq,
     covering_number,
     is_nonconcentrated,
     make_dset,
@@ -196,3 +201,134 @@ def test_dset_roundtrip_padic(tmp_path):
     path = tmp_path / "q.dset"
     write_dset(A, str(path))
     assert read_dset(str(path)) == A
+
+
+# --- array kernels against their loop references ----------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(hst.sampled_from([1, 2, 4, 8]),
+       hst.sampled_from([1, 3, 2 ** 10, 2 ** 40, 2 ** 62]),
+       hst.data())
+def test_canon_points_equals_np_unique(d, bound, data):
+    rows = data.draw(hst.lists(hst.lists(hst.integers(-bound, bound), min_size=d,
+                                         max_size=d), min_size=1, max_size=30))
+    arr = np.array(rows, dtype=np.int64)
+    arr = np.vstack([arr, arr[: data.draw(hst.integers(0, len(arr)))]])
+    got = _canon_points(arr, d)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.unique(arr, axis=0))
+
+
+def test_canon_points_fallback_and_single_row():
+    # spans whose product reaches 2^63 take the np.unique path
+    wide = np.array([[-2 ** 62], [2 ** 62], [5], [-2 ** 62]], dtype=np.int64)
+    assert np.array_equal(_canon_points(wide, 1), np.unique(wide, axis=0))
+    cube = np.array(list(itertools.product((0, 255, -1), repeat=8)), dtype=np.int64)
+    cube = np.vstack([cube, cube[::-7]])
+    assert np.array_equal(_canon_points(cube, 8), np.unique(cube, axis=0))
+    one = np.array([[-3, 7]], dtype=np.int64)
+    assert np.array_equal(_canon_points(one, 2), one)
+    assert _canon_points(np.zeros((0, 2), dtype=np.int64), 2).shape == (0, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.sampled_from([1, 2, 4]),
+       hst.sampled_from([2 ** 20, 2 ** 30, int(2 ** 31.5), 2 ** 40]),
+       hst.data())
+def test_row_norm_sq_is_exact(d, big, data):
+    rows = data.draw(hst.lists(hst.lists(hst.integers(-big, big), min_size=d,
+                                         max_size=d), min_size=1, max_size=20))
+    got = _row_norm_sq(np.array(rows, dtype=np.int64))
+    assert [int(v) for v in got] == [sum(c * c for c in r) for r in rows]
+    top = max(abs(c) for r in rows for c in r)
+    assert (got.dtype == object) == (d * top * top >= 2 ** 63)
+
+
+def _remove_ball_oracle(A, center, k):
+    """remove_ball's real-base object-dtype path."""
+    vals = al.value_coords(A.alg, center)
+    cu = np.array([al.round_half_away(v.numerator * 2 ** A.scale_exp, v.denominator)
+                   for v in vals], dtype=np.int64)
+    dist_sq = np.sum((A.points - cu).astype(object) ** 2, axis=1)
+    keep = np.array([ds > 4 ** (A.scale_exp - k) for ds in dist_sq])
+    return A.points[keep]
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.sampled_from(["R", "C", "H"]), hst.sampled_from([4, 31]),
+       hst.integers(0, 4), hst.data())
+def test_remove_ball_equals_object_path(spec, scale, k, data):
+    alg = al.make_algebra(spec, m=4)
+    big = 2 ** scale + 2 ** (scale - 1)  # scale 31: past 2^31.5, forces the fallback
+    rows = data.draw(hst.lists(hst.lists(hst.integers(-big, big), min_size=alg.d,
+                                         max_size=alg.d), min_size=1, max_size=25))
+    A = DSet(alg, scale, 0, np.array(rows, dtype=np.int64))
+    c = data.draw(hst.lists(hst.integers(-16, 16), min_size=alg.d, max_size=alg.d))
+    center = al.element(alg, tuple(c), 4)
+    got = remove_ball(A, center, k)
+    assert np.array_equal(got.points, _remove_ball_oracle(A, center, k))
+
+
+def _ball_counts_per_k(A, k):
+    """The per-scale cell-bucketed scan that _real_ball_counts replaced,
+    with exact Python-int distances."""
+    u = 2 ** (A.scale_exp - k)
+    pts = A.points
+    shifted = pts // u
+    buckets = {}
+    for i, key in enumerate(map(tuple, shifted)):
+        buckets.setdefault(key, []).append(i)
+    d = A.alg.d
+    counts = np.zeros(len(pts), dtype=np.int64)
+    offs = list(itertools.product((-1, 0, 1), repeat=d))
+    for i, key in enumerate(map(tuple, shifted)):
+        x = pts[i]
+        c = 0
+        for off in offs:
+            nb = tuple(key[t] + off[t] for t in range(d))
+            for j in buckets.get(nb, ()):
+                if max(abs(int(a) - int(b)) for a, b in zip(pts[j], x)) < u:
+                    c += 1
+        counts[i] = c
+    return counts
+
+
+def _nc_best_per_k(A, s):
+    """is_nonconcentrated's argmax scan over the per-scale counts."""
+    n = len(A)
+    best_C, worst = 0.0, (0, 0, n)
+    for k in range(A.scale_exp + 1):
+        counts = _ball_counts_per_k(A, k)
+        i = int(np.argmax(counts))
+        ratio = counts[i] * 2.0 ** (k * s) / n
+        if ratio > best_C:
+            best_C, worst = ratio, (i, k, int(counts[i]))
+    return best_C, worst
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.sampled_from(["R", "C", "H"]), hst.integers(0, 10 ** 6),
+       hst.sampled_from([0.5, 1.0, 1.7]))
+def test_all_scale_ball_counts_equal_per_k_loop(spec, seed, s):
+    rnd = np.random.default_rng(seed)
+    alg = al.make_algebra(spec, m=5)
+    n = int(rnd.integers(1, 60))
+    # a coarse lattice makes ties on the counts common
+    A = make_dset(alg, 4 * rnd.integers(-8, 9, size=(n, alg.d)), scale_exp=5)
+    counts = _real_ball_counts(A)
+    for k in range(A.scale_exp + 1):
+        assert np.array_equal(counts[k], _ball_counts_per_k(A, k))
+    best_C, (i, k, cnt) = _nc_best_per_k(A, s)
+    rep = is_nonconcentrated(A, s, 4)
+    assert (rep.best_C, rep.worst_center, rep.worst_radius_exp, rep.worst_count) == (
+        best_C, tuple(int(v) for v in A.points[i]), k, cnt)
+
+
+def test_all_scale_ball_counts_fallback_near_int64_edge():
+    alg = al.make_algebra("C", m=3)
+    top = 2 ** 62
+    A = DSet(alg, 3, 0, np.array([[top, 0], [top - 5, 1], [-top, 0], [-top + 3, 2]],
+                                 dtype=np.int64))
+    counts = _real_ball_counts(A)
+    for k in range(A.scale_exp + 1):
+        assert np.array_equal(counts[k], _ball_counts_per_k(A, k))

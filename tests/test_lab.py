@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -227,3 +228,23 @@ def test_records_csv_schema(tmp_path):
     assert lines[0] == "# cfg"
     assert lines[1] == "exp_id,algebra,p,d,m,s,sigma,t,op,x_coords,count,exponent,seed"
     assert lines[2].startswith("e1,C,,2,6,")
+
+
+def _recenter_oracle(A):
+    """_recenter's per-row min: max coordinate norm, then coordinates."""
+    best = min(range(len(A.points)),
+               key=lambda i: (int(np.max(np.abs(A.points[i]))),
+                              tuple(map(int, A.points[i]))))
+    return A.points - A.points[best]
+
+
+@settings(max_examples=50, deadline=None)
+@given(hst.sampled_from(["R", "C", "H"]), hst.integers(0, 10 ** 6))
+def test_recenter_equals_min_loop(spec, seed):
+    rnd = np.random.default_rng(seed)
+    alg = al.make_algebra(spec, m=5)
+    n = int(rnd.integers(1, 40))
+    # small coordinates make ties on the max norm common
+    A = make_dset(alg, rnd.integers(-3, 4, size=(n, alg.d)), scale_exp=5)
+    got = lab._recenter(A)
+    assert np.array_equal(got.points, make_dset(alg, _recenter_oracle(A), 5).points)

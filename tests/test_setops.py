@@ -333,3 +333,26 @@ def test_pairset_roundtrip(tmp_path):
     so.write_pairset(G, str(path))
     H = so.read_pairset(str(path))
     assert H == G
+
+
+def _ball_intersect_oracle(A, radius_exp):
+    """ball_intersect's real-base object-dtype path."""
+    bound = 4 ** (A.scale_exp + radius_exp)
+    keep = np.array([int(np.dot(row.astype(object), row.astype(object))) <= bound
+                     for row in A.points])
+    return A.points[keep]
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.sampled_from(["R", "C", "H"]), hst.sampled_from([4, 31]),
+       hst.integers(-1, 1), hst.data())
+def test_ball_intersect_equals_object_path(spec, scale, radius_exp, data):
+    alg = al.make_algebra(spec, m=4)
+    big = 2 ** scale + 2 ** (scale - 1)  # scale 31: past 2^31.5, forces the fallback
+    rows = data.draw(hst.lists(hst.lists(hst.integers(-big, big), min_size=alg.d,
+                                         max_size=alg.d), min_size=1, max_size=25))
+    A = DSet(alg, scale, 1, np.array(rows, dtype=np.int64))
+    got = so.ball_intersect(A, radius_exp)
+    assert got.radius_exp == radius_exp
+    assert np.array_equal(got.points, _ball_intersect_oracle(A, radius_exp))
+

@@ -1,6 +1,9 @@
 """Sub-algebra distances, avoidance, escape bases, dichotomy checks."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -252,3 +255,27 @@ def test_dyadic_induction_full_grid():
                                    for y in range(-8, 9)]))
     rep = st.dyadic_induction(Q, _complex_basis(C), n=3)
     assert all(hits == total for hits, total in rep.values())
+
+
+# generators recorded from sympy.factorint before trial division replaced it
+_GENERATORS = {
+    (2, 1): (1,), (2, 2): (0, 1), (2, 3): (0, 1, 0), (2, 4): (0, 1, 0, 0),
+    (3, 1): (2,), (3, 2): (1, 1), (3, 3): (0, 1, 0), (3, 4): (1, 0, 1, 0),
+    (5, 1): (2,), (5, 2): (2, 1), (5, 3): (2, 1, 0), (5, 4): (0, 1, 1, 0),
+    (7, 1): (3,), (7, 2): (2, 1), (7, 3): (2, 1, 0), (7, 4): (6, 1, 0, 0),
+}
+
+
+def test_residue_field_generator_unchanged():
+    for (p, d), g in _GENERATORS.items():
+        alg = al.make_algebra("Qp" if d == 1 else "Qp_ext", p=p, d=d, m=4)
+        assert st.residue_field_generator(alg) == g
+
+
+def test_import_does_not_load_sympy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, dlab; print('sympy' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
