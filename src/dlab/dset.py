@@ -32,28 +32,44 @@ def point_budget() -> int:
     return int(env) if env else DEFAULT_POINT_BUDGET
 
 
+def _key_layout(arr: np.ndarray):
+    """(lo, spans) of the columns of a 2-d int64 array: the column minima and
+    max - min + 1.  None when the array is empty or the product of the spans
+    reaches 2^63, so that the row keys of _row_keys would not fit in int64."""
+    if len(arr) == 0:
+        return None
+    lo = arr.min(axis=0)
+    spans = [int(h) - int(l) + 1 for h, l in zip(arr.max(axis=0), lo)]
+    return None if math.prod(spans) >= 2 ** 63 else (lo, spans)
+
+
+def _row_keys(arr: np.ndarray, lo, spans) -> np.ndarray:
+    """One int64 key per row: the mixed-radix number with digits
+    arr[:, t] - lo[t] in base spans[t], so that key order is lexicographic
+    row order.  Every row must lie in the box lo <= row < lo + spans of a
+    layout from _key_layout."""
+    key = arr[:, 0] - lo[0]
+    for t in range(1, len(spans)):
+        key *= spans[t]
+        key += arr[:, t] - lo[t]
+    return key
+
+
 def _canon_points(arr: np.ndarray, d: int) -> np.ndarray:
     """The distinct rows of `arr` (width d) in lexicographic order: the same
     array as np.unique(arr, axis=0).
 
-    Each row is packed into one int64 key, a mixed-radix number over the
-    column spans after the column minima are subtracted, so that key order
-    is lexicographic row order.  The keys are sorted in place, adjacent
-    duplicates dropped and the rows decoded from the unique keys.  When the
-    product of the spans reaches 2^63 the keys would not fit, and the rows
-    go through np.unique(axis=0) instead.
+    The row keys of _row_keys are sorted in place, adjacent duplicates
+    dropped and the rows decoded from the unique keys.  When there are no
+    keys to pack (no rows, or keys past int64) the rows go through
+    np.unique(axis=0) instead.
     """
     arr = np.asarray(arr, dtype=np.int64).reshape(-1, d)
-    if len(arr) == 0:
-        return arr
-    lo = arr.min(axis=0)
-    spans = [int(h) - int(l) + 1 for h, l in zip(arr.max(axis=0), lo)]
-    if math.prod(spans) >= 2 ** 63:
+    layout = _key_layout(arr)
+    if layout is None:
         return np.unique(arr, axis=0)
-    key = arr[:, 0] - lo[0]
-    for t in range(1, d):
-        key *= spans[t]
-        key += arr[:, t] - lo[t]
+    lo, spans = layout
+    key = _row_keys(arr, lo, spans)
     key.sort()
     fresh = np.empty(len(key), dtype=bool)
     fresh[0] = True
@@ -65,6 +81,16 @@ def _canon_points(arr: np.ndarray, d: int) -> np.ndarray:
     out[:, 0] = key
     out += lo
     return out
+
+
+def _row_counts(arr: np.ndarray) -> np.ndarray:
+    """The multiplicity of every distinct row of a 2-d int64 array, in
+    lexicographic row order: np.unique(arr, axis=0, return_counts=True)[1],
+    counted on the row keys while they fit in int64."""
+    layout = _key_layout(arr)
+    if layout is None:
+        return np.unique(arr, axis=0, return_counts=True)[1]
+    return np.unique(_row_keys(arr, *layout), return_counts=True)[1]
 
 
 def _row_norm_sq(pts: np.ndarray) -> np.ndarray:
@@ -161,8 +187,7 @@ def cell_ids(A: DSet, k: int) -> np.ndarray:
 def covering_number(A: DSet, k: int) -> int:
     if len(A) == 0:
         return 0
-    ids = cell_ids(A, k)
-    return len(np.unique(ids, axis=0))
+    return len(_row_counts(cell_ids(A, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +373,7 @@ def uniformity_audit(A: DSet, T: int = 1):
     if scales and scales[-1] != 0:
         scales.append(0)
     for k in scales:
-        ids = cell_ids(A, k)
-        _, counts = np.unique(ids, axis=0, return_counts=True)
+        counts = _row_counts(cell_ids(A, k))
         out[k] = (int(counts.max()), int(counts.min()),
                   counts.max() / counts.min() <= radix ** T)
     return out
@@ -377,27 +401,47 @@ def write_dset(A: DSet, path: str, extra_comments=()) -> None:
     os.replace(tmp, path)
 
 
-def _parse_header(line: str):
-    if not line.startswith("#dlab v1 "):
-        raise ParameterRangeError(f"bad dlab header: {line!r}")
-    kv = dict(tok.split("=", 1) for tok in line.split()[2:])
-    return kv
+def _read_rows(path: str, alg: AlgebraDescriptor | None, per_row: int):
+    """Read a dlab file with per_row * d integers on each data row; returns
+    (alg, scale_exp, radius_exp, rows).  The algebra comes from the header
+    unless one is given.  An empty file, a bad header and a row that is not
+    per_row * d integers raise ParameterRangeError naming the path and line."""
+    with open(path) as fh:
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines:
+        raise ParameterRangeError(f"{path}: empty file, expected a dlab header")
+    no, head = lines[0]
+    try:
+        if not head.startswith("#dlab v1 "):
+            raise ValueError("no '#dlab v1 ' prefix")
+        kv = dict(tok.split("=", 1) for tok in head.split()[2:])
+        d, m, rexp = int(kv["d"]), int(kv["m"]), int(kv["Rexp"])
+        if alg is None:
+            if kv["base"] == "R":
+                alg = al.make_algebra({1: "R", 2: "C", 4: "H"}[d], m=m)
+            else:
+                alg = al.make_algebra("Qp" if d == 1 else "Qp_ext",
+                                      p=int(kv["p"]), d=d, m=m)
+    except (KeyError, ValueError) as e:
+        raise ParameterRangeError(
+            f"{path}:{no}: bad dlab header {head!r}: {e!r}") from None
+    width = per_row * alg.d
+    rows = []
+    for no, ln in lines[1:]:
+        if ln.startswith("#"):
+            continue
+        try:
+            row = [int(t) for t in ln.split()]
+        except ValueError:
+            raise ParameterRangeError(
+                f"{path}:{no}: non-integer coordinate in {ln!r}") from None
+        if len(row) != width:
+            raise ParameterRangeError(
+                f"{path}:{no}: {len(row)} coordinates, expected {width}")
+        rows.append(row)
+    return alg, m, rexp, rows
 
 
 def read_dset(path: str, alg: AlgebraDescriptor | None = None) -> DSet:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    kv = _parse_header(lines[0])
-    d = int(kv["d"])
-    m = int(kv["m"])
-    rexp = int(kv["Rexp"])
-    if alg is None:
-        if kv["base"] == "R":
-            spec = {1: "R", 2: "C", 4: "H"}[d]
-            alg = al.make_algebra(spec, m=m)
-        else:
-            alg = al.make_algebra("Qp" if d == 1 else "Qp_ext",
-                                  p=int(kv["p"]), d=d, m=m)
-    rows = [[int(t) for t in ln.split()] for ln in lines[1:]
-            if not ln.startswith("#")]
+    alg, m, rexp, rows = _read_rows(path, alg, 1)
     return make_dset(alg, rows, scale_exp=m, radius_exp=rexp)

@@ -4,6 +4,14 @@ graph-based structure extraction, and exact sumset-inequality ledgers.
 Tolerance convention: |y| <= delta means the rounded grid representatives
 agree up to an adjacent cell (real base, l-infinity) or lie in the same
 residue class (p-adic).  Counts are exact for that convention.
+
+The quintuple count is array code.  The n^2 differences a - c of A are
+packed into sorted int64 row keys with their counts (the row keys of
+dset._canon_points).  For each x, the targets -(xb + xd) of every (b, d),
+shifted by each of the 3^d neighbour offsets (one offset on the p-adic base),
+are packed the same way and counted with np.searchsorted; the counts add up
+in an n x n matrix over (b, d).  The near/far split at |b - d| = radix^-rho
+depends on (b, d) alone and is one exact boolean mask over that matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +26,14 @@ import numpy as np
 
 from . import algebra as al
 from . import setops as so
-from .dset import DSet, covering_number, point_budget
+from .dset import (
+    DSet,
+    _key_layout,
+    _row_keys,
+    _row_norm_sq,
+    covering_number,
+    point_budget,
+)
 from .errors import (
     AlgebraMismatch,
     BudgetExceeded,
@@ -100,14 +115,79 @@ def _rounded_products(A: DSet, x: al.Element, side: str = "Left"):
     return raw % alg.p ** (A.scale_exp + unit), unit
 
 
-def _diff_counter(A: DSet):
-    """Counter of coordinate differences a - a' with multiplicity."""
+def _diffs(A: DSet) -> np.ndarray:
+    """All n^2 coordinate differences a - a' as rows, reduced mod p^(m+r) on
+    the p-adic base."""
     alg = A.alg
     diffs = (A.points[:, None, :] - A.points[None, :, :]).reshape(-1, alg.d)
     if not alg.is_real_base:
         diffs %= alg.p ** (A.scale_exp + A.radius_exp)
-    vals, counts = np.unique(diffs, axis=0, return_counts=True)
+    return diffs
+
+
+def _diff_counter(A: DSet):
+    """Counter of coordinate differences a - a' with multiplicity."""
+    vals, counts = np.unique(_diffs(A), axis=0, return_counts=True)
     return Counter({tuple(map(int, v)): int(c) for v, c in zip(vals, counts)})
+
+
+def _diff_lookup(A: DSet):
+    """A function taking an int64 array of rows to the number of pairs
+    (a, a') in A^2 whose difference (as in _diffs) equals each row.
+
+    The differences are kept as sorted unique row keys (dset._row_keys over
+    the column ranges of the differences) with their counts.  A row outside
+    those ranges counts 0; the others are found with np.searchsorted.  When
+    the keys would not fit in int64 (or A is empty), each batch of rows is
+    labelled together with the distinct differences by np.unique(axis=0)
+    instead."""
+    diffs = _diffs(A)
+    layout = _key_layout(diffs)
+    if layout is None:
+        rows, counts = np.unique(diffs, axis=0, return_counts=True)
+
+        def lookup(T):
+            _, inv = np.unique(np.concatenate([rows, T]), axis=0,
+                               return_inverse=True)
+            inv = inv.reshape(-1)
+            table = np.zeros(len(inv), dtype=np.int64)
+            table[inv[:len(rows)]] = counts
+            return table[inv[len(rows):]]
+        return lookup
+    lo, spans = layout
+    hi = diffs.max(axis=0)
+    keys, counts = np.unique(_row_keys(diffs, lo, spans), return_counts=True)
+
+    def lookup(T):
+        out = np.zeros(len(T), dtype=np.int64)
+        inside = np.flatnonzero(np.all((T >= lo) & (T <= hi), axis=1))
+        key = _row_keys(T[inside], lo, spans)
+        pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        hit = keys[pos] == key
+        out[inside[hit]] = counts[pos[hit]]
+        return out
+    return lookup
+
+
+def _near_mask(A: DSet, B: np.ndarray, rho_exp: int) -> np.ndarray:
+    """mask[i, j]: |b - d| <= radix^-rho_exp for b = B[i] and d = A.points[j],
+    decided exactly on the coordinates.
+
+    Real base: |b - d|^2 = sum(c^2) / 4^m, so the test is
+    sum(c^2) * 4^rho <= 4^m in integers (_row_norm_sq falls back to Python
+    ints past int64).  p-adic base: as elements, b and d are taken mod p^M
+    (M = alg.m) in units p^-r, and b - d is near when it is 0 there or has
+    valuation >= rho; that is, when every coordinate difference is divisible
+    by p^(min(rho, M) + r)."""
+    alg = A.alg
+    diff = B[:, None, :] - A.points[None, :, :]
+    if alg.is_real_base:
+        e = A.scale_exp - rho_exp
+        norms = _row_norm_sq(diff.reshape(-1, alg.d)).reshape(diff.shape[:2])
+        return norms <= 4 ** e if e >= 0 else norms == 0
+    q = alg.p ** max(0, min(rho_exp, alg.m) + A.radius_exp)
+    # an int64 difference is divisible by q >= 2^63 only when it is 0
+    return np.all(diff % q == 0 if q < 2 ** 63 else diff == 0, axis=2)
 
 
 def _neighbor_offsets(alg):
@@ -124,46 +204,42 @@ def quintuple_count_tv(A: DSet, X: DSet, rho_exp: int,
                        symmetric: bool = False) -> CountReport:
     """Exact count of (a,b,c,d,x) in A^4 x X with |a + xb - (c - xd)| <= delta
     (as printed; symmetric=True counts |a + xb - (c + xd)| <= delta), broken
-    down at the |b - d| threshold radix^-rho_exp."""
+    down at the |b - d| threshold radix^-rho_exp.
+
+    For each x and every (b, d) at once, the target -(xb + xd) (or
+    xd - xb) plus each neighbour offset is looked up in the difference
+    multiset of A; the counts add up in an n x n matrix over (b, d), which
+    the near/far mask splits once.  Targets go in blocks of b rows with at
+    most point_budget() rows per lookup."""
     alg = A.alg
     if alg != X.alg:
         raise AlgebraMismatch("A and X live in different algebras")
     n = len(A)
     if len(X) * n ** 2 * 3 ** alg.d > 100 * point_budget():
         raise BudgetExceeded("quintuple count too large; reduce m or |A|",
-                             {"work": len(X) * n ** 2})
-    offsets = _neighbor_offsets(alg)
-    D = _diff_counter(A)  # (a, c) differences
-    elems = A.elements()
+                             {"work": len(X) * n ** 2, "n": n, "X": len(X),
+                              "offsets": 3 ** alg.d})
+    offsets = np.array(_neighbor_offsets(alg), dtype=np.int64)
     mod = None if alg.is_real_base else alg.p ** (A.scale_exp + A.radius_exp)
+    products = [_rounded_products(A, x, "Left")[0] for x in X.elements()]
+    lookup = _diff_lookup(A)
     near_count = far_count = 0
-    rho_sq = Fraction(1, 4 ** rho_exp)
-    for x in X.elements():
-        R, _ = _rounded_products(A, x, "Left")
-        for ib in range(n):
-            for id_ in range(n):
-                # target for (a - c): the printed form needs a - c = -(xb + xd)
-                if symmetric:
-                    tvec = R[id_] - R[ib]
-                else:
-                    tvec = -(R[ib] + R[id_])
-                cnt = 0
-                for off in offsets:
-                    key = tuple(int(tvec[k] + off[k]) % mod if mod
-                                else int(tvec[k] + off[k])
-                                for k in range(alg.d))
-                    cnt += D.get(key, 0)
-                if cnt:
-                    bd = al.sub(alg, elems[ib], elems[id_])
-                    if alg.is_real_base:
-                        is_near = al.norm_sq(alg, bd) <= rho_sq
-                    else:
-                        ne = al.norm_exp(alg, bd)
-                        is_near = ne is None or ne >= rho_exp
-                    if is_near:
-                        near_count += cnt
-                    else:
-                        far_count += cnt
+    step = max(1, point_budget() // max(n, 1))
+    for lo in range(0, n, step):
+        cnt = np.zeros((min(step, n - lo), n), dtype=np.int64)
+        for R in products:
+            # target for (a - c): the printed form needs a - c = -(xb + xd)
+            Rb = R[lo:lo + step, None, :]
+            tvec = R[None, :, :] - Rb if symmetric else -(Rb + R[None, :, :])
+            tvec = tvec.reshape(-1, alg.d)
+            for off in offsets:
+                key = tvec + off
+                if mod:
+                    key %= mod
+                cnt += lookup(key).reshape(cnt.shape)
+        near = _near_mask(A, A.points[lo:lo + step], rho_exp)
+        near_count += int(cnt[near].sum())
+        far_count += int(cnt[~near].sum())
     total = near_count + far_count
     bound = ratio = None
     if None not in (s, sigma, t):

@@ -18,7 +18,14 @@ import numpy as np
 
 from . import algebra as al
 from .algebra import AlgebraDescriptor, Element
-from .dset import DSet, _canon_points, _row_norm_sq, make_dset, point_budget
+from .dset import (
+    DSet,
+    _canon_points,
+    _read_rows,
+    _row_norm_sq,
+    make_dset,
+    point_budget,
+)
 from .errors import (
     AlgebraMismatch,
     BudgetExceeded,
@@ -599,19 +606,5 @@ def write_pairset(G: PairSet, path: str, extra_comments=()) -> None:
 
 
 def read_pairset(path: str, alg: AlgebraDescriptor | None = None) -> PairSet:
-    from .dset import _parse_header
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    kv = _parse_header(lines[0])
-    d = int(kv["d"])
-    m = int(kv["m"])
-    rexp = int(kv["Rexp"])
-    if alg is None:
-        if kv["base"] == "R":
-            alg = al.make_algebra({1: "R", 2: "C", 4: "H"}[d], m=m)
-        else:
-            alg = al.make_algebra("Qp" if d == 1 else "Qp_ext",
-                                  p=int(kv["p"]), d=d, m=m)
-    rows = [[int(t) for t in ln.split()] for ln in lines[1:]
-            if not ln.startswith("#")]
+    alg, m, rexp, rows = _read_rows(path, alg, 2)
     return make_pairset(alg, rows, scale_exp=m, radius_exp=rexp)

@@ -6,6 +6,7 @@ import pytest
 
 from dlab import cli
 from dlab.dset import read_dset
+from dlab.errors import ParameterRangeError
 from dlab.setops import read_pairset
 
 
@@ -73,6 +74,36 @@ def test_missing_file_exit_2(tmp_path, capsys):
     code, _ = run(["cover", "--in", str(tmp_path / "nope.dset"), "--k", "1"],
                   capsys)
     assert code == 2
+
+
+HEADER = "#dlab v1 base=R p=- d=2 m=5 Rexp=0\n"
+
+
+@pytest.mark.parametrize("text,where", [
+    ("", ": empty file"),
+    ("\n  \n", ": empty file"),
+    ("#dlab v1 base=R p=- m=5 Rexp=0\n1 2\n", ":1: bad dlab header"),
+    (HEADER + "1 2\n\n3\n", ":4: 1 coordinates, expected 2"),
+    (HEADER + "1 2\n3 4 5\n", ":3: 3 coordinates, expected 2"),
+    (HEADER + "# note\n1 x\n", ":3: non-integer coordinate"),
+    (HEADER + "1 2.5\n", ":2: non-integer coordinate"),
+])
+def test_malformed_dset_file_exit_2(tmp_path, capsys, text, where):
+    """An empty file, a bad header and a ragged or non-integer row exit 2
+    with a message naming the path and the line."""
+    a = tmp_path / "a.dset"
+    a.write_text(text)
+    code = cli.main(["cover", "--in", str(a), "--k", "1"])
+    err = capsys.readouterr().err
+    assert code == 2 and f"{a}{where}" in err
+
+
+def test_pairset_reader_rejects_ragged_row(tmp_path):
+    """Pair files go through the same reader: rows carry 2d integers."""
+    g = tmp_path / "g.pairs"
+    g.write_text(HEADER + "1 2 3 4\n1 2\n")
+    with pytest.raises(ParameterRangeError, match=":3: 2 coordinates, expected 4"):
+        read_pairset(str(g))
 
 
 def test_budget_exit_3(tmp_path, capsys, monkeypatch):

@@ -12,6 +12,7 @@ from dlab.dset import (
     DSet,
     _canon_points,
     _real_ball_counts,
+    _row_counts,
     _row_norm_sq,
     covering_number,
     is_nonconcentrated,
@@ -217,6 +218,21 @@ def test_canon_points_equals_np_unique(d, bound, data):
     got = _canon_points(arr, d)
     assert got.dtype == np.int64
     assert np.array_equal(got, np.unique(arr, axis=0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.sampled_from([1, 2, 4, 8]),
+       hst.sampled_from([1, 3, 2 ** 10, 2 ** 62]),
+       hst.data())
+def test_row_counts_equal_np_unique(d, bound, data):
+    """Row multiplicities from packed keys equal np.unique's, including
+    spans past 2^63 (bound 2^62 with d >= 2) and the empty array."""
+    rows = data.draw(hst.lists(hst.lists(hst.integers(-bound, bound), min_size=d,
+                                         max_size=d), min_size=0, max_size=30))
+    arr = np.array(rows, dtype=np.int64).reshape(-1, d)
+    arr = np.vstack([arr, arr[: data.draw(hst.integers(0, len(arr)))]])
+    want = np.unique(arr, axis=0, return_counts=True)[1]
+    assert np.array_equal(_row_counts(arr), want)
 
 
 def test_canon_points_fallback_and_single_row():

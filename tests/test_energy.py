@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -12,7 +13,7 @@ from dlab import algebra as al
 from dlab import energy as en
 from dlab import setops as so
 from dlab.dset import make_dset
-from dlab.errors import DivisionByNegligible, EmptyGraph
+from dlab.errors import BudgetExceeded, DivisionByNegligible, EmptyGraph
 
 
 def _rset(alg, rnd, n, lo=-16, hi=17):
@@ -124,6 +125,162 @@ def test_quintuple_bound_fields():
     rep = en.quintuple_count_tv(A, X, rho_exp=1, s=Fraction(1, 2),
                                 sigma=Fraction(1, 2), t=1)
     assert rep.bound is not None and rep.ratio == rep.total / rep.bound
+
+
+def _loop_quintuple(A, X, rho_exp, symmetric):
+    """The per-pair loop that quintuple_count_tv ran before its lookups were
+    vectorized, kept as the oracle: (total, near, far)."""
+    alg = A.alg
+    n = len(A)
+    offsets = en._neighbor_offsets(alg)
+    D = en._diff_counter(A)
+    elems = A.elements()
+    mod = None if alg.is_real_base else alg.p ** (A.scale_exp + A.radius_exp)
+    near_count = far_count = 0
+    rho_sq = Fraction(1, 4 ** rho_exp)
+    for x in X.elements():
+        R, _ = en._rounded_products(A, x, "Left")
+        for ib in range(n):
+            for id_ in range(n):
+                if symmetric:
+                    tvec = R[id_] - R[ib]
+                else:
+                    tvec = -(R[ib] + R[id_])
+                cnt = 0
+                for off in offsets:
+                    key = tuple(int(tvec[k] + off[k]) % mod if mod
+                                else int(tvec[k] + off[k])
+                                for k in range(alg.d))
+                    cnt += D.get(key, 0)
+                if cnt:
+                    bd = al.sub(alg, elems[ib], elems[id_])
+                    if alg.is_real_base:
+                        is_near = al.norm_sq(alg, bd) <= rho_sq
+                    else:
+                        ne = al.norm_exp(alg, bd)
+                        is_near = ne is None or ne >= rho_exp
+                    if is_near:
+                        near_count += cnt
+                    else:
+                        far_count += cnt
+    return near_count + far_count, near_count, far_count
+
+
+def _report(rep):
+    return rep.total, rep.breakdown["near"], rep.breakdown["far"]
+
+
+_TV_ALGS = [("R", None, None), ("C", None, None), ("H", None, None),
+            ("Qp", 2, None), ("Qp", 3, None), ("Qp", 5, None),
+            ("Qp_ext", 2, 2), ("Qp_ext", 3, 2), ("Qp_ext", 2, 3)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.sampled_from(_TV_ALGS), hst.booleans(), hst.data())
+def test_quintuple_equals_loop_oracle(spec, symmetric, data):
+    """The vectorized count equals the per-pair loop on total, near and far:
+    every algebra kind, a set scale off the algebra's m, radius 0 or 1,
+    progressions (many repeated differences) and X holding 0."""
+    kind, p, d = spec
+    alg = al.make_algebra(kind, p=p, d=d,
+                          m=data.draw(hst.integers(2, 4 if p is None else 3)))
+    scale = max(1, alg.m + data.draw(hst.integers(-1, 1)))
+    rexp = data.draw(hst.integers(0, 1))
+    if alg.is_real_base:
+        lo, hi = -2 ** (scale + rexp), 2 ** (scale + rexp)
+    else:
+        lo, hi = 0, alg.p ** (scale + rexp) - 1
+    coord = hst.integers(lo, hi)
+    row = hst.lists(coord, min_size=alg.d, max_size=alg.d)
+    if data.draw(hst.booleans()):
+        pts = data.draw(hst.lists(row, min_size=1, max_size=8))
+    else:
+        base = data.draw(row)
+        step = data.draw(hst.lists(hst.integers(0, 3), min_size=alg.d,
+                                   max_size=alg.d))
+        pts = [[b + i * s for b, s in zip(base, step)]
+               for i in range(data.draw(hst.integers(1, 8)))]
+    xs = data.draw(hst.lists(row, min_size=1, max_size=3))
+    if data.draw(hst.booleans()):
+        xs.append([0] * alg.d)
+    A = make_dset(alg, pts, scale, rexp)
+    X = make_dset(alg, xs, scale, rexp)
+    rho = data.draw(hst.integers(0, scale + 1))
+    rep = en.quintuple_count_tv(A, X, rho_exp=rho, symmetric=symmetric)
+    assert _report(rep) == _loop_quintuple(A, X, rho, symmetric)
+
+
+def test_quintuple_padic_set_finer_than_algebra():
+    """A Qp set at scale 3 over an algebra of m=2: as elements, b = 0 and
+    d = 4 are equal mod 2^2, so (b, d) is near at every rho."""
+    Q2 = al.make_algebra("Qp", p=2, m=2)
+    A = make_dset(Q2, [(0,), (1,), (4,), (5,)], scale_exp=3)
+    X = make_dset(Q2, [(1,), (3,)], scale_exp=3)
+    for rho in (1, 2, 3, 4):
+        rep = en.quintuple_count_tv(A, X, rho_exp=rho)
+        assert _report(rep) == _loop_quintuple(A, X, rho, False)
+        assert en._near_mask(A, A.points, rho)[0, 2]
+
+
+@pytest.mark.parametrize("kind,m,big", [("H", 17, 2 ** 17), ("C", 33, 2 ** 33)])
+def test_quintuple_fallbacks_equal_loop_oracle(kind, m, big):
+    """Differences whose packed keys would pass 2^63 (lookup through
+    np.unique), and at C m=33 squared norms past int64 in the mask."""
+    alg = al.make_algebra(kind, m=m)
+    rnd = random.Random(m)
+    A = make_dset(alg, [[rnd.randrange(-big, big) for _ in range(alg.d)]
+                        for _ in range(5)]
+                  + [[0] * alg.d, [1] + [0] * (alg.d - 1)])
+    X = make_dset(alg, [[0] * alg.d, [1] + [0] * (alg.d - 1),
+                        [-1] * alg.d])
+    for rho in (0, m // 2, m):
+        for symmetric in (False, True):
+            rep = en.quintuple_count_tv(A, X, rho_exp=rho, symmetric=symmetric)
+            want = _loop_quintuple(A, X, rho, symmetric)
+            assert _report(rep) == want and want[0] > 0
+
+
+@pytest.mark.parametrize("kind,p,budget", [("R", None, 7), ("C", None, 20),
+                                           ("Qp", 3, 9)])
+def test_quintuple_chunks_give_the_same_report(monkeypatch, kind, p, budget):
+    """A budget small enough to split the targets into several blocks of b
+    rows gives the same report as one block."""
+    alg = al.make_algebra(kind, p=p, m=5)
+    rnd = random.Random(12)
+    hi = 2 ** 5 if alg.is_real_base else alg.p ** 5
+    A = make_dset(alg, [[rnd.randrange(hi) for _ in range(alg.d)]
+                        for _ in range(8)])
+    X = make_dset(alg, [[rnd.randrange(hi) for _ in range(alg.d)]
+                        for _ in range(2)])
+    whole = en.quintuple_count_tv(A, X, rho_exp=2).to_dict()
+    monkeypatch.setenv("DLAB_BUDGET_POINTS", str(budget))
+    assert budget // len(A) < len(A)
+    assert en.quintuple_count_tv(A, X, rho_exp=2).to_dict() == whole
+
+
+def test_quintuple_budget_threshold_and_sizes(monkeypatch):
+    """BudgetExceeded fires once |X| n^2 3^d passes 100 * budget, and names
+    n, |X| and 3^d."""
+    R = al.make_algebra("R", m=5)
+    A = make_dset(R, [(i,) for i in range(10)])
+    X = make_dset(R, [(1,), (2,)])
+    monkeypatch.setenv("DLAB_BUDGET_POINTS", "6")  # 2 * 100 * 3 = 600 = 100 * 6
+    en.quintuple_count_tv(A, X, rho_exp=1)
+    monkeypatch.setenv("DLAB_BUDGET_POINTS", "5")
+    with pytest.raises(BudgetExceeded) as exc:
+        en.quintuple_count_tv(A, X, rho_exp=1)
+    assert exc.value.sizes == {"work": 200, "n": 10, "X": 2, "offsets": 3}
+
+
+def test_diff_lookup_counts_every_row():
+    """The sorted-key lookup counts each difference row and 0 for rows
+    outside the difference ranges or between keys."""
+    C = al.make_algebra("C", m=4)
+    A = make_dset(C, [(0, 0), (1, 0), (2, 0), (0, 3)])
+    lookup = en._diff_lookup(A)
+    rows = np.array([(0, 0), (1, 0), (2, 0), (-2, 0), (1, -3), (5, 0),
+                     (0, 1), (-9, -9)], dtype=np.int64)
+    assert lookup(rows).tolist() == [4, 2, 1, 1, 1, 0, 0, 0]
 
 
 # --- quadruple count --------------------------------------------------------
