@@ -17,6 +17,7 @@ Representation conventions:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -362,11 +363,7 @@ def basis_element(alg: AlgebraDescriptor, j: int) -> Element:
 
 def value_coords(alg: AlgebraDescriptor, x: Element):
     """Exact rational coordinates of x in the standard basis."""
-    if alg.is_real_base:
-        q = Fraction(1, 2 ** x.unit_exp)
-    else:
-        q = Fraction(1, alg.p ** x.unit_exp)
-    return tuple(Fraction(c) * q for c in x.coords)
+    return tuple(Fraction(c, alg.radix ** x.unit_exp) for c in x.coords)
 
 
 def from_value_coords(alg: AlgebraDescriptor, values, padic_precision=None) -> Element:
@@ -386,7 +383,7 @@ def from_value_coords(alg: AlgebraDescriptor, values, padic_precision=None) -> E
     shifts = []
     for v in values:
         den = v.denominator
-        shifts.append(vp(den, p) if den % p == 0 else 0)
+        shifts.append(vp(den, p))
     k = max(shifts) if shifts else 0
     prec = alg.m if padic_precision is None else padic_precision
     if prec < 1:
@@ -395,7 +392,7 @@ def from_value_coords(alg: AlgebraDescriptor, values, padic_precision=None) -> E
     coords = []
     for v in values:
         num, den = v.numerator, v.denominator
-        kv = vp(den, p) if den % p == 0 else 0
+        kv = vp(den, p)
         unit = den // p ** kv
         c = num * p ** (k - kv) * pow(unit, -1, mod) % mod
         coords.append(c)
@@ -452,17 +449,6 @@ def mul_exact(alg: AlgebraDescriptor, x: Element, y: Element) -> Element:
     return _canonical(alg, raw, x.unit_exp + y.unit_exp)
 
 
-def snap(alg: AlgebraDescriptor, x: Element) -> Element:
-    """Round a real-base element onto the working 2^-m grid (single rounding)."""
-    if not alg.is_real_base or x.unit_exp == alg.m:
-        return x
-    if x.unit_exp < alg.m:
-        f = 2 ** (alg.m - x.unit_exp)
-        return Element(tuple(c * f for c in x.coords), alg.m)
-    q = 2 ** (x.unit_exp - alg.m)
-    return Element(tuple(round_half_away(c, q) for c in x.coords), alg.m)
-
-
 # ---------------------------------------------------------------------------
 # norms, inverses, determinants
 
@@ -513,6 +499,37 @@ def _solve_fraction(mat, rhs):
     return [a[i][n] for i in range(n)]
 
 
+def _int_det(mat):
+    """Exact determinant of a square integer matrix by Laplace expansion along
+    the first row (d! terms: small for d <= 4)."""
+    if not mat:
+        return 1
+    return sum((-1) ** j * c * _int_det([row[:j] + row[j + 1:] for row in mat[1:]])
+               for j, c in enumerate(mat[0]) if c)
+
+
+def _int_inverse(alg: AlgebraDescriptor, coords):
+    """(num, den) with w * (num / den) = e_1 for the integer vector w = coords.
+
+    num is the first column of the adjugate of the integer left-multiplication
+    matrix L_w (column j is w e_j) and den = det L_w, both divided by their
+    gcd, with den > 0; on C and H this is conj(w) / |w|^2 in lowest terms.
+    Raises DivisionByNegligible when det L_w = 0.
+    """
+    d = alg.d
+    sc = alg.structure_constants
+    L = [[sum(coords[i] * sc[i][j][k] for i in range(d)) for j in range(d)]
+         for k in range(d)]
+    # adj(L)[r][0] is the cofactor of L[0][r]; expanding det along row 0
+    num = [(-1) ** r * _int_det([row[:r] + row[r + 1:] for row in L[1:]])
+           for r in range(d)]
+    det = sum(a * c for a, c in zip(L[0], num))
+    if det == 0:
+        raise DivisionByNegligible("difference is a zero divisor")
+    g = math.gcd(det, *num) * (1 if det > 0 else -1)
+    return tuple(c // g for c in num), det // g
+
+
 def inv(alg: AlgebraDescriptor, x: Element) -> Element:
     """Multiplicative inverse, guarded by the inversion floor radix^-floor(m/2)."""
     m = alg.m
@@ -526,25 +543,15 @@ def inv(alg: AlgebraDescriptor, x: Element) -> Element:
         if e is None or e > floor_exp or m - 2 * max(e, 0) < 1:
             raise DivisionByNegligible("norm below the inversion floor")
         prec = m - 2 * max(e, 0)
-    vals = value_coords(alg, x)
-    d = alg.d
-    # columns of the left-multiplication matrix: x * e_j
-    cols = []
-    for j in range(d):
-        col = [Fraction(0)] * d
-        for i in range(d):
-            if vals[i]:
-                c = alg.structure_constants[i][j]
-                for k in range(d):
-                    if c[k]:
-                        col[k] += vals[i] * c[k]
-        cols.append(col)
-    mat = [[cols[j][k] for j in range(d)] for k in range(d)]
-    rhs = [Fraction(1)] + [Fraction(0)] * (d - 1)
-    sol = _solve_fraction(mat, rhs)
-    if sol is None:
-        raise DivisionByNegligible("element is a zero divisor at this precision")
-    return from_value_coords(alg, sol, padic_precision=prec)
+    try:
+        num, den = _int_inverse(alg, x.coords)
+    except DivisionByNegligible:
+        raise DivisionByNegligible(
+            "element is a zero divisor at this precision") from None
+    # x = coords * radix^-unit_exp, so x^-1 = radix^unit_exp * num / den
+    scale = alg.radix ** x.unit_exp
+    return from_value_coords(alg, [Fraction(scale * c, den) for c in num],
+                             padic_precision=prec)
 
 
 def det_fraction(mat):
@@ -583,10 +590,6 @@ def det_basis(alg: AlgebraDescriptor, vs):
         return det
     if det == 0:
         return Fraction(0)
-    v = vp(det.numerator, alg.p) - (vp(det.denominator, alg.p)
-                                    if det.denominator % alg.p == 0 else 0)
+    v = vp(det.numerator, alg.p) - vp(det.denominator, alg.p)
     return Fraction(1, alg.p ** v) if v >= 0 else Fraction(alg.p ** (-v))
 
-
-def dist_sq(alg: AlgebraDescriptor, x: Element, y: Element) -> Fraction:
-    return norm_sq(alg, sub(alg, x, y))

@@ -16,13 +16,18 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import algebra as al
 from .algebra import AlgebraDescriptor, Element
-from .errors import BudgetExceeded, EmptyInput, ParameterRangeError, ScaleOutOfRange
+from .errors import (
+    BudgetExceeded,
+    DlabError,
+    EmptyInput,
+    ParameterRangeError,
+    ScaleOutOfRange,
+)
 
 DEFAULT_POINT_BUDGET = 10_000_000
 
@@ -93,10 +98,36 @@ def _row_counts(arr: np.ndarray) -> np.ndarray:
     return np.unique(_row_keys(arr, *layout), return_counts=True)[1]
 
 
+def _row_mins(arr: np.ndarray, prio=None) -> np.ndarray:
+    """For every distinct row of a 2-d array, in lexicographic row order, the
+    index of its first occurrence of smallest prio (no prio: np.unique(arr,
+    axis=0, return_index=True)[1]).  Rows are matched on their int64 row keys,
+    on np.unique(axis=0) labels past 2^63, in a dict for object arrays."""
+    if prio is None:
+        prio = np.arange(len(arr))
+    if arr.dtype == object:
+        best = {}
+        for t, row in enumerate(map(tuple, arr.tolist())):
+            if row not in best or prio[t] < prio[best[row]]:
+                best[row] = t
+        return np.array([best[row] for row in sorted(best)], dtype=np.int64)
+    layout = _key_layout(arr)
+    if layout is None:
+        key = np.unique(arr, axis=0, return_inverse=True)[1].reshape(-1)
+    else:
+        key = _row_keys(arr, *layout)
+    order = np.lexsort((prio, key))
+    key = key[order]
+    fresh = np.empty(len(key), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    return order[fresh]
+
+
 def _row_norm_sq(pts: np.ndarray) -> np.ndarray:
     """Exact squared Euclidean norm of every row: int64 when
     d * max|coord|^2 < 2^63, Python ints in an object array otherwise."""
-    big = max(-int(pts.min()), int(pts.max()))
+    big = max(-int(pts.min(initial=0)), int(pts.max(initial=0)))
     if pts.shape[1] * big * big < 2 ** 63:
         return np.einsum("ij,ij->i", pts, pts)
     obj = pts.astype(object)
@@ -382,18 +413,21 @@ def uniformity_audit(A: DSet, T: int = 1):
 # ---------------------------------------------------------------------------
 # file format
 
-def _header(A: DSet) -> str:
-    alg = A.alg
+def _write_rows(path: str, alg: AlgebraDescriptor, scale_exp: int,
+                radius_exp: int, rows: np.ndarray, extra_comments=()) -> None:
+    """Write a dlab file: header, comment lines, one integer row per line.
+    Qp_ext files carry their defining polynomial in a v2 header; the other
+    algebras keep the v1 header."""
     base = "R" if alg.is_real_base else "Qp"
     p = "-" if alg.p is None else str(alg.p)
-    return (f"#dlab v1 base={base} p={p} d={alg.d} m={A.scale_exp} "
-            f"Rexp={A.radius_exp}")
-
-
-def write_dset(A: DSet, path: str, extra_comments=()) -> None:
-    lines = [_header(A)]
+    head = f"base={base} p={p} d={alg.d} m={scale_exp} Rexp={radius_exp}"
+    if alg.kind() == "Qp_ext":
+        head = "#dlab v2 " + head + " poly=" + ",".join(map(str, alg.poly))
+    else:
+        head = "#dlab v1 " + head
+    lines = [head]
     lines.extend(str(c) for c in extra_comments)
-    for row in A.points:
+    for row in rows:
         lines.append(" ".join(str(int(v)) for v in row))
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -401,28 +435,40 @@ def write_dset(A: DSet, path: str, extra_comments=()) -> None:
     os.replace(tmp, path)
 
 
+def write_dset(A: DSet, path: str, extra_comments=()) -> None:
+    _write_rows(path, A.alg, A.scale_exp, A.radius_exp, A.points, extra_comments)
+
+
 def _read_rows(path: str, alg: AlgebraDescriptor | None, per_row: int):
     """Read a dlab file with per_row * d integers on each data row; returns
     (alg, scale_exp, radius_exp, rows).  The algebra comes from the header
-    unless one is given.  An empty file, a bad header and a row that is not
-    per_row * d integers raise ParameterRangeError naming the path and line."""
+    unless one is given; a v2 header also carries the defining polynomial of
+    a Qp_ext algebra, a v1 header leaves it at the default.  An empty file, a
+    bad header and a row that is not per_row * d integers raise
+    ParameterRangeError naming the path and line."""
     with open(path) as fh:
         lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise ParameterRangeError(f"{path}: empty file, expected a dlab header")
     no, head = lines[0]
     try:
-        if not head.startswith("#dlab v1 "):
-            raise ValueError("no '#dlab v1 ' prefix")
+        if not head.startswith(("#dlab v1 ", "#dlab v2 ")):
+            raise ValueError("no '#dlab v1 ' or '#dlab v2 ' prefix")
         kv = dict(tok.split("=", 1) for tok in head.split()[2:])
         d, m, rexp = int(kv["d"]), int(kv["m"]), int(kv["Rexp"])
+        poly = None
+        if head.startswith("#dlab v2 ") and "poly" in kv:
+            poly = tuple(int(c) for c in kv["poly"].split(","))
         if alg is None:
             if kv["base"] == "R":
                 alg = al.make_algebra({1: "R", 2: "C", 4: "H"}[d], m=m)
             else:
                 alg = al.make_algebra("Qp" if d == 1 else "Qp_ext",
-                                      p=int(kv["p"]), d=d, m=m)
-    except (KeyError, ValueError) as e:
+                                      p=int(kv["p"]), d=d, m=m, poly=poly)
+                if poly is not None and alg.poly != poly:
+                    raise ValueError(f"poly {poly} is not monic with "
+                                     f"coefficients reduced mod {alg.p}")
+    except (KeyError, ValueError, DlabError) as e:
         raise ParameterRangeError(
             f"{path}:{no}: bad dlab header {head!r}: {e!r}") from None
     width = per_row * alg.d

@@ -106,12 +106,10 @@ def _rounded_products(A: DSet, x: al.Element, side: str = "Left"):
     """Grid representatives of x*a (or a*x) for all a in A; exact (p-adic) or
     rounded once (real).  Returns (pts, radius_exp)."""
     alg = A.alg
-    raw, unit = so.mul_elem_array(alg, x, A.points, A.unit_exp(), A.scale_exp,
-                                  side)
+    raw, unit = so.mul_elem_array(alg, x, A.points, A.unit_exp(), side)
     if alg.is_real_base:
-        shift = unit - A.scale_exp
-        pts = raw * 2 ** (-shift) if shift <= 0 else so._round_div_arr(raw, 2 ** shift)
-        return pts, A.radius_exp + max(0, so._norm_ceil_exp(alg, x))
+        return (so._to_grid(raw, unit - A.scale_exp),
+                A.radius_exp + max(0, so._norm_ceil_exp(alg, x)))
     return raw % alg.p ** (A.scale_exp + unit), unit
 
 

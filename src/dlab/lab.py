@@ -12,7 +12,7 @@ import math
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -255,9 +255,7 @@ def write_records_csv(records, path: str, header_comment: str | None = None):
 
 
 def _alg_label(alg):
-    if alg.is_real_base:
-        return {1: "R", 2: "C", 4: "H"}[alg.d]
-    return f"Qp[{alg.p}^{alg.d}]"
+    return alg.kind() if alg.is_real_base else f"Qp[{alg.p}^{alg.d}]"
 
 
 def _exponent(count, m, radix, d):
@@ -355,11 +353,9 @@ def fibre_profile(G: so.PairSet, X: DSet, c1=None, rho_exp: int = 1):
         d = alg.d
         a = G.pairs[:, :d]
         b = G.pairs[:, d:]
-        raw, unit = so.mul_elem_array(alg, x, b, G.unit_exp(), m, "Left")
+        raw, unit = so.mul_elem_array(alg, x, b, G.unit_exp(), "Left")
         if alg.is_real_base:
-            shift = unit - m
-            xb = raw * 2 ** (-shift) if shift <= 0 else so._round_div_arr(raw, 2 ** shift)
-            proj = a + xb
+            proj = a + so._to_grid(raw, unit - m)
             cells = proj // (2 ** (m - rho_exp))
         else:
             f = alg.p ** (unit - G.radius_exp)

@@ -9,8 +9,7 @@ point budget.
 
 from __future__ import annotations
 
-import itertools
-import os
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,8 +21,9 @@ from .dset import (
     DSet,
     _canon_points,
     _read_rows,
+    _row_mins,
     _row_norm_sq,
-    make_dset,
+    _write_rows,
     point_budget,
 )
 from .errors import (
@@ -38,6 +38,7 @@ from .errors import (
 
 PAIRWISE_CAP = 4_000_000
 FFT_CELL_CAP = 1 << 24
+QUOTIENT_CHUNK = 1 << 20    # (difference, denominator) pairs per array pass
 
 
 @dataclass(frozen=True)
@@ -118,9 +119,16 @@ def _at_radius(A, r):
 
 def _round_div_arr(v: np.ndarray, q: int) -> np.ndarray:
     """Vectorized round-half-away-from-zero of v/q."""
-    av = np.abs(v)
-    r = (2 * av + q) // (2 * q)
-    return np.where(v >= 0, r, -r)
+    r = np.abs(v)
+    r *= 2
+    r += q
+    r //= 2 * q
+    return np.negative(r, out=r, where=v < 0)
+
+
+def _to_grid(raw: np.ndarray, shift: int) -> np.ndarray:
+    """raw * 2^-shift: exact for shift <= 0, else rounded half away from 0."""
+    return raw * 2 ** (-shift) if shift <= 0 else _round_div_arr(raw, 2 ** shift)
 
 
 def _mod(A_alg, scale_exp, radius_exp):
@@ -208,10 +216,7 @@ def _pairwise_products(alg, a_pts, b_pts, unit_a, unit_b, scale_exp, radius_out)
     C = np.asarray(alg.structure_constants, dtype=np.int64)
     raw = np.einsum("ni,kj,ijl->nkl", a_pts, b_pts, C).reshape(-1, alg.d)
     if alg.is_real_base:
-        shift = unit_a + unit_b - scale_exp
-        if shift <= 0:
-            return raw * 2 ** (-shift)
-        return _round_div_arr(raw, 2 ** shift)
+        return _to_grid(raw, unit_a + unit_b - scale_exp)
     return raw % _mod(alg, scale_exp, radius_out)
 
 
@@ -234,21 +239,14 @@ def product_set(A: DSet, B: DSet, side: str = "Left") -> DSet:
     return DSet(alg, A.scale_exp, r_out, pts)
 
 
-def _elem_units(alg, x: Element, scale_exp):
-    """Coordinates of x in the operand units used by array kernels."""
-    return np.asarray(x.coords, dtype=np.int64), x.unit_exp
-
-
 def mul_elem_array(alg, x: Element, pts: np.ndarray, unit_pts: int,
-                   scale_exp: int, side: str = "Left"):
+                   side: str = "Left"):
     """x*pts (Left) or pts*x (Right): raw products and the combined unit."""
     C = np.asarray(alg.structure_constants, dtype=np.int64)
-    xc, ux = _elem_units(alg, x, scale_exp)
-    if side == "Left":
-        raw = np.einsum("i,nj,ijl->nl", xc, pts, C)
-    else:
-        raw = np.einsum("ni,j,ijl->nl", pts, xc, C)
-    return raw, ux + unit_pts
+    xc = np.asarray(x.coords, dtype=np.int64)
+    # contract x with the structure constants first: one d x d matrix
+    M = np.einsum("i,ijl->jl" if side == "Left" else "j,ijl->il", xc, C)
+    return pts @ M, x.unit_exp + unit_pts
 
 
 def scalar_image(x: Element, A: DSet, side: str = "Left") -> DSet:
@@ -256,10 +254,9 @@ def scalar_image(x: Element, A: DSet, side: str = "Left") -> DSet:
     alg = A.alg
     if len(A) == 0:
         return A
-    raw, unit = mul_elem_array(alg, x, A.points, A.unit_exp(), A.scale_exp, side)
+    raw, unit = mul_elem_array(alg, x, A.points, A.unit_exp(), side)
     if alg.is_real_base:
-        shift = unit - A.scale_exp
-        pts = raw * 2 ** (-shift) if shift <= 0 else _round_div_arr(raw, 2 ** shift)
+        pts = _to_grid(raw, unit - A.scale_exp)
         return DSet(alg, A.scale_exp, A.radius_exp + max(0, _norm_ceil_exp(alg, x)),
                     pts)
     # p-adic: raw coordinates carry the combined unit p^-(unit)
@@ -289,12 +286,10 @@ def project(x: Element, G: PairSet) -> DSet:
     d = alg.d
     a = G.pairs[:, :d]
     b = G.pairs[:, d:]
-    raw, unit = mul_elem_array(alg, x, b, G.unit_exp(), G.scale_exp, "Left")
+    raw, unit = mul_elem_array(alg, x, b, G.unit_exp(), "Left")
     if alg.is_real_base:
         # a is on the grid, so rounding a + xb once equals a + round(xb)
-        shift = unit - G.scale_exp
-        xb = raw * 2 ** (-shift) if shift <= 0 else _round_div_arr(raw, 2 ** shift)
-        pts = a + xb
+        pts = a + _to_grid(raw, unit - G.scale_exp)
         return DSet(alg, G.scale_exp, G.radius_exp + 1 + max(0, _norm_ceil_exp(alg, x)),
                     pts)
     r_out = max(G.radius_exp + max(x.unit_exp, 0), G.radius_exp)
@@ -344,41 +339,9 @@ def iterated(A: DSet, n_sum: int, n_prod: int, clip: bool = True) -> DSet:
 # ---------------------------------------------------------------------------
 # quotient sets
 
-def inv_value_coords(alg, x: Element):
-    """Exact rational coordinates of x^-1 (raises DivisionByNegligible)."""
-    vals = al.value_coords(alg, x)
-    d = alg.d
-    cols = []
-    for j in range(d):
-        col = [Fraction(0)] * d
-        for i in range(d):
-            if vals[i]:
-                c = alg.structure_constants[i][j]
-                for k in range(d):
-                    if c[k]:
-                        col[k] += vals[i] * c[k]
-        cols.append(col)
-    mat = [[cols[j][k] for j in range(d)] for k in range(d)]
-    sol = al._solve_fraction(mat, [Fraction(1)] + [Fraction(0)] * (d - 1))
-    if sol is None:
-        raise DivisionByNegligible("singular left-multiplication matrix")
-    return tuple(sol)
-
-
 def mul_value_coords(alg, xv, yv):
     """Product of two exact rational coordinate vectors."""
-    d = alg.d
-    out = [Fraction(0)] * d
-    for i in range(d):
-        if xv[i]:
-            for j in range(d):
-                if yv[j]:
-                    c = alg.structure_constants[i][j]
-                    w = xv[i] * yv[j]
-                    for k in range(d):
-                        if c[k]:
-                            out[k] += w * c[k]
-    return tuple(out)
+    return al._vec_mul(alg, xv, yv)
 
 
 def _value_to_grid(alg, vals, scale_exp, radius_exp):
@@ -392,7 +355,7 @@ def _value_to_grid(alg, vals, scale_exp, radius_exp):
     out = []
     for v in vals:
         num, den = v.numerator, v.denominator
-        kv = al.vp(den, p) if den % p == 0 else 0
+        kv = al.vp(den, p)
         if kv > radius_exp:
             raise ParameterRangeError("value below representable radius")
         unit = den // p ** kv
@@ -401,18 +364,26 @@ def _value_to_grid(alg, vals, scale_exp, radius_exp):
 
 
 def _distinct_differences(A: DSet):
-    """Map difference value-coords -> lex-smallest witness pair (a, b)."""
-    elems = A.elements()
-    order = sorted(range(len(elems)), key=lambda i: elems[i].coords)
-    diffs = {}
-    alg = A.alg
-    for i in order:
-        for j in order:
-            dv = tuple(x - y for x, y in
-                       zip(al.value_coords(alg, elems[i]), al.value_coords(alg, elems[j])))
-            if dv not in diffs:
-                diffs[dv] = (elems[i], elems[j])
-    return diffs
+    """(coords, diffs, first, key): A's Element coords, sorted; the distinct
+    differences a - b as integer rows in one unit (2^-scale_exp, or
+    p^-radius_exp, which no unit_exp exceeds); for each, the index
+    i * |A| + j of its witness, the first pair (a_i, b_j) with it; and the
+    rank of the witness's coords.  Rows are sorted by key, then by first;
+    keys tie for p-adic elements with equal coords and different unit_exp."""
+    elems = sorted(A.elements(), key=lambda e: e.coords)
+    coords = [e.coords for e in elems]
+    n = len(elems)
+    rank = np.cumsum([0] + [a != b for a, b in zip(coords[1:], coords)])
+    rows = [[c * A.alg.radix ** (A.unit_exp() - e.unit_exp) for c in e.coords]
+            for e in elems]
+    big = max((abs(c) for row in rows for c in row), default=0)
+    r = np.array(rows, dtype=np.int64 if 2 * big < 2 ** 63 else object)
+    r = r.reshape(n, A.alg.d)
+    diffs = (r[:, None, :] - r[None, :, :]).reshape(-1, A.alg.d)
+    first = np.sort(_row_mins(diffs))
+    key = rank[first // n] * n + rank[first % n]
+    order = np.argsort(key, kind="stable")
+    return coords, diffs[first[order]], first[order], key[order]
 
 
 def _value_norm_gt(alg, vals, rho_exp) -> bool:
@@ -423,8 +394,7 @@ def _value_norm_gt(alg, vals, rho_exp) -> bool:
     if all(v == 0 for v in vals):
         return False
     p = alg.p
-    vmin = min((al.vp(v.numerator, p) - (al.vp(v.denominator, p) if v.denominator % p == 0 else 0))
-               for v in vals if v != 0)
+    vmin = min(al.vp(v.numerator, p) - al.vp(v.denominator, p) for v in vals if v != 0)
     return vmin < rho_exp
 
 
@@ -434,7 +404,13 @@ def quotient_set(A: DSet, rho_exp: int, side: str = "Left",
     (Left) or {(c-d)^-1(a-b)} (Right), Delta = delta/rho^3.
 
     Representative per Delta-cell is the one with the lexicographically
-    smallest witness quadruple (a, b, c, d).
+    smallest witness quadruple (a, b, c, d) of Element coords; of equal
+    quadruples, the first in row-major (difference, denominator) order.
+
+    Exact integers throughout: with u = a - b and w = c - d as integer rows
+    in one unit, (a-b)(c-d)^-1 = u num / den for w^-1 = num / den
+    (algebra._int_inverse), rounded (real base) or reduced (p-adic base)
+    once per cell.
     """
     alg = A.alg
     m = A.scale_exp
@@ -445,53 +421,111 @@ def quotient_set(A: DSet, rho_exp: int, side: str = "Left",
         radius_out = A.radius_exp + 1 + rho_exp
     else:
         radius_out = A.radius_exp + rho_exp
-    diffs = _distinct_differences(A)
-    dens = {dv: w for dv, w in diffs.items() if _value_norm_gt(alg, dv, rho_exp)}
-    if not dens:
+    coords, diffs, first, key = _distinct_differences(A)
+    if alg.is_real_base:    # sum u^2 4^-m > 4^-rho
+        far = _row_norm_sq(diffs) > 4 ** (m - rho_exp)
+    else:                   # min v_p(u) - radius_exp < rho
+        far = np.any(diffs % alg.p ** (A.radius_exp + rho_exp) != 0, axis=1)
+    den_idx = np.flatnonzero(far)
+    if len(den_idx) == 0:
         raise NoAdmissiblePairs("all pairwise differences are <= rho")
-    if len(diffs) * len(dens) > point_budget():
+    if len(diffs) * len(den_idx) > point_budget():
         raise BudgetExceeded("quotient set too large",
-                             {"pairs": len(diffs) * len(dens)})
-    den_list = [(dens[ev], _inv_of_value(alg, ev))
-                for ev in sorted(dens, key=lambda v: dens[v][0].coords + dens[v][1].coords)]
-    cells = {}
-    for dv in sorted(diffs, key=lambda v: diffs[v][0].coords + diffs[v][1].coords):
-        wa, wb = diffs[dv]
-        for (wc, wd), inv_ev in den_list:
-            if side == "Left":
-                q = mul_value_coords(alg, dv, inv_ev)
-            else:
-                q = mul_value_coords(alg, inv_ev, dv)
-            cell = _value_to_grid(alg, q, scale_out, radius_out)
-            key = (wa.coords, wb.coords, wc.coords, wd.coords)
-            if cell not in cells or key < cells[cell]:
-                cells[cell] = key
-    pts = np.array(sorted(cells), dtype=np.int64)
-    Q = DSet(alg, scale_out, radius_out, pts)
-    if with_witnesses:
-        wit = {tuple(int(v) for v in c): cells[c] for c in cells}
-        return Q, wit
-    return Q
+                             {"pairs": len(diffs) * len(den_idx)})
+    cells, pair = _quotient_cells(alg, diffs, den_idx, key, side,
+                                  scale_out, radius_out)
+    Q = DSet(alg, scale_out, radius_out, cells)
+    if not with_witnesses:
+        return Q
+    n, k = len(coords), len(den_idx)
+    ab, cd = first[pair // k], first[den_idx[pair % k]]
+    quads = zip(*([coords[t] for t in col.tolist()]
+                  for col in (ab // n, ab % n, cd // n, cd % n)))
+    return Q, dict(zip(map(tuple, cells.tolist()), quads))
+
+
+def _quotient_cells(alg, diffs, den_idx, key, side, scale_out, radius_out):
+    """The distinct cells of diffs[i] dens[j]^-1 (Left) or dens[j]^-1 diffs[i]
+    (Right), dens = diffs[den_idx], lex-sorted, and for each the pair
+    i * len(dens) + j with the smallest witness (by key, then row-major).
+    int64 while every intermediate provably fits, Python ints otherwise;
+    QUOTIENT_CHUNK pairs at a time."""
+    dens = diffs[den_idx]
+    d, k = alg.d, len(dens)
+    nums, den = zip(*(al._int_inverse(alg, [int(c) for c in w]) for w in dens))
+    sc = alg.structure_constants
+    csum = max(sum(abs(sc[i][j][t]) for i in range(d) for j in range(d))
+               for t in range(d))
+    # |raw numerator| <= max|u| max|num| max_l sum_ij |c_ijl|
+    big = (max(-int(diffs.min()), int(diffs.max()))
+           * max(abs(c) for num in nums for c in num) * csum)
+    if alg.is_real_base:
+        fits = 2 * big * 2 ** scale_out + 2 * max(den) < 2 ** 63
+    else:
+        # den = p^K U: divide by p^(K - radius_out) when K > radius_out, then
+        # multiply by p^(radius_out - K) U^-1 mod p^(scale_out + radius_out)
+        p = alg.p
+        mod = p ** (scale_out + radius_out)
+        K = [al.vp(q, p) for q in den]
+        shift = [p ** max(0, e - radius_out) for e in K]
+        mult = [p ** max(0, radius_out - e) * pow(q // p ** e, -1, mod) % mod
+                for q, e in zip(den, K)]
+        fits = big < 2 ** 63 and max(shift) < 2 ** 63 and (mod - 1) ** 2 < 2 ** 63
+    dtype = np.int64 if fits else object
+
+    def col(vals):          # one value per denominator, broadcast over pairs
+        return np.array(vals, dtype=dtype)[None, :, None]
+
+    # u @ W is every raw numerator: (u num_j)_l (Left) or (num_j u)_l (Right)
+    W = np.tensordot(np.array(nums, dtype=dtype), np.array(sc, dtype=dtype),
+                     axes=(1, 1 if side == "Left" else 0))
+    W = W.transpose(1, 0, 2).reshape(d, k * d)
+    diffs = diffs.astype(dtype)
+    if alg.is_real_base:
+        den = col(den)
+    else:
+        shift = col(shift) if max(shift) > 1 else None
+        mult = col(mult)
+    # the rank of pair (i, j) among the witnesses: equal keys form blocks
+    # s .. s + z of rows and of denominators, ranked block pair by block
+    # pair and row-major inside one; without ties the rank is i * k + j
+    s_i = np.searchsorted(key, key)
+    z_i = np.searchsorted(key, key, "right") - s_i
+    s_j = np.searchsorted(key[den_idx], key[den_idx])
+    z_j = np.searchsorted(key[den_idx], key[den_idx], "right") - s_j
+    rows, pair, rank = [], [], []
+    step = max(1, QUOTIENT_CHUNK // k)
+    for lo in range(0, len(diffs), step):
+        N = (diffs[lo:lo + step] @ W).reshape(-1, k, d)
+        if alg.is_real_base:
+            N *= 2 ** scale_out
+            N = _round_div_arr(N, den)
+        else:
+            if shift is not None:
+                if np.any(N % shift != 0):
+                    raise ParameterRangeError("value below representable radius")
+                N //= shift
+            N %= mod
+            N *= mult
+            N %= mod
+        cell = N.reshape(-1, d).astype(np.int64, copy=False)
+        i = np.arange(lo, lo + len(N))[:, None]
+        s, z = s_i[i], z_i[i]
+        r = (s * k + z * s_j + (i - s) * z_j + np.arange(k) - s_j).reshape(-1)
+        idx = _row_mins(cell, r)
+        rows.append(cell[idx])
+        pair.append(idx + lo * k)
+        rank.append(r[idx])
+    rows, pair = np.concatenate(rows), np.concatenate(pair)
+    idx = _row_mins(rows, np.concatenate(rank))
+    return rows[idx], pair[idx]
 
 
 def _inv_of_value(alg, vals):
     """Exact rational inverse of an element given by value coordinates."""
-    d = alg.d
-    cols = []
-    for j in range(d):
-        col = [Fraction(0)] * d
-        for i in range(d):
-            if vals[i]:
-                c = alg.structure_constants[i][j]
-                for k in range(d):
-                    if c[k]:
-                        col[k] += vals[i] * c[k]
-        cols.append(col)
-    mat = [[cols[j][k] for j in range(d)] for k in range(d)]
-    sol = al._solve_fraction(mat, [Fraction(1)] + [Fraction(0)] * (d - 1))
-    if sol is None:
-        raise DivisionByNegligible("difference is a zero divisor")
-    return tuple(sol)
+    scale = math.lcm(*(Fraction(v).denominator for v in vals))
+    num, den = al._int_inverse(alg, [int(v * scale) for v in vals])
+    return tuple(Fraction(scale * c, den) for c in num)
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +560,7 @@ def _check_invertible(alg, L):
             raise SingularMap("determinant below the invertibility floor")
     else:
         p = alg.p
-        v = al.vp(det.numerator, p) - (al.vp(det.denominator, p)
-                                       if det.denominator % p == 0 else 0)
+        v = al.vp(det.numerator, p) - al.vp(det.denominator, p)
         if v > floor_exp:
             raise SingularMap("determinant below the invertibility floor")
     return det
@@ -579,8 +612,7 @@ def apply_dual(L, X: DSet) -> DSet:
 
 
 def _units_to_values(alg, row, unit_exp):
-    q = Fraction(1, alg.radix ** unit_exp)
-    return tuple(Fraction(int(c)) * q for c in row)
+    return tuple(Fraction(int(c), alg.radix ** unit_exp) for c in row)
 
 
 def _vec_add(u, v):
@@ -591,18 +623,7 @@ def _vec_add(u, v):
 # PairSet file format
 
 def write_pairset(G: PairSet, path: str, extra_comments=()) -> None:
-    alg = G.alg
-    base = "R" if alg.is_real_base else "Qp"
-    p = "-" if alg.p is None else str(alg.p)
-    lines = [f"#dlab v1 base={base} p={p} d={alg.d} m={G.scale_exp} "
-             f"Rexp={G.radius_exp}"]
-    lines.extend(str(c) for c in extra_comments)
-    for row in G.pairs:
-        lines.append(" ".join(str(int(v)) for v in row))
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    _write_rows(path, G.alg, G.scale_exp, G.radius_exp, G.pairs, extra_comments)
 
 
 def read_pairset(path: str, alg: AlgebraDescriptor | None = None) -> PairSet:

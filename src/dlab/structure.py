@@ -11,10 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import algebra as al
 from .algebra import AlgebraDescriptor, Element
@@ -72,17 +70,7 @@ def _imaginary_net(net_exp: int):
 
 def _gf_mul(alg, a, b):
     """Product in the residue field F_p[x]/f via the structure constants."""
-    p = alg.p
-    d = alg.d
-    out = [0] * d
-    for i in range(d):
-        if a[i]:
-            for j in range(d):
-                if b[j]:
-                    c = alg.structure_constants[i][j]
-                    for k in range(d):
-                        out[k] = (out[k] + a[i] * b[j] * c[k]) % p
-    return tuple(out)
+    return tuple(c % alg.p for c in al._vec_mul(alg, a, b))
 
 
 def _gf_pow(alg, a, e):
@@ -199,9 +187,7 @@ def _real_dist_sq(alg, vals, basis) -> Fraction:
 def _padic_val_of_fraction(p, v: Fraction):
     if v == 0:
         return None
-    num = al.vp(v.numerator, p)
-    den = al.vp(v.denominator, p) if v.denominator % p == 0 else 0
-    return num - den
+    return al.vp(v.numerator, p) - al.vp(v.denominator, p)
 
 
 def _padic_isometry_data(alg, basis):
@@ -468,11 +454,8 @@ class DichotomyOutcome:
 
 
 def _q_value(alg, coords, scale_exp, radius_exp):
-    if alg.is_real_base:
-        q = Fraction(1, 2 ** scale_exp)
-        return tuple(Fraction(int(c)) * q for c in coords)
-    q = Fraction(1, alg.p ** radius_exp)
-    return tuple(Fraction(int(c)) * q for c in coords)
+    unit = scale_exp if alg.is_real_base else radius_exp
+    return tuple(Fraction(int(c), alg.radix ** unit) for c in coords)
 
 
 def _near_q_real(Qset, scale_exp, yvals):

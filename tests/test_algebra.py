@@ -1,5 +1,6 @@
 """Exact arithmetic over R, C, H and unramified p-adic extensions."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from dlab import algebra as al
+from dlab.setops import mul_value_coords
 from dlab.errors import (
     DivisionByNegligible,
     NonPrime,
@@ -98,6 +100,78 @@ def test_inverse_below_floor_raises():
     tiny = al.element(C, (1, 0))  # norm 2^-6 < 2^-3 floor
     with pytest.raises(DivisionByNegligible):
         al.inv(C, tiny)
+
+
+_ALGEBRAS = [("R", None, None, None), ("C", None, None, None), ("H", None, None, None),
+             ("Qp", 2, None, None), ("Qp", 3, None, None), ("Qp", 7, None, None),
+             ("Qp_ext", 2, 2, None), ("Qp_ext", 3, 2, None), ("Qp_ext", 3, 2, (2, 1, 1)),
+             ("Qp_ext", 5, 2, None), ("Qp_ext", 2, 3, None), ("Qp_ext", 3, 3, None),
+             ("Qp_ext", 2, 4, None)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(hst.sampled_from(_ALGEBRAS), hst.integers(1, 12), hst.data())
+def test_int_inverse_is_exact(spec, m, data):
+    """num / den is an exact right inverse of w in lowest terms with den > 0,
+    for every kind of algebra make_algebra builds; w = 0 raises."""
+    name, p, d, poly = spec
+    alg = al.make_algebra(name, p=p, d=d, m=m, poly=poly)
+    big = data.draw(hst.sampled_from([3, 2 ** 12, 2 ** 40]))
+    w = data.draw(hst.lists(hst.integers(-big, big), min_size=alg.d,
+                            max_size=alg.d).filter(any))
+    num, den = al._int_inverse(alg, w)
+    assert den > 0 and math.gcd(den, *num) == 1
+    one = (Fraction(1),) + (Fraction(0),) * (alg.d - 1)
+    assert mul_value_coords(alg, [Fraction(c) for c in w],
+                            [Fraction(c, den) for c in num]) == one
+    with pytest.raises(DivisionByNegligible, match="zero divisor"):
+        al._int_inverse(alg, [0] * alg.d)
+
+
+def test_int_inverse_is_conjugate_over_norm():
+    C = al.make_algebra("C", m=4)
+    assert al._int_inverse(C, (3, 4)) == ((3, -4), 25)
+    assert al._int_inverse(C, (2, 2)) == ((1, -1), 4)
+    H = al.make_algebra("H", m=4)
+    assert al._int_inverse(H, (1, 2, 3, 4)) == ((1, -2, -3, -4), 30)
+    assert al._int_inverse(H, (0, 0, 0, -6)) == ((0, 0, 0, 1), 6)
+
+
+def test_int_inverse_raises_on_zero_divisor():
+    # split-complex numbers: (1 + j)(1 - j) = 0
+    split = al.AlgebraDescriptor(al.REAL, None, 2, 4, (((1, 0), (0, 1)), ((0, 1), (1, 0))))
+    with pytest.raises(DivisionByNegligible, match="difference is a zero divisor"):
+        al._int_inverse(split, (1, 1))
+    assert al._int_inverse(split, (2, 1)) == ((2, -1), 3)
+
+
+def _fraction_inv(alg, x):
+    """al.inv with the inverse solved by Gaussian elimination over Fractions."""
+    vals = al.value_coords(alg, x)
+    d = alg.d
+    mat = [[sum(vals[i] * alg.structure_constants[i][j][k] for i in range(d))
+            for j in range(d)] for k in range(d)]
+    sol = al._solve_fraction(mat, [1] + [0] * (d - 1))
+    if alg.is_real_base:
+        return al.from_value_coords(alg, sol)
+    e = al.norm_exp(alg, x)
+    return al.from_value_coords(alg, sol, padic_precision=alg.m - 2 * max(e, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.sampled_from(_ALGEBRAS), hst.integers(2, 10), hst.data())
+def test_inv_equals_fraction_elimination(spec, m, data):
+    name, p, d, poly = spec
+    alg = al.make_algebra(name, p=p, d=d, m=m, poly=poly)
+    top = alg.radix ** (m + 1)
+    coords = data.draw(hst.lists(hst.integers(-top, top), min_size=alg.d,
+                                 max_size=alg.d))
+    x = al.element(alg, coords, data.draw(hst.integers(0, m)))
+    try:
+        got = al.inv(alg, x)
+    except DivisionByNegligible:    # below the inversion floor
+        return
+    assert got == _fraction_inv(alg, x)
 
 
 # --- norms ------------------------------------------------------------------

@@ -87,10 +87,15 @@ HEADER = "#dlab v1 base=R p=- d=2 m=5 Rexp=0\n"
     (HEADER + "1 2\n3 4 5\n", ":3: 3 coordinates, expected 2"),
     (HEADER + "# note\n1 x\n", ":3: non-integer coordinate"),
     (HEADER + "1 2.5\n", ":2: non-integer coordinate"),
+    ("#dlab v2 base=Qp p=3 d=2 m=4 Rexp=0 poly=2,x,1\n1 2\n", ":1: bad dlab header"),
+    ("#dlab v2 base=Qp p=3 d=2 m=4 Rexp=0 poly=2,1\n1 2\n", ":1: bad dlab header"),
+    ("#dlab v2 base=Qp p=3 d=2 m=4 Rexp=0 poly=0,0,1\n1 2\n", ":1: bad dlab header"),
+    ("#dlab v2 base=Qp p=3 d=2 m=4 Rexp=0 poly=2,1,2\n1 2\n", ":1: bad dlab header"),
 ])
 def test_malformed_dset_file_exit_2(tmp_path, capsys, text, where):
-    """An empty file, a bad header and a ragged or non-integer row exit 2
-    with a message naming the path and the line."""
+    """An empty file, a bad header (a poly= that is not an integer list, has
+    the wrong degree, is reducible or is not monic) and a ragged or
+    non-integer row exit 2 with a message naming the path and the line."""
     a = tmp_path / "a.dset"
     a.write_text(text)
     code = cli.main(["cover", "--in", str(a), "--k", "1"])

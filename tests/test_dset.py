@@ -13,6 +13,7 @@ from dlab.dset import (
     _canon_points,
     _real_ball_counts,
     _row_counts,
+    _row_mins,
     _row_norm_sq,
     covering_number,
     is_nonconcentrated,
@@ -25,6 +26,7 @@ from dlab.dset import (
     write_dset,
 )
 from dlab.errors import EmptyInput
+from dlab.setops import make_pairset, read_pairset, write_pairset
 
 
 def _line(m, step=1):
@@ -204,7 +206,66 @@ def test_dset_roundtrip_padic(tmp_path):
     assert read_dset(str(path)) == A
 
 
+def test_qp_ext_roundtrip_keeps_poly(tmp_path):
+    """A Qp_ext set or pair set with a non-default polynomial reads back equal,
+    through a v2 header that carries the polynomial."""
+    alg = al.make_algebra("Qp_ext", p=3, d=2, m=4, poly=(2, 1, 1))
+    assert alg != al.make_algebra("Qp_ext", p=3, d=2, m=4)
+    A = make_dset(alg, [(1, 2), (80, 0), (3, 9)], radius_exp=1)
+    path = tmp_path / "a.dset"
+    write_dset(A, str(path))
+    assert path.read_text().splitlines()[0] == \
+        "#dlab v2 base=Qp p=3 d=2 m=4 Rexp=1 poly=2,1,1"
+    assert read_dset(str(path)) == A
+    G = make_pairset(alg, [(1, 2, 3, 4), (0, 5, 7, 80)])
+    gpath = tmp_path / "g.pairs"
+    write_pairset(G, str(gpath))
+    assert read_pairset(str(gpath)) == G
+
+
+def test_v1_header_kept_and_read(tmp_path):
+    """R, C, H and Qp files keep the v1 header; a v1 Qp_ext file still reads,
+    with the default polynomial."""
+    for alg, head in ((al.make_algebra("H", m=3), "base=R p=- d=4 m=3 Rexp=0"),
+                      (al.make_algebra("Qp", p=5, m=3), "base=Qp p=5 d=1 m=3 Rexp=0")):
+        path = tmp_path / "v1.dset"
+        write_dset(make_dset(alg, [(1,) * alg.d]), str(path))
+        assert path.read_text() == f"#dlab v1 {head}\n" + " ".join(["1"] * alg.d) + "\n"
+    path = tmp_path / "old.dset"
+    path.write_text("#dlab v1 base=Qp p=3 d=2 m=4 Rexp=0\n1 2\n5 7\n")
+    A = read_dset(str(path))
+    assert A.alg == al.make_algebra("Qp_ext", p=3, d=2, m=4)
+    assert A.points.tolist() == [[1, 2], [5, 7]]
+
+
 # --- array kernels against their loop references ----------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(hst.sampled_from([1, 2, 4]),
+       hst.sampled_from([1, 3, 2 ** 10, 2 ** 62]),
+       hst.sampled_from(["int64", "object"]),
+       hst.data())
+def test_row_mins_equal_loop(d, bound, dtype, data):
+    """The smallest-prio occurrence of every distinct row, in lex row order:
+    packed keys, the np.unique fallback past 2^63 (bound 2^62 with d >= 2)
+    and rows of Python ints all equal a dict loop; without prio it is
+    np.unique's return_index."""
+    rows = data.draw(hst.lists(hst.lists(hst.integers(-bound, bound), min_size=d,
+                                         max_size=d), min_size=0, max_size=30))
+    arr = np.array(rows, dtype=np.int64).reshape(-1, d)
+    arr = np.vstack([arr, arr[: data.draw(hst.integers(0, len(arr)))]])
+    prio = np.array(data.draw(hst.lists(hst.integers(0, 5), min_size=len(arr),
+                                        max_size=len(arr))), dtype=np.int64)
+    best = {}
+    for t, row in enumerate(map(tuple, arr.tolist())):
+        if row not in best or prio[t] < prio[best[row]]:
+            best[row] = t
+    arr = arr.astype(dtype)
+    assert _row_mins(arr, prio).tolist() == [best[r] for r in sorted(best)]
+    if dtype == "int64":
+        assert np.array_equal(_row_mins(arr),
+                              np.unique(arr, axis=0, return_index=True)[1])
+
 
 @settings(max_examples=60, deadline=None)
 @given(hst.sampled_from([1, 2, 4, 8]),

@@ -1,11 +1,12 @@
 """Set calculus: sums, products, projections, quotients, linear maps."""
 
 import itertools
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
 from dlab import algebra as al
@@ -13,6 +14,8 @@ from dlab import setops as so
 from dlab.dset import DSet, make_dset
 from dlab.errors import (
     BudgetExceeded,
+    DivisionByNegligible,
+    DlabError,
     NoAdmissiblePairs,
     ParameterRangeError,
     ScaleMismatch,
@@ -220,6 +223,8 @@ def test_quotient_no_admissible_pairs():
     A = make_dset(R, [(0,), (1,)])  # diff = delta << rho
     with pytest.raises(NoAdmissiblePairs):
         so.quotient_set(A, 2)
+    with pytest.raises(NoAdmissiblePairs):
+        so.quotient_set(make_dset(R, []), 2)
 
 
 def test_quotient_matches_bruteforce_cells():
@@ -356,3 +361,202 @@ def test_ball_intersect_equals_object_path(spec, scale, radius_exp, data):
     assert got.radius_exp == radius_exp
     assert np.array_equal(got.points, _ball_intersect_oracle(A, radius_exp))
 
+
+# --- quotient-set oracle ----------------------------------------------------
+
+def _loop_inverse(alg, vals):
+    """x^-1 from value coordinates by Gaussian elimination over Fractions."""
+    d = alg.d
+    mat = [[sum(vals[i] * alg.structure_constants[i][j][k] for i in range(d))
+            for j in range(d)] for k in range(d)]
+    sol = al._solve_fraction(mat, [Fraction(1)] + [Fraction(0)] * (d - 1))
+    if sol is None:
+        raise DivisionByNegligible("difference is a zero divisor")
+    return tuple(sol)
+
+
+def _loop_quotient_set(A, rho_exp, side="Left"):
+    """quotient_set(..., with_witnesses=True) as a Fraction double loop over
+    (difference, denominator) pairs, keeping the lex-smallest witness."""
+    alg = A.alg
+    m = A.scale_exp
+    if not (0 < rho_exp and m - 3 * rho_exp >= 1):
+        raise ParameterRangeError("need 0 < rho_exp < m/3 so Delta is a scale")
+    scale_out = m - 3 * rho_exp
+    radius_out = A.radius_exp + rho_exp + (1 if alg.is_real_base else 0)
+    elems = sorted(A.elements(), key=lambda e: e.coords)
+    diffs = {}
+    for a in elems:
+        for b in elems:
+            dv = tuple(x - y for x, y in zip(al.value_coords(alg, a),
+                                             al.value_coords(alg, b)))
+            diffs.setdefault(dv, (a, b))
+    dens = {dv: w for dv, w in diffs.items() if so._value_norm_gt(alg, dv, rho_exp)}
+    if not dens:
+        raise NoAdmissiblePairs("all pairwise differences are <= rho")
+    if len(diffs) * len(dens) > so.point_budget():
+        raise BudgetExceeded("quotient set too large",
+                             {"pairs": len(diffs) * len(dens)})
+    den_list = [(dens[ev], _loop_inverse(alg, ev))
+                for ev in sorted(dens, key=lambda v: dens[v][0].coords + dens[v][1].coords)]
+    cells = {}
+    for dv in sorted(diffs, key=lambda v: diffs[v][0].coords + diffs[v][1].coords):
+        wa, wb = diffs[dv]
+        for (wc, wd), inv_ev in den_list:
+            if side == "Left":
+                q = so.mul_value_coords(alg, dv, inv_ev)
+            else:
+                q = so.mul_value_coords(alg, inv_ev, dv)
+            cell = so._value_to_grid(alg, q, scale_out, radius_out)
+            key = (wa.coords, wb.coords, wc.coords, wd.coords)
+            if cell not in cells or key < cells[cell]:
+                cells[cell] = key
+    Q = DSet(alg, scale_out, radius_out, np.array(sorted(cells), dtype=np.int64))
+    return Q, {tuple(int(v) for v in c): cells[c] for c in cells}
+
+
+def _outcome(f):
+    try:
+        return f()
+    except DlabError as e:
+        return type(e)
+
+
+_QUOTIENT_ALGEBRAS = [("R", None, None), ("C", None, None), ("H", None, None),
+                      ("Qp", 2, None), ("Qp", 3, None), ("Qp", 5, None),
+                      ("Qp_ext", 2, 2), ("Qp_ext", 3, 2), ("Qp_ext", 2, 3)]
+
+
+def _quotient_input(data, name, p, d):
+    """A small set: scale off alg.m, radius 0..2, p-adic rows that may all be
+    divisible by p, sometimes a progression (repeated differences)."""
+    m = data.draw(hst.integers(4, 8), label="m")
+    alg = al.make_algebra(name, p=p, d=d, m=m)
+    scale = data.draw(hst.integers(max(4, m - 1), m + 1), label="scale")
+    radius = data.draw(hst.integers(0, 2), label="radius")
+    top = alg.radix ** (scale + radius)
+    if alg.is_real_base:
+        coord = hst.integers(-top, top)
+    else:
+        step = data.draw(hst.sampled_from([1, p]), label="step")
+        coord = hst.integers(0, top // step - 1).map(lambda c: c * step)
+    rows = data.draw(hst.lists(hst.lists(coord, min_size=alg.d, max_size=alg.d),
+                               min_size=2, max_size=6), label="rows")
+    if data.draw(hst.booleans(), label="progression"):
+        rows = [[c * t for c in rows[0]] for t in range(len(rows))]
+    return make_dset(alg, rows, scale, radius)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.sampled_from(_QUOTIENT_ALGEBRAS), hst.sampled_from(["Left", "Right"]),
+       hst.data())
+def test_quotient_set_equals_fraction_loop(spec, side, data):
+    """Q, its scale and radius and the witness dict equal the Fraction loop's,
+    or both raise the same error (a rho too large for the scale,
+    NoAdmissiblePairs, BudgetExceeded), with the pairs cut into chunks of
+    any size."""
+    A = _quotient_input(data, *spec)
+    top = (A.scale_exp - 1) // 3     # rho = top + 1 is rejected
+    rho = data.draw(hst.sampled_from([*range(1, top + 1)] * 4 + [top + 1]), label="rho")
+    budget = data.draw(hst.sampled_from([None, "40"]), label="budget")
+    chunk = data.draw(hst.sampled_from([so.QUOTIENT_CHUNK, 1, 5]), label="chunk")
+    saved_budget, saved_chunk = os.environ.get("DLAB_BUDGET_POINTS"), so.QUOTIENT_CHUNK
+    try:
+        if budget:
+            os.environ["DLAB_BUDGET_POINTS"] = budget
+        so.QUOTIENT_CHUNK = chunk
+        got = _outcome(lambda: so.quotient_set(A, rho, side, with_witnesses=True))
+        want = _outcome(lambda: _loop_quotient_set(A, rho, side))
+    finally:
+        so.QUOTIENT_CHUNK = saved_chunk
+        if saved_budget is None:
+            os.environ.pop("DLAB_BUDGET_POINTS", None)
+        else:
+            os.environ["DLAB_BUDGET_POINTS"] = saved_budget
+    event(want.__name__ if isinstance(want, type) else "equal")
+    if isinstance(want, type):
+        assert got is want
+    else:
+        Q, wit = got
+        assert Q == want[0] and wit == want[1]
+        assert (Q.scale_exp, Q.radius_exp) == (want[0].scale_exp, want[0].radius_exp)
+
+
+def test_quotient_set_tied_witness_coords():
+    """p-adic elements of different unit_exp can carry equal coords, so equal
+    witness quadruples tie; the loop keeps the first in its order."""
+    alg = al.make_algebra("Qp_ext", p=3, d=2, m=9)
+    A = make_dset(alg, [[12322 * t, 11869 * t] for t in range(7)], 8, 1)
+    coords = sorted(e.coords for e in A.elements())
+    assert len(set(coords)) < len(coords)
+    for chunk in (so.QUOTIENT_CHUNK, 3):
+        so_chunk, so.QUOTIENT_CHUNK = so.QUOTIENT_CHUNK, chunk
+        try:
+            got = so.quotient_set(A, 1, "Left", with_witnesses=True)
+        finally:
+            so.QUOTIENT_CHUNK = so_chunk
+        want = _loop_quotient_set(A, 1, "Left")
+        assert got[0] == want[0] and got[1] == want[1]
+
+
+def _nonfield_algebra(kind, m=5):
+    """Descriptors make_algebra refuses, with zero divisors: split-complex
+    numbers (real base) and Q_3[x]/(x^2)."""
+    if kind == "split":
+        return al.AlgebraDescriptor(al.REAL, None, 2, m,
+                                    (((1, 0), (0, 1)), ((0, 1), (1, 0))))
+    return al.AlgebraDescriptor(al.PADIC, 3, 2, m,
+                                al._padic_structure_constants((0, 0, 1), 3, 2, m),
+                                (0, 0, 1))
+
+
+@pytest.mark.parametrize("kind,rows,err", [
+    ("nil", [(0, 0), (0, 1), (1, 1)], DivisionByNegligible),
+    ("split", [(0, 0), (32, 32), (32, 0)], DivisionByNegligible),
+    # (3 + x)^-1 = (3 - x) / 9 puts 1 / (3 + x) below the radius p^-1
+    ("nil", [(0, 0), (3, 1), (1, 0)], ParameterRangeError),
+])
+def test_quotient_set_errors_match_fraction_loop(kind, rows, err):
+    """A zero-divisor difference and a quotient below the representable
+    radius raise the loop's errors (neither occurs in a division algebra)."""
+    A = make_dset(_nonfield_algebra(kind), rows)
+    for side in ("Left", "Right"):
+        with pytest.raises(err) as got:
+            so.quotient_set(A, 1, side, with_witnesses=True)
+        with pytest.raises(err) as want:
+            _loop_quotient_set(A, 1, side)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name,p,m,rows", [
+    ("R", None, 64, [(0,), (2 ** 62 + 5,), (-(2 ** 62),), (3,)]),
+    ("H", None, 30, [(2 ** 30 + 1, -(2 ** 30) + 5, 3, 2 ** 29 + 7),
+                     (-(2 ** 30) + 3, 2 ** 30 - 1, -(2 ** 29) + 1, 11), (0, 0, 0, 0)]),
+    ("Qp", 5, 16, [(1,), (5 ** 15 + 2,), (3 * 5 ** 10 + 7,), (5 ** 16 - 1,)]),
+])
+def test_quotient_set_exact_past_int64(name, p, m, rows):
+    """Past the int64 bound the kernel takes Python ints and still equals the
+    loop: differences past 2^63 on R at m=64, raw numerators of 2^64 on H at
+    m=30, moduli past 2^31.5 (products past 2^63) on Qp p=5 at m=16."""
+    alg = al.make_algebra(name, p=p, m=m)
+    A = make_dset(alg, rows)
+    got = so.quotient_set(A, 1, "Left", with_witnesses=True)
+    want = _loop_quotient_set(A, 1, "Left")
+    assert got[0] == want[0] and got[1] == want[1]
+
+
+def test_quotient_set_chunks_match_single_pass():
+    """More than QUOTIENT_CHUNK pairs: the chunked pass equals one pass."""
+    import random
+    rnd = random.Random(17)
+    R = al.make_algebra("R", m=12)
+    A = make_dset(R, [(c,) for c in rnd.sample(range(-4096, 4097), 40)])
+    Q, wit = so.quotient_set(A, 1, with_witnesses=True)
+    n_diffs = len({a - b for a in A.points[:, 0] for b in A.points[:, 0]})
+    assert n_diffs * (n_diffs - 1) > so.QUOTIENT_CHUNK
+    so_chunk, so.QUOTIENT_CHUNK = so.QUOTIENT_CHUNK, 1 << 30
+    try:
+        Q1, wit1 = so.quotient_set(A, 1, with_witnesses=True)
+    finally:
+        so.QUOTIENT_CHUNK = so_chunk
+    assert Q == Q1 and wit == wit1
