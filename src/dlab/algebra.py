@@ -187,8 +187,13 @@ class AlgebraDescriptor:
 
     def kind(self) -> str:
         if self.base == REAL:
-            return {1: "R", 2: "C", 4: "H"}[self.d]
+            return _real_kind(self.d)
         return "Qp" if self.d == 1 else "Qp_ext"
+
+
+def _real_kind(d: int) -> str:
+    """The real algebra of dimension d: R, C or H (KeyError otherwise)."""
+    return {1: "R", 2: "C", 4: "H"}[d]
 
 
 @dataclass(frozen=True)
@@ -366,6 +371,28 @@ def value_coords(alg: AlgebraDescriptor, x: Element):
     return tuple(Fraction(c, alg.radix ** x.unit_exp) for c in x.coords)
 
 
+def _value_to_grid(alg, vals, scale_exp, radius_exp):
+    """Snap exact rational coordinates onto a grid (single rounding): real
+    base rounded half away from zero to units 2^-scale_exp; p-adic base in
+    units p^-radius_exp mod p^(scale_exp + radius_exp), with the units of
+    every denominator inverted there.  A p-adic value below p^-radius_exp
+    raises ParameterRangeError."""
+    if alg.is_real_base:
+        scale = 2 ** scale_exp
+        return tuple(round_half_away(v.numerator * scale, v.denominator)
+                     for v in vals)
+    p = alg.p
+    mod = p ** (scale_exp + radius_exp)
+    out = []
+    for v in vals:
+        num, den = v.numerator, v.denominator
+        kv = vp(den, p)
+        if kv > radius_exp:
+            raise ParameterRangeError("value below representable radius")
+        out.append(num * p ** (radius_exp - kv) * pow(den // p ** kv, -1, mod) % mod)
+    return tuple(out)
+
+
 def from_value_coords(alg: AlgebraDescriptor, values, padic_precision=None) -> Element:
     """Snap exact rational coordinates back to a representable element.
 
@@ -373,30 +400,14 @@ def from_value_coords(alg: AlgebraDescriptor, values, padic_precision=None) -> E
     grid.  p-adic base: denominators must be p-powers times units; units
     are inverted modulo the working precision.
     """
-    if alg.is_real_base:
-        scale = 2 ** alg.m
-        coords = tuple(round_half_away(v.numerator * scale, v.denominator)
-                       for v in map(Fraction, values))
-        return Element(coords, alg.m)
-    p = alg.p
     values = [Fraction(v) for v in values]
-    shifts = []
-    for v in values:
-        den = v.denominator
-        shifts.append(vp(den, p))
-    k = max(shifts) if shifts else 0
+    if alg.is_real_base:
+        return Element(_value_to_grid(alg, values, alg.m, 0), alg.m)
+    k = max((vp(v.denominator, alg.p) for v in values), default=0)
     prec = alg.m if padic_precision is None else padic_precision
     if prec < 1:
         raise DivisionByNegligible("no representable precision left")
-    mod = p ** (prec + k)
-    coords = []
-    for v in values:
-        num, den = v.numerator, v.denominator
-        kv = vp(den, p)
-        unit = den // p ** kv
-        c = num * p ** (k - kv) * pow(unit, -1, mod) % mod
-        coords.append(c)
-    return _canonical(alg, coords, k)
+    return _canonical(alg, _value_to_grid(alg, values, prec, k), k)
 
 
 # ---------------------------------------------------------------------------

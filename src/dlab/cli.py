@@ -35,13 +35,6 @@ def _config_comment(args) -> str:
     return f"# dlab {__version__} config: {items}"
 
 
-def _make_alg(args):
-    kind = args.alg
-    if kind in ("R", "C", "H"):
-        return al.make_algebra(kind, m=args.m)
-    return al.make_algebra(kind, p=args.p, d=args.d, m=args.m)
-
-
 def _parse_coords(text):
     return tuple(int(t) for t in text.replace(",", " ").split())
 
@@ -56,7 +49,7 @@ def _element_for(A, text):
 # subcommand handlers
 
 def cmd_gen(args):
-    alg = _make_alg(args)
+    alg = al.make_algebra(args.alg, p=args.p, d=args.d, m=args.m)
     A = lab.gen_random_dset(alg, args.m, args.s, args.seed, C=args.C)
     write_dset(A, args.out, [_config_comment(args)])
     return 0

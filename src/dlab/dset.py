@@ -124,12 +124,18 @@ def _row_mins(arr: np.ndarray, prio=None) -> np.ndarray:
     return order[fresh]
 
 
+def _abs_max(arr) -> int:
+    """max |entry| of an array (0 when empty)."""
+    arr = np.asarray(arr)
+    return max(-int(arr.min(initial=0)), int(arr.max(initial=0)))
+
+
 def _row_norm_sq(pts: np.ndarray) -> np.ndarray:
     """Exact squared Euclidean norm of every row: int64 when
     d * max|coord|^2 < 2^63, Python ints in an object array otherwise."""
-    big = max(-int(pts.min(initial=0)), int(pts.max(initial=0)))
+    big = _abs_max(pts)
     if pts.shape[1] * big * big < 2 ** 63:
-        return np.einsum("ij,ij->i", pts, pts)
+        return (pts * pts).sum(axis=1)
     obj = pts.astype(object)
     return (obj * obj).sum(axis=1)
 
@@ -173,29 +179,6 @@ def make_dset(alg, points, scale_exp=None, radius_exp=0) -> DSet:
         mod = alg.p ** (scale_exp + radius_exp)
         pts = pts % mod
     return DSet(alg, scale_exp, radius_exp, pts)
-
-
-def from_elements(alg, elements, scale_exp=None, radius_exp=0) -> DSet:
-    """Build a DSet from Elements, snapping them onto the set's grid."""
-    if scale_exp is None:
-        scale_exp = alg.m
-    rows = []
-    if alg.is_real_base:
-        for e in elements:
-            # rescale from units 2^-unit_exp to units 2^-scale_exp
-            if e.unit_exp <= scale_exp:
-                rows.append([c * 2 ** (scale_exp - e.unit_exp) for c in e.coords])
-            else:
-                q = 2 ** (e.unit_exp - scale_exp)
-                rows.append([al.round_half_away(c, q) for c in e.coords])
-    else:
-        p = alg.p
-        for e in elements:
-            if e.unit_exp > radius_exp:
-                raise ParameterRangeError(
-                    f"element at unit_exp {e.unit_exp} exceeds radius_exp {radius_exp}")
-            rows.append([c * p ** (radius_exp - e.unit_exp) for c in e.coords])
-    return make_dset(alg, rows, scale_exp, radius_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +235,7 @@ def _real_ball_counts(A: DSet) -> np.ndarray:
     ints otherwise."""
     pts = A.points
     n = len(pts)
-    if 2 * max(-int(pts.min()), int(pts.max())) >= 2 ** 63:
+    if 2 * _abs_max(pts) >= 2 ** 63:
         pts = pts.astype(object)
     radii = [2 ** (A.scale_exp - k) for k in range(A.scale_exp + 1)]
     counts = np.empty((len(radii), n), dtype=np.int64)
@@ -461,7 +444,7 @@ def _read_rows(path: str, alg: AlgebraDescriptor | None, per_row: int):
             poly = tuple(int(c) for c in kv["poly"].split(","))
         if alg is None:
             if kv["base"] == "R":
-                alg = al.make_algebra({1: "R", 2: "C", 4: "H"}[d], m=m)
+                alg = al.make_algebra(al._real_kind(d), m=m)
             else:
                 alg = al.make_algebra("Qp" if d == 1 else "Qp_ext",
                                       p=int(kv["p"]), d=d, m=m, poly=poly)

@@ -5,13 +5,25 @@ Tolerance convention: |y| <= delta means the rounded grid representatives
 agree up to an adjacent cell (real base, l-infinity) or lie in the same
 residue class (p-adic).  Counts are exact for that convention.
 
-The quintuple count is array code.  The n^2 differences a - c of A are
-packed into sorted int64 row keys with their counts (the row keys of
-dset._canon_points).  For each x, the targets -(xb + xd) of every (b, d),
-shifted by each of the 3^d neighbour offsets (one offset on the p-adic base),
-are packed the same way and counted with np.searchsorted; the counts add up
-in an n x n matrix over (b, d).  The near/far split at |b - d| = radix^-rho
-depends on (b, d) alone and is one exact boolean mask over that matrix.
+The counting engines are array code on the grid-product kernel of setops
+(setops._scalar_rows) and on sorted int64 row keys (the row keys of
+dset._canon_points):
+
+* additive energy sums the squared multiplicities of the pairwise sums
+  a + b, counted on their row keys (dset._row_counts);
+* the quintuple count keeps the n^2 differences a - c of A as sorted keys
+  with their counts.  For each x, the targets -(xb + xd) of every (b, d),
+  shifted by each of the 3^d neighbour offsets (one offset on the p-adic
+  base), are packed the same way and counted with np.searchsorted; the
+  counts add up in an n x n matrix over (b, d).  The near/far split at
+  |b - d| = radix^-rho depends on (b, d) alone and is one exact boolean
+  mask over that matrix;
+* the quadruple count forms the grid rows of (a1 - a2) q and (a3 - a4) p
+  for all n^2 differences and looks up, for each of the first and each
+  neighbour offset, the second rows that cancel it.  On the p-adic base
+  the products are taken at the algebra's precision, as Element arithmetic
+  takes them, and a product finer than the set's units raises
+  ParameterRangeError rather than being dropped.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ from . import setops as so
 from .dset import (
     DSet,
     _key_layout,
+    _row_counts,
     _row_keys,
     _row_norm_sq,
     covering_number,
@@ -39,6 +52,7 @@ from .errors import (
     BudgetExceeded,
     DivisionByNegligible,
     EmptyGraph,
+    ParameterRangeError,
 )
 
 
@@ -76,42 +90,24 @@ class BsgResult:
 # ---------------------------------------------------------------------------
 # additive energy
 
-def _sum_counter(A: DSet, B: DSet) -> Counter:
-    """Multiset of pairwise sums a+b with multiplicities."""
+def additive_energy(A: DSet, B: DSet) -> int:
+    """|{(a, a', b, b') : a + b = a' + b'}|, exactly: the sum of the squared
+    multiplicities of the pairwise sums a + b."""
     so._check_compat(A, B)
-    alg = A.alg
     r = max(A.radius_exp, B.radius_exp)
     a = so._at_radius(A, r)
     b = so._at_radius(B, r)
     if len(a) * len(b) > point_budget():
         raise BudgetExceeded("energy pair count too large",
                              {"pairs": len(a) * len(b)})
-    sums = (a[:, None, :] + b[None, :, :]).reshape(-1, alg.d)
-    if not alg.is_real_base:
-        sums %= alg.p ** (A.scale_exp + r)
-    vals, counts = np.unique(sums, axis=0, return_counts=True)
-    return Counter({tuple(map(int, v)): int(c) for v, c in zip(vals, counts)})
-
-
-def additive_energy(A: DSet, B: DSet) -> int:
-    """|{(a, a', b, b') : a + b = a' + b'}|, exactly."""
-    r = _sum_counter(A, B)
-    return sum(c * c for c in r.values())
+    sums = (a[:, None, :] + b[None, :, :]).reshape(-1, A.alg.d)
+    if not A.alg.is_real_base:
+        sums %= A.alg.p ** (A.scale_exp + r)
+    return sum(c * c for c in _row_counts(sums).tolist())
 
 
 # ---------------------------------------------------------------------------
-# rounded scalar products on coordinate arrays
-
-def _rounded_products(A: DSet, x: al.Element, side: str = "Left"):
-    """Grid representatives of x*a (or a*x) for all a in A; exact (p-adic) or
-    rounded once (real).  Returns (pts, radius_exp)."""
-    alg = A.alg
-    raw, unit = so.mul_elem_array(alg, x, A.points, A.unit_exp(), side)
-    if alg.is_real_base:
-        return (so._to_grid(raw, unit - A.scale_exp),
-                A.radius_exp + max(0, so._norm_ceil_exp(alg, x)))
-    return raw % alg.p ** (A.scale_exp + unit), unit
-
+# differences and row lookups
 
 def _diffs(A: DSet) -> np.ndarray:
     """All n^2 coordinate differences a - a' as rows, reduced mod p^(m+r) on
@@ -123,26 +119,18 @@ def _diffs(A: DSet) -> np.ndarray:
     return diffs
 
 
-def _diff_counter(A: DSet):
-    """Counter of coordinate differences a - a' with multiplicity."""
-    vals, counts = np.unique(_diffs(A), axis=0, return_counts=True)
-    return Counter({tuple(map(int, v)): int(c) for v, c in zip(vals, counts)})
+def _row_lookup(rows: np.ndarray):
+    """A function taking an int64 array T of rows to the multiplicity in
+    `rows` of each row of T.
 
-
-def _diff_lookup(A: DSet):
-    """A function taking an int64 array of rows to the number of pairs
-    (a, a') in A^2 whose difference (as in _diffs) equals each row.
-
-    The differences are kept as sorted unique row keys (dset._row_keys over
-    the column ranges of the differences) with their counts.  A row outside
-    those ranges counts 0; the others are found with np.searchsorted.  When
-    the keys would not fit in int64 (or A is empty), each batch of rows is
-    labelled together with the distinct differences by np.unique(axis=0)
-    instead."""
-    diffs = _diffs(A)
-    layout = _key_layout(diffs)
+    The rows are kept as sorted unique row keys (dset._row_keys over their
+    column ranges) with their counts.  A row of T outside those ranges
+    counts 0; the others are found with np.searchsorted.  When the keys
+    would not fit in int64 (or `rows` is empty), each T is labelled together
+    with the distinct rows by np.unique(axis=0) instead."""
+    layout = _key_layout(rows)
     if layout is None:
-        rows, counts = np.unique(diffs, axis=0, return_counts=True)
+        rows, counts = np.unique(rows, axis=0, return_counts=True)
 
         def lookup(T):
             _, inv = np.unique(np.concatenate([rows, T]), axis=0,
@@ -153,8 +141,8 @@ def _diff_lookup(A: DSet):
             return table[inv[len(rows):]]
         return lookup
     lo, spans = layout
-    hi = diffs.max(axis=0)
-    keys, counts = np.unique(_row_keys(diffs, lo, spans), return_counts=True)
+    hi = rows.max(axis=0)
+    keys, counts = np.unique(_row_keys(rows, lo, spans), return_counts=True)
 
     def lookup(T):
         out = np.zeros(len(T), dtype=np.int64)
@@ -219,8 +207,9 @@ def quintuple_count_tv(A: DSet, X: DSet, rho_exp: int,
                               "offsets": 3 ** alg.d})
     offsets = np.array(_neighbor_offsets(alg), dtype=np.int64)
     mod = None if alg.is_real_base else alg.p ** (A.scale_exp + A.radius_exp)
-    products = [_rounded_products(A, x, "Left")[0] for x in X.elements()]
-    lookup = _diff_lookup(A)
+    products = [so._scalar_rows(alg, x, A.points, A.unit_exp(), A.scale_exp, "Left")
+                for x in X.elements()]
+    lookup = _row_lookup(_diffs(A))
     near_count = far_count = 0
     step = max(1, point_budget() // max(n, 1))
     for lo in range(0, n, step):
@@ -270,40 +259,39 @@ def quadruple_count_sparse(A: DSet, p: al.Element, q: al.Element,
         if small:
             raise DivisionByNegligible("|q| below the rho floor")
     n = len(A)
-    D = _diff_counter(A)
-    offsets = _neighbor_offsets(alg)
-    mod = None if alg.is_real_base else alg.p ** (A.scale_exp + A.radius_exp)
+    r = A.radius_exp
+    diffs = _diffs(A)
+    if alg.is_real_base:
+        scale, mod = A.scale_exp, None
+    else:
+        # as Elements: a - a' mod p^(M+r) and products mod p^M (M = alg.m),
+        # then on the set's grid, mod p^(scale_exp+r) in units p^-r
+        diffs %= alg.p ** (alg.m + r)
+        scale, mod = min(alg.m, A.scale_exp), alg.p ** (A.scale_exp + r)
 
-    def rounded_mult(counter, x):
-        """Push the difference counter through u -> rounded(u x)."""
-        out = Counter()
-        unit = A.scale_exp if alg.is_real_base else A.radius_exp
-        for u, cnt in counter.items():
-            e = al.element(alg, u, unit_exp=unit)
-            prod = al.mul_exact(alg, e, x)
-            vals = al.value_coords(alg, prod)
-            if alg.is_real_base:
-                key = tuple(al.round_half_away(v.numerator * 2 ** A.scale_exp,
-                                               v.denominator) for v in vals)
-            else:
-                key = tuple(int(c) * alg.p ** (A.radius_exp - prod.unit_exp) % mod
-                            if prod.unit_exp <= A.radius_exp else None
-                            for c in prod.coords)
-                if None in key:
-                    key = ("overflow",) + tuple(prod.coords)
-            out[key] += cnt
-        return out
+    def product_rows(x, name):
+        """Grid rows of (a - a') x, in units p^-r on the p-adic base."""
+        rows = so._scalar_rows(alg, x, diffs, A.unit_exp(), scale, "Right")
+        if alg.is_real_base:
+            return rows
+        if x.unit_exp <= 0:
+            return rows * alg.p ** -x.unit_exp % alg.p ** (scale + r)
+        f = alg.p ** x.unit_exp
+        if np.any(rows % f):
+            raise ParameterRangeError(
+                f"quadruple_count_sparse: a product (a - a') {name} is finer "
+                f"than the set's units p^-{r} ({name} has unit_exp "
+                f"{x.unit_exp})")
+        return rows // f
 
-    Rq = rounded_mult(D, q)
-    Rp = rounded_mult(D, p)
+    Rq = product_rows(q, "q")
+    lookup = _row_lookup(product_rows(p, "p"))
     total = 0
-    for uq, cq in Rq.items():
-        if uq and uq[0] == "overflow":
-            continue
-        for off in offsets:
-            key = tuple((-uq[k] + off[k]) % mod if mod else -uq[k] + off[k]
-                        for k in range(alg.d))
-            total += cq * Rp.get(key, 0)
+    for off in _neighbor_offsets(alg):
+        T = off - Rq
+        if mod:
+            T %= mod
+        total += int(lookup(T).sum())
     bound = ratio = None
     if s is not None and rho_exp is not None:
         bound = float(Fraction(alg.radix) ** (-A.scale_exp * Fraction(s))

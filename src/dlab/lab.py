@@ -11,7 +11,6 @@ import csv
 import math
 import os
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +21,7 @@ from . import setops as so
 from . import structure as st
 from .dset import (
     DSet,
+    _row_counts,
     covering_number,
     is_nonconcentrated,
     make_dset,
@@ -350,19 +350,13 @@ def fibre_profile(G: so.PairSet, X: DSet, c1=None, rho_exp: int = 1):
     m = G.scale_exp
     out = {}
     for x in sorted(X.elements(), key=lambda e: e.coords):
-        d = alg.d
-        a = G.pairs[:, :d]
-        b = G.pairs[:, d:]
-        raw, unit = so.mul_elem_array(alg, x, b, G.unit_exp(), "Left")
+        proj, r_out = so._project_rows(x, G)
         if alg.is_real_base:
-            proj = a + so._to_grid(raw, unit - m)
             cells = proj // (2 ** (m - rho_exp))
         else:
-            f = alg.p ** (unit - G.radius_exp)
-            proj = (a * f + raw) % alg.p ** (m + unit)
-            cells = proj % alg.p ** (rho_exp + unit)
-        counts = Counter(map(tuple, cells.tolist()))
-        heaviest = max(counts.values())
+            cells = proj % alg.p ** (rho_exp + r_out)
+        counts = _row_counts(cells)
+        heaviest = int(counts.max())
         out[tuple(map(int, x.coords))] = {
             "max_fibre": heaviest,
             "n_fibres": len(counts),

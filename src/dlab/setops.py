@@ -5,6 +5,11 @@ Real-base composites are rounded to the grid once per operation
 (half-away-from-zero); p-adic composites are exact.  Large sumsets fall
 back to an FFT indicator convolution; everything else is pairwise with a
 point budget.
+
+Products, scalar images, projections and quotient numerators share one
+bilinear array product (_raw_products) and one grid step (_to_grid); the
+counting engines take their rows from the same kernel.  It runs on int64
+while every raw product provably fits and on Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -16,9 +21,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import algebra as al
-from .algebra import AlgebraDescriptor, Element
+from .algebra import AlgebraDescriptor, Element, _value_to_grid
 from .dset import (
     DSet,
+    _abs_max,
     _canon_points,
     _read_rows,
     _row_mins,
@@ -126,9 +132,58 @@ def _round_div_arr(v: np.ndarray, q: int) -> np.ndarray:
     return np.negative(r, out=r, where=v < 0)
 
 
-def _to_grid(raw: np.ndarray, shift: int) -> np.ndarray:
-    """raw * 2^-shift: exact for shift <= 0, else rounded half away from 0."""
+def _raw_products(alg, U, V, side, dtype):
+    """The raw products u v (Left) or v u (Right) of every row u of U with
+    every row v of V, in row-major (u, v) order: V is contracted with the
+    structure constants into one d x |V|d matrix W, and U @ W is one
+    matmul."""
+    C = np.array(alg.structure_constants, dtype=dtype)
+    W = np.tensordot(np.array(V, dtype=dtype), C,
+                     axes=(1, 1 if side == "Left" else 0))
+    W = W.transpose(1, 0, 2).reshape(alg.d, -1)
+    return (np.asarray(U, dtype=dtype) @ W).reshape(-1, alg.d)
+
+
+def _product_bound(alg, U, V) -> int:
+    """max|U| max|V| max_l sum_ij |c_ijl|, each factor at least 1: a bound on
+    every raw product and on every entry of U, V and the constants."""
+    sc = alg.structure_constants
+    csum = max(sum(abs(c[t]) for row in sc for c in row) for t in range(alg.d))
+    return max(_abs_max(U), 1) * max(_abs_max(V), 1) * csum
+
+
+def _to_grid(alg, raw: np.ndarray, unit: int, scale_exp: int) -> np.ndarray:
+    """Raw coordinates in units radix^-unit onto the grid of scale_exp: real
+    base to units 2^-scale_exp, exact for unit <= scale_exp and rounded half
+    away from zero otherwise; p-adic base reduced mod p^(scale_exp + unit),
+    in the same units."""
+    if not alg.is_real_base:
+        return raw % alg.p ** (scale_exp + unit)
+    shift = unit - scale_exp
     return raw * 2 ** (-shift) if shift <= 0 else _round_div_arr(raw, 2 ** shift)
+
+
+def _grid_products(alg, U, V, unit, scale_exp, side) -> np.ndarray:
+    """_to_grid of the _raw_products of U and V, whose raw coordinates are in
+    units radix^-unit, as int64 rows.  int64 while the raw products and the
+    grid step provably fit, Python ints otherwise."""
+    U = np.ascontiguousarray(U)     # min and max are slow on column slices
+    big = _product_bound(alg, U, V)
+    if alg.is_real_base:
+        shift = unit - scale_exp
+        fits = (big << -shift if shift <= 0 else 2 * big + 2 ** (shift + 1)) < 2 ** 63
+    else:
+        fits = big < 2 ** 63 and alg.p ** (scale_exp + unit) < 2 ** 63
+    raw = _raw_products(alg, U, V, side, np.int64 if fits else object)
+    return _to_grid(alg, raw, unit, scale_exp).astype(np.int64, copy=False)
+
+
+def _scalar_rows(alg, x: Element, pts, unit, scale_exp, side) -> np.ndarray:
+    """Grid rows of x a (Left) or a x (Right) for every row a of pts, in
+    units radix^-unit, in input order; on the p-adic base in units
+    p^-(unit + x.unit_exp).  x is the contracted operand."""
+    return _grid_products(alg, pts, [x.coords], unit + x.unit_exp, scale_exp,
+                          "Right" if side == "Left" else "Left")
 
 
 def _mod(A_alg, scale_exp, radius_exp):
@@ -211,42 +266,20 @@ def difference_set(A: DSet, B: DSet) -> DSet:
 # ---------------------------------------------------------------------------
 # products and scalar images
 
-def _pairwise_products(alg, a_pts, b_pts, unit_a, unit_b, scale_exp, radius_out):
-    """All products a*b via the structure constants; one rounding (real)."""
-    C = np.asarray(alg.structure_constants, dtype=np.int64)
-    raw = np.einsum("ni,kj,ijl->nkl", a_pts, b_pts, C).reshape(-1, alg.d)
-    if alg.is_real_base:
-        return _to_grid(raw, unit_a + unit_b - scale_exp)
-    return raw % _mod(alg, scale_exp, radius_out)
-
-
 def product_set(A: DSet, B: DSet, side: str = "Left") -> DSet:
     """{ab} (Left) or {ba} (Right) on the grid."""
     _check_compat(A, B)
     if side not in ("Left", "Right"):
         raise ParameterRangeError(f"side must be Left or Right, got {side!r}")
-    if side == "Right":
-        A, B = B, A
     alg = A.alg
     if len(A) == 0 or len(B) == 0:
         return DSet(alg, A.scale_exp, 0, np.zeros((0, alg.d), dtype=np.int64))
     if len(A) * len(B) > min(PAIRWISE_CAP, point_budget()):
         raise BudgetExceeded("product set too large",
                              {"pairs": len(A) * len(B)})
-    r_out = A.radius_exp + B.radius_exp
-    pts = _pairwise_products(alg, A.points, B.points, A.unit_exp(), B.unit_exp(),
-                             A.scale_exp, r_out)
-    return DSet(alg, A.scale_exp, r_out, pts)
-
-
-def mul_elem_array(alg, x: Element, pts: np.ndarray, unit_pts: int,
-                   side: str = "Left"):
-    """x*pts (Left) or pts*x (Right): raw products and the combined unit."""
-    C = np.asarray(alg.structure_constants, dtype=np.int64)
-    xc = np.asarray(x.coords, dtype=np.int64)
-    # contract x with the structure constants first: one d x d matrix
-    M = np.einsum("i,ijl->jl" if side == "Left" else "j,ijl->il", xc, C)
-    return pts @ M, x.unit_exp + unit_pts
+    pts = _grid_products(alg, A.points, B.points, A.unit_exp() + B.unit_exp(),
+                         A.scale_exp, side)
+    return DSet(alg, A.scale_exp, A.radius_exp + B.radius_exp, pts)
 
 
 def scalar_image(x: Element, A: DSet, side: str = "Left") -> DSet:
@@ -254,14 +287,11 @@ def scalar_image(x: Element, A: DSet, side: str = "Left") -> DSet:
     alg = A.alg
     if len(A) == 0:
         return A
-    raw, unit = mul_elem_array(alg, x, A.points, A.unit_exp(), side)
+    pts = _scalar_rows(alg, x, A.points, A.unit_exp(), A.scale_exp, side)
     if alg.is_real_base:
-        pts = _to_grid(raw, unit - A.scale_exp)
-        return DSet(alg, A.scale_exp, A.radius_exp + max(0, _norm_ceil_exp(alg, x)),
-                    pts)
-    # p-adic: raw coordinates carry the combined unit p^-(unit)
-    r_out = unit
-    pts = raw % _mod(alg, A.scale_exp, r_out)
+        r_out = A.radius_exp + max(0, _norm_ceil_exp(alg, x))
+    else:
+        r_out = A.radius_exp + x.unit_exp
     return DSet(alg, A.scale_exp, r_out, pts)
 
 
@@ -277,28 +307,34 @@ def _norm_ceil_exp(alg, x: Element) -> int:
 # ---------------------------------------------------------------------------
 # projections
 
+def _project_rows(x: Element, G: PairSet):
+    """(rows, radius_exp): a + x b for every pair (a, b) of G, in G's row
+    order, rounded once (real base) or exact (p-adic base)."""
+    alg, d, r = G.alg, G.alg.d, G.radius_exp
+    xb = _scalar_rows(alg, x, G.pairs[:, d:], G.unit_exp(), G.scale_exp, "Left")
+    if alg.is_real_base:
+        # a is on the grid, so rounding a + xb once equals a + round(xb)
+        r_out, fa, fb = r + 1 + max(0, _norm_ceil_exp(alg, x)), 1, 1
+    else:
+        # a is in units p^-r and xb in units p^-(r + x.unit_exp): both to r_out
+        r_out = r + max(x.unit_exp, 0)
+        fa, fb = alg.p ** (r_out - r), alg.p ** (r_out - r - x.unit_exp)
+    a = G.pairs[:, :d]
+    if _abs_max(G.pairs) * fa + _abs_max(xb) * fb >= 2 ** 63:
+        a, xb = a.astype(object), xb.astype(object)
+    pts = a + xb if fa == fb == 1 else a * fa + xb * fb
+    if not alg.is_real_base:
+        pts %= _mod(alg, G.scale_exp, r_out)
+    return pts.astype(np.int64, copy=False), r_out
+
+
 def project(x: Element, G: PairSet) -> DSet:
     """pi_x(G) = {a + x b}, rounded once (real) / exact (p-adic)."""
     alg = G.alg
     if len(G) == 0:
         return DSet(alg, G.scale_exp, G.radius_exp,
                     np.zeros((0, alg.d), dtype=np.int64))
-    d = alg.d
-    a = G.pairs[:, :d]
-    b = G.pairs[:, d:]
-    raw, unit = mul_elem_array(alg, x, b, G.unit_exp(), "Left")
-    if alg.is_real_base:
-        # a is on the grid, so rounding a + xb once equals a + round(xb)
-        pts = a + _to_grid(raw, unit - G.scale_exp)
-        return DSet(alg, G.scale_exp, G.radius_exp + 1 + max(0, _norm_ceil_exp(alg, x)),
-                    pts)
-    r_out = max(G.radius_exp + max(x.unit_exp, 0), G.radius_exp)
-    f = alg.p ** (r_out - G.radius_exp)
-    aa = a * f
-    xb = raw * alg.p ** (r_out - unit) if r_out >= unit else None
-    if xb is None:
-        raise ParameterRangeError("projection direction finer than representable")
-    pts = (aa + xb) % _mod(alg, G.scale_exp, r_out)
+    pts, r_out = _project_rows(x, G)
     return DSet(alg, G.scale_exp, r_out, pts)
 
 
@@ -342,25 +378,6 @@ def iterated(A: DSet, n_sum: int, n_prod: int, clip: bool = True) -> DSet:
 def mul_value_coords(alg, xv, yv):
     """Product of two exact rational coordinate vectors."""
     return al._vec_mul(alg, xv, yv)
-
-
-def _value_to_grid(alg, vals, scale_exp, radius_exp):
-    """Snap exact rational coordinates onto a DSet grid (single rounding)."""
-    if alg.is_real_base:
-        scale = 2 ** scale_exp
-        return tuple(al.round_half_away(v.numerator * scale, v.denominator)
-                     for v in vals)
-    p = alg.p
-    mod = _mod(alg, scale_exp, radius_exp)
-    out = []
-    for v in vals:
-        num, den = v.numerator, v.denominator
-        kv = al.vp(den, p)
-        if kv > radius_exp:
-            raise ParameterRangeError("value below representable radius")
-        unit = den // p ** kv
-        out.append(num * p ** (radius_exp - kv) * pow(unit, -1, mod) % mod)
-    return tuple(out)
 
 
 def _distinct_differences(A: DSet):
@@ -453,12 +470,8 @@ def _quotient_cells(alg, diffs, den_idx, key, side, scale_out, radius_out):
     dens = diffs[den_idx]
     d, k = alg.d, len(dens)
     nums, den = zip(*(al._int_inverse(alg, [int(c) for c in w]) for w in dens))
-    sc = alg.structure_constants
-    csum = max(sum(abs(sc[i][j][t]) for i in range(d) for j in range(d))
-               for t in range(d))
     # |raw numerator| <= max|u| max|num| max_l sum_ij |c_ijl|
-    big = (max(-int(diffs.min()), int(diffs.max()))
-           * max(abs(c) for num in nums for c in num) * csum)
+    big = _product_bound(alg, diffs, nums)
     if alg.is_real_base:
         fits = 2 * big * 2 ** scale_out + 2 * max(den) < 2 ** 63
     else:
@@ -476,11 +489,6 @@ def _quotient_cells(alg, diffs, den_idx, key, side, scale_out, radius_out):
     def col(vals):          # one value per denominator, broadcast over pairs
         return np.array(vals, dtype=dtype)[None, :, None]
 
-    # u @ W is every raw numerator: (u num_j)_l (Left) or (num_j u)_l (Right)
-    W = np.tensordot(np.array(nums, dtype=dtype), np.array(sc, dtype=dtype),
-                     axes=(1, 1 if side == "Left" else 0))
-    W = W.transpose(1, 0, 2).reshape(d, k * d)
-    diffs = diffs.astype(dtype)
     if alg.is_real_base:
         den = col(den)
     else:
@@ -496,7 +504,9 @@ def _quotient_cells(alg, diffs, den_idx, key, side, scale_out, radius_out):
     rows, pair, rank = [], [], []
     step = max(1, QUOTIENT_CHUNK // k)
     for lo in range(0, len(diffs), step):
-        N = (diffs[lo:lo + step] @ W).reshape(-1, k, d)
+        # every raw numerator: (u num_j)_l (Left) or (num_j u)_l (Right)
+        N = _raw_products(alg, diffs[lo:lo + step], nums, side, dtype)
+        N = N.reshape(-1, k, d)
         if alg.is_real_base:
             N *= 2 ** scale_out
             N = _round_div_arr(N, den)

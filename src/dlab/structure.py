@@ -472,16 +472,10 @@ def _near_q_real(Qset, scale_exp, yvals):
 
 def _near_q_padic(alg, Qset, scale_exp, radius_exp, yvals):
     """Exists q in Q with |y - q|_p <= p^-scale_exp (same cell), exactly."""
-    p = alg.p
-    mod = p ** (scale_exp + radius_exp)
-    coords = []
-    for y in yvals:
-        v = y * p ** radius_exp
-        den = v.denominator
-        if den % p == 0:
-            return False  # finer than representable: cannot be near the grid
-        coords.append(v.numerator * pow(den, -1, mod) % mod)
-    return tuple(coords) in Qset
+    try:
+        return al._value_to_grid(alg, yvals, scale_exp, radius_exp) in Qset
+    except ParameterRangeError:
+        return False  # finer than representable: cannot be near the grid
 
 
 def _witness_values(alg, wit_key):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,12 @@ from dlab import algebra as al
 from dlab import energy as en
 from dlab import setops as so
 from dlab.dset import make_dset
-from dlab.errors import BudgetExceeded, DivisionByNegligible, EmptyGraph
+from dlab.errors import (
+    BudgetExceeded,
+    DivisionByNegligible,
+    EmptyGraph,
+    ParameterRangeError,
+)
 
 
 def _rset(alg, rnd, n, lo=-16, hi=17):
@@ -127,29 +133,51 @@ def test_quintuple_bound_fields():
     assert rep.bound is not None and rep.ratio == rep.total / rep.bound
 
 
+def _grid_diffs(A):
+    """Counter of the coordinate differences a - a' of A as tuples of Python
+    ints, reduced mod p^(m+r) on the p-adic base."""
+    pts = [tuple(map(int, row)) for row in A.points]
+    mod = None if A.alg.is_real_base else A.alg.p ** (A.scale_exp + A.radius_exp)
+    return Counter(tuple(u - v if mod is None else (u - v) % mod
+                         for u, v in zip(a, c)) for a in pts for c in pts)
+
+
 def _loop_quintuple(A, X, rho_exp, symmetric):
     """The per-pair loop that quintuple_count_tv ran before its lookups were
-    vectorized, kept as the oracle: (total, near, far)."""
+    vectorized, kept as the oracle: (total, near, far).  x b is formed with
+    al._vec_mul on Python ints and put on the grid here: rounded half away
+    from zero to the set's units (real base), reduced mod
+    p^(m + r + x.unit_exp) (p-adic base)."""
     alg = A.alg
     n = len(A)
     offsets = en._neighbor_offsets(alg)
-    D = en._diff_counter(A)
+    D = _grid_diffs(A)
     elems = A.elements()
     mod = None if alg.is_real_base else alg.p ** (A.scale_exp + A.radius_exp)
     near_count = far_count = 0
     rho_sq = Fraction(1, 4 ** rho_exp)
     for x in X.elements():
-        R, _ = en._rounded_products(A, x, "Left")
+        unit = A.unit_exp() + x.unit_exp
+        shift = unit - A.scale_exp
+        R = []
+        for b in A.points:
+            raw = al._vec_mul(alg, x.coords, [int(c) for c in b])
+            if not alg.is_real_base:
+                R.append([c % alg.p ** (A.scale_exp + unit) for c in raw])
+            elif shift <= 0:
+                R.append([c * 2 ** -shift for c in raw])
+            else:
+                R.append([al.round_half_away(c, 2 ** shift) for c in raw])
         for ib in range(n):
             for id_ in range(n):
                 if symmetric:
-                    tvec = R[id_] - R[ib]
+                    tvec = [v - u for u, v in zip(R[ib], R[id_])]
                 else:
-                    tvec = -(R[ib] + R[id_])
+                    tvec = [-(u + v) for u, v in zip(R[ib], R[id_])]
                 cnt = 0
                 for off in offsets:
-                    key = tuple(int(tvec[k] + off[k]) % mod if mod
-                                else int(tvec[k] + off[k])
+                    key = tuple((tvec[k] + off[k]) % mod if mod
+                                else tvec[k] + off[k]
                                 for k in range(alg.d))
                     cnt += D.get(key, 0)
                 if cnt:
@@ -175,12 +203,10 @@ _TV_ALGS = [("R", None, None), ("C", None, None), ("H", None, None),
             ("Qp_ext", 2, 2), ("Qp_ext", 3, 2), ("Qp_ext", 2, 3)]
 
 
-@settings(max_examples=80, deadline=None)
-@given(hst.sampled_from(_TV_ALGS), hst.booleans(), hst.data())
-def test_quintuple_equals_loop_oracle(spec, symmetric, data):
-    """The vectorized count equals the per-pair loop on total, near and far:
-    every algebra kind, a set scale off the algebra's m, radius 0 or 1,
-    progressions (many repeated differences) and X holding 0."""
+def _draw_set(spec, data):
+    """(alg, scale, rexp, row strategy, points): an algebra of kind spec at
+    a small m, a set scale off m by at most 1, radius 0 or 1, and points at
+    random or in a progression (many repeated differences)."""
     kind, p, d = spec
     alg = al.make_algebra(kind, p=p, d=d,
                           m=data.draw(hst.integers(2, 4 if p is None else 3)))
@@ -200,6 +226,16 @@ def test_quintuple_equals_loop_oracle(spec, symmetric, data):
                                    max_size=alg.d))
         pts = [[b + i * s for b, s in zip(base, step)]
                for i in range(data.draw(hst.integers(1, 8)))]
+    return alg, scale, rexp, row, pts
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.sampled_from(_TV_ALGS), hst.booleans(), hst.data())
+def test_quintuple_equals_loop_oracle(spec, symmetric, data):
+    """The vectorized count equals the per-pair loop on total, near and far:
+    every algebra kind, a set scale off the algebra's m, radius 0 or 1,
+    progressions (many repeated differences) and X holding 0."""
+    alg, scale, rexp, row, pts = _draw_set(spec, data)
     xs = data.draw(hst.lists(row, min_size=1, max_size=3))
     if data.draw(hst.booleans()):
         xs.append([0] * alg.d)
@@ -277,7 +313,7 @@ def test_diff_lookup_counts_every_row():
     outside the difference ranges or between keys."""
     C = al.make_algebra("C", m=4)
     A = make_dset(C, [(0, 0), (1, 0), (2, 0), (0, 3)])
-    lookup = en._diff_lookup(A)
+    lookup = en._row_lookup(en._diffs(A))
     rows = np.array([(0, 0), (1, 0), (2, 0), (-2, 0), (1, -3), (5, 0),
                      (0, 1), (-9, -9)], dtype=np.int64)
     assert lookup(rows).tolist() == [4, 2, 1, 1, 1, 0, 0, 0]
@@ -347,6 +383,96 @@ def test_quadruple_rho_floor():
     tiny = al.element(R, (1,))  # norm 2^-6 < 2^-2
     with pytest.raises(DivisionByNegligible):
         en.quadruple_count_sparse(A, al.one(R), tiny, rho_exp=2)
+
+
+def _loop_quadruple(A, p, q):
+    """The Element loop that quadruple_count_sparse ran before it was
+    vectorized, kept as the oracle: (total, dropped).  Each distinct
+    difference u goes through Element arithmetic at the algebra's precision
+    (u mod p^(alg.m + r), u x mod p^alg.m) and back onto the set's grid;
+    dropped tells whether a p-adic product fell below the set's radius,
+    which the loop skipped."""
+    alg = A.alg
+    r = A.radius_exp
+    mod = None if alg.is_real_base else alg.p ** (A.scale_exp + r)
+    D = _grid_diffs(A)
+
+    def rounded_mult(x):
+        out = Counter()
+        for u, cnt in D.items():
+            prod = al.mul_exact(alg, al.element(alg, u, A.unit_exp()), x)
+            if alg.is_real_base:
+                key = tuple(al.round_half_away(v.numerator * 2 ** A.scale_exp,
+                                               v.denominator)
+                            for v in al.value_coords(alg, prod))
+            elif prod.unit_exp <= r:
+                key = tuple(c * alg.p ** (r - prod.unit_exp) % mod
+                            for c in prod.coords)
+            else:
+                key = ("overflow",) + prod.coords
+            out[key] += cnt
+        return out
+
+    Rq, Rp = rounded_mult(q), rounded_mult(p)
+    total = 0
+    for uq, cq in Rq.items():
+        if uq[0] == "overflow":
+            continue
+        for off in en._neighbor_offsets(alg):
+            key = tuple((-uq[k] + off[k]) % mod if mod else -uq[k] + off[k]
+                        for k in range(alg.d))
+            total += cq * Rp.get(key, 0)
+    dropped = any(key[0] == "overflow" for R in (Rq, Rp) for key in R)
+    return total, dropped
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.sampled_from(_TV_ALGS), hst.data())
+def test_quadruple_equals_loop_oracle(spec, data):
+    """The array count equals the Element loop on every algebra kind, at a
+    set scale off the algebra's m and radius 0 or 1, for p and q of unit_exp
+    scale or m (real base) and 0 or 1 (p-adic base); where the loop dropped
+    a product below the set's radius, the count raises instead."""
+    alg, scale, rexp, row, pts = _draw_set(spec, data)
+    A = make_dset(alg, pts, scale, rexp)
+    units = [scale, alg.m] if alg.is_real_base else [0, 1]
+    p, q = (al.element(alg, data.draw(row), data.draw(hst.sampled_from(units)))
+            for _ in range(2))
+    total, dropped = _loop_quadruple(A, p, q)
+    if dropped:
+        with pytest.raises(ParameterRangeError, match="quadruple_count_sparse"):
+            en.quadruple_count_sparse(A, p, q)
+    else:
+        assert en.quadruple_count_sparse(A, p, q).total == total
+
+
+def test_quadruple_padic_product_below_radius_raises():
+    """p = q = 1/3 on Qp p=3 m=3, A = {0, 1, 2, 4}: (a - a')/3 is finer than
+    the set's units for a - a' = 1.  The loop skipped such products and
+    counted 16, where 36 quadruples (a1 + a3 = a2 + a4) satisfy the condition
+    exactly; the count raises.  For A = {0, 3, 6} every product lands on the
+    grid and the count equals the loop."""
+    Q3 = al.make_algebra("Qp", p=3, m=3)
+    third = al.element(Q3, (1,), unit_exp=1)
+    A = make_dset(Q3, [(0,), (1,), (2,), (4,)])
+    assert _loop_quadruple(A, third, third) == (16, True)
+    assert en.additive_energy(A, A) == 36
+    with pytest.raises(ParameterRangeError, match="quadruple_count_sparse"):
+        en.quadruple_count_sparse(A, third, third)
+    A = make_dset(Q3, [(0,), (3,), (6,)])
+    total, dropped = _loop_quadruple(A, third, third)
+    assert not dropped and en.quadruple_count_sparse(A, third, third).total == total
+
+
+def test_quadruple_padic_set_finer_than_algebra():
+    """A Qp set at scale 3 over an algebra of m=2 with q = 1/2: as an
+    Element, the difference 6 is 2 mod 2^2, so 6 q is 1, not 3."""
+    Q2 = al.make_algebra("Qp", p=2, m=2)
+    A = make_dset(Q2, [(0,), (2,), (6,)], scale_exp=3)
+    half = al.element(Q2, (1,), unit_exp=1)
+    total, dropped = _loop_quadruple(A, al.one(Q2), half)
+    assert not dropped
+    assert en.quadruple_count_sparse(A, al.one(Q2), half).total == total
 
 
 def test_quadruple_cs_corollary_reported():

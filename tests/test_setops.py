@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -161,6 +162,55 @@ def test_project_product_pairs_is_sumset_of_scaled():
     lhs = so.project(x, so.product_pairs(A, B))
     rhs = so.sumset(A, so.scalar_image(x, B, "Left"))
     assert {tuple(p) for p in lhs.points} == {tuple(p) for p in rhs.points}
+
+
+# --- products whose raw coordinates pass int64 -------------------------------
+
+def _wide_elements(alg, rnd, n):
+    """n random Elements with coordinates over the whole grid at scale m."""
+    hi = 2 ** alg.m if alg.is_real_base else alg.p ** alg.m
+    lo = -hi if alg.is_real_base else 0
+    return [al.element(alg, [rnd.randrange(lo, hi) for _ in range(alg.d)])
+            for _ in range(n)]
+
+
+def _points(alg, elems):
+    return make_dset(alg, [e.coords for e in elems]).points
+
+
+@pytest.mark.parametrize("kind,p,d,m", [("Qp", 5, None, 14), ("Qp_ext", 3, 2, 20),
+                                        ("H", None, None, 31)])
+def test_product_set_past_int64_equals_element_mul(kind, p, d, m):
+    """Raw products of these grids pass 2^63; every product is al.mul."""
+    alg = al.make_algebra(kind, p=p, d=d, m=m)
+    rnd = random.Random(m)
+    for _ in range(3):
+        a, b = _wide_elements(alg, rnd, 6), _wide_elements(alg, rnd, 5)
+        A, B = make_dset(alg, [e.coords for e in a]), make_dset(alg, [e.coords for e in b])
+        for side in ("Left", "Right"):
+            want = [al.mul(alg, u, v) if side == "Left" else al.mul(alg, v, u)
+                    for u in a for v in b]
+            assert np.array_equal(so.product_set(A, B, side).points,
+                                  _points(alg, want))
+
+
+@pytest.mark.parametrize("kind,p,d,m", [("Qp", 5, None, 14), ("Qp_ext", 3, 2, 20),
+                                        ("H", None, None, 31), ("Qp", 3, None, 25)])
+def test_scalar_image_and_project_past_int64_equal_element_mul(kind, p, d, m):
+    alg = al.make_algebra(kind, p=p, d=d, m=m)
+    rnd = random.Random(m)
+    for _ in range(5):
+        a, b = _wide_elements(alg, rnd, 6), _wide_elements(alg, rnd, 5)
+        A = make_dset(alg, [e.coords for e in a])
+        x = _wide_elements(alg, rnd, 1)[0]
+        for side in ("Left", "Right"):
+            want = [al.mul(alg, x, u) if side == "Left" else al.mul(alg, u, x)
+                    for u in a]
+            assert np.array_equal(so.scalar_image(x, A, side).points,
+                                  _points(alg, want))
+        G = so.make_pairset(alg, [u.coords + v.coords for u in a for v in b])
+        want = [al.add(alg, u, al.mul(alg, x, v)) for u in a for v in b]
+        assert np.array_equal(so.project(x, G).points, _points(alg, want))
 
 
 # --- iterated expressions ---------------------------------------------------
