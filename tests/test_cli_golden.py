@@ -1,5 +1,6 @@
 """CLI golden gate: the README example commands, plus a product, a
-quadruple count, fibre profiles and the energy on a Qp set, must reproduce
+quadruple count, fibre profiles and the energy on a Qp set, and the
+verifiers (uniformize, verify-nc, cover) on C and Qp sets, must reproduce
 the recorded exit codes, stdout, stderr and output files byte for byte
 (the version string in config comments aside).
 
@@ -52,6 +53,20 @@ COMMANDS = [
     "count-tv --in qa.dset --x-set qa.dset --rho 1",
     "fibres --in-g qg.pairs --x-set qa.dset --rho 1",
     "energy --in qa.dset",
+    # the verifiers: uniformization, non-concentration and covering
+    # numbers on the C set and two Qp sets
+    "gen --alg Qp --p 2 --m 6 --s 0.7 --seed 1 --out qb.dset",
+    "uniformize --in a.dset --T 1 --out ua1.dset",
+    "uniformize --in a.dset --T 2 --out ua2.dset",
+    "uniformize --in qa.dset --T 1 --out uqa1.dset",
+    "uniformize --in qa.dset --T 2 --out uqa2.dset",
+    "uniformize --in qb.dset --T 1 --out uqb1.dset",
+    "uniformize --in qb.dset --T 2 --out uqb2.dset",
+    "verify-nc --in qa.dset --s 0.8 --C 8",
+    "verify-nc --in qb.dset --s 0.7 --C 8",
+    "cover --in a.dset --k 2",
+    "cover --in qa.dset --k 1",
+    "cover --in qb.dset --k 4",
 ]
 
 _VERSION = re.compile(rb"# dlab \S+ config:")
