@@ -86,32 +86,28 @@ def cmd_uniformize(args):
 
 
 def cmd_op(args):
-    A = read_dset(getattr(args, "in"))
     op = args.op
+    if op in ("proj", "linmap"):
+        G = so.read_pairset(getattr(args, "in"))
+        if op == "proj":
+            write_dset(so.project(_element_for(G, args.x), G), args.out,
+                       [_config_comment(args)])
+            return 0
+        ent = [_parse_coords(c) for r in args.matrix.split(";") for c in r.split("/")]
+        unit = G.alg.m if G.alg.is_real_base else 0
+        L = [[al.element(G.alg, e, unit_exp=unit) for e in ent[i:i + 2]]
+             for i in (0, 2)]
+        so.write_pairset(so.apply_linear_map(L, G), args.out, [_config_comment(args)])
+        return 0
+    A = read_dset(getattr(args, "in"))
     if op in ("sum", "diff", "prod"):
         B = read_dset(args.in2, A.alg)
         fn = {"sum": so.sumset, "diff": so.difference_set}.get(op)
         out = fn(A, B) if fn else so.product_set(A, B, args.side)
     elif op == "iter":
         out = so.iterated(A, args.n_sum, args.n_prod)
-    elif op == "proj":
-        G = so.read_pairset(getattr(args, "in"))
-        out = so.project(_element_for(G, args.x), G)
-    elif op == "quot":
-        out = so.quotient_set(A, args.rho, args.side)
-    elif op == "linmap":
-        G = so.read_pairset(getattr(args, "in"))
-        alg = G.alg
-        rows = [r.strip() for r in args.matrix.split(";")]
-        ent = [_parse_coords(c) for r in rows for c in r.split("/")]
-        unit = alg.m if alg.is_real_base else 0
-        L = ((al.element(alg, ent[0], unit_exp=unit), al.element(alg, ent[1], unit_exp=unit)),
-             (al.element(alg, ent[2], unit_exp=unit), al.element(alg, ent[3], unit_exp=unit)))
-        H = so.apply_linear_map(L, G)
-        so.write_pairset(H, args.out, [_config_comment(args)])
-        return 0
     else:
-        raise DlabError(f"unknown op {op!r}")
+        out = so.quotient_set(A, args.rho, args.side)
     write_dset(out, args.out, [_config_comment(args)])
     return 0
 

@@ -1,5 +1,7 @@
 """Delta-discretized sets: storage, covering numbers, non-concentration,
-neighborhoods, uniformization, and the text file format.
+neighborhoods, uniformization, and the text file format.  Cells are counted
+by one kernel on packed int64 row keys: _row_cells (each row's cell and the
+cell counts) and its counts-only form _row_counts.
 
 A DSet stores grid points of a normed division algebra inside the ball
 B(0, radix^radius_exp) at grid scale radix^-scale_exp.  Coordinates:
@@ -93,9 +95,18 @@ def _row_counts(arr: np.ndarray) -> np.ndarray:
     lexicographic row order: np.unique(arr, axis=0, return_counts=True)[1],
     counted on the row keys while they fit in int64."""
     layout = _key_layout(arr)
-    if layout is None:
-        return np.unique(arr, axis=0, return_counts=True)[1]
-    return np.unique(_row_keys(arr, *layout), return_counts=True)[1]
+    keys = arr if layout is None else _row_keys(arr, *layout)
+    return np.unique(keys, axis=None if layout else 0, return_counts=True)[1]
+
+
+def _row_cells(arr: np.ndarray):
+    """(counts, inverse) as np.unique(arr, axis=0, return_inverse=True,
+    return_counts=True) gives them, on the row keys while they fit in int64."""
+    layout = _key_layout(arr)
+    keys = arr if layout is None else _row_keys(arr, *layout)
+    _, inverse, counts = np.unique(keys, axis=None if layout else 0,
+                                   return_inverse=True, return_counts=True)
+    return counts, inverse.reshape(-1)
 
 
 def _row_mins(arr: np.ndarray, prio=None) -> np.ndarray:
@@ -160,8 +171,8 @@ class DSet:
                 and np.array_equal(self.points, other.points))
 
     def element(self, idx: int) -> Element:
-        unit = self.scale_exp if self.alg.is_real_base else self.radius_exp
-        return al.element(self.alg, tuple(int(c) for c in self.points[idx]), unit)
+        return al.element(self.alg, tuple(int(c) for c in self.points[idx]),
+                          self.unit_exp())
 
     def elements(self):
         return [self.element(i) for i in range(len(self))]
@@ -170,32 +181,44 @@ class DSet:
         return self.scale_exp if self.alg.is_real_base else self.radius_exp
 
 
+def _grid_rows(alg, rows, width: int, scale_exp: int, radius_exp: int) -> np.ndarray:
+    """rows as an int64 array of the given width, reduced mod p^(scale_exp +
+    radius_exp) on the p-adic base; ParameterRangeError past int64."""
+    mod = 1 if alg.is_real_base else alg.p ** (scale_exp + radius_exp)
+    if mod >= 2 ** 63:
+        raise ParameterRangeError(f"modulus {alg.p}^{scale_exp + radius_exp} past int64")
+    try:
+        arr = np.asarray(list(rows) if not isinstance(rows, np.ndarray) else rows,
+                         dtype=np.int64).reshape(-1, width)
+    except OverflowError:
+        raise ParameterRangeError("coordinates past int64") from None
+    return arr if alg.is_real_base else arr % mod
+
+
 def make_dset(alg, points, scale_exp=None, radius_exp=0) -> DSet:
-    if scale_exp is None:
-        scale_exp = alg.m
-    pts = np.asarray(list(points) if not isinstance(points, np.ndarray) else points,
-                     dtype=np.int64).reshape(-1, alg.d)
-    if not alg.is_real_base:
-        mod = alg.p ** (scale_exp + radius_exp)
-        pts = pts % mod
-    return DSet(alg, scale_exp, radius_exp, pts)
+    scale_exp = alg.m if scale_exp is None else scale_exp
+    return DSet(alg, scale_exp, radius_exp,
+                _grid_rows(alg, points, alg.d, scale_exp, radius_exp))
 
 
 # ---------------------------------------------------------------------------
 # covering numbers and cells
 
+def _cell_rows(alg, scale_exp, radius_exp, rows, k) -> np.ndarray:
+    """cell_ids of the grid rows of a set at (scale_exp, radius_exp)."""
+    if k < 0 or k > scale_exp:
+        raise ScaleOutOfRange(f"k={k} outside [0, {scale_exp}]")
+    if alg.is_real_base:
+        # half-open boxes; the right endpoint 2^(scale_exp + radius_exp) of
+        # the bounding ball joins the last cell by clamping
+        rows = np.where(rows == 2 ** (scale_exp + radius_exp), rows - 1, rows)
+        return rows // (2 ** (scale_exp - k))
+    return rows % alg.p ** (k + radius_exp)
+
+
 def cell_ids(A: DSet, k: int) -> np.ndarray:
     """Cell labels of every point at scale radix^-k (half-open boxes / residues)."""
-    if k < 0 or k > A.scale_exp:
-        raise ScaleOutOfRange(f"k={k} outside [0, {A.scale_exp}]")
-    if A.alg.is_real_base:
-        # half-open boxes; the right endpoint of the bounding ball joins
-        # the last cell by clamping
-        top = 2 ** (A.scale_exp + A.radius_exp)
-        pts = np.where(A.points == top, A.points - 1, A.points)
-        return pts // (2 ** (A.scale_exp - k))
-    mod = A.alg.p ** (k + A.radius_exp)
-    return A.points % mod
+    return _cell_rows(A.alg, A.scale_exp, A.radius_exp, A.points, k)
 
 
 def covering_number(A: DSet, k: int) -> int:
@@ -263,15 +286,11 @@ def is_nonconcentrated(A: DSet, s: float, C: float) -> NCReport:
     best_C = 0.0
     worst = (0, 0, n)
     if A.alg.is_real_base:
-        ball_counts = _real_ball_counts(A)
-    for k in range(0, A.scale_exp + 1):
-        if A.alg.is_real_base:
-            counts = ball_counts[k]
-        else:
-            ids = cell_ids(A, k)
-            _, inverse, cnt = np.unique(ids, axis=0, return_inverse=True,
-                                        return_counts=True)
-            counts = cnt[inverse]
+        scale_counts = _real_ball_counts(A)
+    else:   # the count of every point's cell
+        scale_counts = (np.take(*_row_cells(cell_ids(A, k)))
+                        for k in range(A.scale_exp + 1))
+    for k, counts in enumerate(scale_counts):
         i = int(np.argmax(counts))
         ratio = counts[i] * float(A.alg.radix) ** (k * s) / n
         if ratio > best_C:
@@ -303,7 +322,7 @@ def neighborhood(A: DSet, k: int) -> DSet:
         return DSet(A.alg, A.scale_exp, A.radius_exp + 1, pts)
     p = A.alg.p
     step = p ** (k + A.radius_exp)
-    reps = np.unique(A.points % step, axis=0)
+    reps = _canon_points(A.points % step, d)
     n_fill = p ** ((A.scale_exp - k) * d)
     if len(reps) * n_fill > point_budget():
         raise BudgetExceeded("neighborhood blowup", {"cells": len(reps), "fill": n_fill})
@@ -340,56 +359,39 @@ def remove_ball(A: DSet, center: Element, k: int) -> DSet:
 # ---------------------------------------------------------------------------
 # uniformization (up-the-tree pigeonholing)
 
-def _radix_class(count: int, radix: int) -> int:
-    cls = 0
-    while count >= radix:
-        count //= radix
-        cls += 1
-    return cls
+def _stage_scales(A: DSet, T: int):
+    """The stage scales scale_exp - T, scale_exp - 2T, ... and 0."""
+    scales = list(range(A.scale_exp - T, -1, -T))
+    return scales + [0] if scales and scales[-1] != 0 else scales
 
 
 def uniform_subset(A: DSet, T: int = 1) -> DSet:
     """Refine A so all nonempty cells at every stage scale carry counts in a
-    single radix-power class; keeps the heaviest class at each stage."""
+    single radix-power class; keeps the heaviest class at each stage (the
+    class of a count c is floor(log_radix c); of equal masses, the larger)."""
     if len(A) == 0:
         raise EmptyInput("cannot uniformize an empty set")
     if T < 1:
         raise ParameterRangeError("stage size T must be >= 1")
-    radix = A.alg.radix
-    keep = np.ones(len(A), dtype=bool)
-    scales = list(range(A.scale_exp - T, -1, -T))
-    if scales and scales[-1] != 0:
-        scales.append(0)
-    for k in scales:
-        idx = np.flatnonzero(keep)
-        if len(idx) == 0:
-            break
-        ids = cell_ids(DSet(A.alg, A.scale_exp, A.radius_exp, A.points[idx]), k)
-        _, inverse, counts = np.unique(ids, axis=0, return_inverse=True,
-                                       return_counts=True)
-        # class of a cell: floor(log_radix(count)), exact integer arithmetic
-        classes = np.array([_radix_class(int(c), radix) for c in counts])
-        mass = {}
-        for cls, cnt in zip(classes, counts):
-            mass[cls] = mass.get(cls, 0) + int(cnt)
-        best = max(sorted(mass), key=lambda c: (mass[c], c))
-        cell_keep = classes[inverse] == best
-        keep[idx[~cell_keep]] = False
-    return DSet(A.alg, A.scale_exp, A.radius_exp, A.points[keep])
+    powers = [A.alg.radix ** j for j in range(63) if A.alg.radix ** j < 2 ** 63]
+    idx = np.arange(len(A))
+    for k in _stage_scales(A, T):
+        counts, inverse = _row_cells(
+            _cell_rows(A.alg, A.scale_exp, A.radius_exp, A.points[idx], k))
+        classes = np.searchsorted(powers, counts, side="right")[inverse] - 1
+        mass = np.bincount(classes)
+        idx = idx[classes == len(mass) - 1 - np.argmax(mass[::-1])]
+    return DSet(A.alg, A.scale_exp, A.radius_exp, A.points[idx])
 
 
 def uniformity_audit(A: DSet, T: int = 1):
     """Max/min nonempty cell-count ratio at every stage scale; uniform sets
     satisfy ratio <= radix^T everywhere."""
-    radix = A.alg.radix
     out = {}
-    scales = list(range(A.scale_exp - T, -1, -T))
-    if scales and scales[-1] != 0:
-        scales.append(0)
-    for k in scales:
+    for k in _stage_scales(A, T):
         counts = _row_counts(cell_ids(A, k))
         out[k] = (int(counts.max()), int(counts.min()),
-                  counts.max() / counts.min() <= radix ** T)
+                  counts.max() / counts.min() <= A.alg.radix ** T)
     return out
 
 
@@ -424,11 +426,11 @@ def write_dset(A: DSet, path: str, extra_comments=()) -> None:
 
 def _read_rows(path: str, alg: AlgebraDescriptor | None, per_row: int):
     """Read a dlab file with per_row * d integers on each data row; returns
-    (alg, scale_exp, radius_exp, rows).  The algebra comes from the header
-    unless one is given; a v2 header also carries the defining polynomial of
-    a Qp_ext algebra, a v1 header leaves it at the default.  An empty file, a
-    bad header and a row that is not per_row * d integers raise
-    ParameterRangeError naming the path and line."""
+    (alg, scale_exp, radius_exp, _grid_rows).  The algebra comes from the
+    header unless one is given; a v2 header also carries the defining
+    polynomial of a Qp_ext algebra, a v1 header leaves it at the default.  An
+    empty file, a bad header, a ragged or non-integer row and values past
+    int64 raise ParameterRangeError naming the path and line."""
     with open(path) as fh:
         lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
@@ -468,9 +470,13 @@ def _read_rows(path: str, alg: AlgebraDescriptor | None, per_row: int):
             raise ParameterRangeError(
                 f"{path}:{no}: {len(row)} coordinates, expected {width}")
         rows.append(row)
-    return alg, m, rexp, rows
+    try:
+        return alg, m, rexp, _grid_rows(alg, rows, width, m, rexp)
+    except ParameterRangeError as e:
+        big = (no for no, ln in lines[1:] if not ln.startswith("#") and
+               any(not -2 ** 63 <= int(t) < 2 ** 63 for t in ln.split()))
+        raise ParameterRangeError(f"{path}:{next(big, lines[0][0])}: {e}") from None
 
 
 def read_dset(path: str, alg: AlgebraDescriptor | None = None) -> DSet:
-    alg, m, rexp, rows = _read_rows(path, alg, 1)
-    return make_dset(alg, rows, scale_exp=m, radius_exp=rexp)
+    return DSet(*_read_rows(path, alg, 1))

@@ -100,6 +100,7 @@ def additive_energy(A: DSet, B: DSet) -> int:
     if len(a) * len(b) > point_budget():
         raise BudgetExceeded("energy pair count too large",
                              {"pairs": len(a) * len(b)})
+    so._check_sum_bound("additive_energy", (a, 1), (b, 1))
     sums = (a[:, None, :] + b[None, :, :]).reshape(-1, A.alg.d)
     if not A.alg.is_real_base:
         sums %= A.alg.p ** (A.scale_exp + r)

@@ -21,6 +21,7 @@ from . import setops as so
 from . import structure as st
 from .dset import (
     DSet,
+    _cell_rows,
     _row_counts,
     covering_number,
     is_nonconcentrated,
@@ -270,16 +271,15 @@ def _exponent(count, m, radix, d):
 def measure_projection_profile(G: so.PairSet, X: DSet, exp_id="profile",
                                seed=None):
     """Covering number of the projection a + xb of G for each direction x."""
-    alg = G.alg
+    alg, m = G.alg, G.scale_exp
     out = []
     for x in sorted(X.elements(), key=lambda e: e.coords):
-        proj = so.project(x, G)
-        cnt = covering_number(proj, G.scale_exp)
+        rows, r_out = so._project_rows(x, G)
+        cnt = len(_row_counts(_cell_rows(alg, m, r_out, rows, m)))
         out.append(ExperimentRecord(
-            exp_id, _alg_label(alg), alg.p, alg.d, G.scale_exp,
-            None, None, None, "proj",
-            " ".join(map(str, x.coords)), cnt,
-            _exponent(cnt, G.scale_exp, alg.radix, alg.d), seed))
+            exp_id, _alg_label(alg), alg.p, alg.d, m, None, None, None,
+            "proj", " ".join(map(str, x.coords)), cnt,
+            _exponent(cnt, m, alg.radix, alg.d), seed))
     return out
 
 

@@ -26,6 +26,7 @@ from .dset import (
     DSet,
     _abs_max,
     _canon_points,
+    _grid_rows,
     _read_rows,
     _row_mins,
     _row_norm_sq,
@@ -80,13 +81,9 @@ class PairSet:
 
 
 def make_pairset(alg, pairs, scale_exp=None, radius_exp=0) -> PairSet:
-    if scale_exp is None:
-        scale_exp = alg.m
-    arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
-                     dtype=np.int64).reshape(-1, 2 * alg.d)
-    if not alg.is_real_base:
-        arr = arr % alg.p ** (scale_exp + radius_exp)
-    return PairSet(alg, scale_exp, radius_exp, arr)
+    scale_exp = alg.m if scale_exp is None else scale_exp
+    return PairSet(alg, scale_exp, radius_exp,
+                   _grid_rows(alg, pairs, 2 * alg.d, scale_exp, radius_exp))
 
 
 def product_pairs(A: DSet, B: DSet) -> PairSet:
@@ -120,6 +117,7 @@ def _at_radius(A, r):
     if A.alg.is_real_base or r == A.radius_exp:
         return pts
     f = A.alg.p ** (r - A.radius_exp)
+    _check_sum_bound(f"radius change {A.radius_exp} -> {r}", (pts, f))
     return pts * f
 
 
@@ -150,6 +148,17 @@ def _product_bound(alg, U, V) -> int:
     sc = alg.structure_constants
     csum = max(sum(abs(c[t]) for row in sc for c in row) for t in range(alg.d))
     return max(_abs_max(U), 1) * max(_abs_max(V), 1) * csum
+
+
+def _check_sum_bound(op: str, *terms) -> None:
+    """Raise ParameterRangeError, naming op and the operand sizes, unless
+    sum f max|X| over the terms (X, f) is below 2^63: then every sum of f x
+    over one entry x of each X fits in int64."""
+    bound = sum(f * _abs_max(X) for X, f in terms)
+    if bound >= 2 ** 63:
+        raise ParameterRangeError(
+            f"{op}: sums of operands of sizes {[len(X) for X, _ in terms]} "
+            f"reach {bound}, past int64")
 
 
 def _to_grid(alg, raw: np.ndarray, unit: int, scale_exp: int) -> np.ndarray:
@@ -207,16 +216,15 @@ def _fft_support_sum(a_pts, b_pts, cyclic_mod=None):
     """
     d = a_pts.shape[1]
     if cyclic_mod is None:
-        amin = a_pts.min(axis=0)
-        bmin = b_pts.min(axis=0)
-        ash = a_pts - amin
-        bsh = b_pts - bmin
-        shape = tuple(int(ash[:, t].max() + bsh[:, t].max() + 1) for t in range(d))
+        amin, bmin = a_pts.min(axis=0), b_pts.min(axis=0)
+        # the box in Python ints, so that no span wraps before the cap check
+        shape = tuple(int(ha) - int(la) + int(hb) - int(lb) + 1 for ha, la, hb, lb
+                      in zip(a_pts.max(axis=0), amin, b_pts.max(axis=0), bmin))
     else:
-        ash, bsh = a_pts, b_pts
         shape = (cyclic_mod,) * d
-    if int(np.prod(shape)) > FFT_CELL_CAP:
-        raise BudgetExceeded("sumset grid too large for FFT", {"cells": int(np.prod(shape))})
+    if math.prod(shape) > FFT_CELL_CAP:
+        raise BudgetExceeded("sumset grid too large for FFT", {"cells": math.prod(shape)})
+    ash, bsh = (a_pts - amin, b_pts - bmin) if cyclic_mod is None else (a_pts, b_pts)
     ga = np.zeros(shape)
     ga[tuple(ash.T)] = 1.0
     gb = np.zeros(shape)
@@ -241,6 +249,7 @@ def sumset(A: DSet, B: DSet) -> DSet:
     a = _at_radius(A, r)
     b = _at_radius(B, r)
     out_r = r + 1 if alg.is_real_base else r
+    _check_sum_bound("sumset", (a, 1), (b, 1))
     if len(a) * len(b) <= PAIRWISE_CAP:
         pts = (a[:, None, :] + b[None, :, :]).reshape(-1, alg.d)
         if not alg.is_real_base:
@@ -637,5 +646,4 @@ def write_pairset(G: PairSet, path: str, extra_comments=()) -> None:
 
 
 def read_pairset(path: str, alg: AlgebraDescriptor | None = None) -> PairSet:
-    alg, m, rexp, rows = _read_rows(path, alg, 2)
-    return make_pairset(alg, rows, scale_exp=m, radius_exp=rexp)
+    return PairSet(*_read_rows(path, alg, 2))

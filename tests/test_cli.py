@@ -4,10 +4,11 @@ import json
 
 import pytest
 
+from dlab import algebra as al
 from dlab import cli
 from dlab.dset import read_dset
 from dlab.errors import ParameterRangeError
-from dlab.setops import read_pairset
+from dlab.setops import apply_linear_map, project, read_pairset
 
 
 def run(argv, capsys=None):
@@ -91,11 +92,16 @@ HEADER = "#dlab v1 base=R p=- d=2 m=5 Rexp=0\n"
     ("#dlab v2 base=Qp p=3 d=2 m=4 Rexp=0 poly=2,1\n1 2\n", ":1: bad dlab header"),
     ("#dlab v2 base=Qp p=3 d=2 m=4 Rexp=0 poly=0,0,1\n1 2\n", ":1: bad dlab header"),
     ("#dlab v2 base=Qp p=3 d=2 m=4 Rexp=0 poly=2,1,2\n1 2\n", ":1: bad dlab header"),
+    (HEADER + "1 2\n# note\n3 9223372036854775808\n", ":4: coordinates past int64"),
+    (HEADER + "-9223372036854775809 0\n", ":2: coordinates past int64"),
+    ("#dlab v1 base=Qp p=2 d=1 m=63 Rexp=0\n1\n", ":1: modulus 2^63 past"),
+    ("#dlab v1 base=Qp p=2 d=1 m=60 Rexp=3\n1\n", ":1: modulus 2^63 past"),
 ])
 def test_malformed_dset_file_exit_2(tmp_path, capsys, text, where):
     """An empty file, a bad header (a poly= that is not an integer list, has
-    the wrong degree, is reducible or is not monic) and a ragged or
-    non-integer row exit 2 with a message naming the path and the line."""
+    the wrong degree, is reducible or is not monic), a ragged or non-integer
+    row, a coordinate past int64 and a p-adic modulus past int64 exit 2 with
+    a message naming the path and the line."""
     a = tmp_path / "a.dset"
     a.write_text(text)
     code = cli.main(["cover", "--in", str(a), "--k", "1"])
@@ -170,3 +176,38 @@ def test_expand_writes_csv(tmp_path):
         assert "exp_id" in out.read_text()
     else:
         assert code in (2, 3)  # trapped or over budget is a clean failure
+
+
+def test_gen_past_int64_modulus_exit_2(tmp_path, capsys):
+    """A Qp p=2 m=63 set cannot be held in int64: exit 2, no traceback."""
+    code = cli.main(["gen", "--alg", "Qp", "--p", "2", "--m", "63", "--s", "0.1",
+                     "--out", str(tmp_path / "a.dset")])
+    assert code == 2
+    assert "modulus 2^63 past int64" in capsys.readouterr().err
+
+
+def test_op_proj_reads_pair_file(tmp_path):
+    g, x, out = tmp_path / "g.pairs", tmp_path / "x.dset", tmp_path / "p.dset"
+    cli.main(["counterexample", "--which", "1", "--m", "4",
+              "--out-g", str(g), "--out-x", str(x)])
+    assert cli.main(["op", "--op", "proj", "--in", str(g), "--x", "3,-5",
+                     "--out", str(out)]) == 0
+    G = read_pairset(str(g))
+    assert read_dset(str(out)) == project(al.element(G.alg, (3, -5), 4), G)
+
+
+@pytest.mark.parametrize("which,m", [("1", 3), ("2", 2)])
+def test_op_linmap_identity_writes_pairs_back(tmp_path, which, m):
+    g, out = tmp_path / "g.pairs", tmp_path / "h.pairs"
+    cli.main(["counterexample", "--which", which, "--m", str(m),
+              "--out-g", str(g), "--out-x", str(tmp_path / "x.dset")])
+    one = f"{2 ** m},0"
+    assert cli.main(["op", "--op", "linmap", "--in", str(g), "--matrix",
+                     f"{one}/0,0;0,0/{one}", "--out", str(out)]) == 0
+    G, H = read_pairset(str(g)), read_pairset(str(out))
+    assert H.radius_exp == G.radius_exp + 2
+    assert (H.alg, H.scale_exp) == (G.alg, G.scale_exp)
+    assert H.pairs.tolist() == G.pairs.tolist()
+    one_e = al.element(G.alg, (2 ** m, 0), m)
+    zero = al.element(G.alg, (0, 0), m)
+    assert H == apply_linear_map(((one_e, zero), (zero, one_e)), G)

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from dlab import algebra as al
@@ -12,9 +12,11 @@ from dlab.dset import (
     DSet,
     _canon_points,
     _real_ball_counts,
+    _row_cells,
     _row_counts,
     _row_mins,
     _row_norm_sq,
+    cell_ids,
     covering_number,
     is_nonconcentrated,
     make_dset,
@@ -286,14 +288,28 @@ def test_canon_points_equals_np_unique(d, bound, data):
        hst.sampled_from([1, 3, 2 ** 10, 2 ** 62]),
        hst.data())
 def test_row_counts_equal_np_unique(d, bound, data):
-    """Row multiplicities from packed keys equal np.unique's, including
-    spans past 2^63 (bound 2^62 with d >= 2) and the empty array."""
+    """Row multiplicities (_row_counts) and multiplicities with the inverse
+    (_row_cells) from packed keys equal np.unique's, including spans past
+    2^63 (bound 2^62 with d >= 2) and the empty array."""
     rows = data.draw(hst.lists(hst.lists(hst.integers(-bound, bound), min_size=d,
                                          max_size=d), min_size=0, max_size=30))
     arr = np.array(rows, dtype=np.int64).reshape(-1, d)
     arr = np.vstack([arr, arr[: data.draw(hst.integers(0, len(arr)))]])
-    want = np.unique(arr, axis=0, return_counts=True)[1]
+    _, inverse, want = np.unique(arr, axis=0, return_inverse=True,
+                                 return_counts=True)
     assert np.array_equal(_row_counts(arr), want)
+    counts, inv = _row_cells(arr)
+    assert np.array_equal(counts, want)
+    assert inv.tolist() == inverse.reshape(-1).tolist()
+
+
+def test_row_cells_fallback_and_empty():
+    wide = np.array([[-2 ** 62, 1], [2 ** 62, 0], [5, 5], [-2 ** 62, 1]],
+                    dtype=np.int64)
+    counts, inverse = _row_cells(wide)
+    assert counts.tolist() == [2, 1, 1] and inverse.tolist() == [0, 2, 1, 0]
+    counts, inverse = _row_cells(np.zeros((0, 3), dtype=np.int64))
+    assert counts.shape == (0,) and inverse.shape == (0,)
 
 
 def test_canon_points_fallback_and_single_row():
@@ -409,3 +425,90 @@ def test_all_scale_ball_counts_fallback_near_int64_edge():
     counts = _real_ball_counts(A)
     for k in range(A.scale_exp + 1):
         assert np.array_equal(counts[k], _ball_counts_per_k(A, k))
+
+
+# --- uniformization and p-adic non-concentration against their loops -------
+
+def _radix_class(count, radix):
+    """floor(log_radix(count)) by repeated division."""
+    cls = 0
+    while count >= radix:
+        count //= radix
+        cls += 1
+    return cls
+
+
+def _uniform_subset_loop(A, T):
+    """uniform_subset as a per-stage DSet, np.unique(axis=0) and a class dict:
+    heaviest class mass, ties to the larger class."""
+    keep = np.ones(len(A), dtype=bool)
+    scales = list(range(A.scale_exp - T, -1, -T))
+    if scales and scales[-1] != 0:
+        scales.append(0)
+    for k in scales:
+        idx = np.flatnonzero(keep)
+        ids = cell_ids(DSet(A.alg, A.scale_exp, A.radius_exp, A.points[idx]), k)
+        _, inverse, counts = np.unique(ids, axis=0, return_inverse=True,
+                                       return_counts=True)
+        classes = np.array([_radix_class(int(c), A.alg.radix) for c in counts])
+        mass = {}
+        for cls, cnt in zip(classes, counts):
+            mass[cls] = mass.get(cls, 0) + int(cnt)
+        best = max(sorted(mass), key=lambda c: (mass[c], c))
+        keep[idx[classes[inverse.reshape(-1)] != best]] = False
+    return A.points[keep]
+
+
+def _nc_loop(A, s, C):
+    """is_nonconcentrated's scan with per-scale counts: the per-k ball loop
+    (real base) or np.unique(axis=0) cells (p-adic base)."""
+    n, best_C, worst = len(A), 0.0, (0, 0, len(A))
+    for k in range(A.scale_exp + 1):
+        if A.alg.is_real_base:
+            counts = _ball_counts_per_k(A, k)
+        else:
+            _, inverse, cnt = np.unique(cell_ids(A, k), axis=0, return_inverse=True,
+                                        return_counts=True)
+            counts = cnt[inverse.reshape(-1)]
+        i = int(np.argmax(counts))
+        ratio = counts[i] * float(A.alg.radix) ** (k * s) / n
+        if ratio > best_C:
+            best_C, worst = ratio, (i, k, int(counts[i]))
+    i, k, cnt = worst
+    return (best_C <= C, tuple(int(v) for v in A.points[i]), k, cnt, best_C)
+
+
+_CELL_ALGS = [("R", None, 1), ("C", None, 1), ("H", None, 1), ("Qp", 2, 1),
+              ("Qp", 3, 1), ("Qp", 5, 1), ("Qp_ext", 3, 2)]
+
+
+def _cell_set(spec, scale, radius, grid, rows):
+    """A set of the given spec from raw rows: real-base coordinates are
+    multiples of `grid` clamped into the ball of radius 2^radius, so that
+    the right endpoint 2^(scale + radius) of the bounding ball occurs."""
+    kind, p, d = spec
+    alg = al.make_algebra(kind, m=scale) if p is None else \
+        al.make_algebra(kind, p=p, d=d, m=scale)
+    arr = np.array(rows, dtype=np.int64)[:, :alg.d]
+    if alg.is_real_base:
+        top = 2 ** (scale + radius)
+        arr = np.clip(arr * grid, -top, top)
+    return make_dset(alg, arr, scale_exp=scale, radius_exp=radius)
+
+
+@settings(max_examples=120, deadline=None)
+@given(hst.sampled_from(_CELL_ALGS), hst.integers(2, 5), hst.sampled_from([0, 1]),
+       hst.sampled_from([1, 2, 3]), hst.sampled_from([1, 3, 8]),
+       hst.lists(hst.lists(hst.integers(-70, 70), min_size=4, max_size=4),
+                 min_size=1, max_size=60),
+       hst.sampled_from([0.4, 1.0, 1.7]))
+# R: cells at k=1 of counts 2 and 1, 1 (class masses 2 and 2, a tie), with
+# the point 2^4 on the top boundary
+@example(("R", None, 1), 3, 1, 1, 1, [[0] * 4, [1] * 4, [8] * 4, [16] * 4], 1.0)
+@example(("Qp", 2, 1), 3, 0, 1, 1, [[0] * 4, [4] * 4, [1] * 4, [3] * 4], 0.4)
+def test_uniform_subset_and_nc_equal_loops(spec, scale, radius, T, grid, rows, s):
+    A = _cell_set(spec, scale, radius, grid, rows)
+    assert np.array_equal(uniform_subset(A, T).points, _uniform_subset_loop(A, T))
+    rep = is_nonconcentrated(A, s, 4)
+    assert (rep.passed, rep.worst_center, rep.worst_radius_exp, rep.worst_count,
+            rep.best_C) == _nc_loop(A, s, 4)

@@ -52,6 +52,19 @@ def test_energy_cauchy_schwarz_identity(pts):
     assert E * len(so.sumset(A, A)) >= len(A) ** 4
 
 
+def test_energy_past_int64_raises():
+    """2^62 + 2^62 and -2^62 - 2^62 both wrap to -2^63 in int64, which
+    counted two extra quadruples (17 against 15): the energy raises."""
+    R = al.make_algebra("R", m=62)
+    A = make_dset(R, [(2 ** 62,), (2 ** 62 - 1,), (-2 ** 62,)])
+    with pytest.raises(ParameterRangeError, match=r"additive_energy: .*\[3, 3\]"):
+        en.additive_energy(A, A)
+    vals = (2 ** 62 - 1, 2 ** 62 - 2, 1 - 2 ** 62)
+    B = make_dset(R, [(v,) for v in vals])
+    brute = sum(a + b == c + e for a, b, c, e in itertools.product(vals, repeat=4))
+    assert en.additive_energy(B, B) == brute
+
+
 def test_energy_padic_mod_grid():
     Q3 = al.make_algebra("Qp", p=3, m=2)
     A = make_dset(Q3, [(i,) for i in range(9)])  # full group Z/9

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from dlab import algebra as al
@@ -166,6 +166,39 @@ def test_projection_profile_matches_direct_composition():
         x = al.element(C, tuple(int(t) for t in rec.x_coords.split()))
         direct = so.sumset(A, so.scalar_image(x, B, "Left"))
         assert rec.count == covering_number(direct, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.sampled_from([("R", None, 1), ("C", None, 1), ("H", None, 1),
+                         ("Qp", 3, 1), ("Qp_ext", 3, 2)]),
+       hst.integers(2, 4), hst.sampled_from([0, 1]),
+       hst.lists(hst.lists(hst.integers(-40, 40), min_size=8, max_size=8),
+                 min_size=0, max_size=30),
+       hst.lists(hst.lists(hst.integers(-20, 20), min_size=4, max_size=4),
+                 min_size=1, max_size=4))
+# R: a = b = 2^m and x = 1 put a + xb on the top boundary 2^(m + r_out),
+# which shares the last cell with a + xb = 2^(m + r_out) - 1
+@example(("R", None, 1), 3, 0, [[8] * 8, [7] * 4 + [8] * 4, [-8] * 8, [3] * 8],
+         [[8] * 4])
+def test_projection_profile_equals_covering_of_project(spec, m, radius, pairs, xs):
+    """The profile counts cells of the projected rows; it must equal the
+    covering number of the projection DSet in every direction."""
+    kind, p, d = spec
+    alg = al.make_algebra(kind, m=m) if p is None else \
+        al.make_algebra(kind, p=p, d=d, m=m)
+    d = alg.d
+    rows = np.array(pairs, dtype=np.int64).reshape(-1, 8)
+    rows = np.hstack([rows[:, :d], rows[:, 4:4 + d]])
+    if alg.is_real_base:
+        rows = np.clip(rows, -2 ** (m + radius), 2 ** (m + radius))
+    G = so.make_pairset(alg, rows, scale_exp=m, radius_exp=radius)
+    X = make_dset(alg, np.array(xs, dtype=np.int64)[:, :d], scale_exp=m)
+    recs = lab.measure_projection_profile(G, X)
+    xs_sorted = sorted(X.elements(), key=lambda e: e.coords)
+    assert [r.x_coords for r in recs] == [" ".join(map(str, x.coords))
+                                          for x in xs_sorted]
+    assert [r.count for r in recs] == [covering_number(so.project(x, G), m)
+                                       for x in xs_sorted]
 
 
 def test_run_expansion_trapped_input():

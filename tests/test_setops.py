@@ -98,6 +98,52 @@ def test_sumset_at_least_max_padic(p1, p2):
     assert len(so.sumset(A, B)) >= max(len(A), len(B))
 
 
+def test_sumset_past_int64_raises():
+    """2^62 + 2^62 does not fit in int64: the pairwise branch, the FFT branch
+    (more than PAIRWISE_CAP pairs) and difference_set raise instead of
+    wrapping; one less fits and is exact."""
+    R = al.make_algebra("R", m=62)
+    A = make_dset(R, [(2 ** 62 - 1,), (2 ** 62,)])
+    with pytest.raises(ParameterRangeError, match=r"sumset: .*sizes \[2, 2\]"):
+        so.sumset(A, A)
+    with pytest.raises(ParameterRangeError, match="sumset"):
+        so.difference_set(A, so.negate(A))
+    wide = make_dset(R, [(2 ** 62 - i,) for i in range(2001)])
+    with pytest.raises(ParameterRangeError, match=r"sizes \[2001, 2001\]"):
+        so.sumset(wide, wide)
+    B = make_dset(R, [(2 ** 62 - 1,), (2 ** 62 - 2,), (1 - 2 ** 62,)])
+    S = so.sumset(B, B)
+    assert sorted(int(v) for v in S.points[:, 0]) == sorted(
+        {a + b for a in (2 ** 62 - 1, 2 ** 62 - 2, 1 - 2 ** 62)
+         for b in (2 ** 62 - 1, 2 ** 62 - 2, 1 - 2 ** 62)})
+
+
+def test_sumset_radius_change_past_int64_raises():
+    """Re-expressing a p-adic set at a larger radius multiplies by p^k; a
+    product past int64 raises (sets built directly, as make_dset refuses
+    the modulus p^(m + r) past int64)."""
+    Q2 = al.make_algebra("Qp", p=2, m=40)
+    A = DSet(Q2, 40, 0, np.array([[2 ** 40 - 1]], dtype=np.int64))
+    B = DSet(Q2, 40, 30, np.array([[1]], dtype=np.int64))
+    with pytest.raises(ParameterRangeError, match="radius change 0 -> 30"):
+        so.sumset(A, B)
+
+
+def test_construction_past_int64_raises():
+    Q2 = al.make_algebra("Qp", p=2, m=63)
+    with pytest.raises(ParameterRangeError, match="modulus 2\\^63"):
+        make_dset(Q2, [(1,)])
+    with pytest.raises(ParameterRangeError, match="modulus 2\\^63"):
+        so.make_pairset(Q2, [(1, 1)])
+    with pytest.raises(ParameterRangeError, match="modulus 2\\^63"):
+        make_dset(al.make_algebra("Qp", p=2, m=60), [(1,)], radius_exp=3)
+    R = al.make_algebra("R", m=4)
+    with pytest.raises(ParameterRangeError, match="coordinates past int64"):
+        make_dset(R, [(2 ** 63,)])
+    with pytest.raises(ParameterRangeError, match="coordinates past int64"):
+        so.make_pairset(R, [(0, -2 ** 63 - 1)])
+
+
 # --- products ---------------------------------------------------------------
 
 def test_product_with_one():
