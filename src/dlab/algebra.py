@@ -62,6 +62,12 @@ def vp(n: int, p: int) -> int:
     return v
 
 
+def vq(q, p: int):
+    """p-adic valuation of a rational (int or Fraction); None for 0."""
+    q = Fraction(q)
+    return None if q == 0 else vp(q.numerator, p) - vp(q.denominator, p)
+
+
 def round_half_away(num: int, den: int) -> int:
     """Round num/den to the nearest integer, halves away from zero."""
     if den <= 0:
@@ -366,9 +372,14 @@ def basis_element(alg: AlgebraDescriptor, j: int) -> Element:
     return element(alg, tuple(unit if i == j else 0 for i in range(alg.d)))
 
 
+def _units_to_values(alg, row, unit_exp):
+    """Exact rational values of integer coordinates in units radix^-unit_exp."""
+    return tuple(Fraction(int(c), alg.radix ** unit_exp) for c in row)
+
+
 def value_coords(alg: AlgebraDescriptor, x: Element):
     """Exact rational coordinates of x in the standard basis."""
-    return tuple(Fraction(c, alg.radix ** x.unit_exp) for c in x.coords)
+    return _units_to_values(alg, x.coords, x.unit_exp)
 
 
 def _value_to_grid(alg, vals, scale_exp, radius_exp):
@@ -599,8 +610,5 @@ def det_basis(alg: AlgebraDescriptor, vs):
     det = det_fraction(mat)
     if alg.is_real_base:
         return det
-    if det == 0:
-        return Fraction(0)
-    v = vp(det.numerator, alg.p) - vp(det.denominator, alg.p)
-    return Fraction(1, alg.p ** v) if v >= 0 else Fraction(alg.p ** (-v))
+    return Fraction(0) if det == 0 else Fraction(alg.p) ** -vq(det, alg.p)
 

@@ -1,7 +1,9 @@
 """Delta-discretized sets: storage, covering numbers, non-concentration,
 neighborhoods, uniformization, and the text file format.  Cells are counted
 by one kernel on packed int64 row keys: _row_cells (each row's cell and the
-cell counts) and its counts-only form _row_counts.
+cell counts) and its counts-only form _row_counts.  The same keys give the
+row-membership lookup _row_lookup of the counting engines and of the
+dense/sparse dichotomy.
 
 A DSet stores grid points of a normed division algebra inside the ball
 B(0, radix^radius_exp) at grid scale radix^-scale_exp.  Coordinates:
@@ -14,6 +16,7 @@ B(0, radix^radius_exp) at grid scale radix^-scale_exp.  Coordinates:
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import os
@@ -133,6 +136,44 @@ def _row_mins(arr: np.ndarray, prio=None) -> np.ndarray:
     fresh[:1] = True
     np.not_equal(key[1:], key[:-1], out=fresh[1:])
     return order[fresh]
+
+
+def _row_lookup(rows: np.ndarray):
+    """A function taking an array T of rows (int64, or Python ints in an
+    object array) to the multiplicity in `rows` of each row of T.
+
+    A row of T outside the column ranges of `rows` counts 0.  The others are
+    found with np.searchsorted among the sorted unique row keys of `rows`
+    (_row_keys over those ranges), or, when the keys would not fit in int64,
+    labelled together with the distinct rows by np.unique(axis=0)."""
+    if len(rows) == 0:
+        return lambda T: np.zeros(len(T), dtype=np.int64)
+    lo, hi = rows.min(axis=0), rows.max(axis=0)
+    layout = _key_layout(rows)
+    if layout is None:
+        rows, counts = np.unique(rows, axis=0, return_counts=True)
+
+        def find(T):
+            _, inv = np.unique(np.concatenate([rows, T]), axis=0,
+                               return_inverse=True)
+            inv = inv.reshape(-1)
+            table = np.zeros(len(inv), dtype=np.int64)
+            table[inv[:len(rows)]] = counts
+            return table[inv[len(rows):]]
+    else:
+        keys, counts = np.unique(_row_keys(rows, *layout), return_counts=True)
+
+        def find(T):
+            key = _row_keys(T, *layout)
+            pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+            return np.where(keys[pos] == key, counts[pos], 0)
+
+    def lookup(T):
+        out = np.zeros(len(T), dtype=np.int64)
+        inside = np.flatnonzero(np.all((T >= lo) & (T <= hi), axis=1))
+        out[inside] = find(T[inside].astype(np.int64, copy=False))
+        return out
+    return lookup
 
 
 def _abs_max(arr) -> int:
@@ -417,6 +458,19 @@ def _write_rows(path: str, alg: AlgebraDescriptor, scale_exp: int,
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+    os.replace(tmp, path)
+
+
+def _write_csv(path: str, fieldnames, rows, comment: str | None = None) -> None:
+    """Write dict rows as CSV with a header line, after an optional
+    '# comment' line; like _write_rows, through a .tmp file and os.replace."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        w = csv.DictWriter(fh, fieldnames=list(fieldnames))
+        w.writeheader()
+        w.writerows(rows)
     os.replace(tmp, path)
 
 

@@ -12,12 +12,12 @@ dset._canon_points):
 * additive energy sums the squared multiplicities of the pairwise sums
   a + b, counted on their row keys (dset._row_counts);
 * the quintuple count keeps the n^2 differences a - c of A as sorted keys
-  with their counts.  For each x, the targets -(xb + xd) of every (b, d),
-  shifted by each of the 3^d neighbour offsets (one offset on the p-adic
-  base), are packed the same way and counted with np.searchsorted; the
-  counts add up in an n x n matrix over (b, d).  The near/far split at
-  |b - d| = radix^-rho depends on (b, d) alone and is one exact boolean
-  mask over that matrix;
+  with their counts (dset._row_lookup, shared with the dichotomy scan).
+  For each x, the targets -(xb + xd) of every (b, d), shifted by each of
+  the 3^d neighbour offsets (one offset on the p-adic base), are packed
+  the same way and counted with np.searchsorted; the counts add up in an
+  n x n matrix over (b, d).  The near/far split at |b - d| = radix^-rho
+  depends on (b, d) alone and is one exact boolean mask over that matrix;
 * the quadruple count forms the grid rows of (a1 - a2) q and (a3 - a4) p
   for all n^2 differences and looks up, for each of the first and each
   neighbour offset, the second rows that cancel it.  On the p-adic base
@@ -40,10 +40,10 @@ from . import algebra as al
 from . import setops as so
 from .dset import (
     DSet,
-    _key_layout,
     _row_counts,
-    _row_keys,
+    _row_lookup,
     _row_norm_sq,
+    _write_csv,
     covering_number,
     point_budget,
 )
@@ -111,49 +111,15 @@ def additive_energy(A: DSet, B: DSet) -> int:
 # differences and row lookups
 
 def _diffs(A: DSet) -> np.ndarray:
-    """All n^2 coordinate differences a - a' as rows, reduced mod p^(m+r) on
-    the p-adic base."""
+    """All n^2 differences a - a' as rows, reduced mod p^(m+r) on the p-adic
+    base; ParameterRangeError past int64 (only real rows can get there)."""
     alg = A.alg
+    if alg.is_real_base:
+        so._check_sum_bound("_diffs", (A.points, 2))
     diffs = (A.points[:, None, :] - A.points[None, :, :]).reshape(-1, alg.d)
     if not alg.is_real_base:
         diffs %= alg.p ** (A.scale_exp + A.radius_exp)
     return diffs
-
-
-def _row_lookup(rows: np.ndarray):
-    """A function taking an int64 array T of rows to the multiplicity in
-    `rows` of each row of T.
-
-    The rows are kept as sorted unique row keys (dset._row_keys over their
-    column ranges) with their counts.  A row of T outside those ranges
-    counts 0; the others are found with np.searchsorted.  When the keys
-    would not fit in int64 (or `rows` is empty), each T is labelled together
-    with the distinct rows by np.unique(axis=0) instead."""
-    layout = _key_layout(rows)
-    if layout is None:
-        rows, counts = np.unique(rows, axis=0, return_counts=True)
-
-        def lookup(T):
-            _, inv = np.unique(np.concatenate([rows, T]), axis=0,
-                               return_inverse=True)
-            inv = inv.reshape(-1)
-            table = np.zeros(len(inv), dtype=np.int64)
-            table[inv[:len(rows)]] = counts
-            return table[inv[len(rows):]]
-        return lookup
-    lo, spans = layout
-    hi = rows.max(axis=0)
-    keys, counts = np.unique(_row_keys(rows, lo, spans), return_counts=True)
-
-    def lookup(T):
-        out = np.zeros(len(T), dtype=np.int64)
-        inside = np.flatnonzero(np.all((T >= lo) & (T <= hi), axis=1))
-        key = _row_keys(T[inside], lo, spans)
-        pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-        hit = keys[pos] == key
-        out[inside[hit]] = counts[pos[hit]]
-        return out
-    return lookup
 
 
 def _near_mask(A: DSet, B: np.ndarray, rho_exp: int) -> np.ndarray:
@@ -210,6 +176,8 @@ def quintuple_count_tv(A: DSet, X: DSet, rho_exp: int,
     mod = None if alg.is_real_base else alg.p ** (A.scale_exp + A.radius_exp)
     products = [so._scalar_rows(alg, x, A.points, A.unit_exp(), A.scale_exp, "Left")
                 for x in X.elements()]
+    for R in products:
+        so._check_sum_bound("quintuple_count_tv targets", (R, 2), (offsets, 1))
     lookup = _row_lookup(_diffs(A))
     near_count = far_count = 0
     step = max(1, point_budget() // max(n, 1))
@@ -431,12 +399,4 @@ def energy_cs_row(A: DSet) -> dict:
 
 
 def write_ledger_csv(rows, path: str) -> None:
-    import csv
-    import os
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["instance", "lhs", "rhs", "slack"])
-        w.writeheader()
-        for r in rows:
-            w.writerow(r)
-    os.replace(tmp, path)
+    _write_csv(path, ["instance", "lhs", "rhs", "slack"], rows)

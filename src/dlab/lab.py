@@ -7,9 +7,7 @@ are reported against delta = radix^-m explicitly rather than asymptotically.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +21,7 @@ from .dset import (
     DSet,
     _cell_rows,
     _row_counts,
+    _write_csv,
     covering_number,
     is_nonconcentrated,
     make_dset,
@@ -244,15 +243,8 @@ class ExperimentRecord:
 
 
 def write_records_csv(records, path: str, header_comment: str | None = None):
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        w = csv.DictWriter(fh, fieldnames=list(ExperimentRecord.FIELDS))
-        w.writeheader()
-        for r in records:
-            w.writerow(r.row())
-    os.replace(tmp, path)
+    _write_csv(path, ExperimentRecord.FIELDS, (r.row() for r in records),
+               header_comment)
 
 
 def _alg_label(alg):

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import algebra as al
-from .algebra import AlgebraDescriptor, Element, _value_to_grid
+from .algebra import AlgebraDescriptor, Element, _units_to_values, _value_to_grid
 from .dset import (
     DSet,
     _abs_max,
@@ -417,11 +417,7 @@ def _value_norm_gt(alg, vals, rho_exp) -> bool:
     if alg.is_real_base:
         s = sum(v * v for v in vals)
         return s > Fraction(1, 4 ** rho_exp)
-    if all(v == 0 for v in vals):
-        return False
-    p = alg.p
-    vmin = min(al.vp(v.numerator, p) - al.vp(v.denominator, p) for v in vals if v != 0)
-    return vmin < rho_exp
+    return min((al.vq(v, alg.p) for v in vals if v != 0), default=rho_exp) < rho_exp
 
 
 def quotient_set(A: DSet, rho_exp: int, side: str = "Left",
@@ -574,14 +570,9 @@ def _check_invertible(alg, L):
     if det == 0:
         raise SingularMap("linear map is singular")
     floor_exp = alg.m // 2
-    if alg.is_real_base:
-        if abs(det) < Fraction(1, 2 ** floor_exp):
-            raise SingularMap("determinant below the invertibility floor")
-    else:
-        p = alg.p
-        v = al.vp(det.numerator, p) - al.vp(det.denominator, p)
-        if v > floor_exp:
-            raise SingularMap("determinant below the invertibility floor")
+    if (abs(det) < Fraction(1, 2 ** floor_exp) if alg.is_real_base
+            else al.vq(det, alg.p) > floor_exp):
+        raise SingularMap("determinant below the invertibility floor")
     return det
 
 
@@ -628,10 +619,6 @@ def apply_dual(L, X: DSet) -> DSet:
         mapped = mul_value_coords(alg, _inv_of_value(alg, w1), w2)
         rows.append(_value_to_grid(alg, mapped, X.scale_exp, r_out))
     return DSet(alg, X.scale_exp, r_out, np.array(rows, dtype=np.int64))
-
-
-def _units_to_values(alg, row, unit_exp):
-    return tuple(Fraction(int(c), alg.radix ** unit_exp) for c in row)
 
 
 def _vec_add(u, v):

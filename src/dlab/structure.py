@@ -14,9 +14,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import algebra as al
+from . import setops as so
 from .algebra import AlgebraDescriptor, Element
-from .dset import DSet, point_budget
+from .dset import DSet, _abs_max, _row_lookup, point_budget
 from .errors import (
     BudgetExceeded,
     NotRealBase,
@@ -68,20 +71,10 @@ def _imaginary_net(net_exp: int):
     return out
 
 
-def _gf_mul(alg, a, b):
-    """Product in the residue field F_p[x]/f via the structure constants."""
-    return tuple(c % alg.p for c in al._vec_mul(alg, a, b))
-
-
 def _gf_pow(alg, a, e):
-    r = tuple([1] + [0] * (alg.d - 1))
-    base = a
-    while e:
-        if e & 1:
-            r = _gf_mul(alg, r, base)
-        base = _gf_mul(alg, base, base)
-        e >>= 1
-    return r
+    """a^e in the residue field F_p[x]/poly, as a d-tuple."""
+    r = al._poly_powmod(list(a), e, list(alg.poly), alg.p)
+    return tuple(r) + (0,) * (alg.d - len(r))
 
 
 def _prime_factors(n: int) -> list:
@@ -184,12 +177,6 @@ def _real_dist_sq(alg, vals, basis) -> Fraction:
     return sum((vals[t] - proj[t]) ** 2 for t in range(alg.d))
 
 
-def _padic_val_of_fraction(p, v: Fraction):
-    if v == 0:
-        return None
-    return al.vp(v.numerator, p) - al.vp(v.denominator, p)
-
-
 def _padic_isometry_data(alg, basis):
     """Complete the basis to a mod-p invertible matrix with standard vectors;
     returns (matrix columns as Fractions, number of span columns)."""
@@ -228,23 +215,15 @@ def _padic_isometry_data(alg, basis):
 
 def _padic_dist(alg, vals, basis) -> Fraction:
     """Exact p-adic distance to the Q_p-span (0 for membership at full
-    rational precision)."""
-    p = alg.p
-    if not basis:
-        vs = [v for v in vals if v != 0]
-        if not vs:
-            return Fraction(0)
-        kmin = min(_padic_val_of_fraction(p, v) for v in vs)
-        return Fraction(p) ** (-kmin)
-    cols = _padic_isometry_data(alg, basis)
-    d = alg.d
-    mat = [[cols[j][i] for j in range(d)] for i in range(d)]
-    sol = al._solve_fraction(mat, list(vals))
-    tail = [sol[j] for j in range(len(basis), d) if sol[j] != 0]
-    if not tail:
-        return Fraction(0)
-    kmin = min(_padic_val_of_fraction(p, v) for v in tail)
-    return Fraction(p) ** (-kmin)
+    rational precision): the largest p^-v_p over the coordinates of vals
+    (no basis) or over its coordinates on the columns completing the basis
+    (_padic_isometry_data)."""
+    if basis:
+        cols = _padic_isometry_data(alg, basis)
+        mat = [[cols[j][i] for j in range(alg.d)] for i in range(alg.d)]
+        vals = al._solve_fraction(mat, list(vals))[len(basis):]
+    kmin = min((al.vq(v, alg.p) for v in vals if v != 0), default=None)
+    return Fraction(0) if kmin is None else Fraction(alg.p) ** -kmin
 
 
 def distance_sq_or_exact(alg, a: Element, member: SubAlgebra):
@@ -378,7 +357,6 @@ def escape_basis(A: DSet, floor) -> list:
         best_key = None
         for cand in pool:
             vals = al.value_coords(alg, cand)
-            mem = SubAlgebra("span", tuple(chosen_vals))
             score = (_real_dist_sq(alg, vals, chosen_vals) if alg.is_real_base
                      else _padic_dist(alg, vals, chosen_vals))
             key = (score, tuple(-abs(v) for v in vals))
@@ -402,38 +380,23 @@ def escape_basis(A: DSet, floor) -> list:
 # ---------------------------------------------------------------------------
 # halving / translate maps
 
-def basis_coordinates(alg, v: list, x: Element):
-    """Coordinates of x relative to the basis v, as exact Fractions."""
-    d = alg.d
-    mat = [[al.value_coords(alg, v[j])[i] for j in range(d)] for i in range(d)]
-    sol = al._solve_fraction(mat, list(al.value_coords(alg, x)))
-    if sol is None:
-        raise ParameterRangeError("v is not a basis")
-    return tuple(sol)
-
-
 def halving_map(alg, v: list, ibits, x: Element) -> Element:
-    """f_i(x) = sum_j ((x_j + i_j)/2) v_j in coordinates relative to v."""
+    """f_i(x) = sum_j ((x_j + i_j)/2) v_j in coordinates relative to the
+    basis v, that is (x + sum_{i_j=1} v_j) / 2, snapped to the grid."""
     if not alg.is_real_base:
         raise NotRealBase("halving maps require the real base")
-    xc = basis_coordinates(alg, v, x)
-    vals = [Fraction(0)] * alg.d
-    for j in range(alg.d):
-        w = (xc[j] + ibits[j]) / 2
-        bv = al.value_coords(alg, v[j])
-        for t in range(alg.d):
-            vals[t] += w * bv[t]
-    return al.from_value_coords(alg, vals)
+    if len(v) != alg.d or al.det_basis(alg, v) == 0:
+        raise ParameterRangeError("v is not a basis")
+    img, _ = _halving_value(alg, v, ibits, al.value_coords(alg, x))
+    return al.from_value_coords(alg, img)
 
 
 def _halving_value(alg, v, ibits, xvals):
     """f_i on exact value coordinates: (x + sum_{i_j=1} v_j) / 2."""
-    shift = [Fraction(0)] * alg.d
+    shift = (Fraction(0),) * alg.d
     for j, b in enumerate(ibits):
         if b:
-            bv = al.value_coords(alg, v[j])
-            for t in range(alg.d):
-                shift[t] += bv[t]
+            shift = so._vec_add(shift, al.value_coords(alg, v[j]))
     return tuple((x + s) / 2 for x, s in zip(xvals, shift)), shift
 
 
@@ -453,45 +416,59 @@ class DichotomyOutcome:
                            "dense_audit": self.dense_audit}, default=str)
 
 
-def _q_value(alg, coords, scale_exp, radius_exp):
-    unit = scale_exp if alg.is_real_base else radius_exp
-    return tuple(Fraction(int(c), alg.radix ** unit) for c in coords)
+def _image_dtype(Q: DSet, bound: int):
+    """int64 when image rows of absolute value <= bound, the candidates
+    _near_rows derives from them and its p-adic residue products all fit in
+    int64; object (Python ints) otherwise."""
+    mod = 1 if Q.alg.is_real_base else Q.alg.p ** (Q.scale_exp + Q.radius_exp)
+    return np.int64 if bound + 2 < 2 ** 63 and (mod - 1) ** 2 < 2 ** 63 else object
 
 
-def _near_q_real(Qset, scale_exp, yvals):
-    """Exists q in Q with |y_k - q_k * Delta| <= Delta for all k, exactly."""
-    Delta = Fraction(1, 2 ** scale_exp)
-    ranges = []
-    for y in yvals:
-        r = y / Delta
-        lo = math.ceil(r - 1)
-        hi = math.floor(r + 1)
-        ranges.append(range(lo, hi + 1))
-    return any(c in Qset for c in itertools.product(*ranges))
+def _near_rows(Q: DSet, Y: np.ndarray, den: int, lookup) -> np.ndarray:
+    """near[i]: the image Y[i] / den, in Q's units radix^-Q.unit_exp(), lies
+    within Delta of Q, decided exactly on integers; lookup is
+    _row_lookup(Q.points).  Real base: some q in Q has |Y/den - q| <= 1 in
+    every coordinate, so q runs over ceil(Y/den) - 1 + {0,1,2}^d up to
+    floor(Y/den) + 1.  p-adic base: Y/den must be integral (p^K divides Y
+    for den = p^K u), and its cell (Y / p^K) u^-1 mod p^(scale_exp +
+    radius_exp) must be a point of Q."""
+    alg = Q.alg
+    if alg.is_real_base:
+        lo, hi = -(-Y // den) - 1, Y // den + 1
+        near = np.zeros(len(Y), dtype=bool)
+        for off in itertools.product(range(3), repeat=alg.d):
+            cand = lo + off
+            near |= np.all(cand <= hi, axis=1) & (lookup(cand) > 0)
+        return near
+    pk = alg.p ** al.vp(den, alg.p)
+    mod = alg.p ** (Q.scale_exp + Q.radius_exp)
+    cell = Y // pk % mod * pow(den // pk, -1, mod) % mod
+    return np.all(Y % pk == 0, axis=1) & (lookup(cell) > 0)
 
 
-def _near_q_padic(alg, Qset, scale_exp, radius_exp, yvals):
-    """Exists q in Q with |y - q|_p <= p^-scale_exp (same cell), exactly."""
-    try:
-        return al._value_to_grid(alg, yvals, scale_exp, radius_exp) in Qset
-    except ParameterRangeError:
-        return False  # finer than representable: cannot be near the grid
+def _basis_rows(Q: DSet, v):
+    """(e, B): the elements of v as integer rows B[j] in Q's units refined
+    by radix^e, radix^-(Q.unit_exp() + e), with the least e >= 0."""
+    r, unit = Q.alg.radix, Q.unit_exp()
+    e = max([0] + [b.unit_exp - unit for b in v])
+    return e, [[c * r ** (unit + e - b.unit_exp) for c in b.coords] for b in v]
 
 
-def _witness_values(alg, wit_key):
-    """Value coordinates (a, b, c, d) of a stored witness quadruple."""
-    out = []
-    for coords in wit_key:
-        out.append(al.value_coords(alg, al.element(alg, coords)))
-    return out
-
-
-def _vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+def _first_far(n: int, per_row: int, near_block):
+    """The first (row, map) in row-major order at which near_block(lo, hi),
+    the near mask of rows lo..hi-1 against every map, is False; None when
+    every image is near.  Rows go in blocks of doubling size 1, 2, 4, ...,
+    of at most point_budget() // per_row rows."""
+    lo, size = 0, 1
+    while lo < n:
+        hi = min(n, lo + size)
+        near = near_block(lo, hi)
+        far = np.flatnonzero(~near.reshape(-1))
+        if len(far):
+            i, j = divmod(int(far[0]), near.shape[1])
+            return lo + i, j
+        lo, size = hi, max(1, min(2 * size, point_budget() // per_row))
+    return None
 
 
 def dichotomy_check(Q: DSet, v: list, delta_exp: int, rho_exp: int,
@@ -500,118 +477,115 @@ def dichotomy_check(Q: DSet, v: list, delta_exp: int, rho_exp: int,
     """Either every halving/translate/field image of Q lands within Delta of Q
     (Dense: Q must essentially fill the ball), or some image escapes (Sparse:
     the witness carries a (p, q) or (u, v) decomposition built from the
-    quotient-set witnesses)."""
-    from . import setops as so
+    quotient-set witnesses, read at A's unit 2^-delta_exp on the real base).
+
+    The images of Q's rows are integer rows over one denominator in Q's
+    units, tested by _near_rows; the first escaping (row, map) in Q's row
+    order, then map order, is the witness."""
     alg = Q.alg
     d = alg.d
-    if mode is None:
-        mode = "halving" if alg.is_real_base else "translate"
-    scale, radius = Q.scale_exp, Q.radius_exp
+    mode = mode or ("halving" if alg.is_real_base else "translate")
     n_maps = {"halving": 2 ** d, "translate": d, "field": 2}[mode]
-    if len(Q) * n_maps * (1 if not alg.is_real_base else 3 ** d) > point_budget():
+    n_off = 3 ** d if alg.is_real_base else 1
+    if len(Q) * n_maps * n_off > point_budget():
         raise BudgetExceeded("dichotomy scan too large",
                              {"points": len(Q) * n_maps})
-    Qset = {tuple(int(c) for c in row) for row in Q.points}
-    near = ((lambda y: _near_q_real(Qset, scale, y)) if alg.is_real_base
-            else (lambda y: _near_q_padic(alg, Qset, scale, radius, y)))
+    P, unit, lookup = Q.points, Q.unit_exp(), _row_lookup(Q.points)
+    if mode == "field":     # x + y over 1 and the raw x y over radix^unit
+        dt_sum = _image_dtype(Q, 2 * _abs_max(P))
+        dt_prod = _image_dtype(Q, so._product_bound(alg, P, P))
 
-    def sparse(xc, map_label, decomp):
-        wit = {"x": [str(t) for t in _q_value(alg, xc, scale, radius)],
-               "x_coords": list(map(int, xc)), "map": map_label}
-        wit.update(decomp)
+        def near_block(lo, hi):
+            X = P[lo:hi]
+            sums = X.astype(dt_sum)[:, None, :] + P.astype(dt_sum)[None, :, :]
+            prods = so._raw_products(alg, X, P, "Left", dt_prod)
+            return np.stack([_near_rows(Q, sums.reshape(-1, d), 1, lookup),
+                             _near_rows(Q, prods, alg.radix ** unit, lookup)],
+                            axis=1).reshape(hi - lo, -1)
+        labels = [(y, op) for y in range(len(P)) for op in ("sum", "prod")]
+    else:                   # (L x + S) / 2L (halving) or (L x + S) / L
+        e, B = _basis_rows(Q, v)
+        if mode == "halving":
+            labels = list(itertools.product((0, 1), repeat=d))
+            S = [[sum(b[t] for b, bit in zip(B, lab) if bit) for t in range(d)]
+                 for lab in labels]
+        else:
+            labels, S = list(range(d)), B[:d]
+        L, den = alg.radix ** e, alg.radix ** e * (2 if mode == "halving" else 1)
+        big = max((abs(c) for row in S for c in row), default=0)
+        dt = _image_dtype(Q, L * _abs_max(P) + big)
+        S_arr = np.array(S, dtype=dt)
+
+        def near_block(lo, hi):
+            Y = (P[lo:hi].astype(dt) * L)[:, None, :] + S_arr[None, :, :]
+            return _near_rows(Q, Y.reshape(-1, d), den, lookup).reshape(hi - lo, -1)
+    hit = _first_far(len(P), len(labels) * n_off, near_block)
+    if hit is not None:
+        xc = tuple(P[hit[0]].tolist())
+        wit = {"x": [str(t) for t in so._units_to_values(alg, xc, unit)],
+               "x_coords": list(xc)}
+        w_unit = delta_exp if alg.is_real_base else 0
+
+        def split(key):     # (a - b, c - d) of a quotient witness, as values
+            a, b, c, dd = (al.element(alg, w, w_unit).coords for w in witnesses[key])
+            return [so._units_to_values(alg, [s - t for s, t in zip(f, g)], w_unit)
+                    for f, g in ((a, b), (c, dd))]
+        mul = so.mul_value_coords
+        if mode == "field":
+            y, op = labels[hit[1]]
+            yc = tuple(P[y].tolist())
+            wit.update({"map": op, "y_coords": list(yc), "op": op})
+            if witnesses is not None and xc in witnesses and yc in witnesses:
+                (n1, e1), (n2, e2) = split(xc), split(yc)
+                u = (mul(alg, n1, n2) if op == "prod" else
+                     so._vec_add(mul(alg, n1, e2), mul(alg, e1, n2)))
+                wit.update({"u": [str(t) for t in u],
+                            "v": [str(t) for t in mul(alg, e1, e2)]})
+        else:
+            lab = labels[hit[1]]
+            wit["map"] = list(lab) if mode == "halving" else lab
+            if witnesses is not None and xc in witnesses:
+                num, dv = split(xc)
+                # the image is (num/dv + w)/2 = p/q or num/dv + w = p/q
+                w = so._units_to_values(alg, S[hit[1]], unit + e)
+                q = [2 * t for t in dv] if mode == "halving" else dv
+                wit.update({"p": [str(t) for t in so._vec_add(num, mul(alg, w, dv))],
+                            "q": [str(t) for t in q],
+                            "abcd": [list(map(int, t)) for t in witnesses[xc]]})
         return DichotomyOutcome("Sparse", mode, wit, None)
 
-    rows = sorted(tuple(int(c) for c in row) for row in Q.points)
-    if mode in ("halving", "translate"):
-        labels = (list(itertools.product((0, 1), repeat=d)) if mode == "halving"
-                  else list(range(d)))
-        for xc in rows:
-            xvals = _q_value(alg, xc, scale, radius)
-            for lab in labels:
-                if mode == "halving":
-                    yvals, shift = _halving_value(alg, v, lab, xvals)
-                else:
-                    bv = al.value_coords(alg, v[lab])
-                    yvals = _vadd(xvals, bv)
-                if not near(yvals):
-                    decomp = {}
-                    if witnesses is not None and xc in witnesses:
-                        a, b, c, dd = _witness_values(alg, witnesses[xc])
-                        num, den = _vsub(a, b), _vsub(c, dd)
-                        if mode == "halving":
-                            w = shift
-                            pval = _vadd(num, so.mul_value_coords(alg, w, den))
-                            qval = tuple(2 * t for t in den)
-                        else:
-                            bv = al.value_coords(alg, v[lab])
-                            pval = _vadd(num, so.mul_value_coords(alg, bv, den))
-                            qval = den
-                        decomp = {"p": [str(t) for t in pval],
-                                  "q": [str(t) for t in qval],
-                                  "abcd": [list(map(int, w)) for w in witnesses[xc]]}
-                    return sparse(xc, list(lab) if mode == "halving" else lab,
-                                  decomp)
-    else:  # field closure: Q_Delta + Q_Delta and Q_Delta * Q_Delta
-        for xc in rows:
-            xvals = _q_value(alg, xc, scale, radius)
-            for yc in rows:
-                yvals = _q_value(alg, yc, scale, radius)
-                for opname, img in (("sum", _vadd(xvals, yvals)),
-                                    ("prod", so.mul_value_coords(alg, xvals, yvals))):
-                    if not near(img):
-                        decomp = {"y_coords": list(map(int, yc)), "op": opname}
-                        if (witnesses is not None and xc in witnesses
-                                and yc in witnesses):
-                            a1, b1, c1, d1 = _witness_values(alg, witnesses[xc])
-                            a2, b2, c2, d2 = _witness_values(alg, witnesses[yc])
-                            n1, e1 = _vsub(a1, b1), _vsub(c1, d1)
-                            n2, e2 = _vsub(a2, b2), _vsub(c2, d2)
-                            vden = so.mul_value_coords(alg, e1, e2)
-                            if opname == "sum":
-                                u = _vadd(so.mul_value_coords(alg, n1, e2),
-                                          so.mul_value_coords(alg, e1, n2))
-                            else:
-                                u = so.mul_value_coords(alg, n1, n2)
-                            decomp.update({"u": [str(t) for t in u],
-                                           "v": [str(t) for t in vden]})
-                        return sparse(xc, opname, decomp)
-
-    # dense: audit the covering of Q at its own scale against the volume bound
-    measured = len(Q)
-    if alg.is_real_base:
-        det = abs(al.det_basis(alg, v)) if v else Fraction(1)
-        bound = Fraction(det, 2 ** d) * Fraction(2 ** scale) ** d
-    else:
-        det = al.det_basis(alg, v) if v else Fraction(1)
-        bound = det * Fraction(alg.p ** scale) ** d
-    audit = {"measured": measured, "bound": float(bound),
-             "Delta_exp": scale, "det": str(det),
-             "passed": Fraction(measured) >= bound}
+    # dense: audit the covering of Q at its own scale against the volume
+    # bound |det| (2^scale / 2)^d (real) or |det|_p (p^scale)^d (p-adic)
+    det = abs(al.det_basis(alg, v)) if v else Fraction(1)
+    bound = det * Fraction(alg.radix ** Q.scale_exp, 2 if alg.is_real_base else 1) ** d
+    audit = {"measured": len(Q), "bound": float(bound), "Delta_exp": Q.scale_exp,
+             "det": str(det), "passed": len(Q) >= bound}
     return DichotomyOutcome("Dense", mode, None, audit)
 
 
 def dyadic_induction(Q: DSet, v: list, n: int = 4):
     """Constructive dense-case content: level-by-level membership of the
-    dyadic-rational points sum_j v_j k_j 2^-level within Delta of Q."""
+    dyadic-rational points sum_j v_j k_j 2^-level within Delta of Q, as
+    integer rows sum_j k_j B[j] over 2^(level + e) (_basis_rows) in blocks
+    of at most point_budget() / 3^d points."""
     alg = Q.alg
     if not alg.is_real_base:
         raise NotRealBase("dyadic induction applies to the real base")
     if n > 6:
         raise ParameterRangeError("induction depth capped at 6")
     d = alg.d
-    Qset = {tuple(int(c) for c in row) for row in Q.points}
-    bvals = [al.value_coords(alg, b) for b in v]
+    e, B = _basis_rows(Q, v[:d])
+    lookup = _row_lookup(Q.points)
+    step = max(1, point_budget() // 3 ** d)
     report = {}
     for level in range(n + 1):
-        total = hits = 0
-        for ks in itertools.product(range(2 ** level + 1), repeat=d):
-            vals = [Fraction(0)] * d
-            for j, k in enumerate(ks):
-                w = Fraction(k, 2 ** level)
-                for t in range(d):
-                    vals[t] += w * bvals[j][t]
-            total += 1
-            if _near_q_real(Qset, Q.scale_exp, tuple(vals)):
-                hits += 1
-        report[level] = (hits, total)
+        side = 2 ** level + 1
+        dt = _image_dtype(Q, 2 ** level * sum(max(map(abs, b)) for b in B))
+        hits = 0
+        for lo in range(0, side ** d, step):
+            idx = np.arange(lo, min(lo + step, side ** d))
+            ks = np.stack(np.unravel_index(idx, (side,) * d), axis=1).astype(dt)
+            near = _near_rows(Q, ks @ np.array(B, dtype=dt), 2 ** (level + e), lookup)
+            hits += int(near.sum())
+        report[level] = (hits, side ** d)
     return report

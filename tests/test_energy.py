@@ -321,6 +321,24 @@ def test_quintuple_budget_threshold_and_sizes(monkeypatch):
     assert exc.value.sizes == {"work": 200, "n": 10, "X": 2, "offsets": 3}
 
 
+def test_quintuple_targets_past_int64_raise():
+    """R m=61, A = {2^62 + 5, 5, 3 2^61}, X = {1}: the targets -(xb + xd)
+    reach 3 2^62 and used to wrap in int64 to total 3 (near 1, far 2) where
+    brute force gives 0.  The count raises instead, naming the op, and so
+    do the differences a - a' of the same set."""
+    R = al.make_algebra("R", m=61)
+    vals = (2 ** 62 + 5, 5, 3 * 2 ** 61)
+    A = make_dset(R, [(v,) for v in vals])
+    X = make_dset(R, [(2 ** 61,)])
+    assert sum(abs(a + b - (c - d)) <= 1
+               for a, b, c, d in itertools.product(vals, repeat=4)) == 0
+    with pytest.raises(ParameterRangeError,
+                       match=r"quintuple_count_tv targets: .*\[3, 3\]"):
+        en.quintuple_count_tv(A, X, rho_exp=1)
+    with pytest.raises(ParameterRangeError, match=r"_diffs: .*\[3\]"):
+        en._diffs(A)
+
+
 def test_diff_lookup_counts_every_row():
     """The sorted-key lookup counts each difference row and 0 for rows
     outside the difference ranges or between keys."""

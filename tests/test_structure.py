@@ -1,18 +1,23 @@
 """Sub-algebra distances, avoidance, escape bases, dichotomy checks."""
 
 import itertools
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from dlab import algebra as al
 from dlab import setops as so
 from dlab import structure as st
-from dlab.dset import make_dset
-from dlab.errors import NotRealBase, SubAlgebraTrapped
+from dlab.dset import DSet, make_dset
+from dlab.errors import NotRealBase, ParameterRangeError, SubAlgebraTrapped
 
 
 # --- families and distances -------------------------------------------------
@@ -186,6 +191,13 @@ def test_halving_requires_real_base():
         st.halving_map(Q3, [al.one(Q3)], (1,), al.zero(Q3))
 
 
+def test_halving_rejects_a_non_basis():
+    C = al.make_algebra("C", m=6)
+    for v in ([al.one(C), al.one(C)], [al.one(C)]):
+        with pytest.raises(ParameterRangeError, match="not a basis"):
+            st.halving_map(C, v, (1, 0), al.zero(C))
+
+
 # --- dichotomy --------------------------------------------------------------
 
 def _complex_basis(alg):
@@ -255,6 +267,238 @@ def test_dyadic_induction_full_grid():
                                    for y in range(-8, 9)]))
     rep = st.dyadic_induction(Q, _complex_basis(C), n=3)
     assert all(hits == total for hits, total in rep.values())
+
+
+def test_dichotomy_witness_read_at_set_unit():
+    """A at scale 6 in C m=7: the Sparse decomposition reads the quotient
+    witness at A's unit 2^-6, so q = 2(c - d) = (2, 0) there (it was (1, 0)
+    when read at the algebra's unit 2^-7), and p/q is still the image."""
+    C = al.make_algebra("C", m=7)
+    A = make_dset(C, [(0, 0), (64, 0), (0, 32), (32, 32)], scale_exp=6)
+    Q, wit = so.quotient_set(A, 1, with_witnesses=True)
+    out = st.dichotomy_check(Q, _complex_basis(C), 6, 1, witnesses=wit)
+    assert out.case == "Sparse" and out.witness["q"] == ["2", "0"]
+    p = tuple(Fraction(t) for t in out.witness["p"])
+    q = tuple(Fraction(t) for t in out.witness["q"])
+    xvals = tuple(Fraction(t) for t in out.witness["x"])
+    img, _ = st._halving_value(C, _complex_basis(C), out.witness["map"], xvals)
+    assert so.mul_value_coords(C, p, so._inv_of_value(C, q)) == img
+
+
+# --- Fraction oracles: the dichotomy scans before their integer rewrite -----
+
+def _oracle_near(alg, Qset, scale, radius, yvals):
+    """Some q in Q within Delta of y: |y_k - q_k Delta| <= Delta for all k
+    (real), or y in the cell of q (p-adic), in Fractions."""
+    if alg.is_real_base:
+        Delta = Fraction(1, 2 ** scale)
+        ranges = [range(math.ceil(y / Delta - 1), math.floor(y / Delta + 1) + 1)
+                  for y in yvals]
+        return any(c in Qset for c in itertools.product(*ranges))
+    try:
+        return al._value_to_grid(alg, yvals, scale, radius) in Qset
+    except ParameterRangeError:
+        return False    # finer than representable: cannot be near the grid
+
+
+def _oracle_dichotomy(Q, v, delta_exp, rho_exp, witnesses=None, mode=None):
+    """dichotomy_check as a per-point Fraction loop; witnesses are read at
+    the algebra's unit, which is A's unit when delta_exp = alg.m."""
+    alg, d = Q.alg, Q.alg.d
+    mode = mode or ("halving" if alg.is_real_base else "translate")
+    scale, radius = Q.scale_exp, Q.radius_exp
+    rows = [tuple(int(c) for c in row) for row in Q.points]
+    Qset = set(rows)
+
+    bvals = [al.value_coords(alg, b) for b in v]
+
+    def val(xc):
+        return tuple(Fraction(c, alg.radix ** Q.unit_exp()) for c in xc)
+
+    def parts(key):
+        a, b, c, dd = (al.value_coords(alg, al.element(alg, w)) for w in witnesses[key])
+        return (tuple(s - t for s, t in zip(a, b)),
+                tuple(s - t for s, t in zip(c, dd)))
+
+    def add(u, w):
+        return tuple(s + t for s, t in zip(u, w))
+
+    def mul(u, w):
+        return so.mul_value_coords(alg, u, w)
+
+    def sparse(xc, label, decomp):
+        wit = {"x": [str(t) for t in val(xc)], "x_coords": list(xc), "map": label}
+        wit.update(decomp)
+        return st.DichotomyOutcome("Sparse", mode, wit, None)
+
+    if mode in ("halving", "translate"):
+        labels = (list(itertools.product((0, 1), repeat=d)) if mode == "halving"
+                  else list(range(d)))
+        for xc in rows:
+            for lab in labels:
+                if mode == "halving":
+                    w = [sum((bvals[j][t] for j in range(d) if lab[j]), Fraction(0))
+                         for t in range(d)]
+                    y = tuple((s + t) / 2 for s, t in zip(val(xc), w))
+                else:
+                    w = bvals[lab]
+                    y = add(val(xc), w)
+                if not _oracle_near(alg, Qset, scale, radius, y):
+                    decomp = {}
+                    if witnesses is not None and xc in witnesses:
+                        num, den = parts(xc)
+                        q = tuple(2 * t for t in den) if mode == "halving" else den
+                        decomp = {"p": [str(t) for t in add(num, mul(w, den))],
+                                  "q": [str(t) for t in q],
+                                  "abcd": [list(map(int, t)) for t in witnesses[xc]]}
+                    return sparse(xc, list(lab) if mode == "halving" else lab, decomp)
+    else:
+        for xc in rows:
+            for yc in rows:
+                for op, img in (("sum", add(val(xc), val(yc))),
+                                ("prod", mul(val(xc), val(yc)))):
+                    if not _oracle_near(alg, Qset, scale, radius, img):
+                        decomp = {"y_coords": list(yc), "op": op}
+                        if (witnesses is not None and xc in witnesses
+                                and yc in witnesses):
+                            (n1, e1), (n2, e2) = parts(xc), parts(yc)
+                            u = (add(mul(n1, e2), mul(e1, n2)) if op == "sum"
+                                 else mul(n1, n2))
+                            decomp.update({"u": [str(t) for t in u],
+                                           "v": [str(t) for t in mul(e1, e2)]})
+                        return sparse(xc, op, decomp)
+    if alg.is_real_base:
+        det = abs(al.det_basis(alg, v)) if v else Fraction(1)
+        bound = Fraction(det, 2 ** d) * Fraction(2 ** scale) ** d
+    else:
+        det = al.det_basis(alg, v) if v else Fraction(1)
+        bound = det * Fraction(alg.p ** scale) ** d
+    audit = {"measured": len(Q), "bound": float(bound), "Delta_exp": scale,
+             "det": str(det), "passed": Fraction(len(Q)) >= bound}
+    return st.DichotomyOutcome("Dense", mode, None, audit)
+
+
+def _oracle_dyadic(Q, v, n):
+    alg, d = Q.alg, Q.alg.d
+    Qset = {tuple(int(c) for c in row) for row in Q.points}
+    bvals = [al.value_coords(alg, b) for b in v]
+    report = {}
+    for level in range(n + 1):
+        total = hits = 0
+        for ks in itertools.product(range(2 ** level + 1), repeat=d):
+            vals = [sum(Fraction(k, 2 ** level) * bvals[j][t] for j, k in enumerate(ks))
+                    for t in range(d)]
+            total += 1
+            hits += _oracle_near(alg, Qset, Q.scale_exp, 0, vals)
+        report[level] = (hits, total)
+    return report
+
+
+_DICHOTOMY_ALGS = {"R": ("R", None, None, (2, 3, 4)), "C": ("C", None, None, (2, 3, 4)),
+                   "H": ("H", None, None, (2, 3)), "Qp2": ("Qp", 2, None, (2, 3, 4)),
+                   "Qp3": ("Qp", 3, None, (2, 3)), "Qp5": ("Qp", 5, None, (1, 2)),
+                   "Qp9": ("Qp_ext", 3, 2, (1, 2))}
+
+
+@hst.composite
+def _dichotomy_case(draw, name, mode):
+    """(Q, v, witnesses) at scale_exp = alg.m: Q random or a full box
+    (real) / the full grid (p-adic) of at most 150 points (40 in field mode,
+    whose loop scans |Q|^2 pairs), v of d elements whose unit_exp differs
+    from alg.m, and no witnesses or random quadruples on some of Q's rows."""
+    spec, p, d, ms = _DICHOTOMY_ALGS[name]
+    alg = al.make_algebra(spec, p=p, d=d, m=draw(hst.sampled_from(ms)))
+    m, r = alg.m, draw(hst.integers(0, 1))
+    rnd = random.Random(draw(hst.integers(0, 2 ** 32)))
+    if alg.is_real_base:
+        hi = 2 ** (m + r)
+        box = 1 if alg.d == 4 else draw(hst.integers(1, 3))
+        full = [list(c) for c in itertools.product(range(-box, box + 1), repeat=alg.d)]
+        units = (m - 1, m + 1, m + 2)
+    else:
+        hi = p ** (m + r)
+        full = [list(c) for c in itertools.product(range(hi), repeat=alg.d)]
+        units = (0, 1, 2)
+    if draw(hst.booleans()) and len(full) <= (40 if mode == "field" else 150):
+        pts = full
+    else:
+        lo = -hi if alg.is_real_base else 0
+        pts = [[rnd.randrange(lo, hi) for _ in range(alg.d)]
+               for _ in range(draw(hst.integers(0, 12)))]
+    Q = make_dset(alg, pts, scale_exp=m, radius_exp=r)
+    small = draw(hst.booleans())
+    v = []
+    for _ in range(alg.d):
+        u = draw(hst.sampled_from(units))
+        top = 4 if small else alg.radix ** (u + 1)
+        lo = -top if alg.is_real_base else 0
+        v.append(al.element(alg, [rnd.randrange(lo, top) for _ in range(alg.d)], u))
+    wit = None
+    if draw(hst.booleans()):
+        top = alg.radix ** (m + 1)
+        lo = -top if alg.is_real_base else 0
+        wit = {tuple(map(int, row)): tuple(tuple(rnd.randrange(lo, top)
+                                                 for _ in range(alg.d))
+                                           for _ in range(4))
+               for row in Q.points if rnd.random() < 0.8}
+    return Q, v, wit
+
+
+@pytest.mark.parametrize("mode", ["halving", "translate", "field"])
+@pytest.mark.parametrize("name", sorted(_DICHOTOMY_ALGS))
+@settings(max_examples=25, deadline=None)
+@given(data=hst.data())
+def test_dichotomy_equals_fraction_loop(name, mode, data):
+    """The integer scan gives the Fraction loop's outcome, witness and audit
+    (to_json) with delta_exp = alg.m."""
+    Q, v, wit = data.draw(_dichotomy_case(name, mode))
+    m = Q.alg.m
+    got = st.dichotomy_check(Q, v, m, 1, witnesses=wit, mode=mode)
+    assert got.to_json() == _oracle_dichotomy(Q, v, m, 1, wit, mode).to_json()
+
+
+def test_dichotomy_int64_edge_equals_fraction_loop():
+    """Images at 2^62 next to points of Q at +-2^62: the integer scan keeps
+    its candidates in int64 only under a bound, and finds the loop's Sparse
+    witness at x = -2^62 + 2^56."""
+    R = al.make_algebra("R", m=62)
+    Q = DSet(R, 1, 61, np.array([[k * 2 ** 56] for k in range(-64, 65)]))
+    out = st.dichotomy_check(Q, [al.one(R)], 62, 1, mode="halving")
+    want = _oracle_dichotomy(Q, [al.one(R)], 62, 1, None, "halving")
+    assert out.to_json() == want.to_json()
+    assert out.case == "Sparse" and out.witness["x_coords"] == [-2 ** 62 + 2 ** 56]
+
+
+def test_dichotomy_blocks_and_python_ints_equal_fraction_loop(monkeypatch):
+    """A budget that caps the doubling row blocks (at 2 rows in field mode)
+    and images past int64 (a basis element at 2^74 in Q's units) give the
+    loop's outcome."""
+    C = al.make_algebra("C", m=4)
+    Q = make_dset(C, [(x, y) for x in range(-3, 4) for y in range(-3, 4)])
+    big = [al.element(C, (2 ** 74, 0)), al.element(C, (1, 1), 5)]
+    for v in (_complex_basis(C), big):
+        for mode in ("halving", "translate", "field"):
+            want = _oracle_dichotomy(Q, v, 4, 1, None, mode).to_json()
+            assert st.dichotomy_check(Q, v, 4, 1, mode=mode).to_json() == want
+            monkeypatch.setenv("DLAB_BUDGET_POINTS", "2000")
+            assert st.dichotomy_check(Q, v, 4, 1, mode=mode).to_json() == want
+            monkeypatch.delenv("DLAB_BUDGET_POINTS")
+
+
+@pytest.mark.parametrize("spec,m", [("R", 3), ("C", 3), ("H", 2)])
+@settings(max_examples=10, deadline=None)
+@given(data=hst.data())
+def test_dyadic_induction_equals_fraction_loop(spec, m, data):
+    alg = al.make_algebra(spec, m=m)
+    rnd = random.Random(data.draw(hst.integers(0, 2 ** 32)))
+    box = data.draw(hst.integers(1, 4 if alg.d < 4 else 2))
+    pts = [list(c) for c in itertools.product(range(-box, box + 1), repeat=alg.d)
+           if rnd.random() < 0.8]
+    Q = make_dset(alg, pts, scale_exp=data.draw(hst.integers(1, m)))
+    v = [al.element(alg, [rnd.randrange(-5, 6) for _ in range(alg.d)],
+                    data.draw(hst.integers(m - 1, m + 2))) for _ in range(alg.d)]
+    n = 2 if alg.d == 4 else 3
+    assert st.dyadic_induction(Q, v, n=n) == _oracle_dyadic(Q, v, n)
 
 
 # generators recorded from sympy.factorint before trial division replaced it
