@@ -1,6 +1,7 @@
 """CLI golden gate: the README example commands, plus a product, a
-quadruple count, fibre profiles and the energy on a Qp set, and the
-verifiers (uniformize, verify-nc, cover) on C and Qp sets, must reproduce
+quadruple count, fibre profiles and the energy on a Qp set, the
+verifiers (uniformize, verify-nc, cover) on C and Qp sets, and projections
+and linear maps of C and Qp pair sets, must reproduce
 the recorded exit codes, stdout, stderr and output files byte for byte
 (the version string in config comments aside).
 
@@ -67,6 +68,11 @@ COMMANDS = [
     "cover --in a.dset --k 2",
     "cover --in qa.dset --k 1",
     "cover --in qb.dset --k 4",
+    # projections and linear coordinate changes on the C and Qp pair sets
+    "op --op proj --in g.pairs --x 32,16 --out pg.dset",
+    "op --op linmap --in g.pairs --matrix 64,0/32,16;-16,48/64,0 --out lg.pairs",
+    "op --op proj --in qg.pairs --x 5 --out pqg.dset",
+    "op --op linmap --in qg.pairs --matrix 2/1;1/2 --out lqg.pairs",
 ]
 
 _VERSION = re.compile(rb"# dlab \S+ config:")
