@@ -382,12 +382,12 @@ def value_coords(alg: AlgebraDescriptor, x: Element):
     return _units_to_values(alg, x.coords, x.unit_exp)
 
 
-def _value_to_grid(alg, vals, scale_exp, radius_exp):
+def _value_to_grid(alg, vals, scale_exp, radius_exp, op="_value_to_grid"):
     """Snap exact rational coordinates onto a grid (single rounding): real
     base rounded half away from zero to units 2^-scale_exp; p-adic base in
     units p^-radius_exp mod p^(scale_exp + radius_exp), with the units of
     every denominator inverted there.  A p-adic value below p^-radius_exp
-    raises ParameterRangeError."""
+    raises ParameterRangeError naming op."""
     if alg.is_real_base:
         scale = 2 ** scale_exp
         return tuple(round_half_away(v.numerator * scale, v.denominator)
@@ -399,7 +399,7 @@ def _value_to_grid(alg, vals, scale_exp, radius_exp):
         num, den = v.numerator, v.denominator
         kv = vp(den, p)
         if kv > radius_exp:
-            raise ParameterRangeError("value below representable radius")
+            raise ParameterRangeError(f"{op}: value finer than p^-{radius_exp}")
         out.append(num * p ** (radius_exp - kv) * pow(den // p ** kv, -1, mod) % mod)
     return tuple(out)
 

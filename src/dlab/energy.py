@@ -52,7 +52,6 @@ from .errors import (
     BudgetExceeded,
     DivisionByNegligible,
     EmptyGraph,
-    ParameterRangeError,
 )
 
 
@@ -174,7 +173,8 @@ def quintuple_count_tv(A: DSet, X: DSet, rho_exp: int,
                               "offsets": 3 ** alg.d})
     offsets = np.array(_neighbor_offsets(alg), dtype=np.int64)
     mod = None if alg.is_real_base else alg.p ** (A.scale_exp + A.radius_exp)
-    products = [so._scalar_rows(alg, x, A.points, A.unit_exp(), A.scale_exp, "Left")
+    products = [so._scalar_rows(alg, x, A.points, A.unit_exp(), A.scale_exp, "Left",
+                                A.unit_exp() + x.unit_exp, "quintuple_count_tv")
                 for x in X.elements()]
     for R in products:
         so._check_sum_bound("quintuple_count_tv targets", (R, 2), (offsets, 1))
@@ -240,18 +240,8 @@ def quadruple_count_sparse(A: DSet, p: al.Element, q: al.Element,
 
     def product_rows(x, name):
         """Grid rows of (a - a') x, in units p^-r on the p-adic base."""
-        rows = so._scalar_rows(alg, x, diffs, A.unit_exp(), scale, "Right")
-        if alg.is_real_base:
-            return rows
-        if x.unit_exp <= 0:
-            return rows * alg.p ** -x.unit_exp % alg.p ** (scale + r)
-        f = alg.p ** x.unit_exp
-        if np.any(rows % f):
-            raise ParameterRangeError(
-                f"quadruple_count_sparse: a product (a - a') {name} is finer "
-                f"than the set's units p^-{r} ({name} has unit_exp "
-                f"{x.unit_exp})")
-        return rows // f
+        return so._scalar_rows(alg, x, diffs, A.unit_exp(), scale, "Right", r,
+                               f"quadruple_count_sparse: (a - a') {name}")
 
     Rq = product_rows(q, "q")
     lookup = _row_lookup(product_rows(p, "p"))

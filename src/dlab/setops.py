@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import algebra as al
-from .algebra import AlgebraDescriptor, Element, _units_to_values, _value_to_grid
+from .algebra import AlgebraDescriptor, Element
 from .dset import (
     DSet,
     _abs_max,
@@ -121,15 +120,6 @@ def _at_radius(A, r):
     return pts * f
 
 
-def _round_div_arr(v: np.ndarray, q: int) -> np.ndarray:
-    """Vectorized round-half-away-from-zero of v/q."""
-    r = np.abs(v)
-    r *= 2
-    r += q
-    r //= 2 * q
-    return np.negative(r, out=r, where=v < 0)
-
-
 def _raw_products(alg, U, V, side, dtype):
     """The raw products u v (Left) or v u (Right) of every row u of U with
     every row v of V, in row-major (u, v) order: V is contracted with the
@@ -161,38 +151,81 @@ def _check_sum_bound(op: str, *terms) -> None:
             f"reach {bound}, past int64")
 
 
-def _to_grid(alg, raw: np.ndarray, unit: int, scale_exp: int) -> np.ndarray:
-    """Raw coordinates in units radix^-unit onto the grid of scale_exp: real
-    base to units 2^-scale_exp, exact for unit <= scale_exp and rounded half
-    away from zero otherwise; p-adic base reduced mod p^(scale_exp + unit),
-    in the same units."""
-    if not alg.is_real_base:
-        return raw % alg.p ** (scale_exp + unit)
-    shift = unit - scale_exp
-    return raw * 2 ** (-shift) if shift <= 0 else _round_div_arr(raw, 2 ** shift)
-
-
-def _grid_products(alg, U, V, unit, scale_exp, side) -> np.ndarray:
-    """_to_grid of the _raw_products of U and V, whose raw coordinates are in
-    units radix^-unit, as int64 rows.  int64 while the raw products and the
-    grid step provably fit, Python ints otherwise."""
-    U = np.ascontiguousarray(U)     # min and max are slow on column slices
-    big = _product_bound(alg, U, V)
+def _grid_steps(alg, den, scale_exp, unit_out):
+    """(f, q, mod) for _to_grid: raw / den on the grid is round(raw f / q) on
+    the real base and (raw / q) f mod `mod` on the p-adic base, where q must
+    divide raw; f and q are lists with one entry per denominator."""
+    dens = [den] if isinstance(den, int) else den
     if alg.is_real_base:
-        shift = unit - scale_exp
-        fits = (big << -shift if shift <= 0 else 2 * big + 2 ** (shift + 1)) < 2 ** 63
+        g = [math.gcd(2 ** scale_exp, t) for t in dens]
+        return [2 ** scale_exp // h for h in g], [t // h for t, h in zip(dens, g)], None
+    p, mod = alg.p, alg.p ** (scale_exp + unit_out)
+    k = [al.vp(t, p) for t in dens]
+    return ([p ** max(0, unit_out - e) * pow(t // p ** e, -1, mod) % mod
+             for t, e in zip(dens, k)], [p ** max(0, e - unit_out) for e in k], mod)
+
+
+def _grid_dtype(alg, big, den, scale_exp, unit_out):
+    """int64 when raw values of absolute value <= big and every step _to_grid
+    takes on them over den provably fit in int64; object (Python ints)
+    otherwise."""
+    f, q, mod = _grid_steps(alg, den, scale_exp, unit_out)
+    if alg.is_real_base:
+        top = big * max(f) if max(q) == 1 else 2 * big * max(f) + 2 * max(q)
     else:
-        fits = big < 2 ** 63 and alg.p ** (scale_exp + unit) < 2 ** 63
-    raw = _raw_products(alg, U, V, side, np.int64 if fits else object)
-    return _to_grid(alg, raw, unit, scale_exp).astype(np.int64, copy=False)
+        top = max(big, max(q), (mod - 1) * max(f) if max(f) > 1 else mod)
+    return np.int64 if top < 2 ** 63 else object
 
 
-def _scalar_rows(alg, x: Element, pts, unit, scale_exp, side) -> np.ndarray:
+def _to_grid(alg, raw, den, scale_exp, unit_out, op) -> np.ndarray:
+    """The exact values raw / den on the grid of scale_exp, as int64 rows; den
+    is one int or one per row of raw's second-to-last axis.  Real base:
+    rounded once, half away from zero, to units 2^-scale_exp.  p-adic base:
+    in units p^-unit_out mod p^(scale_exp + unit_out).  A value finer than
+    p^-unit_out, or a row past int64, raises ParameterRangeError naming op.
+    raw's dtype is the one _grid_dtype chose for its bound."""
+    f, q, mod = _grid_steps(alg, den, scale_exp, unit_out)
+    f, q = (np.array(v, dtype=raw.dtype).reshape(-1, 1) for v in (f, q))
+    if alg.is_real_base:
+        out = raw * f if np.any(f != 1) else raw
+        if np.any(q != 1):  # (2|v| + q) // 2q with v's sign: half away from zero
+            r = np.abs(out)
+            r *= 2
+            r += q
+            r //= 2 * q
+            out = np.negative(r, out=r, where=out < 0)
+    else:
+        if np.any(q != 1):
+            if np.any(raw % q != 0):
+                raise ParameterRangeError(f"{op}: value finer than p^-{unit_out}")
+            raw = raw // q
+        out = raw % mod
+        if np.any(f != 1):
+            out *= f
+            out %= mod
+    try:
+        return out.astype(np.int64, copy=False)
+    except OverflowError:
+        raise ParameterRangeError(f"{op}: grid rows past int64") from None
+
+
+def _grid_products(alg, U, V, unit, scale_exp, side, unit_out, op) -> np.ndarray:
+    """_to_grid of the _raw_products of U and V, whose raw coordinates are in
+    units radix^-unit, into units radix^-unit_out (p-adic base).  int64 while
+    the raw products and the grid step provably fit, Python ints otherwise."""
+    U = np.ascontiguousarray(U)     # min and max are slow on column slices
+    den = alg.radix ** unit
+    dt = _grid_dtype(alg, _product_bound(alg, U, V), den, scale_exp, unit_out)
+    return _to_grid(alg, _raw_products(alg, U, V, side, dt), den, scale_exp,
+                    unit_out, op)
+
+
+def _scalar_rows(alg, x: Element, pts, unit, scale_exp, side, unit_out, op) -> np.ndarray:
     """Grid rows of x a (Left) or a x (Right) for every row a of pts, in
     units radix^-unit, in input order; on the p-adic base in units
-    p^-(unit + x.unit_exp).  x is the contracted operand."""
+    p^-unit_out.  x is the contracted operand."""
     return _grid_products(alg, pts, [x.coords], unit + x.unit_exp, scale_exp,
-                          "Right" if side == "Left" else "Left")
+                          "Right" if side == "Left" else "Left", unit_out, op)
 
 
 def _mod(A_alg, scale_exp, radius_exp):
@@ -213,6 +246,12 @@ def _fft_support_sum(a_pts, b_pts, cyclic_mod=None):
 
     cyclic_mod None: linear convolution on the bounding boxes (real base).
     Otherwise circular convolution modulo cyclic_mod per axis (p-adic).
+
+    For 0/1 inputs the float error of every convolution entry is at most
+    c u log2(N) |a|_2 |b|_2 (u the unit roundoff, N the cell count;
+    Schatzman, SIAM J. Sci. Comput. 17, 1996): about 1e-7 under
+    FFT_CELL_CAP.  The entries are counts, so an entry farther than 1/4 from
+    an integer raises ParameterRangeError instead of being thresholded.
     """
     d = a_pts.shape[1]
     if cyclic_mod is None:
@@ -232,7 +271,14 @@ def _fft_support_sum(a_pts, b_pts, cyclic_mod=None):
     axes = tuple(range(d))
     conv = np.fft.irfftn(np.fft.rfftn(ga, shape, axes) * np.fft.rfftn(gb, shape, axes),
                          shape, axes)
-    out = np.argwhere(conv > 0.5).astype(np.int64)
+    counts = np.rint(conv)
+    conv -= counts
+    err = float(np.abs(conv, out=conv).max())
+    if not err < 0.25:
+        raise ParameterRangeError(
+            f"sumset: FFT convolution of sizes [{len(a_pts)}, {len(b_pts)}] is "
+            f"{err} off the integers, past 1/4")
+    out = np.argwhere(counts > 0.5).astype(np.int64)
     if cyclic_mod is None:
         out = out + amin + bmin
     return out
@@ -286,8 +332,9 @@ def product_set(A: DSet, B: DSet, side: str = "Left") -> DSet:
     if len(A) * len(B) > min(PAIRWISE_CAP, point_budget()):
         raise BudgetExceeded("product set too large",
                              {"pairs": len(A) * len(B)})
-    pts = _grid_products(alg, A.points, B.points, A.unit_exp() + B.unit_exp(),
-                         A.scale_exp, side)
+    unit = A.unit_exp() + B.unit_exp()
+    pts = _grid_products(alg, A.points, B.points, unit, A.scale_exp, side, unit,
+                         "product_set")
     return DSet(alg, A.scale_exp, A.radius_exp + B.radius_exp, pts)
 
 
@@ -296,21 +343,20 @@ def scalar_image(x: Element, A: DSet, side: str = "Left") -> DSet:
     alg = A.alg
     if len(A) == 0:
         return A
-    pts = _scalar_rows(alg, x, A.points, A.unit_exp(), A.scale_exp, side)
+    pts = _scalar_rows(alg, x, A.points, A.unit_exp(), A.scale_exp, side,
+                       A.unit_exp() + x.unit_exp, "scalar_image")
     if alg.is_real_base:
-        r_out = A.radius_exp + max(0, _norm_ceil_exp(alg, x))
+        r_out = A.radius_exp + _norm_ceil_exp(x)
     else:
         r_out = A.radius_exp + x.unit_exp
     return DSet(alg, A.scale_exp, r_out, pts)
 
 
-def _norm_ceil_exp(alg, x: Element) -> int:
-    """Smallest e with |x| <= 2^e (real base)."""
-    ns = al.norm_sq(alg, x)
-    e = 0
-    while Fraction(4) ** e < ns:
-        e += 1
-    return e
+def _norm_ceil_exp(x: Element) -> int:
+    """Smallest e >= 0 with |x| <= 2^e (real base): 4^(e + unit_exp) is at
+    least the integer squared norm s, so e + unit_exp >= ceil(log4 s)."""
+    s = sum(c * c for c in x.coords)
+    return max(0, (max(s - 1, 0).bit_length() + 1) // 2 - x.unit_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -319,22 +365,20 @@ def _norm_ceil_exp(alg, x: Element) -> int:
 def _project_rows(x: Element, G: PairSet):
     """(rows, radius_exp): a + x b for every pair (a, b) of G, in G's row
     order, rounded once (real base) or exact (p-adic base)."""
-    alg, d, r = G.alg, G.alg.d, G.radius_exp
-    xb = _scalar_rows(alg, x, G.pairs[:, d:], G.unit_exp(), G.scale_exp, "Left")
-    if alg.is_real_base:
-        # a is on the grid, so rounding a + xb once equals a + round(xb)
-        r_out, fa, fb = r + 1 + max(0, _norm_ceil_exp(alg, x)), 1, 1
-    else:
-        # a is in units p^-r and xb in units p^-(r + x.unit_exp): both to r_out
-        r_out = r + max(x.unit_exp, 0)
-        fa, fb = alg.p ** (r_out - r), alg.p ** (r_out - r - x.unit_exp)
-    a = G.pairs[:, :d]
-    if _abs_max(G.pairs) * fa + _abs_max(xb) * fb >= 2 ** 63:
+    alg, d, unit = G.alg, G.alg.d, G.unit_exp()
+    # real base: a is on the grid, so rounding a + xb once equals a + round(xb)
+    r_out = G.radius_exp + (1 + _norm_ceil_exp(x) if alg.is_real_base
+                            else max(x.unit_exp, 0))
+    big, den = _abs_max(G.pairs), alg.radix ** unit
+    a = G.pairs[:, :d].astype(_grid_dtype(alg, big, den, G.scale_exp, r_out), copy=False)
+    a = _to_grid(alg, a, den, G.scale_exp, r_out, "project")
+    xb = _scalar_rows(alg, x, G.pairs[:, d:], unit, G.scale_exp, "Left", r_out, "project")
+    if (big if alg.is_real_base else _abs_max(a)) + _abs_max(xb) >= 2 ** 63:
         a, xb = a.astype(object), xb.astype(object)
-    pts = a + xb if fa == fb == 1 else a * fa + xb * fb
-    if not alg.is_real_base:
-        pts %= _mod(alg, G.scale_exp, r_out)
-    return pts.astype(np.int64, copy=False), r_out
+    # the sum, in the output's units, through the same step: reduced mod
+    # p^(scale_exp + r_out) on the p-adic base, checked against int64
+    out_unit = G.scale_exp if alg.is_real_base else r_out
+    return _to_grid(alg, a + xb, alg.radix ** out_unit, G.scale_exp, r_out, "project"), r_out
 
 
 def project(x: Element, G: PairSet) -> DSet:
@@ -384,11 +428,6 @@ def iterated(A: DSet, n_sum: int, n_prod: int, clip: bool = True) -> DSet:
 # ---------------------------------------------------------------------------
 # quotient sets
 
-def mul_value_coords(alg, xv, yv):
-    """Product of two exact rational coordinate vectors."""
-    return al._vec_mul(alg, xv, yv)
-
-
 def _distinct_differences(A: DSet):
     """(coords, diffs, first, key): A's Element coords, sorted; the distinct
     differences a - b as integer rows in one unit (2^-scale_exp, or
@@ -410,14 +449,6 @@ def _distinct_differences(A: DSet):
     key = rank[first // n] * n + rank[first % n]
     order = np.argsort(key, kind="stable")
     return coords, diffs[first[order]], first[order], key[order]
-
-
-def _value_norm_gt(alg, vals, rho_exp) -> bool:
-    """|v| > radix^-rho_exp, exactly."""
-    if alg.is_real_base:
-        s = sum(v * v for v in vals)
-        return s > Fraction(1, 4 ** rho_exp)
-    return min((al.vq(v, alg.p) for v in vals if v != 0), default=rho_exp) < rho_exp
 
 
 def quotient_set(A: DSet, rho_exp: int, side: str = "Left",
@@ -476,29 +507,7 @@ def _quotient_cells(alg, diffs, den_idx, key, side, scale_out, radius_out):
     d, k = alg.d, len(dens)
     nums, den = zip(*(al._int_inverse(alg, [int(c) for c in w]) for w in dens))
     # |raw numerator| <= max|u| max|num| max_l sum_ij |c_ijl|
-    big = _product_bound(alg, diffs, nums)
-    if alg.is_real_base:
-        fits = 2 * big * 2 ** scale_out + 2 * max(den) < 2 ** 63
-    else:
-        # den = p^K U: divide by p^(K - radius_out) when K > radius_out, then
-        # multiply by p^(radius_out - K) U^-1 mod p^(scale_out + radius_out)
-        p = alg.p
-        mod = p ** (scale_out + radius_out)
-        K = [al.vp(q, p) for q in den]
-        shift = [p ** max(0, e - radius_out) for e in K]
-        mult = [p ** max(0, radius_out - e) * pow(q // p ** e, -1, mod) % mod
-                for q, e in zip(den, K)]
-        fits = big < 2 ** 63 and max(shift) < 2 ** 63 and (mod - 1) ** 2 < 2 ** 63
-    dtype = np.int64 if fits else object
-
-    def col(vals):          # one value per denominator, broadcast over pairs
-        return np.array(vals, dtype=dtype)[None, :, None]
-
-    if alg.is_real_base:
-        den = col(den)
-    else:
-        shift = col(shift) if max(shift) > 1 else None
-        mult = col(mult)
+    dtype = _grid_dtype(alg, _product_bound(alg, diffs, nums), den, scale_out, radius_out)
     # the rank of pair (i, j) among the witnesses: equal keys form blocks
     # s .. s + z of rows and of denominators, ranked block pair by block
     # pair and row-major inside one; without ties the rank is i * k + j
@@ -511,19 +520,8 @@ def _quotient_cells(alg, diffs, den_idx, key, side, scale_out, radius_out):
     for lo in range(0, len(diffs), step):
         # every raw numerator: (u num_j)_l (Left) or (num_j u)_l (Right)
         N = _raw_products(alg, diffs[lo:lo + step], nums, side, dtype)
-        N = N.reshape(-1, k, d)
-        if alg.is_real_base:
-            N *= 2 ** scale_out
-            N = _round_div_arr(N, den)
-        else:
-            if shift is not None:
-                if np.any(N % shift != 0):
-                    raise ParameterRangeError("value below representable radius")
-                N //= shift
-            N %= mod
-            N *= mult
-            N %= mod
-        cell = N.reshape(-1, d).astype(np.int64, copy=False)
+        N = _to_grid(alg, N.reshape(-1, k, d), den, scale_out, radius_out, "quotient_set")
+        cell = N.reshape(-1, d)
         i = np.arange(lo, lo + len(N))[:, None]
         s, z = s_i[i], z_i[i]
         r = (s * k + z * s_j + (i - s) * z_j + np.arange(k) - s_j).reshape(-1)
@@ -536,93 +534,74 @@ def _quotient_cells(alg, diffs, den_idx, key, side, scale_out, radius_out):
     return rows[idx], pair[idx]
 
 
-def _inv_of_value(alg, vals):
-    """Exact rational inverse of an element given by value coordinates."""
-    scale = math.lcm(*(Fraction(v).denominator for v in vals))
-    num, den = al._int_inverse(alg, [int(v * scale) for v in vals])
-    return tuple(Fraction(scale * c, den) for c in num)
-
-
 # ---------------------------------------------------------------------------
 # linear coordinate changes on E^2
 
-def _linear_map_matrix(alg, L):
-    """(2d)x(2d) rational matrix of (a,b) -> (L11 a + L12 b, L21 a + L22 b)."""
-    d = alg.d
-    cols = []
-    for pos in range(2):
-        for k in range(d):
-            e = al.basis_element(alg, k)
-            if pos == 0:
-                top = al.mul_exact(alg, L[0][0], e)
-                bot = al.mul_exact(alg, L[1][0], e)
-            else:
-                top = al.mul_exact(alg, L[0][1], e)
-                bot = al.mul_exact(alg, L[1][1], e)
-            col = list(al.value_coords(alg, top)) + list(al.value_coords(alg, bot))
-            cols.append(col)
-    return [[cols[j][i] for j in range(2 * d)] for i in range(2 * d)]
-
-
-def _check_invertible(alg, L):
-    mat = _linear_map_matrix(alg, L)
-    det = al.det_fraction(mat)
+def _linear_map_rows(alg, L):
+    """(M, U): the 2d x 2d integer matrix M, in units radix^-U, with (a, b) @ M
+    = (L11 a + L12 b, L21 a + L22 b) for rows a, b (left action; block k, l
+    of M has rows L_lk e_j, from _raw_products on L's entries aligned to one
+    unit).  SingularMap when det M = 0 or |det M| radix^-2dU falls below the
+    invertibility floor radix^-floor(m/2)."""
+    d, r = alg.d, alg.radix
+    ents = [e for row in L for e in row]
+    U = max(e.unit_exp for e in ents)
+    rows = [[c * r ** (U - e.unit_exp) for c in e.coords] for e in ents]
+    P = _raw_products(alg, rows, np.eye(d, dtype=object), "Left", object)
+    P = P.reshape(4, d, d)
+    M = np.block([[P[0], P[2]], [P[1], P[3]]])
+    det = al.det_fraction(M.tolist())
     if det == 0:
         raise SingularMap("linear map is singular")
     floor_exp = alg.m // 2
-    if (abs(det) < Fraction(1, 2 ** floor_exp) if alg.is_real_base
-            else al.vq(det, alg.p) > floor_exp):
+    if (abs(det) * 2 ** floor_exp < 2 ** (2 * d * U) if alg.is_real_base
+            else al.vq(det, alg.p) - 2 * d * U > floor_exp):
         raise SingularMap("determinant below the invertibility floor")
-    return det
+    return M, U
 
 
 def apply_linear_map(L, G: PairSet) -> PairSet:
-    """Image of G under the 2x2 matrix L of algebra elements (left action)."""
+    """Image of G under the 2x2 matrix L of algebra elements (left action):
+    one integer matmul over the denominator radix^(G.unit_exp() + U), then
+    one grid step."""
     alg = G.alg
-    _check_invertible(alg, L)
-    d = alg.d
-    a = G.pairs[:, :d]
-    b = G.pairs[:, d:]
-    rows = []
-    unit = G.unit_exp()
-    for idx in range(len(G)):
-        av = _units_to_values(alg, a[idx], unit)
-        bv = _units_to_values(alg, b[idx], unit)
-        top = _vec_add(mul_value_coords(alg, al.value_coords(alg, L[0][0]), av),
-                       mul_value_coords(alg, al.value_coords(alg, L[0][1]), bv))
-        bot = _vec_add(mul_value_coords(alg, al.value_coords(alg, L[1][0]), av),
-                       mul_value_coords(alg, al.value_coords(alg, L[1][1]), bv))
-        r_out = G.radius_exp + 2
-        rows.append(_value_to_grid(alg, top, G.scale_exp, r_out)
-                    + _value_to_grid(alg, bot, G.scale_exp, r_out))
-    return PairSet(alg, G.scale_exp, G.radius_exp + 2,
-                   np.array(rows, dtype=np.int64).reshape(-1, 2 * d))
+    M, U = _linear_map_rows(alg, L)
+    r_out, den = G.radius_exp + 2, alg.radix ** (G.unit_exp() + U)
+    big = 2 * alg.d * max(_abs_max(G.pairs), 1) * max(_abs_max(M), 1)
+    dt = _grid_dtype(alg, big, den, G.scale_exp, r_out)
+    raw = G.pairs.astype(dt) @ M.astype(dt)
+    return PairSet(alg, G.scale_exp, r_out,
+                   _to_grid(alg, raw, den, G.scale_exp, r_out, "apply_linear_map"))
 
 
 def apply_dual(L, X: DSet) -> DSet:
     """Induced map on projection directions: x -> w1^-1 w2 for
-    (w1, w2) = L(1, x)."""
-    alg = X.alg
-    _check_invertible(alg, L)
-    unit = X.unit_exp()
-    onev = al.value_coords(alg, al.one(alg))
-    rows = []
-    r_out = X.radius_exp + alg.m // 2 + 1
-    for idx in range(len(X)):
-        xv = _units_to_values(alg, X.points[idx], unit)
-        w1 = _vec_add(mul_value_coords(alg, al.value_coords(alg, L[0][0]), onev),
-                      mul_value_coords(alg, al.value_coords(alg, L[0][1]), xv))
-        w2 = _vec_add(mul_value_coords(alg, al.value_coords(alg, L[1][0]), onev),
-                      mul_value_coords(alg, al.value_coords(alg, L[1][1]), xv))
-        if not _value_norm_gt(alg, w1, alg.m // 2):
-            raise DivisionByNegligible("first component below the inversion floor")
-        mapped = mul_value_coords(alg, _inv_of_value(alg, w1), w2)
-        rows.append(_value_to_grid(alg, mapped, X.scale_exp, r_out))
-    return DSet(alg, X.scale_exp, r_out, np.array(rows, dtype=np.int64))
-
-
-def _vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    (w1, w2) = L(1, x).  (1, x) @ M gives w1 and w2 as integer rows over one
+    denominator, which cancels: w1^-1 w2 = num w2 / den for
+    w1^-1 = num / den (algebra._int_inverse), in Python ints."""
+    alg, d = X.alg, X.alg.d
+    M, U = _linear_map_rows(alg, L)
+    unit, floor_exp = X.unit_exp(), alg.m // 2
+    r_out = X.radius_exp + floor_exp + 1
+    rows = np.zeros((len(X), 2 * d), dtype=object)
+    rows[:, 0], rows[:, d:] = alg.radix ** unit, X.points
+    W = rows @ M
+    w1, w2 = W[:, :d], W[:, d:]
+    if alg.is_real_base:    # |w1| > 2^-floor
+        far = _row_norm_sq(w1) * 4 ** floor_exp > 4 ** (unit + U)
+    else:                   # some coordinate of valuation below the floor
+        far = np.any(w1 % alg.p ** (floor_exp + unit + U) != 0, axis=1)
+    # the rows before the first one below the floor are mapped (and may raise)
+    n = int(np.argmin(np.append(far, False)))
+    inv = [al._int_inverse(alg, list(w)) for w in w1[:n]]
+    C = np.array(alg.structure_constants, dtype=object)
+    T = np.tensordot(np.array([u for u, _ in inv], dtype=object).reshape(n, d), C,
+                     axes=(1, 0))   # T[i] is left multiplication by num_i
+    pts = _to_grid(alg, (w2[:n, :, None] * T).sum(axis=1), [q for _, q in inv],
+                   X.scale_exp, r_out, "apply_dual")
+    if n < len(X):
+        raise DivisionByNegligible("first component below the inversion floor")
+    return DSet(alg, X.scale_exp, r_out, pts)
 
 
 # ---------------------------------------------------------------------------

@@ -396,7 +396,7 @@ def _halving_value(alg, v, ibits, xvals):
     shift = (Fraction(0),) * alg.d
     for j, b in enumerate(ibits):
         if b:
-            shift = so._vec_add(shift, al.value_coords(alg, v[j]))
+            shift = tuple(s + c for s, c in zip(shift, al.value_coords(alg, v[j])))
     return tuple((x + s) / 2 for x, s in zip(xvals, shift)), shift
 
 
@@ -451,7 +451,10 @@ def _basis_rows(Q: DSet, v):
     by radix^e, radix^-(Q.unit_exp() + e), with the least e >= 0."""
     r, unit = Q.alg.radix, Q.unit_exp()
     e = max([0] + [b.unit_exp - unit for b in v])
-    return e, [[c * r ** (unit + e - b.unit_exp) for c in b.coords] for b in v]
+    B = [[c * r ** (unit + e - b.unit_exp) for c in b.coords] for b in v]
+    while e > 0 and all(c % r == 0 for row in B for c in row):
+        e, B = e - 1, [[c // r for c in row] for row in B]
+    return e, B
 
 
 def _first_far(n: int, per_row: int, near_block):
@@ -522,15 +525,15 @@ def dichotomy_check(Q: DSet, v: list, delta_exp: int, rho_exp: int,
     hit = _first_far(len(P), len(labels) * n_off, near_block)
     if hit is not None:
         xc = tuple(P[hit[0]].tolist())
-        wit = {"x": [str(t) for t in so._units_to_values(alg, xc, unit)],
+        wit = {"x": [str(t) for t in al._units_to_values(alg, xc, unit)],
                "x_coords": list(xc)}
         w_unit = delta_exp if alg.is_real_base else 0
 
         def split(key):     # (a - b, c - d) of a quotient witness, as values
             a, b, c, dd = (al.element(alg, w, w_unit).coords for w in witnesses[key])
-            return [so._units_to_values(alg, [s - t for s, t in zip(f, g)], w_unit)
+            return [al._units_to_values(alg, [s - t for s, t in zip(f, g)], w_unit)
                     for f, g in ((a, b), (c, dd))]
-        mul = so.mul_value_coords
+        mul = al._vec_mul
         if mode == "field":
             y, op = labels[hit[1]]
             yc = tuple(P[y].tolist())
@@ -538,7 +541,7 @@ def dichotomy_check(Q: DSet, v: list, delta_exp: int, rho_exp: int,
             if witnesses is not None and xc in witnesses and yc in witnesses:
                 (n1, e1), (n2, e2) = split(xc), split(yc)
                 u = (mul(alg, n1, n2) if op == "prod" else
-                     so._vec_add(mul(alg, n1, e2), mul(alg, e1, n2)))
+                     [s + t for s, t in zip(mul(alg, n1, e2), mul(alg, e1, n2))])
                 wit.update({"u": [str(t) for t in u],
                             "v": [str(t) for t in mul(alg, e1, e2)]})
         else:
@@ -547,9 +550,9 @@ def dichotomy_check(Q: DSet, v: list, delta_exp: int, rho_exp: int,
             if witnesses is not None and xc in witnesses:
                 num, dv = split(xc)
                 # the image is (num/dv + w)/2 = p/q or num/dv + w = p/q
-                w = so._units_to_values(alg, S[hit[1]], unit + e)
+                w = al._units_to_values(alg, S[hit[1]], unit + e)
                 q = [2 * t for t in dv] if mode == "halving" else dv
-                wit.update({"p": [str(t) for t in so._vec_add(num, mul(alg, w, dv))],
+                wit.update({"p": [str(s + t) for s, t in zip(num, mul(alg, w, dv))],
                             "q": [str(t) for t in q],
                             "abcd": [list(map(int, t)) for t in witnesses[xc]]})
         return DichotomyOutcome("Sparse", mode, wit, None)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from dlab import algebra as al
-from dlab.setops import mul_value_coords
 from dlab.errors import (
     DivisionByNegligible,
     NonPrime,
@@ -122,8 +121,8 @@ def test_int_inverse_is_exact(spec, m, data):
     num, den = al._int_inverse(alg, w)
     assert den > 0 and math.gcd(den, *num) == 1
     one = (Fraction(1),) + (Fraction(0),) * (alg.d - 1)
-    assert mul_value_coords(alg, [Fraction(c) for c in w],
-                            [Fraction(c, den) for c in num]) == one
+    assert al._vec_mul(alg, [Fraction(c) for c in w],
+                       [Fraction(c, den) for c in num]) == one
     with pytest.raises(DivisionByNegligible, match="zero divisor"):
         al._int_inverse(alg, [0] * alg.d)
 

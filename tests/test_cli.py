@@ -211,3 +211,15 @@ def test_op_linmap_identity_writes_pairs_back(tmp_path, which, m):
     one_e = al.element(G.alg, (2 ** m, 0), m)
     zero = al.element(G.alg, (0, 0), m)
     assert H == apply_linear_map(((one_e, zero), (zero, one_e)), G)
+
+
+def test_op_prod_past_int64_exits_2(tmp_path, capsys):
+    """An R m=62 file at Rexp=1 holding 2^63 - 1: the product's grid rows pass
+    int64, and the CLI exits 2 naming the op (it used to exit 1 with an
+    OverflowError)."""
+    path = tmp_path / "big.dset"
+    path.write_text(f"#dlab v1 base=R p=- d=1 m=62 Rexp=1\n{2 ** 63 - 1}\n3\n")
+    code = cli.main(["op", "--op", "prod", "--in", str(path), "--in2", str(path),
+                     "--out", str(tmp_path / "out.dset")])
+    assert code == 2
+    assert "product_set: grid rows past int64" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Set calculus: sums, products, projections, quotients, linear maps."""
 
 import itertools
+import math
 import os
 import random
 from fractions import Fraction
@@ -116,6 +117,38 @@ def test_sumset_past_int64_raises():
     assert sorted(int(v) for v in S.points[:, 0]) == sorted(
         {a + b for a in (2 ** 62 - 1, 2 ** 62 - 2, 1 - 2 ** 62)
          for b in (2 ** 62 - 1, 2 ** 62 - 2, 1 - 2 ** 62)})
+
+
+def test_fft_sumset_off_integers_raises(monkeypatch):
+    """The FFT branch checks that every convolution entry is within 1/4 of
+    an integer; a perturbed inverse transform raises rather than being
+    thresholded at 1/2."""
+    C = al.make_algebra("C", m=5)
+    A = make_dset(C, [(i, 2 * i) for i in range(10)])
+    monkeypatch.setattr(so, "PAIRWISE_CAP", 0)
+    assert so.sumset(A, A) == make_dset(C, [(i, 2 * i) for i in range(19)],
+                                        radius_exp=1)
+    irfftn = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn", lambda *a: irfftn(*a) + 0.3)
+    with pytest.raises(ParameterRangeError, match=r"sumset: .*sizes \[10, 10\]"):
+        so.sumset(A, A)
+
+
+def test_grid_rows_past_int64_raise():
+    """R m=62 at radius 1 holds 2^63 - 1; its square is 2^64 - 2 at the grid
+    unit, past int64: the product, the scalar image and the projection raise
+    ParameterRangeError naming the operation."""
+    R = al.make_algebra("R", m=62)
+    A = make_dset(R, [(2 ** 63 - 1,), (3,)], radius_exp=1)
+    x = A.element(1)
+    with pytest.raises(ParameterRangeError, match="product_set: grid rows past int64"):
+        so.product_set(A, A)
+    with pytest.raises(ParameterRangeError, match="scalar_image: grid rows past int64"):
+        so.scalar_image(x, A)
+    with pytest.raises(ParameterRangeError, match="project: grid rows past int64"):
+        so.project(x, so.product_pairs(A, A))
+    small = make_dset(R, [(2 ** 62,), (3,)])
+    assert so.product_set(small, small).points.tolist() == [[0], [3], [2 ** 62]]
 
 
 def test_sumset_radius_change_past_int64_raises():
@@ -471,6 +504,14 @@ def _loop_inverse(alg, vals):
     return tuple(sol)
 
 
+def _value_norm_gt(alg, vals, rho_exp) -> bool:
+    """|v| > radix^-rho_exp, exactly."""
+    if alg.is_real_base:
+        s = sum(v * v for v in vals)
+        return s > Fraction(1, 4 ** rho_exp)
+    return min((al.vq(v, alg.p) for v in vals if v != 0), default=rho_exp) < rho_exp
+
+
 def _loop_quotient_set(A, rho_exp, side="Left"):
     """quotient_set(..., with_witnesses=True) as a Fraction double loop over
     (difference, denominator) pairs, keeping the lex-smallest witness."""
@@ -487,7 +528,7 @@ def _loop_quotient_set(A, rho_exp, side="Left"):
             dv = tuple(x - y for x, y in zip(al.value_coords(alg, a),
                                              al.value_coords(alg, b)))
             diffs.setdefault(dv, (a, b))
-    dens = {dv: w for dv, w in diffs.items() if so._value_norm_gt(alg, dv, rho_exp)}
+    dens = {dv: w for dv, w in diffs.items() if _value_norm_gt(alg, dv, rho_exp)}
     if not dens:
         raise NoAdmissiblePairs("all pairwise differences are <= rho")
     if len(diffs) * len(dens) > so.point_budget():
@@ -500,10 +541,10 @@ def _loop_quotient_set(A, rho_exp, side="Left"):
         wa, wb = diffs[dv]
         for (wc, wd), inv_ev in den_list:
             if side == "Left":
-                q = so.mul_value_coords(alg, dv, inv_ev)
+                q = al._vec_mul(alg, dv, inv_ev)
             else:
-                q = so.mul_value_coords(alg, inv_ev, dv)
-            cell = so._value_to_grid(alg, q, scale_out, radius_out)
+                q = al._vec_mul(alg, inv_ev, dv)
+            cell = al._value_to_grid(alg, q, scale_out, radius_out, "quotient_set")
             key = (wa.coords, wb.coords, wc.coords, wd.coords)
             if cell not in cells or key < cells[cell]:
                 cells[cell] = key
@@ -656,3 +697,235 @@ def test_quotient_set_chunks_match_single_pass():
     finally:
         so.QUOTIENT_CHUNK = so_chunk
     assert Q == Q1 and wit == wit1
+
+
+# --- linear-map oracles: the Fraction loops the integer maps replaced ------
+
+def _vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def _inv_of_value(alg, vals):
+    """Exact rational inverse of an element given by value coordinates."""
+    scale = math.lcm(*(Fraction(v).denominator for v in vals))
+    num, den = al._int_inverse(alg, [int(v * scale) for v in vals])
+    return tuple(Fraction(scale * c, den) for c in num)
+
+
+def _loop_linear_map_matrix(alg, L):
+    """(2d)x(2d) rational matrix of (a,b) -> (L11 a + L12 b, L21 a + L22 b)."""
+    d = alg.d
+    cols = []
+    for pos in range(2):
+        for k in range(d):
+            e = al.basis_element(alg, k)
+            if pos == 0:
+                top = al.mul_exact(alg, L[0][0], e)
+                bot = al.mul_exact(alg, L[1][0], e)
+            else:
+                top = al.mul_exact(alg, L[0][1], e)
+                bot = al.mul_exact(alg, L[1][1], e)
+            col = list(al.value_coords(alg, top)) + list(al.value_coords(alg, bot))
+            cols.append(col)
+    return [[cols[j][i] for j in range(2 * d)] for i in range(2 * d)]
+
+
+def _loop_check_invertible(alg, L):
+    mat = _loop_linear_map_matrix(alg, L)
+    det = al.det_fraction(mat)
+    if det == 0:
+        raise SingularMap("linear map is singular")
+    floor_exp = alg.m // 2
+    if (abs(det) < Fraction(1, 2 ** floor_exp) if alg.is_real_base
+            else al.vq(det, alg.p) > floor_exp):
+        raise SingularMap("determinant below the invertibility floor")
+    return det
+
+
+def _loop_apply_linear_map(L, G):
+    """apply_linear_map as a per-row Fraction loop."""
+    alg = G.alg
+    _loop_check_invertible(alg, L)
+    d = alg.d
+    a = G.pairs[:, :d]
+    b = G.pairs[:, d:]
+    rows = []
+    unit = G.unit_exp()
+    for idx in range(len(G)):
+        av = al._units_to_values(alg, a[idx], unit)
+        bv = al._units_to_values(alg, b[idx], unit)
+        top = _vec_add(al._vec_mul(alg, al.value_coords(alg, L[0][0]), av),
+                       al._vec_mul(alg, al.value_coords(alg, L[0][1]), bv))
+        bot = _vec_add(al._vec_mul(alg, al.value_coords(alg, L[1][0]), av),
+                       al._vec_mul(alg, al.value_coords(alg, L[1][1]), bv))
+        r_out = G.radius_exp + 2
+        rows.append(al._value_to_grid(alg, top, G.scale_exp, r_out)
+                    + al._value_to_grid(alg, bot, G.scale_exp, r_out))
+    return so.PairSet(alg, G.scale_exp, G.radius_exp + 2,
+                      np.array(rows, dtype=np.int64).reshape(-1, 2 * d))
+
+
+def _loop_apply_dual(L, X):
+    """apply_dual as a per-row Fraction loop."""
+    alg = X.alg
+    _loop_check_invertible(alg, L)
+    unit = X.unit_exp()
+    onev = al.value_coords(alg, al.one(alg))
+    rows = []
+    r_out = X.radius_exp + alg.m // 2 + 1
+    for idx in range(len(X)):
+        xv = al._units_to_values(alg, X.points[idx], unit)
+        w1 = _vec_add(al._vec_mul(alg, al.value_coords(alg, L[0][0]), onev),
+                      al._vec_mul(alg, al.value_coords(alg, L[0][1]), xv))
+        w2 = _vec_add(al._vec_mul(alg, al.value_coords(alg, L[1][0]), onev),
+                      al._vec_mul(alg, al.value_coords(alg, L[1][1]), xv))
+        if not _value_norm_gt(alg, w1, alg.m // 2):
+            raise DivisionByNegligible("first component below the inversion floor")
+        mapped = al._vec_mul(alg, _inv_of_value(alg, w1), w2)
+        rows.append(al._value_to_grid(alg, mapped, X.scale_exp, r_out))
+    return DSet(alg, X.scale_exp, r_out, np.array(rows, dtype=np.int64))
+
+
+def _loop_outcome(f):
+    """_outcome of an oracle, with the OverflowError of its int64 cast read as
+    the ParameterRangeError the kernels raise past int64."""
+    try:
+        return _outcome(f)
+    except OverflowError:
+        return ParameterRangeError
+
+
+def _same(got, want):
+    if isinstance(want, type) or isinstance(got, type):
+        return got is want
+    return got == want if not isinstance(want, np.ndarray) else np.array_equal(got, want)
+
+
+_LINMAP_ALGEBRAS = [("R", None, None), ("C", None, None), ("H", None, None),
+                    ("Qp", 2, None), ("Qp", 3, None), ("Qp_ext", 3, 2)]
+
+
+def _map_entry(data, alg):
+    """An L entry whose unit_exp is off m (real base) or 0..3 (p-adic), with
+    values up to 2 in absolute value (real base); sometimes 0 or 1."""
+    if alg.is_real_base:
+        unit = data.draw(hst.sampled_from([alg.m - 2, alg.m, alg.m + 1]), label="unit")
+        top = 2 ** (unit + 1)
+        coord = hst.integers(-top, top)
+    else:
+        unit = data.draw(hst.integers(0, 3), label="unit")
+        coord = hst.integers(0, alg.p ** (alg.m + unit) - 1)
+    kind = data.draw(hst.sampled_from(["random"] * 4 + ["zero", "one"]), label="kind")
+    if kind != "random":
+        return al.zero(alg) if kind == "zero" else al.one(alg)
+    return al.element(alg, data.draw(hst.lists(coord, min_size=alg.d, max_size=alg.d)),
+                      unit)
+
+
+def _grid_coord(alg, scale, radius):
+    top = alg.radix ** (scale + radius)
+    return hst.integers(-top, top) if alg.is_real_base else hst.integers(0, top - 1)
+
+
+@settings(max_examples=250, deadline=None)
+@given(hst.sampled_from(_LINMAP_ALGEBRAS), hst.data())
+def test_linear_map_and_dual_equal_fraction_loops(spec, data):
+    """The integer apply_linear_map and apply_dual equal the Fraction loops,
+    or raise the same error (SingularMap, DivisionByNegligible, a value
+    below the representable radius), for radius 0 and 1 and L entries of
+    unit_exp off m."""
+    name, p, d = spec
+    alg = al.make_algebra(name, p=p, d=d, m=data.draw(hst.integers(4, 7), label="m"))
+    scale = data.draw(hst.integers(alg.m - 1, alg.m + 1), label="scale")
+    radius = data.draw(hst.integers(0, 1), label="radius")
+    coord = _grid_coord(alg, scale, radius)
+    L = [[_map_entry(data, alg) for _ in range(2)] for _ in range(2)]
+    if data.draw(hst.sampled_from([False] * 4 + [True]), label="repeat row"):
+        L[1] = list(L[0])
+    pairs = data.draw(hst.lists(hst.lists(coord, min_size=2 * alg.d, max_size=2 * alg.d),
+                                max_size=6), label="pairs")
+    G = so.make_pairset(alg, pairs, scale, radius)
+    got = _outcome(lambda: so.apply_linear_map(L, G))
+    want = _outcome(lambda: _loop_apply_linear_map(L, G))
+    event("linmap " + (want.__name__ if isinstance(want, type) else "equal"))
+    assert _same(got, want)
+    pts = data.draw(hst.lists(hst.lists(coord, min_size=alg.d, max_size=alg.d),
+                              max_size=6), label="directions")
+    X = make_dset(alg, pts, scale, radius)
+    got = _outcome(lambda: so.apply_dual(L, X))
+    want = _outcome(lambda: _loop_apply_dual(L, X))
+    event("dual " + (want.__name__ if isinstance(want, type) else "equal"))
+    assert _same(got, want)
+    if not isinstance(want, type):
+        assert (got.scale_exp, got.radius_exp) == (want.scale_exp, want.radius_exp)
+
+
+# --- every set kernel at the int64 edge -------------------------------------
+
+_EDGE_ALGEBRAS = [("R", None, 31), ("R", None, 62), ("C", None, 31), ("C", None, 62),
+                  ("H", None, 31), ("H", None, 62), ("Qp", 2, 62), ("Qp", 3, 39)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(hst.sampled_from(_EDGE_ALGEBRAS), hst.sampled_from(["Left", "Right"]),
+       hst.data())
+def test_set_kernels_at_int64_edge_equal_loops(spec, side, data):
+    """product_set, scalar_image, project, quotient_set, apply_linear_map and
+    apply_dual equal their Element or Fraction loops on R, C and H at
+    m = 31 and 62 and on Qp p = 2, 3 with p^m near 2^62, with coordinates
+    up to the edge of the grid: equal sets, or the same error (a row past
+    int64 raises ParameterRangeError; for project, so does a row x b past
+    int64 that a + x b would bring back).  The p-adic pair sets and directions
+    sit at a scale whose images keep a modulus p^m or below."""
+    name, p, m = spec
+    alg = al.make_algebra(name, p=p, m=m)
+    top = alg.radix ** m
+    if alg.is_real_base:
+        coord = hst.integers(-top, top) | hst.sampled_from([top, -top, top - 1, 1 - top])
+    else:
+        coord = hst.integers(0, top - 1) | hst.sampled_from([top - 1, top - p, 1])
+    row = hst.lists(coord, min_size=alg.d, max_size=alg.d)
+    a = sorted(set(map(tuple, data.draw(hst.lists(row, min_size=1, max_size=4), label="A"))))
+    b = sorted(set(map(tuple, data.draw(hst.lists(row, min_size=1, max_size=3), label="B"))))
+    A, B = make_dset(alg, a), make_dset(alg, b)
+    ea, eb = A.elements(), B.elements()
+    x = al.element(alg, data.draw(row, label="x"))
+
+    def mul(u, v):
+        return al.mul(alg, u, v) if side == "Left" else al.mul(alg, v, u)
+
+    def points(elems):
+        return make_dset(alg, [e.coords for e in elems]).points
+
+    def project_loop():
+        xb = [al.mul(alg, x, v) for v in eb]
+        points(xb)      # x b is a grid row of its own: past int64 it raises
+        return points([al.add(alg, u, w) for u in ea for w in xb])
+
+    checks = [
+        (lambda: so.product_set(A, B, side).points,
+         lambda: points([mul(u, v) for u in ea for v in eb])),
+        (lambda: so.scalar_image(x, A, side).points,
+         lambda: points([mul(x, u) for u in ea])),
+        (lambda: so.project(x, so.product_pairs(A, B)).points, project_loop),
+    ]
+    for got, want in checks:
+        want = _loop_outcome(want)
+        event(want.__name__ if isinstance(want, type) else "equal")
+        assert _same(_outcome(got), want)
+    rho = data.draw(hst.integers(1, (m - 1) // 3), label="rho")
+    got = _outcome(lambda: so.quotient_set(A, rho, side, with_witnesses=True))
+    want = _loop_outcome(lambda: _loop_quotient_set(A, rho, side))
+    assert _same(got if isinstance(got, type) else got[1],
+                 want if isinstance(want, type) else want[1])
+    if not isinstance(got, type):
+        assert got[0] == want[0]
+    # linear maps: entries up to 2 in absolute value (real base)
+    L = [[al.element(alg, data.draw(row, label="L")) for _ in range(2)] for _ in range(2)]
+    g_scale = m if alg.is_real_base else m - 2
+    G = so.make_pairset(alg, [u + v for u in a for v in b], g_scale)
+    got = _outcome(lambda: so.apply_linear_map(L, G))
+    assert _same(got, _loop_outcome(lambda: _loop_apply_linear_map(L, G)))
+    X = make_dset(alg, a, m if alg.is_real_base else m - m // 2 - 1)
+    got = _outcome(lambda: so.apply_dual(L, X))
+    assert _same(got, _loop_outcome(lambda: _loop_apply_dual(L, X)))

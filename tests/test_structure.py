@@ -237,7 +237,7 @@ def test_dichotomy_sparse_decomposition_consistent():
     out = st.dichotomy_check(Q, _complex_basis(C), 7, 1, witnesses=wit)
     p = tuple(Fraction(s) for s in out.witness["p"])
     q = tuple(Fraction(s) for s in out.witness["q"])
-    ratio = so.mul_value_coords(C, p, so._inv_of_value(C, q))
+    ratio = al._vec_mul(C, p, _inv_of_value(C, q))
     xvals = tuple(Fraction(s) for s in out.witness["x"])
     img, _ = st._halving_value(C, _complex_basis(C), out.witness["map"], xvals)
     assert ratio == img
@@ -282,10 +282,33 @@ def test_dichotomy_witness_read_at_set_unit():
     q = tuple(Fraction(t) for t in out.witness["q"])
     xvals = tuple(Fraction(t) for t in out.witness["x"])
     img, _ = st._halving_value(C, _complex_basis(C), out.witness["map"], xvals)
-    assert so.mul_value_coords(C, p, so._inv_of_value(C, q)) == img
+    assert al._vec_mul(C, p, _inv_of_value(C, q)) == img
+
+
+def test_basis_rows_divide_out_a_shared_radix_power():
+    """v = [one] over R m=62 and a scale-1 Q: the refined denominator 2^62
+    and the row 2^62 share 2^61, so the rows are (0, [[2]]), not
+    (61, [[2^62]]); the dichotomy's outcome is unchanged by the smaller
+    rows."""
+    R = al.make_algebra("R", m=62)
+    Q = DSet(R, 1, 1, np.array([[-2], [0], [1], [3]]))
+    assert st._basis_rows(Q, [al.one(R)]) == (0, [[2]])
+    C = al.make_algebra("C", m=7)
+    Q = DSet(C, 2, 1, np.array([[0, 0], [4, 4], [8, 0]]))
+    v = [al.element(C, (64, 0), 7), al.element(C, (0, 98), 7)]
+    assert st._basis_rows(Q, v) == (4, [[32, 0], [0, 49]])
+    out = st.dichotomy_check(Q, v, 7, 1)
+    assert out.to_json() == _oracle_dichotomy(Q, v, 7, 1).to_json()
 
 
 # --- Fraction oracles: the dichotomy scans before their integer rewrite -----
+
+def _inv_of_value(alg, vals):
+    """Exact rational inverse of an element given by value coordinates."""
+    scale = math.lcm(*(Fraction(v).denominator for v in vals))
+    num, den = al._int_inverse(alg, [int(v * scale) for v in vals])
+    return tuple(Fraction(scale * c, den) for c in num)
+
 
 def _oracle_near(alg, Qset, scale, radius, yvals):
     """Some q in Q within Delta of y: |y_k - q_k Delta| <= Delta for all k
@@ -324,7 +347,7 @@ def _oracle_dichotomy(Q, v, delta_exp, rho_exp, witnesses=None, mode=None):
         return tuple(s + t for s, t in zip(u, w))
 
     def mul(u, w):
-        return so.mul_value_coords(alg, u, w)
+        return al._vec_mul(alg, u, w)
 
     def sparse(xc, label, decomp):
         wit = {"x": [str(t) for t in val(xc)], "x_coords": list(xc), "map": label}
