@@ -343,11 +343,7 @@ def fibre_profile(G: so.PairSet, X: DSet, c1=None, rho_exp: int = 1):
     out = {}
     for x in sorted(X.elements(), key=lambda e: e.coords):
         proj, r_out = so._project_rows(x, G)
-        if alg.is_real_base:
-            cells = proj // (2 ** (m - rho_exp))
-        else:
-            cells = proj % alg.p ** (rho_exp + r_out)
-        counts = _row_counts(cells)
+        counts = _row_counts(_cell_rows(alg, m, r_out, proj, rho_exp))
         heaviest = int(counts.max())
         out[tuple(map(int, x.coords))] = {
             "max_fibre": heaviest,

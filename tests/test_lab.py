@@ -201,6 +201,40 @@ def test_projection_profile_equals_covering_of_project(spec, m, radius, pairs, x
                                        for x in xs_sorted]
 
 
+def test_fibre_profile_clamps_the_top_of_the_ball():
+    """R m=3, G = {(8, 8), (7, 8)}, x = 1: a + xb = 16 is the top boundary
+    2^(m + r_out) and shares the last rho = 3 cell with 15, so there is one
+    fibre (cell_ids clamps the top; the profile used to count two)."""
+    R = al.make_algebra("R", m=3)
+    G = so.make_pairset(R, [(8, 8), (7, 8)])
+    rep = lab.fibre_profile(G, make_dset(R, [(8,)]), rho_exp=3)
+    assert rep[(8,)]["n_fibres"] == 1 and rep[(8,)]["max_fibre"] == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.sampled_from([("R", None, 1), ("C", None, 1), ("H", None, 1),
+                         ("Qp", 3, 1), ("Qp_ext", 3, 2)]),
+       hst.integers(2, 4), hst.sampled_from([0, 1]), hst.data())
+def test_fibre_profile_counts_covering_cells(spec, m, radius, data):
+    """n_fibres is the covering number of the projection at rho, and the
+    fibre masses add up to |G|."""
+    kind, p, d = spec
+    alg = al.make_algebra(kind, m=m) if p is None else \
+        al.make_algebra(kind, p=p, d=d, m=m)
+    top = alg.radix ** (m + radius)
+    coord = hst.integers(-top, top) if alg.is_real_base else hst.integers(0, top - 1)
+    pairs = data.draw(hst.lists(hst.lists(coord, min_size=2 * alg.d, max_size=2 * alg.d),
+                                min_size=1, max_size=30))
+    xs = data.draw(hst.lists(hst.lists(coord, min_size=alg.d, max_size=alg.d),
+                             min_size=1, max_size=4))
+    rho = data.draw(hst.integers(0, m))
+    G = so.make_pairset(alg, pairs, scale_exp=m, radius_exp=radius)
+    X = make_dset(alg, xs, scale_exp=m)
+    rep = lab.fibre_profile(G, X, rho_exp=rho)
+    for x in X.elements():
+        assert rep[tuple(x.coords)]["n_fibres"] == covering_number(so.project(x, G), rho)
+
+
 def test_run_expansion_trapped_input():
     C = al.make_algebra("C", m=6)
     A = make_dset(C, [(k, 0) for k in range(0, 65, 8)])
