@@ -271,14 +271,16 @@ def _fft_support_sum(a_pts, b_pts, cyclic_mod=None):
     axes = tuple(range(d))
     conv = np.fft.irfftn(np.fft.rfftn(ga, shape, axes) * np.fft.rfftn(gb, shape, axes),
                          shape, axes)
-    counts = np.rint(conv)
-    conv -= counts
+    out = np.argwhere(conv > 0.5).astype(np.int64)
+    # |conv - rint(conv)| in place, so the check holds no second grid
+    conv += 0.5
+    np.remainder(conv, 1.0, out=conv)
+    conv -= 0.5
     err = float(np.abs(conv, out=conv).max())
     if not err < 0.25:
         raise ParameterRangeError(
             f"sumset: FFT convolution of sizes [{len(a_pts)}, {len(b_pts)}] is "
             f"{err} off the integers, past 1/4")
-    out = np.argwhere(counts > 0.5).astype(np.int64)
     if cyclic_mod is None:
         out = out + amin + bmin
     return out
@@ -365,20 +367,20 @@ def _norm_ceil_exp(x: Element) -> int:
 def _project_rows(x: Element, G: PairSet):
     """(rows, radius_exp): a + x b for every pair (a, b) of G, in G's row
     order, rounded once (real base) or exact (p-adic base)."""
-    alg, d, unit = G.alg, G.alg.d, G.unit_exp()
+    alg, d, unit, scale = G.alg, G.alg.d, G.unit_exp(), G.scale_exp
     # real base: a is on the grid, so rounding a + xb once equals a + round(xb)
     r_out = G.radius_exp + (1 + _norm_ceil_exp(x) if alg.is_real_base
                             else max(x.unit_exp, 0))
     big, den = _abs_max(G.pairs), alg.radix ** unit
-    a = G.pairs[:, :d].astype(_grid_dtype(alg, big, den, G.scale_exp, r_out), copy=False)
-    a = _to_grid(alg, a, den, G.scale_exp, r_out, "project")
-    xb = _scalar_rows(alg, x, G.pairs[:, d:], unit, G.scale_exp, "Left", r_out, "project")
-    if (big if alg.is_real_base else _abs_max(a)) + _abs_max(xb) >= 2 ** 63:
-        a, xb = a.astype(object), xb.astype(object)
-    # the sum, in the output's units, through the same step: reduced mod
-    # p^(scale_exp + r_out) on the p-adic base, checked against int64
-    out_unit = G.scale_exp if alg.is_real_base else r_out
-    return _to_grid(alg, a + xb, alg.radix ** out_unit, G.scale_exp, r_out, "project"), r_out
+    a = G.pairs[:, :d].astype(_grid_dtype(alg, big, den, scale, r_out), copy=False)
+    a = _to_grid(alg, a, den, scale, r_out, "project")
+    xb = _scalar_rows(alg, x, G.pairs[:, d:], unit, scale, "Left", r_out, "project")
+    # a + xb in the output's units through the same step (mod p^(scale + r_out))
+    den = alg.radix ** (scale if alg.is_real_base else r_out)
+    dt = _grid_dtype(alg, (big if alg.is_real_base else _abs_max(a)) + _abs_max(xb),
+                     den, scale, r_out)
+    pts = a.astype(dt, copy=False) + xb.astype(dt, copy=False)
+    return _to_grid(alg, pts, den, scale, r_out, "project"), r_out
 
 
 def project(x: Element, G: PairSet) -> DSet:
@@ -402,12 +404,11 @@ def ball_intersect(A: DSet, radius_exp: int = 0) -> DSet:
     if alg.is_real_base:
         keep = _row_norm_sq(A.points) <= 4 ** (A.scale_exp + radius_exp)
         return DSet(alg, A.scale_exp, radius_exp, A.points[keep])
-    p = alg.p
     if radius_exp >= A.radius_exp:
         return A
-    f = p ** (A.radius_exp - radius_exp)
-    keep = np.all(A.points % f == 0, axis=1)
-    pts = (A.points[keep] // f) % _mod(alg, A.scale_exp, radius_exp)
+    keep = np.all(A.points % alg.p ** (A.radius_exp - radius_exp) == 0, axis=1)
+    pts = _to_grid(alg, A.points[keep], alg.p ** A.radius_exp, A.scale_exp,
+                   radius_exp, "ball_intersect")
     return DSet(alg, A.scale_exp, radius_exp, pts)
 
 

@@ -215,8 +215,7 @@ def test_op_linmap_identity_writes_pairs_back(tmp_path, which, m):
 
 def test_op_prod_past_int64_exits_2(tmp_path, capsys):
     """An R m=62 file at Rexp=1 holding 2^63 - 1: the product's grid rows pass
-    int64, and the CLI exits 2 naming the op (it used to exit 1 with an
-    OverflowError)."""
+    int64, and the CLI exits 2 naming the op."""
     path = tmp_path / "big.dset"
     path.write_text(f"#dlab v1 base=R p=- d=1 m=62 Rexp=1\n{2 ** 63 - 1}\n3\n")
     code = cli.main(["op", "--op", "prod", "--in", str(path), "--in2", str(path),

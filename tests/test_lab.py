@@ -203,8 +203,8 @@ def test_projection_profile_equals_covering_of_project(spec, m, radius, pairs, x
 
 def test_fibre_profile_clamps_the_top_of_the_ball():
     """R m=3, G = {(8, 8), (7, 8)}, x = 1: a + xb = 16 is the top boundary
-    2^(m + r_out) and shares the last rho = 3 cell with 15, so there is one
-    fibre (cell_ids clamps the top; the profile used to count two)."""
+    2^(m + r_out) and shares the last rho = 3 cell with 15, as cell_ids
+    clamps it, so there is one fibre."""
     R = al.make_algebra("R", m=3)
     G = so.make_pairset(R, [(8, 8), (7, 8)])
     rep = lab.fibre_profile(G, make_dset(R, [(8,)]), rho_exp=3)

@@ -137,7 +137,7 @@ def test_fft_sumset_off_integers_raises(monkeypatch):
 def test_grid_rows_past_int64_raise():
     """R m=62 at radius 1 holds 2^63 - 1; its square is 2^64 - 2 at the grid
     unit, past int64: the product, the scalar image and the projection raise
-    ParameterRangeError naming the operation."""
+    ParameterRangeError naming the operation.  Rows that fit come back."""
     R = al.make_algebra("R", m=62)
     A = make_dset(R, [(2 ** 63 - 1,), (3,)], radius_exp=1)
     x = A.element(1)
@@ -149,6 +149,12 @@ def test_grid_rows_past_int64_raise():
         so.project(x, so.product_pairs(A, A))
     small = make_dset(R, [(2 ** 62,), (3,)])
     assert so.product_set(small, small).points.tolist() == [[0], [3], [2 ** 62]]
+    # Qp p=2 m=62, x = 1/2: the output modulus 2^63 takes the sum a + xb to
+    # Python ints, and rows that fit come back (3 + 5/2 and 7 + 1/2)
+    Q2 = al.make_algebra("Qp", p=2, m=62)
+    half = al.element(Q2, (1,), unit_exp=1)
+    G = so.make_pairset(Q2, [(3, 5), (7, 1)])
+    assert so.project(half, G).points.tolist() == [[11], [15]]
 
 
 def test_sumset_radius_change_past_int64_raises():
