@@ -222,11 +222,13 @@ def test_fibre_profile_counts_covering_cells(spec, m, radius, data):
     alg = al.make_algebra(kind, m=m) if p is None else \
         al.make_algebra(kind, p=p, d=d, m=m)
     top = alg.radix ** (m + radius)
-    coord = hst.integers(-top, top) if alg.is_real_base else hst.integers(0, top - 1)
+    # real base: x = 1 and a = b = top put a + xb on the top of the ball
+    coord = (hst.integers(-top, top) | hst.just(top) if alg.is_real_base
+             else hst.integers(0, top - 1))
     pairs = data.draw(hst.lists(hst.lists(coord, min_size=2 * alg.d, max_size=2 * alg.d),
                                 min_size=1, max_size=30))
     xs = data.draw(hst.lists(hst.lists(coord, min_size=alg.d, max_size=alg.d),
-                             min_size=1, max_size=4))
+                             min_size=1, max_size=4)) + [al.one(alg).coords]
     rho = data.draw(hst.integers(0, m))
     G = so.make_pairset(alg, pairs, scale_exp=m, radius_exp=radius)
     X = make_dset(alg, xs, scale_exp=m)
