@@ -272,11 +272,9 @@ def _fft_support_sum(a_pts, b_pts, cyclic_mod=None):
     conv = np.fft.irfftn(np.fft.rfftn(ga, shape, axes) * np.fft.rfftn(gb, shape, axes),
                          shape, axes)
     out = np.argwhere(conv > 0.5).astype(np.int64)
-    # |conv - rint(conv)| in place, so the check holds no second grid
-    conv += 0.5
-    np.remainder(conv, 1.0, out=conv)
-    conv -= 0.5
-    err = float(np.abs(conv, out=conv).max())
+    # max |conv - rint(conv)| in blocks, so the check holds no second grid
+    err = max(float(np.abs(blk - np.rint(blk)).max())
+              for blk in np.array_split(conv.reshape(-1), 1 + conv.size // 65536))
     if not err < 0.25:
         raise ParameterRangeError(
             f"sumset: FFT convolution of sizes [{len(a_pts)}, {len(b_pts)}] is "
