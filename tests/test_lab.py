@@ -1,5 +1,6 @@
 """Schedules, generators, counterexamples, and experiment drivers."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -11,7 +12,12 @@ from hypothesis import strategies as hst
 from dlab import algebra as al
 from dlab import lab
 from dlab import setops as so
-from dlab.dset import covering_number, is_nonconcentrated, make_dset
+from dlab.dset import (
+    covering_number,
+    is_nonconcentrated,
+    make_dset,
+    uniform_subset,
+)
 from dlab.errors import GenerationFailed, ParameterRangeError, TrappedInput
 
 
@@ -255,6 +261,39 @@ def test_run_expansion_circle_net_grows():
     assert len(recs) == 2
     assert recs[1].exponent > recs[0].exponent
     assert recs[1].exponent <= C.d
+
+
+# (|X|, radius_exp, sha256 of the little-endian int64 points) at every stage
+# of one (2,2) round from the m=6 circle net
+_ROUND_DIGESTS = {
+    "P": (1116, 0, "bfb9c6599309955290bd3c6f1abacc399288e460f8b165b48fc9ea6e39d110fc"),
+    "D": (53689, 1, "85c08e4041ed8a8648378db06b17de60c5e4a21370452bccebb6bc68f5512cee"),
+    "S": (214489, 2, "3141e1fe88daab3c6ddb6f722acc5381206d2ca02d6170769a4cc2851b8c3d0b"),
+    "recentered": (214489, 2, "3141e1fe88daab3c6ddb6f722acc5381206d2ca02d6170769a4cc2851b8c3d0b"),
+    "clipped": (12853, 0, "64193349c5324549a301464c1398475f58983a4818959ebeb9a99a3c2cb9c6fb"),
+    "uniformized": (4096, 0, "0ec94629b600a3ba2441e37dd097503ae010fe263d7c641e06cd750eeb294961"),
+}
+
+
+def test_expansion_round_stage_digests():
+    """Every stage of run_expansion's round is pinned: P = A A, D = P - P,
+    S = D + D (the FFT branch with both operands the same set), then the
+    recentered, clipped and uniformized sets."""
+    C = al.make_algebra("C", m=6)
+    net = lab.circle_net(C, 6)
+    P = so.product_set(net, net, "Left")
+    D = so.difference_set(P, P)
+    assert len(D) ** 2 > so.PAIRWISE_CAP
+    S = so.sumset(D, D)
+    assert S == so.iterated(net, 2, 2, clip=False)
+    R = lab._recenter(S)
+    B = so.ball_intersect(R, 0)
+    stages = {"P": P, "D": D, "S": S, "recentered": R, "clipped": B,
+              "uniformized": uniform_subset(B, T=1)}
+    got = {k: (len(X), X.radius_exp, hashlib.sha256(
+               np.ascontiguousarray(X.points, dtype="<i8").tobytes()).hexdigest())
+           for k, X in stages.items()}
+    assert got == _ROUND_DIGESTS
 
 
 def test_full_grid_expansion_capped_at_dim():
