@@ -281,9 +281,11 @@ def _recenter(A: DSet) -> DSet:
     if len(A) == 0 or not A.alg.is_real_base:
         return A
     pts = A.points
-    # lexsort's last key is the primary one: max norm, then coordinates
-    best = np.lexsort([pts[:, t] for t in range(pts.shape[1] - 1, -1, -1)]
-                      + [np.abs(pts).max(axis=1)])[0]
+    norm = np.abs(pts[:, 0])
+    for t in range(1, pts.shape[1]):
+        np.maximum(norm, np.abs(pts[:, t]), out=norm)
+    # the rows are sorted, so the first of least max norm is the smallest
+    best = np.argmin(norm)
     return DSet(A.alg, A.scale_exp, A.radius_exp, pts - pts[best])
 
 

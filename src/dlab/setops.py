@@ -3,8 +3,11 @@ actions, projections, quotient sets and linear coordinate changes.
 
 Real-base composites are rounded to the grid once per operation
 (half-away-from-zero); p-adic composites are exact.  Large sumsets fall
-back to an FFT indicator convolution; everything else is pairwise with a
-point budget.
+back to an FFT indicator convolution, transformed at 7-smooth lengths on
+the real base (the cyclic grid p^k on the p-adic base) with one squared
+spectrum for A + A; everything else is pairwise with a point budget.  An
+empty operand gives the empty set at the (scale_exp, radius_exp) of a
+one-point operand.
 
 Products, scalar images, projections and quotient numerators share one
 bilinear array product (_raw_products) and one grid step (_to_grid); the
@@ -25,6 +28,7 @@ from .dset import (
     DSet,
     _abs_max,
     _canon_points,
+    _col_bounds,
     _grid_rows,
     _read_rows,
     _row_mins,
@@ -241,55 +245,84 @@ def _negate_points(alg, pts, scale_exp, radius_exp):
 # ---------------------------------------------------------------------------
 # sums and differences
 
+def _smooth_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c 7^e >= n >= 1: a length the FFT splits into
+    small radices (a prime length runs several times slower)."""
+    best, f7 = 1 << (n - 1).bit_length(), 1
+    while f7 < best:
+        f5 = f7
+        while f5 < best:
+            f3 = f5
+            while f3 < best:    # f3 times the least power of 2 reaching n
+                best = min(best, f3 << ((n - 1) // f3).bit_length())
+                f3 *= 3
+            f5 *= 5
+        f7 *= 7
+    return best
+
+
+def _indicator(pts, shape) -> np.ndarray:
+    grid = np.zeros(shape)
+    grid[tuple(pts.T)] = 1.0
+    return grid
+
+
 def _fft_support_sum(a_pts, b_pts, cyclic_mod=None):
     """Support of the sumset via indicator convolution.
 
-    cyclic_mod None: linear convolution on the bounding boxes (real base).
-    Otherwise circular convolution modulo cyclic_mod per axis (p-adic).
+    cyclic_mod None: linear convolution on the bounding boxes (real base),
+    transformed at the smallest 7-smooth length per axis that holds the
+    box, or at the box itself when that padded grid has more than
+    FFT_CELL_CAP cells.  Otherwise circular convolution modulo cyclic_mod
+    per axis (p-adic).  When both operands are the same array, one forward
+    transform is squared; each grid is freed once it has been used.
 
     For 0/1 inputs the float error of every convolution entry is at most
-    c u log2(N) |a|_2 |b|_2 (u the unit roundoff, N the cell count;
-    Schatzman, SIAM J. Sci. Comput. 17, 1996): about 1e-7 under
-    FFT_CELL_CAP.  The entries are counts, so an entry farther than 1/4 from
-    an integer raises ParameterRangeError instead of being thresholded.
+    c u log2(N) |a|_2 |b|_2 (u the unit roundoff, N the transformed cell
+    count; Schatzman, SIAM J. Sci. Comput. 17, 1996): about 1e-7 under
+    FFT_CELL_CAP.  The entries are counts, so an entry of the box farther
+    than 1/4 from an integer raises ParameterRangeError instead of being
+    thresholded.
     """
     d = a_pts.shape[1]
     if cyclic_mod is None:
-        amin, bmin = a_pts.min(axis=0), b_pts.min(axis=0)
+        (amin, amax), (bmin, bmax) = _col_bounds(a_pts), _col_bounds(b_pts)
         # the box in Python ints, so that no span wraps before the cap check
-        shape = tuple(int(ha) - int(la) + int(hb) - int(lb) + 1 for ha, la, hb, lb
-                      in zip(a_pts.max(axis=0), amin, b_pts.max(axis=0), bmin))
+        box = tuple(int(ha) - int(la) + int(hb) - int(lb) + 1 for ha, la, hb, lb
+                    in zip(amax, amin, bmax, bmin))
+        shape = tuple(map(_smooth_len, box))
+        if math.prod(shape) > FFT_CELL_CAP:
+            shape = box
     else:
-        shape = (cyclic_mod,) * d
+        amin = bmin = np.zeros(d, dtype=np.int64)
+        box = shape = (cyclic_mod,) * d
     if math.prod(shape) > FFT_CELL_CAP:
         raise BudgetExceeded("sumset grid too large for FFT", {"cells": math.prod(shape)})
-    ash, bsh = (a_pts - amin, b_pts - bmin) if cyclic_mod is None else (a_pts, b_pts)
-    ga = np.zeros(shape)
-    ga[tuple(ash.T)] = 1.0
-    gb = np.zeros(shape)
-    gb[tuple(bsh.T)] = 1.0
     axes = tuple(range(d))
-    conv = np.fft.irfftn(np.fft.rfftn(ga, shape, axes) * np.fft.rfftn(gb, shape, axes),
-                         shape, axes)
-    out = np.argwhere(conv > 0.5).astype(np.int64)
-    # max |conv - rint(conv)| in blocks, so the check holds no second grid
+    spec = np.fft.rfftn(_indicator(a_pts - amin, shape), shape, axes)
+    if b_pts is a_pts:
+        spec *= spec
+    else:
+        spec *= np.fft.rfftn(_indicator(b_pts - bmin, shape), shape, axes)
+    conv = np.fft.irfftn(spec, shape, axes)
+    del spec
+    conv = conv[tuple(slice(0, n) for n in box)]
+    out = np.argwhere(conv > 0.5)
+    # max |conv - rint(conv)| in blocks of the leading axis, so the check
+    # holds no second grid
     err = max(float(np.abs(blk - np.rint(blk)).max())
-              for blk in np.array_split(conv.reshape(-1), 1 + conv.size // 65536))
+              for blk in np.array_split(conv, min(box[0], 1 + conv.size // 65536)))
     if not err < 0.25:
         raise ParameterRangeError(
             f"sumset: FFT convolution of sizes [{len(a_pts)}, {len(b_pts)}] is "
             f"{err} off the integers, past 1/4")
-    if cyclic_mod is None:
-        out = out + amin + bmin
+    out += amin + bmin
     return out
 
 
 def sumset(A: DSet, B: DSet) -> DSet:
     """{a + b} on the grid."""
     _check_compat(A, B)
-    if len(A) == 0 or len(B) == 0:
-        return DSet(A.alg, A.scale_exp, max(A.radius_exp, B.radius_exp),
-                    np.zeros((0, A.alg.d), dtype=np.int64))
     alg = A.alg
     r = max(A.radius_exp, B.radius_exp)
     a = _at_radius(A, r)
@@ -327,8 +360,6 @@ def product_set(A: DSet, B: DSet, side: str = "Left") -> DSet:
     if side not in ("Left", "Right"):
         raise ParameterRangeError(f"side must be Left or Right, got {side!r}")
     alg = A.alg
-    if len(A) == 0 or len(B) == 0:
-        return DSet(alg, A.scale_exp, 0, np.zeros((0, alg.d), dtype=np.int64))
     if len(A) * len(B) > min(PAIRWISE_CAP, point_budget()):
         raise BudgetExceeded("product set too large",
                              {"pairs": len(A) * len(B)})
@@ -341,8 +372,6 @@ def product_set(A: DSet, B: DSet, side: str = "Left") -> DSet:
 def scalar_image(x: Element, A: DSet, side: str = "Left") -> DSet:
     """{xa} or {ax} on the grid."""
     alg = A.alg
-    if len(A) == 0:
-        return A
     pts = _scalar_rows(alg, x, A.points, A.unit_exp(), A.scale_exp, side,
                        A.unit_exp() + x.unit_exp, "scalar_image")
     if alg.is_real_base:
@@ -383,12 +412,8 @@ def _project_rows(x: Element, G: PairSet):
 
 def project(x: Element, G: PairSet) -> DSet:
     """pi_x(G) = {a + x b}, rounded once (real) / exact (p-adic)."""
-    alg = G.alg
-    if len(G) == 0:
-        return DSet(alg, G.scale_exp, G.radius_exp,
-                    np.zeros((0, alg.d), dtype=np.int64))
     pts, r_out = _project_rows(x, G)
-    return DSet(alg, G.scale_exp, r_out, pts)
+    return DSet(G.alg, G.scale_exp, r_out, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +422,6 @@ def project(x: Element, G: PairSet) -> DSet:
 def ball_intersect(A: DSet, radius_exp: int = 0) -> DSet:
     """A ∩ B(0, radix^radius_exp) (closed Euclidean ball / ultrametric ball)."""
     alg = A.alg
-    if len(A) == 0:
-        return DSet(alg, A.scale_exp, radius_exp, A.points)
     if alg.is_real_base:
         keep = _row_norm_sq(A.points) <= 4 ** (A.scale_exp + radius_exp)
         return DSet(alg, A.scale_exp, radius_exp, A.points[keep])

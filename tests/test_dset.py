@@ -324,6 +324,27 @@ def test_canon_points_fallback_and_single_row():
     assert _canon_points(np.zeros((0, 2), dtype=np.int64), 2).shape == (0, 2)
 
 
+def test_canon_points_sorted_input_is_copied():
+    """Rows that arrive sorted and distinct skip the sort; every input gives
+    np.unique(axis=0) in a fresh C-contiguous array that shares no memory
+    with it."""
+    rnd = np.random.default_rng(5)
+    rows = np.unique(rnd.integers(-40, 40, size=(300, 3)), axis=0)
+    dups = np.repeat(rows, rnd.integers(1, 4, size=len(rows)), axis=0)
+    wide = np.array([[-2 ** 62, 7], [0, -1], [2 ** 62, 0]], dtype=np.int64)
+    for arr in (rows, np.asfortranarray(rows), dups, rows[::-1], rows[:1],
+                rows[:0], wide, wide[::-1]):
+        got = _canon_points(arr, arr.shape[1])
+        assert np.array_equal(got, np.unique(arr, axis=0))
+        assert got.flags.c_contiguous and not np.shares_memory(got, arr)
+    alg = al.make_algebra("H", m=6)
+    pts = rows[:, :2].repeat(2, axis=1)
+    A = DSet(alg, 6, 0, pts)
+    before = A.points.copy()
+    pts[0] = 99
+    assert np.array_equal(A.points, before)
+
+
 @settings(max_examples=40, deadline=None)
 @given(hst.sampled_from([1, 2, 4]),
        hst.sampled_from([2 ** 20, 2 ** 30, int(2 ** 31.5), 2 ** 40]),

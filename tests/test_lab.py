@@ -1,6 +1,7 @@
 """Schedules, generators, counterexamples, and experiment drivers."""
 
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -344,6 +345,24 @@ def _recenter_oracle(A):
                key=lambda i: (int(np.max(np.abs(A.points[i]))),
                               tuple(map(int, A.points[i]))))
     return A.points - A.points[best]
+
+
+@pytest.mark.parametrize("spec, rows, center", [
+    ("R", [(-3,), (3,), (7,), (-9,)], (-3,)),
+    ("C", [(2, -2), (-2, 1), (1, -2), (-1, 2), (-2, -2), (2, 2), (5, 0), (0, -7)],
+     (-2, -2)),
+    ("C", [(-4, 3), (-4, -1), (0, -4), (4, -4), (-5, 0)], (-4, -1)),
+    ("H", [r for r in itertools.product((-1, 0, 1), repeat=4) if any(r)]
+     + [(0, 0, 0, 3), (-2, 5, 0, 0)], (-1, -1, -1, -1)),
+])
+def test_recenter_ties_take_the_smallest_row(spec, rows, center):
+    """Of the many rows of least max norm, the lexicographically smallest is
+    the new origin."""
+    alg = al.make_algebra(spec, m=5)
+    A = make_dset(alg, rows, scale_exp=5)
+    want = make_dset(alg, np.array(rows) - np.array(center), scale_exp=5)
+    assert lab._recenter(A) == want
+    assert np.array_equal(want.points, make_dset(alg, _recenter_oracle(A), 5).points)
 
 
 @settings(max_examples=50, deadline=None)

@@ -5,6 +5,7 @@ import math
 import os
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -134,6 +135,75 @@ def test_fft_sumset_off_integers_raises(monkeypatch):
         so.sumset(A, A)
 
 
+# --- the FFT sumset against the pairwise one ---------------------------------
+
+# (kind, p, d, m, coordinate range): small boxes on the real base, every
+# residue of the cyclic grid on the p-adic base
+_FFT_ALGEBRAS = [("R", None, 1, 4, 24), ("C", None, 2, 4, 9), ("H", None, 4, 4, 3),
+                 ("Qp", 2, 1, 5, None), ("Qp", 3, 1, 3, None), ("Qp", 5, 1, 2, None),
+                 ("Qp_ext", 3, 2, 2, None)]
+
+
+def _fft_branch(op, *args, **caps):
+    """op(*args) with the FFT branch forced; caps override module constants."""
+    with mock.patch.multiple(so, PAIRWISE_CAP=0, **caps):
+        return op(*args)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.sampled_from(_FFT_ALGEBRAS),
+       hst.sampled_from(["same", "difference", "pair", "disjoint"]), hst.data())
+def test_fft_sumset_equals_pairwise(spec, mode, data):
+    """The FFT branch (smooth padded lengths on the real base, the cyclic
+    grid p^k on the p-adic base, one squared spectrum when both operands
+    are the same set) gives the pairwise sumset."""
+    kind, p, d, m, span = spec
+    alg = al.make_algebra(kind, p=p, d=d, m=m)
+    coord = (hst.integers(-span, span) if alg.is_real_base
+             else hst.integers(0, p ** m - 1))
+    rows = hst.lists(hst.tuples(*[coord] * d), min_size=1, max_size=12)
+    A = make_dset(alg, data.draw(rows))
+    B = make_dset(alg, data.draw(rows))
+    if mode == "disjoint":  # B's box far from A's on every axis
+        B = make_dset(alg, B.points + (3 * span if alg.is_real_base else 0))
+    op, args = {"same": (so.sumset, (A, A)), "difference": (so.difference_set, (A, A)),
+                "pair": (so.sumset, (A, B)), "disjoint": (so.sumset, (A, B))}[mode]
+    assert _fft_branch(op, *args) == op(*args)
+
+
+def _is_smooth(n):
+    for f in (2, 3, 5, 7):
+        while n % f == 0:
+            n //= f
+    return n == 1
+
+
+def test_smooth_len_equals_scan():
+    assert [so._smooth_len(n) for n in range(1, 4000)] == [
+        next(k for k in itertools.count(n) if _is_smooth(k)) for n in range(1, 4000)]
+
+
+def test_fft_sumset_prime_length_and_cell_cap():
+    """A 1-d convolution of prime length 1033 is transformed at 1050 =
+    2 3 5^2 7; when FFT_CELL_CAP rejects the padded grid but holds the box,
+    the box itself is transformed and gives the same set; below the box
+    BudgetExceeded is raised as before."""
+    R = al.make_algebra("R", m=9)
+    rnd = random.Random(1033)
+    A = make_dset(R, [(0,), (516,)] + [(rnd.randrange(517),) for _ in range(40)])
+    B = make_dset(R, [(-3,), (513,)] + [(rnd.randrange(-3, 514),) for _ in range(40)])
+    want = so.sumset(A, B)
+    for cap, length in ((so.FFT_CELL_CAP, 1050), (1049, 1033), (1033, 1033)):
+        with mock.patch.object(np.fft, "rfftn", wraps=np.fft.rfftn) as rfftn:
+            assert _fft_branch(so.sumset, A, B, FFT_CELL_CAP=cap) == want
+        assert [c.args[1] for c in rfftn.call_args_list] == [(length,)] * 2
+    with mock.patch.object(np.fft, "rfftn", wraps=np.fft.rfftn) as rfftn:
+        assert _fft_branch(so.sumset, A, A) == so.sumset(A, A)
+    assert len(rfftn.call_args_list) == 1     # one spectrum, squared
+    with pytest.raises(BudgetExceeded, match="FFT"):
+        _fft_branch(so.sumset, A, B, FFT_CELL_CAP=1032)
+
+
 def test_grid_rows_past_int64_raise():
     """R m=62 at radius 1 holds 2^63 - 1; its square is 2^64 - 2 at the grid
     unit, past int64: the product, the scalar image and the projection raise
@@ -247,6 +317,67 @@ def test_project_product_pairs_is_sumset_of_scaled():
     lhs = so.project(x, so.product_pairs(A, B))
     rhs = so.sumset(A, so.scalar_image(x, B, "Left"))
     assert {tuple(p) for p in lhs.points} == {tuple(p) for p in rhs.points}
+
+
+# --- empty operands get the radius of a one-point operand --------------------
+
+_EMPTY_ALGEBRAS = [("R", None, 1), ("C", None, 2), ("H", None, 4), ("Qp", 3, 1),
+                   ("Qp_ext", 3, 2)]
+
+
+def _one_and_empty(kind, p, d, radius_exp=1):
+    alg = al.make_algebra(kind, p=p, d=d, m=4)
+    one = make_dset(alg, [(3,) * d], radius_exp=radius_exp)
+    return one, make_dset(alg, np.zeros((0, d), dtype=np.int64), radius_exp=radius_exp)
+
+
+@pytest.mark.parametrize("kind, p, d", _EMPTY_ALGEBRAS)
+def test_sumset_of_empty_has_one_point_radius(kind, p, d):
+    one, empty = _one_and_empty(kind, p, d)
+    A = make_dset(one.alg, [(1,) * d, (2,) + (0,) * (d - 1)], radius_exp=0)
+    for X, Y, Z in ((A, empty, one), (empty, A, one), (empty, empty, one)):
+        S = so.sumset(X, Y)
+        assert len(S) == 0 and S.radius_exp == so.sumset(X if len(X) else Z,
+                                                         Y if len(Y) else Z).radius_exp
+    assert so.difference_set(A, empty).radius_exp == so.difference_set(A, one).radius_exp
+
+
+@pytest.mark.parametrize("kind, p, d", _EMPTY_ALGEBRAS)
+def test_product_set_of_empty_has_one_point_radius(kind, p, d):
+    one, empty = _one_and_empty(kind, p, d)
+    A = make_dset(one.alg, [(1,) * d, (2,) + (0,) * (d - 1)], radius_exp=1)
+    for side in ("Left", "Right"):
+        for X, Y, Z in ((A, empty, (A, one)), (empty, A, (one, A))):
+            P = so.product_set(X, Y, side)
+            assert len(P) == 0 and P.radius_exp == so.product_set(*Z, side).radius_exp
+        assert so.product_set(A, empty).radius_exp == 2
+
+
+@pytest.mark.parametrize("kind, p, d", _EMPTY_ALGEBRAS)
+def test_scalar_image_of_empty_has_one_point_radius(kind, p, d):
+    one, empty = _one_and_empty(kind, p, d)
+    for x in (al.element(one.alg, (5,) * d, 1), al.element(one.alg, (1,) * d, 3)):
+        for side in ("Left", "Right"):
+            I = so.scalar_image(x, empty, side)
+            assert len(I) == 0
+            assert I.radius_exp == so.scalar_image(x, one, side).radius_exp
+
+
+@pytest.mark.parametrize("kind, p, d", _EMPTY_ALGEBRAS)
+def test_project_of_empty_has_one_point_radius(kind, p, d):
+    one, empty = _one_and_empty(kind, p, d)
+    for x in (al.element(one.alg, (5,) * d, 1), al.element(one.alg, (1,) * d, 3)):
+        P = so.project(x, so.product_pairs(one, empty))
+        assert len(P) == 0 and P.points.shape == (0, d)
+        assert P.radius_exp == so.project(x, so.product_pairs(one, one)).radius_exp
+
+
+@pytest.mark.parametrize("kind, p, d", _EMPTY_ALGEBRAS)
+def test_ball_intersect_of_empty_has_one_point_radius(kind, p, d):
+    one, empty = _one_and_empty(kind, p, d, radius_exp=2)
+    for r in (0, 1, 2, 3):
+        B = so.ball_intersect(empty, r)
+        assert len(B) == 0 and B.radius_exp == so.ball_intersect(one, r).radius_exp
 
 
 # --- products whose raw coordinates pass int64 -------------------------------
