@@ -43,11 +43,11 @@ def point_budget() -> int:
 
 
 def _col_bounds(arr: np.ndarray):
-    """(lo, hi): the column minima and maxima of a non-empty 2-d array, one
-    column at a time (a reduction over axis 0 of a few columns runs about
-    ten times slower)."""
-    cols = [arr[:, t] for t in range(arr.shape[1])]
-    return np.array([c.min() for c in cols]), np.array([c.max() for c in cols])
+    """(lo, hi): the column minima and maxima of a non-empty 2-d array, taken
+    along the rows of its contiguous transpose (a reduction over axis 0 of a
+    few C-ordered columns runs about ten times slower)."""
+    cols = np.ascontiguousarray(arr.T)
+    return cols.min(axis=1), cols.max(axis=1)
 
 
 def _key_layout(arr: np.ndarray):
@@ -199,7 +199,7 @@ def _row_norm_sq(pts: np.ndarray) -> np.ndarray:
     big = _abs_max(pts)
     if pts.shape[1] * big * big < 2 ** 63:
         out = pts[:, 0] * pts[:, 0]
-        for t in range(1, pts.shape[1]):    # column by column, as in _col_bounds
+        for t in range(1, pts.shape[1]):    # not a slow reduction over axis 1
             out += pts[:, t] * pts[:, t]
         return out
     obj = pts.astype(object)

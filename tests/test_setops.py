@@ -350,7 +350,7 @@ def test_product_set_of_empty_has_one_point_radius(kind, p, d):
         for X, Y, Z in ((A, empty, (A, one)), (empty, A, (one, A))):
             P = so.product_set(X, Y, side)
             assert len(P) == 0 and P.radius_exp == so.product_set(*Z, side).radius_exp
-        assert so.product_set(A, empty).radius_exp == 2
+    assert so.product_set(A, empty).radius_exp == 2
 
 
 @pytest.mark.parametrize("kind, p, d", _EMPTY_ALGEBRAS)
