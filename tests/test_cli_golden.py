@@ -1,9 +1,10 @@
 """CLI golden gate: the README example commands, plus a product, a
 quadruple count, fibre profiles and the energy on a Qp set, the
-verifiers (uniformize, verify-nc, cover) on C and Qp sets, and projections
-and linear maps of C and Qp pair sets, must reproduce
-the recorded exit codes, stdout, stderr and output files byte for byte
-(the version string in config comments aside).
+verifiers (uniformize, verify-nc, cover) on C and Qp sets, projections
+and linear maps of C and Qp pair sets, and sub-algebra avoidance and
+escape bases on C, H and Qp_ext sets, must reproduce the recorded exit
+codes, stdout, stderr and output files byte for byte (the version string
+in config comments aside).
 
 The reference lives in cli_golden.json next to this file.  To re-record it
 from the checked-out source, run `PYTHONPATH=src python3
@@ -73,6 +74,19 @@ COMMANDS = [
     "op --op linmap --in g.pairs --matrix 64,0/32,16;-16,48/64,0 --out lg.pairs",
     "op --op proj --in qg.pairs --x 5 --out pqg.dset",
     "op --op linmap --in qg.pairs --matrix 2/1;1/2 --out lqg.pairs",
+    # sub-algebra avoidance, strong avoidance and escape bases on the C
+    # set, an H set and a Qp_ext set
+    "avoid --in a.dset --C 4",
+    "avoid --in a.dset --C 4 --strong",
+    "escape --in a.dset",
+    "gen --alg H --m 3 --s 1.5 --seed 1 --out h.dset",
+    "avoid --in h.dset --C 4",
+    "avoid --in h.dset --C 4 --strong",
+    "escape --in h.dset",
+    "gen --alg Qp_ext --p 3 --d 2 --m 3 --s 1.0 --seed 1 --out e.dset",
+    "avoid --in e.dset --C 2",
+    "avoid --in e.dset --C 2 --strong",
+    "escape --in e.dset",
 ]
 
 _VERSION = re.compile(rb"# dlab \S+ config:")
