@@ -502,25 +502,6 @@ def norm(alg: AlgebraDescriptor, x: Element):
     return Fraction(1, alg.p ** e) if e >= 0 else Fraction(alg.p ** (-e))
 
 
-def _solve_fraction(mat, rhs):
-    """Gaussian elimination over Fractions; returns None if singular."""
-    n = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(rhs[i])]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
 def _int_det(mat):
     """Exact determinant of a square integer matrix by Laplace expansion along
     the first row (d! terms: small for d <= 4)."""

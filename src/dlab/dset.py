@@ -363,8 +363,6 @@ def neighborhood(A: DSet, k: int) -> DSet:
     """All grid points within radix^-k of the set (linf boxes / p-adic cells)."""
     if k > A.scale_exp:
         raise ScaleOutOfRange(f"k={k} beyond scale_exp {A.scale_exp}")
-    if len(A) == 0:
-        return A
     d = A.alg.d
     if A.alg.is_real_base:
         u = 2 ** (A.scale_exp - k)

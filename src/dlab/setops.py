@@ -2,7 +2,9 @@
 actions, projections, quotient sets and linear coordinate changes.
 
 Real-base composites are rounded to the grid once per operation
-(half-away-from-zero); p-adic composites are exact.  Large sumsets fall
+(half-away-from-zero); a projection a + x b rounds x b and adds the grid
+point a, which at a tie can differ from rounding a + x b.  p-adic
+composites are exact.  Large sumsets fall
 back to an FFT indicator convolution, transformed at 7-smooth lengths on
 the real base (the cyclic grid p^k on the p-adic base) with one squared
 spectrum for A + A; everything else is pairwise with a point budget.  An
@@ -393,9 +395,9 @@ def _norm_ceil_exp(x: Element) -> int:
 
 def _project_rows(x: Element, G: PairSet):
     """(rows, radius_exp): a + x b for every pair (a, b) of G, in G's row
-    order, rounded once (real base) or exact (p-adic base)."""
+    order: a + round(x b) on the real base, like add(a, mul(x, b)), which at
+    a tie can differ from round(a + x b); exact on the p-adic base."""
     alg, d, unit, scale = G.alg, G.alg.d, G.unit_exp(), G.scale_exp
-    # real base: a is on the grid, so rounding a + xb once equals a + round(xb)
     r_out = G.radius_exp + (1 + _norm_ceil_exp(x) if alg.is_real_base
                             else max(x.unit_exp, 0))
     big, den = _abs_max(G.pairs), alg.radix ** unit
@@ -411,7 +413,7 @@ def _project_rows(x: Element, G: PairSet):
 
 
 def project(x: Element, G: PairSet) -> DSet:
-    """pi_x(G) = {a + x b}, rounded once (real) / exact (p-adic)."""
+    """pi_x(G) = {a + x b}: a + round(x b) (real) / exact (p-adic)."""
     pts, r_out = _project_rows(x, G)
     return DSet(G.alg, G.scale_exp, r_out, pts)
 
@@ -613,8 +615,11 @@ def apply_dual(L, X: DSet) -> DSet:
         far = _row_norm_sq(w1) * 4 ** floor_exp > 4 ** (unit + U)
     else:                   # some coordinate of valuation below the floor
         far = np.any(w1 % alg.p ** (floor_exp + unit + U) != 0, axis=1)
-    # the rows before the first one below the floor are mapped (and may raise)
+    # the rows before the first one below the floor are mapped and may raise a
+    # p-adic value finer than the grid; past int64 only when every row maps
     n = int(np.argmin(np.append(far, False)))
+    if n < len(X) and alg.is_real_base:
+        n = 0
     inv = [al._int_inverse(alg, list(w)) for w in w1[:n]]
     C = np.array(alg.structure_constants, dtype=object)
     T = np.tensordot(np.array([u for u, _ in inv], dtype=object).reshape(n, d), C,

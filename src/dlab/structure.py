@@ -2,8 +2,10 @@
 
 Real sub-algebra families are finite nets of linear spans; p-adic
 families are the proper unramified subfields, with Teichmueller-lift
-bases.  All distance comparisons are exact (rational squared distances
-over the reals, valuations over the p-adics).
+bases.  Avoidance, strong avoidance and escape bases compare distances
+exactly through one array kernel, _span_distances: integer numerators
+over one denominator (squared distances over the reals, p-powers over the
+p-adics), on int64 while a bound proves that they fit, else Python ints.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -164,74 +166,110 @@ def subalgebra_family(alg, net_exp: int | None = None) -> SubAlgebraFamily:
 # ---------------------------------------------------------------------------
 # distances
 
-def _real_dist_sq(alg, vals, basis) -> Fraction:
-    """Exact squared Euclidean distance to the span (normal equations)."""
-    if not basis:
-        return sum(v * v for v in vals)
-    k = len(basis)
-    gram = [[sum(basis[i][t] * basis[j][t] for t in range(alg.d))
-             for j in range(k)] for i in range(k)]
-    rhs = [sum(basis[i][t] * vals[t] for t in range(alg.d)) for i in range(k)]
-    sol = al._solve_fraction(gram, rhs)
-    proj = [sum(sol[i] * basis[i][t] for i in range(k)) for t in range(alg.d)]
-    return sum((vals[t] - proj[t]) ** 2 for t in range(alg.d))
+def _scaled(vec):
+    """A rational vector times the lcm of its denominators: integers."""
+    L = math.lcm(*(Fraction(c).denominator for c in vec))
+    return [int(c * L) for c in vec]
+
+
+def _adjugate(M):
+    """adj(M) of a square integer matrix: the transposed cofactors."""
+    return [[(-1) ** (i + j) * al._int_det([r[:i] + r[i + 1:]
+                                            for t, r in enumerate(M) if t != j])
+             for j in range(len(M))] for i in range(len(M))]
 
 
 def _padic_isometry_data(alg, basis):
-    """Complete the basis to a mod-p invertible matrix with standard vectors;
-    returns (matrix columns as Fractions, number of span columns)."""
+    """Complete the basis greedily with standard vectors to d columns that
+    are independent mod p (so of unit determinant); returns them as
+    Fractions, the basis first.  ValueError when p divides a denominator."""
     p, d = alg.p, alg.d
+
+    def independent(cols):
+        vecs = [[Fraction(c).numerator * pow(Fraction(c).denominator, -1, p) % p
+                 for c in col] for col in cols]
+        for i, v in enumerate(vecs):    # row echelon form mod p
+            t = next((t for t, c in enumerate(v) if c), None)
+            if t is None:
+                return False
+            for w in vecs[i + 1:]:
+                f = w[t] * pow(v[t], -1, p)
+                w[:] = [(x - f * y) % p for x, y in zip(w, v)]
+        return True
     cols = [list(b) for b in basis]
-    # greedily extend by standard vectors keeping mod-p rank full
-    def rank_mod_p(columns):
-        mat = [[int(c[i] * 1) % p if isinstance(c[i], int)
-                else (c[i].numerator * pow(c[i].denominator, -1, p)) % p
-                for c in columns] for i in range(d)]
-        r = 0
-        rows = list(range(d))
-        m2 = [row[:] for row in mat]
-        for c in range(len(columns)):
-            piv = next((i for i in rows if m2[i][c] % p), None)
-            if piv is None:
-                return -1  # dependent column
-            rows.remove(piv)
-            inv = pow(m2[piv][c], -1, p)
-            for i in rows:
-                f = m2[i][c] * inv % p
-                for cc in range(len(columns)):
-                    m2[i][cc] = (m2[i][cc] - f * m2[piv][cc]) % p
-            r += 1
-        return r
     for k in range(d):
         e = [Fraction(int(i == k)) for i in range(d)]
-        if rank_mod_p(cols + [e]) == len(cols) + 1:
+        if len(cols) < d and independent(cols + [e]):
             cols.append(e)
-        if len(cols) == d:
-            break
     if len(cols) < d:
         raise RuntimeError("could not complete p-adic basis")
     return cols
 
 
-def _padic_dist(alg, vals, basis) -> Fraction:
-    """Exact p-adic distance to the Q_p-span (0 for membership at full
-    rational precision): the largest p^-v_p over the coordinates of vals
-    (no basis) or over its coordinates on the columns completing the basis
-    (_padic_isometry_data)."""
-    if basis:
-        cols = _padic_isometry_data(alg, basis)
-        mat = [[cols[j][i] for j in range(alg.d)] for i in range(alg.d)]
-        vals = al._solve_fraction(mat, list(vals))[len(basis):]
-    kmin = min((al.vq(v, alg.p) for v in vals if v != 0), default=None)
-    return Fraction(0) if kmin is None else Fraction(alg.p) ** -kmin
+def _span_distances(alg, basis, rows, u):
+    """(num, den): the exact distance of every row to the span of basis (a
+    tuple of rational d-vectors) as num[i] / den over one integer den > 0;
+    rows are integer coordinates in units radix^-u (int64 or object).
+    Real base, squared: with the basis scaled to integer rows B, G = B B^T
+    and g = det G, (g |v|^2 - (Bv)^T adj(G) (Bv)) / (g 4^u).  p-adic base:
+    p^(u - w), w the least valuation of the entries of adj(M) v outside the
+    span, M the integer completion of the basis (_padic_isometry_data),
+    or 0 when they vanish: num = p^(W - w) over den = p^(W - u), W = max(u,
+    w).  int64 while a bound on |v| and the matrices proves that every
+    intermediate fits; Python ints in object arrays otherwise."""
+    d, k, big = alg.d, len(basis), _abs_max(rows)
+    if alg.is_real_base:
+        B = [_scaled(b) for b in basis]
+        G = [[sum(x * y for x, y in zip(bi, bj)) for bj in B] for bi in B]
+        g, adj = al._int_det(G), _adjugate(G)
+        if g == 0:
+            raise ParameterRangeError("sub-algebra basis is not independent")
+        bmax, amax = _abs_max(B), _abs_max(adj)
+        top = max(g * d * big ** 2 + k * k * amax * (d * bmax * big) ** 2, g, 2 * amax, bmax)
+        V = rows.astype(np.int64 if top < 2 ** 63 else object, copy=False)
+        BV = [sum(V[:, t] * c for t, c in enumerate(b)) for b in B]
+        num = g * sum(V[:, t] * V[:, t] for t in range(d))
+        for i in range(k):
+            num -= adj[i][i] * BV[i] * BV[i]
+            for j in range(i + 1, k):
+                num -= 2 * adj[i][j] * BV[i] * BV[j]
+        return num, g * 4 ** u
+    p = alg.p
+    cols = [_scaled(c) for c in _padic_isometry_data(alg, basis)]
+    R = _adjugate([list(r) for r in zip(*cols)])[k:] or [[0] * d]
+    top = d * max(abs(c) for r in R for c in r) * big
+    V = rows.astype(np.int64 if top < 2 ** 63 else object, copy=False)
+    E = [sum(V[:, t] * c for t, c in enumerate(r)) for r in R]
+    zero = np.logical_and.reduce([e == 0 for e in E])
+    w, live = np.zeros(len(rows), dtype=np.int64), ~zero
+    while live.any():
+        live &= np.logical_and.reduce([e % p == 0 for e in E])
+        w += live
+        E = [e // p for e in E]
+    W = max(u, int(w.max(initial=0)))
+    num = p ** (W - w).astype(np.int64 if p ** W < 2 ** 63 else object) * ~zero
+    return num, p ** (W - u)
+
+
+def _cut(alg, den, thresh):
+    """The least integer num with num / den >= thresh^2 (real) or thresh."""
+    t = Fraction(thresh) ** (2 if alg.is_real_base else 1)
+    return -(-den * t.numerator // t.denominator)
+
+
+def _element_rows(alg, elems):
+    """(rows, u): the coordinates of elems in units radix^-u, u their
+    largest unit_exp; int64 when they fit, Python ints otherwise."""
+    u = max((e.unit_exp for e in elems), default=0)
+    rows = np.array([[c * alg.radix ** (u - e.unit_exp) for c in e.coords]
+                     for e in elems], dtype=object).reshape(-1, alg.d)
+    return (rows.astype(np.int64) if _abs_max(rows) < 2 ** 63 else rows), u
 
 
 def distance_sq_or_exact(alg, a: Element, member: SubAlgebra):
     """Exact comparator value: squared distance (real) or distance (p-adic)."""
-    vals = al.value_coords(alg, a)
-    if alg.is_real_base:
-        return _real_dist_sq(alg, vals, member.basis)
-    return _padic_dist(alg, vals, member.basis)
+    num, den = _span_distances(alg, member.basis, *_element_rows(alg, [a]))
+    return Fraction(int(num[0]), den)
 
 
 def distance_to_subalgebra(alg, a: Element, member: SubAlgebra) -> float:
@@ -259,35 +297,30 @@ class AvoidanceReport:
     necessary_passed: bool | None = None  # trapped <= |A| - ceil(|A|/C)
 
     def to_dict(self):
-        return {
-            "passed": self.passed,
-            "C": str(self.C),
-            "trapped": self.trapped,
-            "worst_member": self.worst_member,
-            "max_distance": self.max_distance,
-            "sharp_passed": self.sharp_passed,
-            "necessary_passed": self.necessary_passed,
-        }
+        return {**asdict(self), "C": str(self.C)}
+
+
+def _member_distances(A: DSet, C, family):
+    """(member, num, den, cut) per member of family (by default
+    subalgebra_family): A's rows with num >= cut are 1/C-far from it."""
+    if family is None:
+        family = subalgebra_family(A.alg)
+    for mem in family.members:
+        num, den = _span_distances(A.alg, mem.basis, A.points, A.unit_exp())
+        yield mem, num, den, _cut(A.alg, den, Fraction(1) / Fraction(C))
 
 
 def avoids_subalgebras(A: DSet, C, family: SubAlgebraFamily | None = None):
-    """Some element of A is 1/C-far from every proper sub-algebra."""
-    alg = A.alg
-    if family is None:
-        family = subalgebra_family(alg)
-    thresh = Fraction(1) / Fraction(C)
-    elems = A.elements()
-    maxd = {}
-    worst = None
-    ok = True
-    for mem in family.members:
-        best = max((distance_to_subalgebra(alg, a, mem) for a in elems),
-                   default=0.0)
-        maxd[mem.name] = best
-        good = any(_dist_ge(alg, a, mem, thresh) for a in elems)
-        if not good:
+    """Some element of A is 1/C-far from every proper sub-algebra;
+    max_distance is the float of each member's largest exact distance."""
+    maxd, worst, ok = {}, None, True
+    for mem, num, den, cut in _member_distances(A, C, family):
+        top = int(num.max(initial=0))
+        v = float(Fraction(top, den))
+        best = maxd[mem.name] = math.sqrt(v) if A.alg.is_real_base else v
+        if not (len(A) and top >= cut):
             ok = False
-            if worst is None or best < maxd.get(worst, float("inf")):
+            if worst is None or best < maxd[worst]:
                 worst = mem.name
     return AvoidanceReport(ok, Fraction(C), {}, worst, maxd)
 
@@ -296,25 +329,17 @@ def strongly_avoids(A: DSet, C, family: SubAlgebraFamily | None = None):
     """Every C-dense subset of A escapes every sub-algebra.  Sharp form:
     trapped(F) < ceil(|A|/C) for all F; the weaker necessary bound
     trapped(F) <= |A| - ceil(|A|/C) is reported alongside."""
-    alg = A.alg
-    if family is None:
-        family = subalgebra_family(alg)
-    thresh = Fraction(1) / Fraction(C)
-    elems = A.elements()
-    n = len(elems)
+    n = len(A)
     need = -(-n * Fraction(C).denominator // Fraction(C).numerator)  # ceil(n/C)
-    trapped = {}
-    worst = None
-    for mem in family.members:
-        t = sum(0 if _dist_ge(alg, a, mem, thresh) else 1 for a in elems)
-        trapped[mem.name] = t
+    trapped, worst = {}, None
+    for mem, num, _, cut in _member_distances(A, C, family):
+        t = trapped[mem.name] = int(np.count_nonzero(num < cut))
         if worst is None or t > trapped[worst]:
             worst = mem.name
     sharp = all(t < need for t in trapped.values())
     necessary = all(t <= n - need for t in trapped.values())
-    rep = AvoidanceReport(sharp, Fraction(C), trapped, worst, {},
-                          sharp_passed=sharp, necessary_passed=necessary)
-    return rep
+    return AvoidanceReport(sharp, Fraction(C), trapped, worst, {},
+                           sharp_passed=sharp, necessary_passed=necessary)
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +349,14 @@ def _candidate_pool(A: DSet, depth: int, cap: int = 100_000):
     """Products of at most `depth` elements of A, deterministic order."""
     alg = A.alg
     elems = sorted(A.elements(), key=lambda e: e.coords)
-    pool = list(elems)
-    seen = {(e.coords, e.unit_exp) for e in pool}
-    frontier = list(elems)
+    pool, frontier, seen = list(elems), list(elems), set(elems)
     for _ in range(depth - 1):
         nxt = []
         for f in frontier:
             for a in elems:
                 prod = al.mul(alg, f, a)
-                key = (prod.coords, prod.unit_exp)
-                if key not in seen:
-                    seen.add(key)
+                if prod not in seen:
+                    seen.add(prod)
                     pool.append(prod)
                     nxt.append(prod)
                 if len(pool) >= cap:
@@ -345,32 +367,26 @@ def _candidate_pool(A: DSet, depth: int, cap: int = 100_000):
 
 def escape_basis(A: DSet, floor) -> list:
     """Greedy almost-orthogonal basis from products of <= d elements of A;
-    certificate is det_basis >= floor."""
-    alg = A.alg
-    d = alg.d
-    floor = Fraction(floor)
+    certificate is det_basis >= floor.  Each step scores the whole pool by
+    its distance to the span of the chosen elements in one _span_distances
+    call and takes the first candidate of largest (score, -|coords|)."""
+    alg, d, floor = A.alg, A.alg.d, Fraction(floor)
     pool = _candidate_pool(A, d)
-    chosen = []
-    chosen_vals = []
+    rows, u = _element_rows(alg, pool)
+    neg_abs, chosen = -np.abs(rows), []
     for _ in range(d):
-        best = None
-        best_key = None
-        for cand in pool:
-            vals = al.value_coords(alg, cand)
-            score = (_real_dist_sq(alg, vals, chosen_vals) if alg.is_real_base
-                     else _padic_dist(alg, vals, chosen_vals))
-            key = (score, tuple(-abs(v) for v in vals))
-            if score > 0 and (best is None or key > best_key):
-                best = (cand, vals)
-                best_key = key
-        if best is None:
+        basis = tuple(al.value_coords(alg, c) for c in chosen)
+        score = _span_distances(alg, basis, rows, u)[0]
+        top = score.max(initial=0)
+        if top <= 0:
             raise SubAlgebraTrapped("candidate pool spans a proper subspace",
                                     span=[c.coords for c in chosen])
-        chosen.append(best[0])
-        chosen_vals.append(best[1])
+        best = score == top
+        for t in range(d):
+            best &= neg_abs[:, t] == neg_abs[best, t].max()
+        chosen.append(pool[int(np.flatnonzero(best)[0])])
     det = al.det_basis(alg, chosen)
-    if alg.is_real_base:
-        det = abs(det)
+    det = abs(det) if alg.is_real_base else det
     if det < floor:
         raise SubAlgebraTrapped(f"greedy determinant {det} below floor {floor}",
                                 span=[c.coords for c in chosen])

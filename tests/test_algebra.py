@@ -144,13 +144,22 @@ def test_int_inverse_raises_on_zero_divisor():
     assert al._int_inverse(split, (2, 1)) == ((2, -1), 3)
 
 
+def _cramer(mat, rhs):
+    """mat^-1 rhs over Fractions by Cramer's rule on al.det_fraction; None
+    when mat is singular."""
+    det = al.det_fraction(mat)
+    return None if det == 0 else [
+        al.det_fraction([r[:j] + [b] + r[j + 1:] for r, b in zip(mat, rhs)]) / det
+        for j in range(len(mat))]
+
+
 def _fraction_inv(alg, x):
-    """al.inv with the inverse solved by Gaussian elimination over Fractions."""
+    """al.inv with the inverse solved over Fractions by Cramer's rule."""
     vals = al.value_coords(alg, x)
     d = alg.d
     mat = [[sum(vals[i] * alg.structure_constants[i][j][k] for i in range(d))
             for j in range(d)] for k in range(d)]
-    sol = al._solve_fraction(mat, [1] + [0] * (d - 1))
+    sol = _cramer(mat, [1] + [0] * (d - 1))
     if alg.is_real_base:
         return al.from_value_coords(alg, sol)
     e = al.norm_exp(alg, x)

@@ -135,6 +135,20 @@ def test_neighborhood_contains_input():
     assert {(3,), (17,)} <= have
 
 
+
+@pytest.mark.parametrize("kind, p, d", [("R", None, 1), ("C", None, 2), ("H", None, 4),
+                                        ("Qp", 3, 1), ("Qp_ext", 3, 2)])
+def test_neighborhood_of_empty_has_one_point_radius(kind, p, d):
+    """The empty set's neighborhood is empty at the radius_exp that a
+    one-point set's neighborhood gets (radius_exp + 1 on the real base)."""
+    alg = al.make_algebra(kind, p=p, d=d, m=4)
+    one = make_dset(alg, [(1,) * d], radius_exp=1)
+    empty = make_dset(alg, [], radius_exp=1)
+    for k in (3, 4):
+        N = neighborhood(empty, k)
+        assert len(N) == 0 and N.points.shape == (0, d)
+        assert N.radius_exp == neighborhood(one, k).radius_exp
+
 def test_remove_ball_keeps_three_quarters():
     A = _line(5)
     out = remove_ball(A, al.zero(A.alg), 2)  # drop B(0, 1/4)

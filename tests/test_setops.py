@@ -319,6 +319,19 @@ def test_project_product_pairs_is_sumset_of_scaled():
     assert {tuple(p) for p in lhs.points} == {tuple(p) for p in rhs.points}
 
 
+
+def test_project_rounds_x_b_then_adds_a():
+    """R m=1, a = -1/2, b = 1/2, x = 1/2: project gives a + round(x b) =
+    -1/2 + 1/2 = 0, as the Element loop add(a, mul(x, b)) does; rounding
+    a + x b = -1/4 once, half away from zero, would give -1/2."""
+    R = al.make_algebra("R", m=1)
+    G = so.make_pairset(R, [(-1, 1)])
+    x = al.element(R, (1,))
+    a, b = al.element(R, (-1,)), al.element(R, (1,))
+    assert so.project(x, G).points.tolist() == [[0]]
+    assert al.add(R, a, al.mul(R, x, b)).coords == (0,)
+    assert al._value_to_grid(R, [Fraction(-1, 4)], 1, 0) == (-1,)
+
 # --- empty operands get the radius of a one-point operand --------------------
 
 _EMPTY_ALGEBRAS = [("R", None, 1), ("C", None, 2), ("H", None, 4), ("Qp", 3, 1),
@@ -630,12 +643,21 @@ def test_ball_intersect_equals_object_path(spec, scale, radius_exp, data):
 
 # --- quotient-set oracle ----------------------------------------------------
 
+def _cramer(mat, rhs):
+    """mat^-1 rhs over Fractions by Cramer's rule on al.det_fraction; None
+    when mat is singular."""
+    det = al.det_fraction(mat)
+    return None if det == 0 else [
+        al.det_fraction([r[:j] + [b] + r[j + 1:] for r, b in zip(mat, rhs)]) / det
+        for j in range(len(mat))]
+
+
 def _loop_inverse(alg, vals):
-    """x^-1 from value coordinates by Gaussian elimination over Fractions."""
+    """x^-1 from value coordinates over Fractions by Cramer's rule."""
     d = alg.d
     mat = [[sum(vals[i] * alg.structure_constants[i][j][k] for i in range(d))
             for j in range(d)] for k in range(d)]
-    sol = al._solve_fraction(mat, [Fraction(1)] + [Fraction(0)] * (d - 1))
+    sol = _cramer(mat, [Fraction(1)] + [Fraction(0)] * (d - 1))
     if sol is None:
         raise DivisionByNegligible("difference is a zero divisor")
     return tuple(sol)
@@ -1001,6 +1023,18 @@ def test_linear_map_and_dual_equal_fraction_loops(spec, data):
 
 _EDGE_ALGEBRAS = [("R", None, 31), ("R", None, 62), ("C", None, 31), ("C", None, 62),
                   ("H", None, 31), ("H", None, 62), ("Qp", 2, 62), ("Qp", 3, 39)]
+
+
+def test_apply_dual_floor_raises_before_int64():
+    """R m=62, X = {-1, 0}, L = ((0, -1), (1, -1)): -1 maps to 2, whose row
+    2^63 is past int64, and 0 has w1 = 0 below the floor.  The loop casts to
+    int64 only after every row, so both raise DivisionByNegligible."""
+    R = al.make_algebra("R", m=62)
+    X = make_dset(R, [(-2 ** 62,), (0,)])
+    L = [[al.element(R, (c,)) for c in row] for row in ((0, -2 ** 62), (2 ** 62, -2 ** 62))]
+    assert _loop_outcome(lambda: _loop_apply_dual(L, X)) is DivisionByNegligible
+    with pytest.raises(DivisionByNegligible):
+        so.apply_dual(L, X)
 
 
 @settings(max_examples=120, deadline=None)

@@ -166,6 +166,265 @@ def test_escape_basis_padic_generator_set():
     assert al.det_basis(Q9, basis) >= Fraction(1, 2)
 
 
+# --- Fraction oracles: distances, avoidance and escape bases per element ----
+
+def _solve_fraction(mat, rhs):
+    """Gaussian elimination over Fractions; None if singular."""
+    n = len(mat)
+    a = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(rhs[i])]
+         for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return [a[i][n] for i in range(n)]
+
+
+def _real_dist_sq(alg, vals, basis) -> Fraction:
+    """Exact squared Euclidean distance to the span (normal equations)."""
+    if not basis:
+        return sum(v * v for v in vals)
+    k = len(basis)
+    gram = [[sum(basis[i][t] * basis[j][t] for t in range(alg.d))
+             for j in range(k)] for i in range(k)]
+    rhs = [sum(basis[i][t] * vals[t] for t in range(alg.d)) for i in range(k)]
+    sol = _solve_fraction(gram, rhs)
+    proj = [sum(sol[i] * basis[i][t] for i in range(k)) for t in range(alg.d)]
+    return sum((vals[t] - proj[t]) ** 2 for t in range(alg.d))
+
+
+def _padic_dist(alg, vals, basis) -> Fraction:
+    """Exact p-adic distance to the Q_p-span: the largest p^-v_p over the
+    coordinates of vals (no basis) or over its coordinates on the columns
+    completing the basis (_padic_isometry_data)."""
+    if basis:
+        cols = st._padic_isometry_data(alg, basis)
+        mat = [[cols[j][i] for j in range(alg.d)] for i in range(alg.d)]
+        vals = _solve_fraction(mat, list(vals))[len(basis):]
+    kmin = min((al.vq(v, alg.p) for v in vals if v != 0), default=None)
+    return Fraction(0) if kmin is None else Fraction(alg.p) ** -kmin
+
+
+def _oracle_dist(alg, a, basis):
+    vals = al.value_coords(alg, a)
+    return (_real_dist_sq if alg.is_real_base else _padic_dist)(alg, vals, basis)
+
+
+def _oracle_float(alg, v):
+    return math.sqrt(float(v)) if alg.is_real_base else float(v)
+
+
+def _oracle_ge(alg, v, thresh):
+    return v >= thresh * thresh if alg.is_real_base else v >= thresh
+
+
+def _oracle_avoids(A, C, family):
+    """avoids_subalgebras as a per-element Fraction loop."""
+    alg, thresh = A.alg, Fraction(1) / Fraction(C)
+    elems = A.elements()
+    maxd, worst, ok = {}, None, True
+    for mem in family.members:
+        dists = [_oracle_dist(alg, a, mem.basis) for a in elems]
+        best = max((_oracle_float(alg, v) for v in dists), default=0.0)
+        maxd[mem.name] = best
+        if not any(_oracle_ge(alg, v, thresh) for v in dists):
+            ok = False
+            if worst is None or best < maxd.get(worst, float("inf")):
+                worst = mem.name
+    return st.AvoidanceReport(ok, Fraction(C), {}, worst, maxd)
+
+
+def _oracle_strongly(A, C, family):
+    """strongly_avoids as a per-element Fraction loop."""
+    alg, thresh = A.alg, Fraction(1) / Fraction(C)
+    elems = A.elements()
+    n = len(elems)
+    need = -(-n * Fraction(C).denominator // Fraction(C).numerator)
+    trapped, worst = {}, None
+    for mem in family.members:
+        t = sum(0 if _oracle_ge(alg, _oracle_dist(alg, a, mem.basis), thresh)
+                else 1 for a in elems)
+        trapped[mem.name] = t
+        if worst is None or t > trapped[worst]:
+            worst = mem.name
+    sharp = all(t < need for t in trapped.values())
+    necessary = all(t <= n - need for t in trapped.values())
+    return st.AvoidanceReport(sharp, Fraction(C), trapped, worst, {},
+                              sharp_passed=sharp, necessary_passed=necessary)
+
+
+def _oracle_escape(A, floor):
+    """escape_basis as a per-candidate Fraction loop."""
+    alg = A.alg
+    pool = st._candidate_pool(A, alg.d)
+    chosen, chosen_vals = [], []
+    for _ in range(alg.d):
+        best = best_key = None
+        for cand in pool:
+            vals = al.value_coords(alg, cand)
+            score = (_real_dist_sq(alg, vals, chosen_vals) if alg.is_real_base
+                     else _padic_dist(alg, vals, chosen_vals))
+            key = (score, tuple(-abs(v) for v in vals))
+            if score > 0 and (best is None or key > best_key):
+                best, best_key = (cand, vals), key
+        if best is None:
+            raise SubAlgebraTrapped("candidate pool spans a proper subspace",
+                                    span=[c.coords for c in chosen])
+        chosen.append(best[0])
+        chosen_vals.append(best[1])
+    det = al.det_basis(alg, chosen)
+    if alg.is_real_base:
+        det = abs(det)
+    if det < Fraction(floor):
+        raise SubAlgebraTrapped(f"greedy determinant {det} below floor {floor}",
+                                span=[c.coords for c in chosen])
+    return chosen
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:   # the oracle's own failures must recur too
+        return type(exc).__name__, str(exc), getattr(exc, "span", None)
+
+
+# name -> (spec, p, d, net_exp, m values; the last one takes the
+# Python-int path of the kernel)
+_AVOID_ALGS = {"R": ("R", None, None, None, (3, 5, 62)),
+               "C": ("C", None, None, None, (3, 5, 62)),
+               "H1": ("H", None, None, 1, (3, 4, 62)),
+               "H2": ("H", None, None, 2, (3, 4, 62)),
+               "Qp2": ("Qp", 2, None, None, (3, 5, 61)),
+               "Qp3": ("Qp", 3, None, None, (2, 4, 38)),
+               "Qp9": ("Qp_ext", 3, 2, None, (2, 3, 38))}
+
+
+@hst.composite
+def _avoid_case(draw, name, max_points=10):
+    """(A, C, family): up to max_points points, from none at all to random
+    rows with negative coordinates (real) or rows divisible by powers of p
+    (p-adic), plus points at distance exactly 1/C from {0}, R and the
+    members spanned by 1 and an imaginary axis (real), at a scale_exp of m
+    or m - 1 (real) and a radius_exp of 0 or 1 (p-adic)."""
+    spec, p, d, net_exp, ms = _AVOID_ALGS[name]
+    alg = al.make_algebra(spec, p=p, d=d, m=draw(hst.sampled_from(ms)))
+    m, d = alg.m, alg.d
+    rnd = random.Random(draw(hst.integers(0, 2 ** 32)))
+    n = draw(hst.integers(0, max_points))
+    if alg.is_real_base:
+        C = draw(hst.sampled_from([1, 2, 4, 8, 3, Fraction(3, 2)]))
+        scale = draw(hst.sampled_from((m, m - 1)))
+        top, radius = 2 ** scale, 0
+        tie = Fraction(top) / C
+        pts = []
+        for _ in range(n):
+            row = [rnd.randrange(-top, top + 1) for _ in range(d)]
+            if rnd.random() < 0.4 and tie.denominator == 1:
+                t = rnd.randrange(d)   # 1/C from {0}, R or span(1, e_s)
+                row = [0] * d if rnd.random() < 0.5 else [row[0]] + [0] * (d - 1)
+                row[t] = rnd.choice((-1, 1)) * int(tie)
+            pts.append(row)
+    else:
+        C = draw(hst.sampled_from([1, p, p * p, 2, Fraction(5, 2)]))
+        scale, radius = m, draw(hst.integers(0, 1))
+        mod = p ** (m + radius)
+        pts = [[rnd.randrange(mod) * p ** rnd.randrange(3) % mod for _ in range(d)]
+               for _ in range(n)]
+    A = make_dset(alg, pts, scale_exp=scale, radius_exp=radius)
+    return A, C, st.subalgebra_family(alg, net_exp)
+
+
+@pytest.mark.parametrize("name", sorted(_AVOID_ALGS))
+@settings(max_examples=20, deadline=None)
+@given(data=hst.data())
+def test_avoidance_equals_fraction_loops(name, data):
+    """avoids_subalgebras and strongly_avoids give the per-element Fraction
+    loops' reports, max_distance bit for bit, and distance_sq_or_exact
+    gives the loops' Fraction on A's points and on products of two of them
+    (whose unit_exp differs from A's)."""
+    A, C, fam = data.draw(_avoid_case(name, 4 if name == "H2" else 10))
+    alg = A.alg
+    got, want = st.avoids_subalgebras(A, C, fam), _oracle_avoids(A, C, fam)
+    assert got == want
+    assert ({k: v.hex() for k, v in got.max_distance.items()}
+            == {k: v.hex() for k, v in want.max_distance.items()})
+    assert st.strongly_avoids(A, C, fam) == _oracle_strongly(A, C, fam)
+    elems = A.elements()[:4]
+    elems += [al.mul(alg, a, b) for a in elems[:2] for b in elems[:2]]
+    for a in elems:
+        for mem in fam.members[:12]:
+            assert st.distance_sq_or_exact(alg, a, mem) == _oracle_dist(alg, a, mem.basis)
+
+
+@pytest.mark.parametrize("name", sorted(_AVOID_ALGS))
+@settings(max_examples=15, deadline=None)
+@given(data=hst.data())
+def test_escape_basis_equals_fraction_loop(name, data):
+    """escape_basis picks the Fraction loop's basis (or raises what it
+    raises) on pools of products of at most d of up to 3 (H) or 5 points."""
+    spec = _AVOID_ALGS[name][0]
+    A, _, _ = data.draw(_avoid_case(name, 3 if spec == "H" else 5))
+    floor = data.draw(hst.sampled_from([Fraction(1, 2), Fraction(1, 64), 0]))
+    assert _outcome(st.escape_basis, A, floor) == _outcome(_oracle_escape, A, floor)
+
+
+def test_avoidance_ties_at_the_threshold():
+    """Points at distance exactly 1/C count as far: i/4 ties on both members
+    at C = 4, and the strong count traps only the points strictly inside."""
+    C = al.make_algebra("C", m=5)
+    A = make_dset(C, [(8, 0), (0, 8), (3, 7)])
+    fam = st.subalgebra_family(C)
+    rep = st.avoids_subalgebras(A, 4, fam)
+    assert rep.passed and rep.max_distance["R"] == 0.25
+    assert st.strongly_avoids(A, 4, fam).trapped == {"zero": 1, "R": 2}
+    assert rep == _oracle_avoids(A, 4, fam)
+
+
+@pytest.mark.parametrize("p, d", [(2, 3), (3, 2), (5, 2)])
+def test_padic_isometry_data_has_unit_determinant(p, d):
+    """The completion keeps the basis first, adds standard vectors and has a
+    unit determinant, so the oracle's distance does not depend on which
+    completion it is; it raises exactly when every k x k minor of the basis
+    vanishes mod p."""
+    alg = al.make_algebra("Qp_ext", p=p, d=d, m=4)
+    rnd = random.Random(p * d)
+    for _ in range(40):
+        basis = [tuple(Fraction(rnd.randrange(-4, 5), rnd.choice((1, p + 1)))
+                       for _ in range(d)) for _ in range(rnd.randrange(d))]
+        k = len(basis)
+        unit = any(al.vq(al.det_fraction([[b[t] for t in ts] for b in basis]), p) == 0
+                   for ts in itertools.combinations(range(d), k))
+        if not unit:
+            with pytest.raises(RuntimeError):
+                st._padic_isometry_data(alg, basis)
+            continue
+        cols = st._padic_isometry_data(alg, basis)
+        assert [tuple(c) for c in cols[:k]] == basis and len(cols) == d
+        assert all(sorted(c) == [0] * (d - 1) + [1] for c in cols[k:])
+        assert al.vq(al.det_fraction([list(r) for r in zip(*cols)]), p) == 0
+
+def test_padic_distance_past_int64():
+    """1, 2^70 and 3 2^70 in Q_2 at m = 80 are 1, 2^-70 and 2^-70 from {0}:
+    one kernel call over all three shares the denominator 2^70, so its
+    numerators p^(W - w) take Python ints."""
+    Q2 = al.make_algebra("Qp", p=2, m=80)
+    zero = st.subalgebra_family(Q2).members[0]
+    elems = [al.element(Q2, (c,)) for c in (1, 2 ** 70, 3 * 2 ** 70)]
+    num, den = st._span_distances(Q2, (), *st._element_rows(Q2, elems))
+    assert den == 2 ** 70
+    assert [Fraction(int(c), den) for c in num] == [_oracle_dist(Q2, a, ()) for a in elems]
+    want = [1, Fraction(1, 2 ** 70), Fraction(1, 2 ** 70)]
+    assert [st.distance_sq_or_exact(Q2, a, zero) for a in elems] == want
+
+
 # --- halving maps -----------------------------------------------------------
 
 def test_halving_fixed_points():
