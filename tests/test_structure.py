@@ -411,6 +411,16 @@ def test_padic_isometry_data_has_unit_determinant(p, d):
         assert all(sorted(c) == [0] * (d - 1) + [1] for c in cols[k:])
         assert al.vq(al.det_fraction([list(r) for r in zip(*cols)]), p) == 0
 
+def test_real_distance_to_a_dependent_basis_raises():
+    """A real basis with g = det G = 0 has no distance formula; the Fraction
+    loop fails on it too (its Gram system is singular)."""
+    C = al.make_algebra("C", m=4)
+    bad = st.SubAlgebra("bad", ((Fraction(1), Fraction(0)), (Fraction(2), Fraction(0))))
+    with pytest.raises(ParameterRangeError, match="not independent"):
+        st.distance_sq_or_exact(C, al.one(C), bad)
+    with pytest.raises(TypeError):
+        _oracle_dist(C, al.one(C), bad.basis)
+
 def test_padic_distance_past_int64():
     """1, 2^70 and 3 2^70 in Q_2 at m = 80 are 1, 2^-70 and 2^-70 from {0}:
     one kernel call over all three shares the denominator 2^70, so its
