@@ -1,10 +1,11 @@
 """CLI golden gate: the README example commands, plus a product, a
 quadruple count, fibre profiles and the energy on a Qp set, the
 verifiers (uniformize, verify-nc, cover) on C and Qp sets, projections
-and linear maps of C and Qp pair sets, and sub-algebra avoidance and
-escape bases on C, H and Qp_ext sets, must reproduce the recorded exit
-codes, stdout, stderr and output files byte for byte (the version string
-in config comments aside).
+and linear maps of C and Qp pair sets, sub-algebra avoidance and escape
+bases on C, H and Qp_ext sets, quintuple and quadruple counts on C, H and
+Qp_ext sets, and fibres and projections of construction Two must
+reproduce the recorded exit codes, stdout, stderr and output files byte
+for byte (the version string in config comments aside).
 
 The reference lives in cli_golden.json next to this file.  To re-record it
 from the checked-out source, run `PYTHONPATH=src python3
@@ -87,6 +88,19 @@ COMMANDS = [
     "avoid --in e.dset --C 2",
     "avoid --in e.dset --C 2 --strong",
     "escape --in e.dset",
+    # quintuple and quadruple counts on the C sets, the H set (81 neighbour
+    # offsets) and the Qp_ext set; fibres and projections of the m=6
+    # construction-Two pair set
+    "count-tv --in b.dset --x-set a.dset --rho 2",
+    "count-tv --in b.dset --x-set b.dset --rho 3 --symmetric",
+    "count-tv --in h.dset --x-set h.dset --rho 1",
+    "count-sparse --in h.dset --p-coords 6,-2,1,3 --q-coords 8,0,0,0 --s 1 --rho 1",
+    "count-tv --in e.dset --x-set e.dset --rho 1",
+    "count-sparse --in e.dset --p-coords 2,1 --q-coords 1,0 --s 1 --rho 1",
+    "counterexample --which 2 --m 6 --out-g g2.pairs --out-x x2.dset",
+    "fibres --in-g g2.pairs --x-set x2.dset --rho 2",
+    "op --op proj --in g2.pairs --x 16,48 --out pg2.dset",
+    "op --op proj --in g2.pairs --x 0,64 --out pg3.dset",
 ]
 
 _VERSION = re.compile(rb"# dlab \S+ config:")
