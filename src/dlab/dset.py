@@ -1,9 +1,11 @@
 """Delta-discretized sets: storage, covering numbers, non-concentration,
 neighborhoods, uniformization, and the text file format.  Cells are counted
 by one kernel on packed int64 row keys: _row_cells (each row's cell and the
-cell counts) and its counts-only form _row_counts.  The same keys give the
-row-membership lookup _row_lookup of the counting engines and of the
-dense/sparse dichotomy.
+cell counts) and its counts-only form _row_counts, which counts a small key
+box in one bincount table.  The same keys give the row lookup _row_lookup of
+the counting engines and the dichotomy: a key table, or sorted keys, with
+any neighbour offsets folded in, so that one lookup counts a target against
+every offset.
 
 A DSet stores grid points of a normed division algebra inside the ball
 B(0, radix^radius_exp) at grid scale radix^-scale_exp.  Coordinates:
@@ -35,6 +37,7 @@ from .errors import (
 )
 
 DEFAULT_POINT_BUDGET = 10_000_000
+KEY_TABLE_FACTOR = 2    # keys per row (and offset) up to which a box is one table
 
 
 def point_budget() -> int:
@@ -73,9 +76,9 @@ def _row_keys(arr: np.ndarray, lo, spans) -> np.ndarray:
     return key
 
 
-def _canon_points(arr: np.ndarray, d: int) -> np.ndarray:
+def _canon_points(arr: np.ndarray, d: int, order: str = "C") -> np.ndarray:
     """The distinct rows of `arr` (width d) in lexicographic order: the same
-    array as np.unique(arr, axis=0).
+    array as np.unique(arr, axis=0), in the memory order given.
 
     Rows whose _row_keys already increase strictly (FFT sumsets,
     translations, subsets, product pairs) come back as a copy.  Otherwise the
@@ -86,17 +89,17 @@ def _canon_points(arr: np.ndarray, d: int) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.int64).reshape(-1, d)
     layout = _key_layout(arr)
     if layout is None:
-        return np.unique(arr, axis=0)
+        return np.asarray(np.unique(arr, axis=0), order=order)
     lo, spans = layout
     key = _row_keys(arr, lo, spans)
     if np.all(key[1:] > key[:-1]):
-        return arr.copy()
+        return arr.copy(order=order)
     key.sort()
     fresh = np.empty(len(key), dtype=bool)
     fresh[0] = True
     np.not_equal(key[1:], key[:-1], out=fresh[1:])
     key = key[fresh]
-    out = np.empty((len(key), d), dtype=np.int64)
+    out = np.empty((len(key), d), dtype=np.int64, order=order)
     for t in range(d - 1, 0, -1):
         key, out[:, t] = np.divmod(key, spans[t])
     out[:, 0] = key
@@ -105,12 +108,17 @@ def _canon_points(arr: np.ndarray, d: int) -> np.ndarray:
 
 
 def _row_counts(arr: np.ndarray) -> np.ndarray:
-    """The multiplicity of every distinct row of a 2-d int64 array, in
-    lexicographic row order: np.unique(arr, axis=0, return_counts=True)[1],
-    counted on the row keys while they fit in int64."""
+    """np.unique(arr, axis=0, return_counts=True)[1] of a 2-d int64 array:
+    one bincount of the row keys when their box has at most KEY_TABLE_FACTOR
+    len(arr) and point_budget() keys, else np.unique of the keys or rows."""
     layout = _key_layout(arr)
-    keys = arr if layout is None else _row_keys(arr, *layout)
-    return np.unique(keys, axis=None if layout else 0, return_counts=True)[1]
+    if layout is None:
+        return np.unique(arr, axis=0, return_counts=True)[1]
+    keys, size = _row_keys(arr, *layout), math.prod(layout[1])
+    if size <= min(KEY_TABLE_FACTOR * len(arr), point_budget()):
+        counts = np.bincount(keys, minlength=size)
+        return counts[counts > 0]
+    return np.unique(keys, return_counts=True)[1]
 
 
 def _row_cells(arr: np.ndarray):
@@ -149,39 +157,61 @@ def _row_mins(arr: np.ndarray, prio=None) -> np.ndarray:
     return order[fresh]
 
 
-def _row_lookup(rows: np.ndarray):
+def _row_lookup(rows: np.ndarray, offsets=None):
     """A function taking an array T of rows (int64, or Python ints in an
-    object array) to the multiplicity in `rows` of each row of T.
-
-    A row of T outside the column ranges of `rows` counts 0.  The others are
-    found with np.searchsorted among the sorted unique row keys of `rows`
-    (_row_keys over those ranges), or, when the keys would not fit in int64,
-    labelled together with the distinct rows by np.unique(axis=0)."""
+    object array) to sum_o mult(t + o) for each row t of T: mult counts the
+    rows of `rows` (int64), o runs over the offsets (one zero offset when
+    None).  Targets outside the box of rows - o, which must lie in int64
+    (ParameterRangeError otherwise), count 0.  The offsets are folded into
+    the _row_keys of that box, key(r - o) = key(r) - key(o): into one int64
+    table, one shifted add of the row counts per offset, when the box has
+    at most KEY_TABLE_FACTOR |rows| |offsets| and point_budget() keys, each
+    target then one index; else the target keys shifted by each offset are
+    found with np.searchsorted among the sorted row keys; past 2^63 keys,
+    the rows minus offsets are labelled with the targets by np.unique(axis=0)."""
+    d = rows.shape[1]
+    offs = np.asarray([(0,) * d] if offsets is None else offsets, dtype=np.int64).reshape(-1, d)
     if len(rows) == 0:
         return lambda T: np.zeros(len(T), dtype=np.int64)
-    lo, hi = rows.min(axis=0), rows.max(axis=0)
-    layout = _key_layout(rows)
-    if layout is None:
-        rows, counts = np.unique(rows, axis=0, return_counts=True)
+    lo, hi = _col_bounds(rows)
+    box = [(int(lo[t]) - int(offs[:, t].max()), int(hi[t]) - int(offs[:, t].min()))
+           for t in range(d)]
+    if not all(-2 ** 63 <= l and h < 2 ** 63 for l, h in box):
+        raise ParameterRangeError(f"row lookup: {len(rows)} rows - {len(offs)} offsets past int64")
+    low, spans = np.array([l for l, _ in box]), [h - l + 1 for l, h in box]
+    size = math.prod(spans)
+    if size >= 2 ** 63:
+        rows, counts = np.unique((rows[:, None, :] - offs).reshape(-1, d), axis=0,
+                                 return_counts=True)
 
         def find(T):
-            _, inv = np.unique(np.concatenate([rows, T]), axis=0,
-                               return_inverse=True)
-            inv = inv.reshape(-1)
+            inv = np.unique(np.concatenate([rows, T]), axis=0, return_inverse=True)[1].ravel()
             table = np.zeros(len(inv), dtype=np.int64)
             table[inv[:len(rows)]] = counts
             return table[inv[len(rows):]]
     else:
-        keys, counts = np.unique(_row_keys(rows, *layout), return_counts=True)
+        keys, counts = np.unique(_row_keys(rows, low, spans), return_counts=True)
+        shifts = _row_keys(offs, 0 * low, spans)
+        if size <= min(KEY_TABLE_FACTOR * len(rows) * len(offs), point_budget()):
+            table = np.zeros(size, dtype=np.int64)
+            for shift in shifts:
+                table[keys - shift] += counts
 
-        def find(T):
-            key = _row_keys(T, *layout)
-            pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-            return np.where(keys[pos] == key, counts[pos], 0)
+            def find(T):
+                return table[_row_keys(T, low, spans)]
+        else:
+            def find(T):    # a digit of t + o off the box lands where no row is
+                key, out = _row_keys(T, low, spans), 0
+                for shift in shifts:
+                    pos = np.minimum(np.searchsorted(keys, key + shift), len(keys) - 1)
+                    out = out + np.where(keys[pos] == key + shift, counts[pos], 0)
+                return out
 
     def lookup(T):
+        inside = np.ones(len(T), dtype=bool)
+        for t, (l, h) in enumerate(box):
+            inside &= (T[:, t] >= l) & (T[:, t] <= h)
         out = np.zeros(len(T), dtype=np.int64)
-        inside = np.flatnonzero(np.all((T >= lo) & (T <= hi), axis=1))
         out[inside] = find(T[inside].astype(np.int64, copy=False))
         return out
     return lookup

@@ -6,24 +6,23 @@ agree up to an adjacent cell (real base, l-infinity) or lie in the same
 residue class (p-adic).  Counts are exact for that convention.
 
 The counting engines are array code on the grid-product kernel of setops
-(setops._scalar_rows) and on sorted int64 row keys (the row keys of
-dset._canon_points):
+(setops._grid_products) and on the row-key lookup of dset (_row_lookup),
+which folds the 3^d neighbour offsets of the tolerance (one offset on the
+p-adic base) into a key table or sorted keys, so that one lookup counts a
+target against every offset:
 
 * additive energy sums the squared multiplicities of the pairwise sums
   a + b, counted on their row keys (dset._row_counts);
-* the quintuple count keeps the n^2 differences a - c of A as sorted keys
-  with their counts (dset._row_lookup, shared with the dichotomy scan).
-  For each x, the targets -(xb + xd) of every (b, d), shifted by each of
-  the 3^d neighbour offsets (one offset on the p-adic base), are packed
-  the same way and counted with np.searchsorted; the counts add up in an
-  n x n matrix over (b, d).  The near/far split at |b - d| = radix^-rho
-  depends on (b, d) alone and is one exact boolean mask over that matrix;
+* the quintuple count forms the rows x a for every x at once (one product
+  per unit_exp) and, for each x and block of b rows, looks the targets
+  -(xb + xd) up among the n^2 differences a - c of A; the counts add up in
+  an n x n matrix over (b, d), and the near/far split at
+  |b - d| = radix^-rho is one exact boolean mask over it;
 * the quadruple count forms the grid rows of (a1 - a2) q and (a3 - a4) p
-  for all n^2 differences and looks up, for each of the first and each
-  neighbour offset, the second rows that cancel it.  On the p-adic base
-  the products are taken at the algebra's precision, as Element arithmetic
-  takes them, and a product finer than the set's units raises
-  ParameterRangeError rather than being dropped.
+  for all n^2 differences and counts in one lookup the second rows that
+  cancel each first.  On the p-adic base the products are taken at the
+  algebra's precision, as Element arithmetic takes them, and a product
+  finer than the set's units raises ParameterRangeError.
 """
 
 from __future__ import annotations
@@ -94,8 +93,7 @@ def additive_energy(A: DSet, B: DSet) -> int:
     multiplicities of the pairwise sums a + b."""
     so._check_compat(A, B)
     r = max(A.radius_exp, B.radius_exp)
-    a = so._at_radius(A, r)
-    b = so._at_radius(B, r)
+    a, b = so._at_radius(A, r), so._at_radius(B, r)
     if len(a) * len(b) > point_budget():
         raise BudgetExceeded("energy pair count too large",
                              {"pairs": len(a) * len(b)})
@@ -143,9 +141,8 @@ def _near_mask(A: DSet, B: np.ndarray, rho_exp: int) -> np.ndarray:
 
 
 def _neighbor_offsets(alg):
-    if alg.is_real_base:
-        return list(itertools.product((-1, 0, 1), repeat=alg.d))
-    return [tuple([0] * alg.d)]
+    """The 3^d neighbour offsets of the tolerance (real); one zero (p-adic)."""
+    return list(itertools.product((-1, 0, 1) if alg.is_real_base else (0,), repeat=alg.d))
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +156,10 @@ def quintuple_count_tv(A: DSet, X: DSet, rho_exp: int,
     down at the |b - d| threshold radix^-rho_exp.
 
     For each x and every (b, d) at once, the target -(xb + xd) (or
-    xd - xb) plus each neighbour offset is looked up in the difference
-    multiset of A; the counts add up in an n x n matrix over (b, d), which
-    the near/far mask splits once.  Targets go in blocks of b rows with at
-    most point_budget() rows per lookup."""
+    xd - xb) is looked up in the difference multiset of A with the
+    neighbour offsets folded in; the counts add up in an n x n matrix over
+    (b, d), which the near/far mask splits once.  Targets go in blocks of b
+    rows with at most point_budget() rows per lookup."""
     alg = A.alg
     if alg != X.alg:
         raise AlgebraMismatch("A and X live in different algebras")
@@ -173,26 +170,24 @@ def quintuple_count_tv(A: DSet, X: DSet, rho_exp: int,
                               "offsets": 3 ** alg.d})
     offsets = np.array(_neighbor_offsets(alg), dtype=np.int64)
     mod = None if alg.is_real_base else alg.p ** (A.scale_exp + A.radius_exp)
-    products = [so._scalar_rows(alg, x, A.points, A.unit_exp(), A.scale_exp, "Left",
-                                A.unit_exp() + x.unit_exp, "quintuple_count_tv")
-                for x in X.elements()]
-    for R in products:
-        so._check_sum_bound("quintuple_count_tv targets", (R, 2), (offsets, 1))
-    lookup = _row_lookup(_diffs(A))
+    xs, d = X.elements(), alg.d
+    R = np.zeros((len(xs), n, d), dtype=np.int64)   # R[k]: x a for x = xs[k]
+    for u in {x.unit_exp for x in xs}:
+        idx = [k for k, x in enumerate(xs) if x.unit_exp == u]
+        R[idx] = so._grid_products(alg, A.points, [xs[k].coords for k in idx],
+                                   A.unit_exp() + u, A.scale_exp, "Right", A.unit_exp() + u,
+                                   "quintuple_count_tv").reshape(n, -1, d).transpose(1, 0, 2)
+    so._check_sum_bound("quintuple_count_tv targets", (R.reshape(-1, d), 2), (offsets, 1))
+    lookup = _row_lookup(_diffs(A), offsets)
     near_count = far_count = 0
     step = max(1, point_budget() // max(n, 1))
     for lo in range(0, n, step):
         cnt = np.zeros((min(step, n - lo), n), dtype=np.int64)
-        for R in products:
+        for Rx in R:
             # target for (a - c): the printed form needs a - c = -(xb + xd)
-            Rb = R[lo:lo + step, None, :]
-            tvec = R[None, :, :] - Rb if symmetric else -(Rb + R[None, :, :])
-            tvec = tvec.reshape(-1, alg.d)
-            for off in offsets:
-                key = tvec + off
-                if mod:
-                    key %= mod
-                cnt += lookup(key).reshape(cnt.shape)
+            Rb = Rx[lo:lo + step, None, :]
+            T = (Rx[None, :, :] - Rb if symmetric else -(Rb + Rx[None, :, :])).reshape(-1, d)
+            cnt += lookup(T % mod if mod else T).reshape(cnt.shape)
         near = _near_mask(A, A.points[lo:lo + step], rho_exp)
         near_count += int(cnt[near].sum())
         far_count += int(cnt[~near].sum())
@@ -200,8 +195,7 @@ def quintuple_count_tv(A: DSet, X: DSet, rho_exp: int,
     bound = ratio = None
     if None not in (s, sigma, t):
         c_exp = Fraction(s) * (Fraction(t) - Fraction(sigma) + Fraction(eps)) / Fraction(t)
-        bound = float(Fraction(alg.radix) ** (-A.scale_exp * c_exp)
-                      * n ** 3 * len(X))
+        bound = float(Fraction(alg.radix) ** (-A.scale_exp * c_exp) * n ** 3 * len(X))
         ratio = total / bound if bound else None
     return CountReport(total,
                        {"near": near_count, "far": far_count},
@@ -227,9 +221,7 @@ def quadruple_count_sparse(A: DSet, p: al.Element, q: al.Element,
             small = ne is None or ne > rho_exp
         if small:
             raise DivisionByNegligible("|q| below the rho floor")
-    n = len(A)
-    r = A.radius_exp
-    diffs = _diffs(A)
+    n, r, diffs = len(A), A.radius_exp, _diffs(A)
     if alg.is_real_base:
         scale, mod = A.scale_exp, None
     else:
@@ -240,17 +232,12 @@ def quadruple_count_sparse(A: DSet, p: al.Element, q: al.Element,
 
     def product_rows(x, name):
         """Grid rows of (a - a') x, in units p^-r on the p-adic base."""
-        return so._scalar_rows(alg, x, diffs, A.unit_exp(), scale, "Right", r,
-                               f"quadruple_count_sparse: (a - a') {name}")
+        return so._grid_products(alg, diffs, [x.coords], A.unit_exp() + x.unit_exp, scale,
+                                 "Left", r, f"quadruple_count_sparse: (a - a') {name}")
 
-    Rq = product_rows(q, "q")
-    lookup = _row_lookup(product_rows(p, "p"))
-    total = 0
-    for off in _neighbor_offsets(alg):
-        T = off - Rq
-        if mod:
-            T %= mod
-        total += int(lookup(T).sum())
+    T = -product_rows(q, "q")
+    lookup = _row_lookup(product_rows(p, "p"), _neighbor_offsets(alg))
+    total = int(lookup(T % mod if mod else T).sum())
     bound = ratio = None
     if s is not None and rho_exp is not None:
         bound = float(Fraction(alg.radix) ** (-A.scale_exp * Fraction(s))

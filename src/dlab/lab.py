@@ -7,6 +7,7 @@ are reported against delta = radix^-m explicitly rather than asymptotically.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -148,11 +149,11 @@ def gen_random_dset(alg, m: int, s, seed: int, C=8, tries: int = 10) -> DSet:
             for cell in cells:
                 if alg.is_real_base:
                     children = [tuple(2 * c + b[k] for k, c in enumerate(cell))
-                                for b in _digit_tuples(2, d)]
+                                for b in itertools.product(range(2), repeat=d)]
                 else:
                     children = [tuple(c + b[k] * radix ** level
                                       for k, c in enumerate(cell))
-                                for b in _digit_tuples(radix, d)]
+                                for b in itertools.product(range(radix), repeat=d)]
                 kept = [ch for ch in children if rng.random() < keep_prob]
                 if not kept:
                     kept = [children[rng.randrange(branching)]]
@@ -163,13 +164,6 @@ def gen_random_dset(alg, m: int, s, seed: int, C=8, tries: int = 10) -> DSet:
         if rep.passed:
             return A
     raise GenerationFailed(f"no ({s})-nonconcentrated draw in {tries} tries")
-
-
-def _digit_tuples(radix, d):
-    out = [()]
-    for _ in range(d):
-        out = [t + (b,) for t in out for b in range(radix)]
-    return out
 
 
 def circle_net(alg, m: int) -> DSet:
@@ -263,10 +257,9 @@ def _exponent(count, m, radix, d):
 def measure_projection_profile(G: so.PairSet, X: DSet, exp_id="profile",
                                seed=None):
     """Covering number of the projection a + xb of G for each direction x."""
-    alg, m = G.alg, G.scale_exp
-    out = []
-    for x in sorted(X.elements(), key=lambda e: e.coords):
-        rows, r_out = so._project_rows(x, G)
+    alg, m, out = G.alg, G.scale_exp, []
+    xs = sorted(X.elements(), key=lambda e: e.coords)
+    for x, (rows, r_out) in zip(xs, so._project_many(xs, G)):
         cnt = len(_row_counts(_cell_rows(alg, m, r_out, rows, m)))
         out.append(ExperimentRecord(
             exp_id, _alg_label(alg), alg.p, alg.d, m, None, None, None,
@@ -340,11 +333,9 @@ def probe_babyproj(A: DSet, X: DSet, exp_id="babyproj", seed=None):
 
 def fibre_profile(G: so.PairSet, X: DSet, c1=None, rho_exp: int = 1):
     """Heaviest rho-cell fibre mass of G under each projection direction."""
-    alg = G.alg
-    m = G.scale_exp
-    out = {}
-    for x in sorted(X.elements(), key=lambda e: e.coords):
-        proj, r_out = so._project_rows(x, G)
+    alg, m, out = G.alg, G.scale_exp, {}
+    xs = sorted(X.elements(), key=lambda e: e.coords)
+    for x, (proj, r_out) in zip(xs, so._project_many(xs, G)):
         counts = _row_counts(_cell_rows(alg, m, r_out, proj, rho_exp))
         heaviest = int(counts.max())
         out[tuple(map(int, x.coords))] = {

@@ -14,7 +14,10 @@ one-point operand.
 Products, scalar images, projections and quotient numerators share one
 bilinear array product (_raw_products) and one grid step (_to_grid); the
 counting engines take their rows from the same kernel.  It runs on int64
-while every raw product provably fits and on Python ints otherwise.
+while every raw product provably fits and on Python ints otherwise.  A
+PairSet keeps its a and b halves as contiguous columns with their bounds;
+_project_many projects it along many directions, doing once what does not
+depend on the direction, so a direction costs one matmul and one grid step.
 """
 
 from __future__ import annotations
@@ -55,14 +58,22 @@ QUOTIENT_CHUNK = 1 << 20    # (difference, denominator) pairs per array pass
 
 @dataclass(frozen=True)
 class PairSet:
-    """Finite subset of E x E on the grid; columns are (a, b) coordinates."""
+    """Finite subset of E x E on the grid; columns are (a, b) coordinates.
+    The rows are stored as cols, a contiguous (2d, n) array, so that the a
+    half cols[:d] and the b half cols[d:] are contiguous; pairs is its
+    transposed view, and big holds (max|a|, max|b|)."""
     alg: AlgebraDescriptor
     scale_exp: int
     radius_exp: int
     pairs: np.ndarray = field(compare=False)
+    cols: np.ndarray = field(init=False, compare=False, repr=False)
+    big: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", _canon_points(self.pairs, 2 * self.alg.d))
+        d, pairs = self.alg.d, _canon_points(self.pairs, 2 * self.alg.d, order="F")
+        for name, val in (("pairs", pairs), ("cols", pairs.T),
+                          ("big", (_abs_max(pairs[:, :d]), _abs_max(pairs[:, d:])))):
+            object.__setattr__(self, name, val)
 
     def __len__(self):
         return len(self.pairs)
@@ -72,14 +83,6 @@ class PairSet:
                 and self.scale_exp == other.scale_exp
                 and self.radius_exp == other.radius_exp
                 and np.array_equal(self.pairs, other.pairs))
-
-    def left(self) -> DSet:
-        return DSet(self.alg, self.scale_exp, self.radius_exp,
-                    self.pairs[:, :self.alg.d])
-
-    def right(self) -> DSet:
-        return DSet(self.alg, self.scale_exp, self.radius_exp,
-                    self.pairs[:, self.alg.d:])
 
     def unit_exp(self) -> int:
         return self.scale_exp if self.alg.is_real_base else self.radius_exp
@@ -95,14 +98,12 @@ def product_pairs(A: DSet, B: DSet) -> PairSet:
     """Cartesian product A x B as a PairSet."""
     _check_compat(A, B)
     r = max(A.radius_exp, B.radius_exp)
-    a = _at_radius(A, r)
-    b = _at_radius(B, r)
+    a, b = _at_radius(A, r), _at_radius(B, r)
     n, k = len(a), len(b)
     if n * k > point_budget():
         raise BudgetExceeded("cartesian product too large", {"pairs": n * k})
-    left = np.repeat(a, k, axis=0)
-    right = np.tile(b, (n, 1))
-    return PairSet(A.alg, A.scale_exp, r, np.hstack([left, right]))
+    return PairSet(A.alg, A.scale_exp, r,
+                   np.hstack([np.repeat(a, k, axis=0), np.tile(b, (n, 1))]))
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +136,16 @@ def _raw_products(alg, U, V, side, dtype):
     W = np.tensordot(np.array(V, dtype=dtype), C,
                      axes=(1, 1 if side == "Left" else 0))
     W = W.transpose(1, 0, 2).reshape(alg.d, -1)
-    return (np.asarray(U, dtype=dtype) @ W).reshape(-1, alg.d)
+    return (np.asarray(U, dtype=dtype).reshape(-1, alg.d) @ W).reshape(-1, alg.d)
 
 
-def _product_bound(alg, U, V) -> int:
-    """max|U| max|V| max_l sum_ij |c_ijl|, each factor at least 1: a bound on
-    every raw product and on every entry of U, V and the constants."""
+def _product_bound(alg, big_u: int, big_v: int) -> int:
+    """big_u big_v max_l sum_ij |c_ijl|, each factor at least 1: for rows U
+    and V with max|U| <= big_u and max|V| <= big_v, a bound on every raw
+    product and on every entry of U, V and the constants."""
     sc = alg.structure_constants
     csum = max(sum(abs(c[t]) for row in sc for c in row) for t in range(alg.d))
-    return max(_abs_max(U), 1) * max(_abs_max(V), 1) * csum
+    return max(big_u, 1) * max(big_v, 1) * csum
 
 
 def _check_sum_bound(op: str, *terms) -> None:
@@ -171,25 +173,26 @@ def _grid_steps(alg, den, scale_exp, unit_out):
              for t, e in zip(dens, k)], [p ** max(0, e - unit_out) for e in k], mod)
 
 
-def _grid_dtype(alg, big, den, scale_exp, unit_out):
-    """int64 when raw values of absolute value <= big and every step _to_grid
-    takes on them over den provably fit in int64; object (Python ints)
-    otherwise."""
+def _grid_dtype(alg, big, den, scale_exp, unit_out, add=0):
+    """int64 when raw values of absolute value <= big, every step _to_grid
+    takes on them over den, and the sum of a result with a term of absolute
+    value <= add provably fit in int64; object (Python ints) otherwise."""
     f, q, mod = _grid_steps(alg, den, scale_exp, unit_out)
     if alg.is_real_base:
         top = big * max(f) if max(q) == 1 else 2 * big * max(f) + 2 * max(q)
     else:
         top = max(big, max(q), (mod - 1) * max(f) if max(f) > 1 else mod)
-    return np.int64 if top < 2 ** 63 else object
+    return np.int64 if top + add < 2 ** 63 else object
 
 
-def _to_grid(alg, raw, den, scale_exp, unit_out, op) -> np.ndarray:
-    """The exact values raw / den on the grid of scale_exp, as int64 rows; den
-    is one int or one per row of raw's second-to-last axis.  Real base:
-    rounded once, half away from zero, to units 2^-scale_exp.  p-adic base:
-    in units p^-unit_out mod p^(scale_exp + unit_out).  A value finer than
-    p^-unit_out, or a row past int64, raises ParameterRangeError naming op.
-    raw's dtype is the one _grid_dtype chose for its bound."""
+def _to_grid(alg, raw, den, scale_exp, unit_out, op, plus=None) -> np.ndarray:
+    """The exact values raw / den on the grid of scale_exp, plus the grid
+    rows `plus` if given, as int64 rows; den is one int or one per row of
+    raw's second-to-last axis.  Real base: rounded once, half away from zero,
+    to units 2^-scale_exp.  p-adic base: in units p^-unit_out mod
+    p^(scale_exp + unit_out).  A value finer than p^-unit_out, or a row past
+    int64, raises ParameterRangeError naming op.  raw's dtype is the one
+    _grid_dtype chose for its bound (and the sum's); the sum is taken in it."""
     f, q, mod = _grid_steps(alg, den, scale_exp, unit_out)
     f, q = (np.array(v, dtype=raw.dtype).reshape(-1, 1) for v in (f, q))
     if alg.is_real_base:
@@ -209,6 +212,9 @@ def _to_grid(alg, raw, den, scale_exp, unit_out, op) -> np.ndarray:
         if np.any(f != 1):
             out *= f
             out %= mod
+    if plus is not None:
+        out = out + plus.astype(out.dtype, copy=False)
+        out = out if mod is None else out % mod
     try:
         return out.astype(np.int64, copy=False)
     except OverflowError:
@@ -219,29 +225,10 @@ def _grid_products(alg, U, V, unit, scale_exp, side, unit_out, op) -> np.ndarray
     """_to_grid of the _raw_products of U and V, whose raw coordinates are in
     units radix^-unit, into units radix^-unit_out (p-adic base).  int64 while
     the raw products and the grid step provably fit, Python ints otherwise."""
-    U = np.ascontiguousarray(U)     # min and max are slow on column slices
-    den = alg.radix ** unit
-    dt = _grid_dtype(alg, _product_bound(alg, U, V), den, scale_exp, unit_out)
+    den, big = alg.radix ** unit, _product_bound(alg, _abs_max(U), _abs_max(V))
+    dt = _grid_dtype(alg, big, den, scale_exp, unit_out)
     return _to_grid(alg, _raw_products(alg, U, V, side, dt), den, scale_exp,
                     unit_out, op)
-
-
-def _scalar_rows(alg, x: Element, pts, unit, scale_exp, side, unit_out, op) -> np.ndarray:
-    """Grid rows of x a (Left) or a x (Right) for every row a of pts, in
-    units radix^-unit, in input order; on the p-adic base in units
-    p^-unit_out.  x is the contracted operand."""
-    return _grid_products(alg, pts, [x.coords], unit + x.unit_exp, scale_exp,
-                          "Right" if side == "Left" else "Left", unit_out, op)
-
-
-def _mod(A_alg, scale_exp, radius_exp):
-    return A_alg.p ** (scale_exp + radius_exp)
-
-
-def _negate_points(alg, pts, scale_exp, radius_exp):
-    if alg.is_real_base:
-        return -pts
-    return (-pts) % _mod(alg, scale_exp, radius_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -327,25 +314,25 @@ def sumset(A: DSet, B: DSet) -> DSet:
     _check_compat(A, B)
     alg = A.alg
     r = max(A.radius_exp, B.radius_exp)
-    a = _at_radius(A, r)
-    b = _at_radius(B, r)
+    a, b = _at_radius(A, r), _at_radius(B, r)
     out_r = r + 1 if alg.is_real_base else r
     _check_sum_bound("sumset", (a, 1), (b, 1))
     if len(a) * len(b) <= PAIRWISE_CAP:
         pts = (a[:, None, :] + b[None, :, :]).reshape(-1, alg.d)
         if not alg.is_real_base:
-            pts %= _mod(alg, A.scale_exp, r)
+            pts %= alg.p ** (A.scale_exp + r)
         return DSet(alg, A.scale_exp, out_r, pts)
     if alg.is_real_base:
         pts = _fft_support_sum(a, b)
     else:
-        pts = _fft_support_sum(a, b, cyclic_mod=_mod(alg, A.scale_exp, r))
+        pts = _fft_support_sum(a, b, cyclic_mod=alg.p ** (A.scale_exp + r))
     return DSet(alg, A.scale_exp, out_r, pts)
 
 
 def negate(A: DSet) -> DSet:
-    return DSet(A.alg, A.scale_exp, A.radius_exp,
-                _negate_points(A.alg, A.points, A.scale_exp, A.radius_exp))
+    pts = -A.points
+    return DSet(A.alg, A.scale_exp, A.radius_exp, pts if A.alg.is_real_base
+                else pts % A.alg.p ** (A.scale_exp + A.radius_exp))
 
 
 def difference_set(A: DSet, B: DSet) -> DSet:
@@ -373,13 +360,10 @@ def product_set(A: DSet, B: DSet, side: str = "Left") -> DSet:
 
 def scalar_image(x: Element, A: DSet, side: str = "Left") -> DSet:
     """{xa} or {ax} on the grid."""
-    alg = A.alg
-    pts = _scalar_rows(alg, x, A.points, A.unit_exp(), A.scale_exp, side,
-                       A.unit_exp() + x.unit_exp, "scalar_image")
-    if alg.is_real_base:
-        r_out = A.radius_exp + _norm_ceil_exp(x)
-    else:
-        r_out = A.radius_exp + x.unit_exp
+    alg, unit = A.alg, A.unit_exp() + x.unit_exp
+    pts = _grid_products(alg, A.points, [x.coords], unit, A.scale_exp,
+                         "Right" if side == "Left" else "Left", unit, "scalar_image")
+    r_out = A.radius_exp + (_norm_ceil_exp(x) if alg.is_real_base else x.unit_exp)
     return DSet(alg, A.scale_exp, r_out, pts)
 
 
@@ -393,28 +377,41 @@ def _norm_ceil_exp(x: Element) -> int:
 # ---------------------------------------------------------------------------
 # projections
 
-def _project_rows(x: Element, G: PairSet):
-    """(rows, radius_exp): a + x b for every pair (a, b) of G, in G's row
-    order: a + round(x b) on the real base, like add(a, mul(x, b)), which at
-    a tie can differ from round(a + x b); exact on the p-adic base."""
+def _project_many(xs, G: PairSet):
+    """Yield (rows, radius_exp) of pi_x(G) = {a + x b} for each x of the list
+    xs in turn, rows in G's row order as an (n, d) view of contiguous
+    columns: a + round(x b) on the real base, like add(a, mul(x, b)), which
+    at a tie can differ from round(a + x b); exact on the p-adic base.
+
+    Done once: G's bounds (G.big), the d x d left-multiplication matrices of
+    all of xs (one _raw_products call), and per output radius a's grid step
+    and the int64-or-object decision.  A direction is then one matmul on b's
+    columns and one grid step.  On the object path a + x b is summed in
+    Python ints before the int64 cast: only a + x b past int64 raises."""
     alg, d, unit, scale = G.alg, G.alg.d, G.unit_exp(), G.scale_exp
-    r_out = G.radius_exp + (1 + _norm_ceil_exp(x) if alg.is_real_base
-                            else max(x.unit_exp, 0))
-    big, den = _abs_max(G.pairs), alg.radix ** unit
-    a = G.pairs[:, :d].astype(_grid_dtype(alg, big, den, scale, r_out), copy=False)
-    a = _to_grid(alg, a, den, scale, r_out, "project")
-    xb = _scalar_rows(alg, x, G.pairs[:, d:], unit, scale, "Left", r_out, "project")
-    # a + xb in the output's units through the same step (mod p^(scale + r_out))
-    den = alg.radix ** (scale if alg.is_real_base else r_out)
-    dt = _grid_dtype(alg, (big if alg.is_real_base else _abs_max(a)) + _abs_max(xb),
-                     den, scale, r_out)
-    pts = a.astype(dt, copy=False) + xb.astype(dt, copy=False)
-    return _to_grid(alg, pts, den, scale, r_out, "project"), r_out
+    big_a, big_b = G.big
+    bound = _product_bound(alg, big_b, _abs_max([x.coords for x in xs]))
+    M = _raw_products(alg, [x.coords for x in xs], np.eye(d, dtype=np.int64), "Left",
+                      np.int64 if bound < 2 ** 63 else object)
+    M = M.reshape(-1, d, d).transpose(0, 2, 1)     # M[i] @ b.T = (x_i b).T
+    den_a, steps = alg.radix ** unit, {}
+    for x, Mx in zip(xs, M):
+        r = G.radius_exp + (1 + _norm_ceil_exp(x) if alg.is_real_base else max(x.unit_exp, 0))
+        den = alg.radix ** (unit + x.unit_exp)
+        if (x.unit_exp, r) not in steps:
+            # a's grid values are at most max|a| (real) or below p^(scale + r)
+            a = G.cols[:d].astype(_grid_dtype(alg, big_a, den_a, scale, r), copy=False)
+            a = _to_grid(alg, a, den_a, scale, r, "project")
+            add = big_a if alg.is_real_base else alg.p ** (scale + r)
+            steps[x.unit_exp, r] = _grid_dtype(alg, bound, den, scale, r, add), a
+        dt, a = steps[x.unit_exp, r]
+        raw = Mx.astype(dt) @ G.cols[d:].astype(dt, copy=False)
+        yield _to_grid(alg, raw, den, scale, r, "project", plus=a).T, r
 
 
 def project(x: Element, G: PairSet) -> DSet:
     """pi_x(G) = {a + x b}: a + round(x b) (real) / exact (p-adic)."""
-    pts, r_out = _project_rows(x, G)
+    pts, r_out = next(_project_many([x], G))
     return DSet(G.alg, G.scale_exp, r_out, pts)
 
 
@@ -531,7 +528,8 @@ def _quotient_cells(alg, diffs, den_idx, key, side, scale_out, radius_out):
     d, k = alg.d, len(dens)
     nums, den = zip(*(al._int_inverse(alg, [int(c) for c in w]) for w in dens))
     # |raw numerator| <= max|u| max|num| max_l sum_ij |c_ijl|
-    dtype = _grid_dtype(alg, _product_bound(alg, diffs, nums), den, scale_out, radius_out)
+    dtype = _grid_dtype(alg, _product_bound(alg, _abs_max(diffs), _abs_max(nums)), den,
+                        scale_out, radius_out)
     # the rank of pair (i, j) among the witnesses: equal keys form blocks
     # s .. s + z of rows and of denominators, ranked block pair by block
     # pair and row-major inside one; without ties the rank is i * k + j

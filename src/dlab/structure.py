@@ -277,12 +277,6 @@ def distance_to_subalgebra(alg, a: Element, member: SubAlgebra) -> float:
     return math.sqrt(float(v)) if alg.is_real_base else float(v)
 
 
-def _dist_ge(alg, a, member, thresh: Fraction) -> bool:
-    """d(a, member) >= thresh, exactly."""
-    v = distance_sq_or_exact(alg, a, member)
-    return v >= thresh * thresh if alg.is_real_base else v >= thresh
-
-
 # ---------------------------------------------------------------------------
 # avoidance
 
@@ -512,7 +506,7 @@ def dichotomy_check(Q: DSet, v: list, delta_exp: int, rho_exp: int,
     P, unit, lookup = Q.points, Q.unit_exp(), _row_lookup(Q.points)
     if mode == "field":     # x + y over 1 and the raw x y over radix^unit
         dt_sum = _image_dtype(Q, 2 * _abs_max(P))
-        dt_prod = _image_dtype(Q, so._product_bound(alg, P, P))
+        dt_prod = _image_dtype(Q, so._product_bound(alg, _abs_max(P), _abs_max(P)))
 
         def near_block(lo, hi):
             X = P[lo:hi]

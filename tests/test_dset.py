@@ -1,19 +1,23 @@
 """Grid sets: covering numbers, non-concentration, refinement, file IO."""
 
 import itertools
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as hst
 
 from dlab import algebra as al
+from dlab import dset
 from dlab.dset import (
     DSet,
     _canon_points,
     _real_ball_counts,
     _row_cells,
     _row_counts,
+    _row_lookup,
     _row_mins,
     _row_norm_sq,
     cell_ids,
@@ -27,7 +31,7 @@ from dlab.dset import (
     uniformity_audit,
     write_dset,
 )
-from dlab.errors import EmptyInput
+from dlab.errors import EmptyInput, ParameterRangeError
 from dlab.setops import make_pairset, read_pairset, write_pairset
 
 
@@ -324,6 +328,107 @@ def test_row_cells_fallback_and_empty():
     assert counts.tolist() == [2, 1, 1] and inverse.tolist() == [0, 2, 1, 0]
     counts, inverse = _row_cells(np.zeros((0, 3), dtype=np.int64))
     assert counts.shape == (0,) and inverse.shape == (0,)
+
+
+def _sorted_path():
+    """Patch the key-table test so that every row-key kernel sorts."""
+    return mock.patch.object(dset, "KEY_TABLE_FACTOR", 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.sampled_from([1, 2, 3]), hst.integers(0, 40), hst.data())
+def test_row_counts_key_table_equals_np_unique(d, n, data):
+    """Rows in a box of at most 2 keys per row are counted with one bincount
+    (the key table); the counts equal np.unique's and the sorted path's."""
+    side = max(1, int((2 * n) ** (1 / d)))
+    rows = data.draw(hst.lists(hst.lists(hst.integers(-3, side - 4), min_size=d,
+                                         max_size=d), min_size=n, max_size=n))
+    arr = np.array(rows, dtype=np.int64).reshape(-1, d)
+    want = np.unique(arr, axis=0, return_counts=True)[1]
+    assert np.array_equal(_row_counts(arr), want)
+    with _sorted_path():
+        assert np.array_equal(_row_counts(arr), want)
+
+
+def _brute_lookup(rows, offsets, T):
+    mult = Counter(map(tuple, rows.tolist()))
+    return [sum(mult[tuple(int(c) + int(o) for c, o in zip(t, off))]
+                for off in offsets) for t in T.tolist()]
+
+
+_OFFSETS = {"none": None, "zero": [(0,)], "3^d": "cube", "one-sided": [(0,), (2,), (5,)]}
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.sampled_from([1, 2, 3]), hst.sampled_from(sorted(_OFFSETS)),
+       hst.sampled_from(["small", "wide", "residues", "edge"]),
+       hst.sampled_from([np.int64, object]), hst.data())
+def test_row_lookup_folded_equals_per_offset_sorted(d, offs, box, dtype, data):
+    """A folded lookup equals the sum of the per-offset lookups on the sorted
+    path and a Counter over the rows, for rows whose key box is small (the
+    key table) or wide (sorted keys), p-adic residues, rows near the int64
+    edge (np.unique(axis=0) labels), no rows, and int64 or object targets,
+    some outside the box and some past int64.  Rows minus offsets past int64
+    raise ParameterRangeError."""
+    if _OFFSETS[offs] == "cube":
+        offsets = list(itertools.product((-1, 0, 1), repeat=d))
+    elif _OFFSETS[offs] is None:
+        offsets = None
+    else:
+        offsets = [o * d for o in _OFFSETS[offs]]
+    coord = {"small": hst.integers(-3, 3), "wide": hst.integers(-10 ** 6, 10 ** 6),
+             "residues": hst.integers(0, 3 ** 4 - 1),
+             "edge": hst.sampled_from([-2 ** 63, -2 ** 62, 0, 1, 2 ** 62, 2 ** 63 - 1])}[box]
+    rows = data.draw(hst.lists(hst.lists(coord, min_size=d, max_size=d),
+                               min_size=data.draw(hst.sampled_from([0, 1, 1, 1])),
+                               max_size=25), label="rows")
+    rows = np.array(rows, dtype=np.int64).reshape(-1, d)
+    vec = hst.lists(hst.integers(-2, 2), min_size=d, max_size=d)
+    near = [[int(c) + e for c, e in zip(rows[i % len(rows)], data.draw(vec))]
+            for i in range(data.draw(hst.integers(0, 20) if len(rows) else hst.just(0)))]
+    wide = (hst.integers(-2 ** 63, 2 ** 63 - 1) | hst.integers(-8, 8)
+            | (hst.integers(-2 ** 70, 2 ** 70) if dtype is object else hst.nothing()))
+    far = data.draw(hst.lists(hst.lists(wide, min_size=d, max_size=d), max_size=10),
+                    label="far")
+    targets = [t for t in near + far
+               if dtype is object or all(-2 ** 63 <= c < 2 ** 63 for c in t)]
+    T = np.array(targets, dtype=dtype).reshape(-1, d)
+    offs_list = offsets or [(0,) * d]
+    if any(not -2 ** 63 <= int(c) - o < 2 ** 63 for r in rows for off in offs_list
+           for c, o in zip(r, off)):
+        event("rows - offsets past int64")
+        with pytest.raises(ParameterRangeError, match="row lookup"):
+            _row_lookup(rows, offsets)
+        return
+    got = _row_lookup(rows, offsets)(T)
+    if len(rows):
+        o = np.array(offs_list)
+        span = [int(h) - int(l) + 1 for h, l in zip(rows.max(0), rows.min(0))]
+        size = np.prod([s + int(a) - int(b) for s, a, b in zip(span, o.max(0), o.min(0))],
+                       dtype=object)
+        event("key table" if size <= dset.KEY_TABLE_FACTOR * len(rows) * len(o)
+              else "sorted keys" if np.prod(span, dtype=object) < 2 ** 63 else "np.unique")
+    assert got.dtype == np.int64
+    assert got.tolist() == _brute_lookup(rows, offs_list, T)
+    with _sorted_path():
+        per_offset = sum(_row_lookup(rows)(np.array(
+            [[int(c) + o for c, o in zip(t, off)] for t in T.tolist()],
+            dtype=object).reshape(-1, d)) for off in offs_list)
+    assert got.tolist() == np.asarray(per_offset).tolist()
+
+
+def test_row_lookup_key_table_is_taken():
+    """The difference rows of a small C set fold 3^2 offsets into one key
+    table: the lookup never calls np.searchsorted."""
+    rows = np.array([(a - c, b - e) for a, b in itertools.product(range(6), repeat=2)
+                     for c, e in itertools.product(range(6), repeat=2)], dtype=np.int64)
+    offsets = list(itertools.product((-1, 0, 1), repeat=2))
+    T = np.array([(0, 0), (5, 5), (6, 6), (7, 0), (-9, 2)], dtype=np.int64)
+    with mock.patch.object(np, "searchsorted", side_effect=AssertionError):
+        got = _row_lookup(rows, offsets)(T)
+    assert got.tolist() == _brute_lookup(rows, offsets, T)
+    empty = _row_lookup(np.zeros((0, 2), dtype=np.int64), offsets)
+    assert empty(T).tolist() == [0] * len(T)
 
 
 def test_canon_points_fallback_and_single_row():

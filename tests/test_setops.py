@@ -332,6 +332,92 @@ def test_project_rounds_x_b_then_adds_a():
     assert al.add(R, a, al.mul(R, x, b)).coords == (0,)
     assert al._value_to_grid(R, [Fraction(-1, 4)], 1, 0) == (-1,)
 
+def test_project_adds_a_before_the_int64_cast():
+    """H m=62, a = (0, 0, 1, 0), b = (-2^62, -2^62, -2^62, 0),
+    x = (2^62, 0, 1, 2^62): x b passes int64 but a + x b does not.  On the
+    object path a is added to x b in Python ints, so project gives the
+    Element loop's row instead of raising."""
+    H = al.make_algebra("H", m=62)
+    a, b = (0, 0, 1, 0), (-2 ** 62, -2 ** 62, -2 ** 62, 0)
+    x = al.element(H, (2 ** 62, 0, 1, 2 ** 62))
+    xb = al.mul(H, x, al.element(H, b))
+    assert any(not -2 ** 63 <= c < 2 ** 63 for c in xb.coords)
+    want = al.add(H, al.element(H, a), xb).coords
+    assert all(-2 ** 63 <= c < 2 ** 63 for c in want)
+    G = so.make_pairset(H, [a + b])
+    assert so.project(x, G).points.tolist() == [list(want)]
+
+
+_PROJECT_ALGEBRAS = [("R", None, None), ("C", None, None), ("H", None, None),
+                     ("Qp", 3, None), ("Qp_ext", 3, 2)]
+
+
+def _loop_project_rows(x, G):
+    """(rows, radius_exp) of pi_x(G) from Element arithmetic: add(a, mul(x, b))
+    for every pair of G, in G's row order, snapped onto the grid of the
+    output radius: G's plus 1 + the least e >= 0 with |x| <= 2^e (real) or
+    plus max(unit_exp of x, 0) (p-adic)."""
+    alg, d, unit = G.alg, G.alg.d, G.unit_exp()
+    if alg.is_real_base:
+        e = 0
+        while al.norm_sq(alg, x) > 4 ** e:
+            e += 1
+        r = G.radius_exp + 1 + e
+    else:
+        r = G.radius_exp + max(x.unit_exp, 0)
+    rows = []
+    for row in G.pairs.tolist():
+        a, b = al.element(alg, row[:d], unit), al.element(alg, row[d:], unit)
+        e = al.add(alg, a, al.mul(alg, x, b))
+        rows.append(al._value_to_grid(alg, al.value_coords(alg, e), G.scale_exp, r))
+    return np.array(rows, dtype=np.int64).reshape(-1, d), r
+
+
+@settings(max_examples=120, deadline=None)
+@given(hst.sampled_from(_PROJECT_ALGEBRAS), hst.sampled_from(["int64", "object"]),
+       hst.data())
+def test_project_many_equals_element_loop(spec, path, data):
+    """_project_many yields, direction by direction, the rows and radius of
+    the Element loop add(a, mul(x, b)), on R, C, H, Qp and Qp_ext, at radius
+    0 and 1, for directions of mixed unit_exp in one call, on the int64 path
+    (m = 5) and the object path (raw products past int64), and for an empty
+    G; project equals a one-direction call."""
+    name, p, d = spec
+    real = name in ("R", "C", "H")
+    m = 5 if path == "int64" else (40 if real else 25)
+    alg = al.make_algebra(name, p=p, d=d, m=m)
+    radius = data.draw(hst.integers(0, 1), label="radius")
+
+    def wide(top):      # the object path draws every coordinate near the top
+        c = hst.integers(top // 4, top - 1)
+        return c | c.map(lambda v: -v) if real else c
+    top = alg.radix ** (m + radius)
+    coord = _grid_coord(alg, m, radius) if path == "int64" else wide(top)
+    pairs = data.draw(hst.lists(hst.lists(coord, min_size=2 * alg.d, max_size=2 * alg.d),
+                                max_size=5), label="pairs")
+    G = so.make_pairset(alg, pairs, m, radius)
+    units = [m - 1, m, m + 1] if real else [0, 1, 2]
+    xs = []
+    for u in data.draw(hst.lists(hst.sampled_from(units), min_size=1, max_size=4),
+                       label="units"):
+        top = 2 ** (u + 1) if real else alg.p ** (m + u)
+        c = (hst.integers(-top, top) if real else hst.integers(0, top - 1)) \
+            if path == "int64" else wide(top)
+        xs.append(al.element(alg, data.draw(hst.lists(c, min_size=alg.d, max_size=alg.d),
+                                            label="x"), u))
+    big_x = max(abs(c) for x in xs for c in x.coords)
+    event(f"{path}: raw products "
+          f"{'past' if so._product_bound(alg, G.big[1], big_x) >= 2 ** 63 else 'in'} int64")
+    event("mixed unit_exp" if len({x.unit_exp for x in xs}) > 1 else "one unit_exp")
+    got = list(so._project_many(xs, G))
+    assert len(got) == len(xs)
+    for x, (rows, r) in zip(xs, got):
+        want, want_r = _loop_project_rows(x, G)
+        assert r == want_r and rows.dtype == np.int64
+        assert np.array_equal(rows, want)
+        assert so.project(x, G) == DSet(alg, m, r, rows)
+
+
 # --- empty operands get the radius of a one-point operand --------------------
 
 _EMPTY_ALGEBRAS = [("R", None, 1), ("C", None, 2), ("H", None, 4), ("Qp", 3, 1),
@@ -1045,8 +1131,8 @@ def test_set_kernels_at_int64_edge_equal_loops(spec, side, data):
     apply_dual equal their Element or Fraction loops on R, C and H at
     m = 31 and 62 and on Qp p = 2, 3 with p^m near 2^62, with coordinates
     up to the edge of the grid: equal sets, or the same error (a row past
-    int64 raises ParameterRangeError; for project, so does a row x b past
-    int64 that a + x b would bring back).  The p-adic pair sets and directions
+    int64 raises ParameterRangeError; for project only a row a + x b past
+    int64 does, whatever x b alone reaches).  The p-adic pair sets and directions
     sit at a scale whose images keep a modulus p^m or below."""
     name, p, m = spec
     alg = al.make_algebra(name, p=p, m=m)
@@ -1070,7 +1156,6 @@ def test_set_kernels_at_int64_edge_equal_loops(spec, side, data):
 
     def project_loop():
         xb = [al.mul(alg, x, v) for v in eb]
-        points(xb)      # x b is a grid row of its own: past int64 it raises
         return points([al.add(alg, u, w) for u in ea for w in xb])
 
     checks = [

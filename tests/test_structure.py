@@ -133,7 +133,7 @@ def test_strongly_avoids_matches_exhaustive_subsets():
         thresh = Fraction(1, Cc)
         exhaustive = True
         for mem in fam.members:
-            far = [st._dist_ge(C, a, mem, thresh) for a in elems]
+            far = [_oracle_ge(C, _oracle_dist(C, a, mem.basis), thresh) for a in elems]
             for combo in itertools.combinations(range(n), need):
                 if not any(far[i] for i in combo):
                     exhaustive = False
