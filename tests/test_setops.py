@@ -348,6 +348,19 @@ def test_project_adds_a_before_the_int64_cast():
     assert so.project(x, G).points.tolist() == [list(want)]
 
 
+def test_project_sum_past_int64_raises_not_wraps():
+    """R at scale 0, radius 62, x = 1: the raw products b x fit in int64,
+    but a + x b = 2^62 + 2^62 does not.  The sum is taken in Python ints and
+    raises instead of wrapping to -2^63; a + x b = 0 still projects."""
+    R = al.make_algebra("R", m=1)
+    x = al.element(R, (1,), unit_exp=0)
+    G = so.make_pairset(R, [(2 ** 62, 2 ** 62)], scale_exp=0, radius_exp=62)
+    with pytest.raises(ParameterRangeError, match="project: grid rows past int64"):
+        so.project(x, G)
+    G = so.make_pairset(R, [(2 ** 62, -2 ** 62)], scale_exp=0, radius_exp=62)
+    assert so.project(x, G).points.tolist() == [[0]]
+
+
 _PROJECT_ALGEBRAS = [("R", None, None), ("C", None, None), ("H", None, None),
                      ("Qp", 3, None), ("Qp_ext", 3, 2)]
 
