@@ -1,11 +1,13 @@
 """Delta-discretized sets: storage, covering numbers, non-concentration,
 neighborhoods, uniformization, and the text file format.  Cells are counted
-by one kernel on packed int64 row keys: _row_cells (each row's cell and the
-cell counts) and its counts-only form _row_counts, which counts a small key
-box in one bincount table.  The same keys give the row lookup _row_lookup of
-the counting engines and the dichotomy: a key table, or sorted keys, with
-any neighbour offsets folded in, so that one lookup counts a target against
-every offset.
+on packed int64 row keys, in one bincount on a small key box: _row_counts
+(the cell counts) and _row_mult (each row's cell count).  Uniformization
+labels the points once and derives each coarser stage label from the last
+(_stage_labels); the real-base non-concentration certificate counts every
+ball at every scale with one searchsorted, bincount and cumulative sum.  The
+same keys give the row lookup _row_lookup of the counting engines and the
+dichotomy: a key table, or sorted keys, with any neighbour offsets folded
+in, so that one lookup counts a target against every offset.
 
 A DSet stores grid points of a normed division algebra inside the ball
 B(0, radix^radius_exp) at grid scale radix^-scale_exp.  Coordinates:
@@ -19,6 +21,8 @@ B(0, radix^radius_exp) at grid scale radix^-scale_exp.  Coordinates:
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import itertools
 import math
 import os
@@ -54,13 +58,14 @@ def _col_bounds(arr: np.ndarray):
 
 
 def _key_layout(arr: np.ndarray):
-    """(lo, spans) of the columns of a 2-d int64 array: the column minima and
-    max - min + 1.  None when the array is empty or the product of the spans
-    reaches 2^63, so that the row keys of _row_keys would not fit in int64."""
+    """(lo, spans) of the columns of a 2-d int64 array: lists of the column
+    minima and of max - min + 1.  None when the array is empty or the product
+    of the spans reaches 2^63, so that the row keys of _row_keys would not fit
+    in int64."""
     if len(arr) == 0:
         return None
-    lo, hi = _col_bounds(arr)
-    spans = [int(h) - int(l) + 1 for h, l in zip(hi, lo)]
+    lo, hi = (v.tolist() for v in _col_bounds(arr))
+    spans = [h - l + 1 for h, l in zip(hi, lo)]
     return None if math.prod(spans) >= 2 ** 63 else (lo, spans)
 
 
@@ -115,20 +120,26 @@ def _row_counts(arr: np.ndarray) -> np.ndarray:
     if layout is None:
         return np.unique(arr, axis=0, return_counts=True)[1]
     keys, size = _row_keys(arr, *layout), math.prod(layout[1])
-    if size <= min(KEY_TABLE_FACTOR * len(arr), point_budget()):
+    if size <= KEY_TABLE_FACTOR * len(arr) and size <= point_budget():
         counts = np.bincount(keys, minlength=size)
         return counts[counts > 0]
     return np.unique(keys, return_counts=True)[1]
 
 
-def _row_cells(arr: np.ndarray):
-    """(counts, inverse) as np.unique(arr, axis=0, return_inverse=True,
-    return_counts=True) gives them, on the row keys while they fit in int64."""
+def _row_mult(arr: np.ndarray) -> np.ndarray:
+    """Each row's multiplicity among the rows of a 2-d int64 array: counts[inverse]
+    of np.unique(arr, axis=0, return_inverse=True, return_counts=True).  The
+    same decision as _row_counts: one bincount of the row keys indexed by the
+    keys when their box is small, else np.unique of the keys or rows."""
     layout = _key_layout(arr)
-    keys = arr if layout is None else _row_keys(arr, *layout)
-    _, inverse, counts = np.unique(keys, axis=None if layout else 0,
-                                   return_inverse=True, return_counts=True)
-    return counts, inverse.reshape(-1)
+    if layout is None:
+        _, inverse, counts = np.unique(arr, axis=0, return_inverse=True, return_counts=True)
+        return counts[inverse.reshape(-1)]
+    keys, size = _row_keys(arr, *layout), math.prod(layout[1])
+    if size <= KEY_TABLE_FACTOR * len(arr) and size <= point_budget():
+        return np.bincount(keys)[keys]
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return counts[inverse]
 
 
 def _row_mins(arr: np.ndarray, prio=None) -> np.ndarray:
@@ -163,12 +174,13 @@ def _row_lookup(rows: np.ndarray, offsets=None):
     rows of `rows` (int64), o runs over the offsets (one zero offset when
     None).  Targets outside the box of rows - o, which must lie in int64
     (ParameterRangeError otherwise), count 0.  The offsets are folded into
-    the _row_keys of that box, key(r - o) = key(r) - key(o): into one int64
-    table, one shifted add of the row counts per offset, when the box has
-    at most KEY_TABLE_FACTOR |rows| |offsets| and point_budget() keys, each
-    target then one index; else the target keys shifted by each offset are
-    found with np.searchsorted among the sorted row keys; past 2^63 keys,
-    the rows minus offsets are labelled with the targets by np.unique(axis=0)."""
+    the _row_keys of that box, key(r - o) = key(r) - key(o): into one table
+    (int32 while |rows| |offsets| < 2^31), one shifted add of the row counts
+    per offset, when the box has at most KEY_TABLE_FACTOR |rows| |offsets|
+    and point_budget() keys, each target then one index; else the target keys
+    shifted by each offset are found with np.searchsorted among the sorted
+    row keys; past 2^63 keys, the rows minus offsets are labelled with the
+    targets by np.unique(axis=0)."""
     d = rows.shape[1]
     offs = np.asarray([(0,) * d] if offsets is None else offsets, dtype=np.int64).reshape(-1, d)
     if len(rows) == 0:
@@ -193,7 +205,8 @@ def _row_lookup(rows: np.ndarray, offsets=None):
         keys, counts = np.unique(_row_keys(rows, low, spans), return_counts=True)
         shifts = _row_keys(offs, 0 * low, spans)
         if size <= min(KEY_TABLE_FACTOR * len(rows) * len(offs), point_budget()):
-            table = np.zeros(size, dtype=np.int64)
+            table = np.zeros(size, dtype=np.int32 if len(rows) * len(offs) < 2 ** 31
+                             else np.int64)
             for shift in shifts:
                 table[keys - shift] += counts
 
@@ -336,25 +349,28 @@ class NCReport:
 
 def _real_ball_counts(A: DSet) -> np.ndarray:
     """counts[k, i]: the number of set points in the open linf ball of
-    radius 2^-k around point i, for every k in 0..scale_exp.
+    radius 2^-k around point i, for every k in 0..e = scale_exp.
 
-    Chebyshev distances are formed in row chunks of about 2^20 pairs and
-    compared with each radius; int64 while 2 * max|coord| < 2^63, Python
-    ints otherwise."""
-    pts = A.points
-    n = len(pts)
-    if 2 * _abs_max(pts) >= 2 ** 63:
+    Chebyshev distances are formed in row chunks of about 2^20 pairs.  A
+    pair's level, how many of the radii 2^0..2^e are at most its distance
+    (one searchsorted), puts it in the balls of k <= e - level: one bincount
+    per row and one cumulative sum.  int64 while 2 * max|coord| < 2^63 and
+    e < 63, Python ints otherwise."""
+    pts, e, n = A.points, A.scale_exp, len(A.points)
+    if 2 * _abs_max(pts) >= 2 ** 63 or e >= 63:
         pts = pts.astype(object)
-    radii = [2 ** (A.scale_exp - k) for k in range(A.scale_exp + 1)]
-    counts = np.empty((len(radii), n), dtype=np.int64)
+    radii = np.array([2 ** j for j in range(e + 1)], dtype=pts.dtype)
+    counts = np.empty((e + 1, n), dtype=np.int64)
     step = max(1, (1 << 20) // n)
     for lo in range(0, n, step):
         block = pts[lo:lo + step]
         cheb = np.abs(block[:, None, 0] - pts[None, :, 0])
         for t in range(1, A.alg.d):
             np.maximum(cheb, np.abs(block[:, None, t] - pts[None, :, t]), out=cheb)
-        for k, u in enumerate(radii):
-            counts[k, lo:lo + step] = (cheb < u).sum(axis=1)
+        cheb = np.searchsorted(radii, cheb, side="right")    # no third n^2 array
+        cheb += np.arange(0, len(block) * (e + 2), e + 2)[:, None]    # bin of row r
+        hist = np.bincount(cheb.ravel(), minlength=len(block) * (e + 2))
+        counts[:, lo:lo + step] = hist.reshape(-1, e + 2).cumsum(axis=1)[:, e::-1].T
     return counts
 
 
@@ -373,8 +389,7 @@ def is_nonconcentrated(A: DSet, s: float, C: float) -> NCReport:
     if A.alg.is_real_base:
         scale_counts = _real_ball_counts(A)
     else:   # the count of every point's cell
-        scale_counts = (np.take(*_row_cells(cell_ids(A, k)))
-                        for k in range(A.scale_exp + 1))
+        scale_counts = (_row_mult(cell_ids(A, k)) for k in range(A.scale_exp + 1))
     for k, counts in enumerate(scale_counts):
         i = int(np.argmax(counts))
         ratio = counts[i] * float(A.alg.radix) ** (k * s) / n
@@ -442,10 +457,28 @@ def remove_ball(A: DSet, center: Element, k: int) -> DSet:
 # ---------------------------------------------------------------------------
 # uniformization (up-the-tree pigeonholing)
 
-def _stage_scales(A: DSet, T: int):
-    """The stage scales scale_exp - T, scale_exp - 2T, ... and 0."""
+def _stage_labels(A: DSet, T: int):
+    """(k, cell_ids(A, k)) at the stage scales k = scale_exp - T, scale_exp - 2T,
+    ... and 0.  Stage cells nest: the first stage labels the points (with the
+    one top clamp of the real base) and each coarser label comes from the last."""
     scales = list(range(A.scale_exp - T, -1, -T))
-    return scales + [0] if scales and scales[-1] != 0 else scales
+    scales += [0] if scales and scales[-1] != 0 else []
+    for t, k in enumerate(scales):
+        if t == 0:
+            label = cell_ids(A, k)
+        elif A.alg.is_real_base:
+            label = label >> (scales[t - 1] - k)
+        else:
+            label = label % A.alg.p ** (k + A.radius_exp)
+        yield k, label
+
+
+@functools.lru_cache(maxsize=None)
+def _radix_powers(radix: int) -> np.ndarray:
+    """radix^0, radix^1, ... below 2^63, read-only."""
+    powers = np.array([radix ** j for j in range(63) if radix ** j < 2 ** 63])
+    powers.setflags(write=False)
+    return powers
 
 
 def uniform_subset(A: DSet, T: int = 1) -> DSet:
@@ -456,12 +489,10 @@ def uniform_subset(A: DSet, T: int = 1) -> DSet:
         raise EmptyInput("cannot uniformize an empty set")
     if T < 1:
         raise ParameterRangeError("stage size T must be >= 1")
-    powers = [A.alg.radix ** j for j in range(63) if A.alg.radix ** j < 2 ** 63]
+    powers = _radix_powers(A.alg.radix)
     idx = np.arange(len(A))
-    for k in _stage_scales(A, T):
-        counts, inverse = _row_cells(
-            _cell_rows(A.alg, A.scale_exp, A.radius_exp, A.points[idx], k))
-        classes = np.searchsorted(powers, counts, side="right")[inverse] - 1
+    for _, label in _stage_labels(A, T):
+        classes = np.searchsorted(powers, _row_mult(label[idx]), side="right") - 1
         mass = np.bincount(classes)
         idx = idx[classes == len(mass) - 1 - np.argmax(mass[::-1])]
     return DSet(A.alg, A.scale_exp, A.radius_exp, A.points[idx])
@@ -471,8 +502,8 @@ def uniformity_audit(A: DSet, T: int = 1):
     """Max/min nonempty cell-count ratio at every stage scale; uniform sets
     satisfy ratio <= radix^T everywhere."""
     out = {}
-    for k in _stage_scales(A, T):
-        counts = _row_counts(cell_ids(A, k))
+    for k, label in _stage_labels(A, T):
+        counts = _row_counts(label)
         out[k] = (int(counts.max()), int(counts.min()),
                   counts.max() / counts.min() <= A.alg.radix ** T)
     return out
@@ -493,31 +524,38 @@ def _write_rows(path: str, alg: AlgebraDescriptor, scale_exp: int,
         head = "#dlab v2 " + head + " poly=" + ",".join(map(str, alg.poly))
     else:
         head = "#dlab v1 " + head
-    lines = [head]
-    lines.extend(str(c) for c in extra_comments)
-    for row in rows:
-        lines.append(" ".join(str(int(v)) for v in row))
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    lines = [head, *map(str, extra_comments)]
+    lines += [" ".join(map(str, row)) for row in rows.tolist()]
+    _write_file(path, "\n".join(lines) + "\n")
 
 
 def _write_csv(path: str, fieldnames, rows, comment: str | None = None) -> None:
     """Write dict rows as CSV with a header line, after an optional
-    '# comment' line; like _write_rows, through a .tmp file and os.replace."""
+    '# comment' line."""
+    buf = io.StringIO()
+    if comment:
+        buf.write(f"# {comment}\n")
+    w = csv.DictWriter(buf, fieldnames=list(fieldnames))
+    w.writeheader()
+    w.writerows(rows)
+    _write_file(path, buf.getvalue())
+
+
+def _write_file(path: str, text: str) -> None:
+    """Write text, newlines untranslated, to path + '.tmp', then move it over
+    path with os.replace, so that path never holds a partly written file."""
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        w = csv.DictWriter(fh, fieldnames=list(fieldnames))
-        w.writeheader()
-        w.writerows(rows)
+        fh.write(text)
     os.replace(tmp, path)
 
 
 def write_dset(A: DSet, path: str, extra_comments=()) -> None:
     _write_rows(path, A.alg, A.scale_exp, A.radius_exp, A.points, extra_comments)
+
+
+# descriptors are immutable: build one, and check its invariants, per header
+_header_algebra = functools.lru_cache(maxsize=64)(al.make_algebra)
 
 
 def _read_rows(path: str, alg: AlgebraDescriptor | None, per_row: int):
@@ -528,7 +566,7 @@ def _read_rows(path: str, alg: AlgebraDescriptor | None, per_row: int):
     empty file, a bad header, a ragged or non-integer row and values past
     int64 raise ParameterRangeError naming the path and line."""
     with open(path) as fh:
-        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
+        lines = [(no, ln) for no, ln in enumerate(map(str.strip, fh), 1) if ln]
     if not lines:
         raise ParameterRangeError(f"{path}: empty file, expected a dlab header")
     no, head = lines[0]
@@ -542,9 +580,9 @@ def _read_rows(path: str, alg: AlgebraDescriptor | None, per_row: int):
             poly = tuple(int(c) for c in kv["poly"].split(","))
         if alg is None:
             if kv["base"] == "R":
-                alg = al.make_algebra(al._real_kind(d), m=m)
+                alg = _header_algebra(al._real_kind(d), m=m)
             else:
-                alg = al.make_algebra("Qp" if d == 1 else "Qp_ext",
+                alg = _header_algebra("Qp" if d == 1 else "Qp_ext",
                                       p=int(kv["p"]), d=d, m=m, poly=poly)
                 if poly is not None and alg.poly != poly:
                     raise ValueError(f"poly {poly} is not monic with "
@@ -553,24 +591,27 @@ def _read_rows(path: str, alg: AlgebraDescriptor | None, per_row: int):
         raise ParameterRangeError(
             f"{path}:{no}: bad dlab header {head!r}: {e!r}") from None
     width = per_row * alg.d
-    rows = []
-    for no, ln in lines[1:]:
-        if ln.startswith("#"):
-            continue
-        try:
-            row = [int(t) for t in ln.split()]
-        except ValueError:
-            raise ParameterRangeError(
-                f"{path}:{no}: non-integer coordinate in {ln!r}") from None
-        if len(row) != width:
-            raise ParameterRangeError(
-                f"{path}:{no}: {len(row)} coordinates, expected {width}")
-        rows.append(row)
+    data = [(no, ln) for no, ln in lines[1:] if not ln.startswith("#")]
+    toks = [ln.split() for _, ln in data]
+    try:    # every token of every row of the right width
+        flat = [int(t) for row in toks if len(row) == width for t in row]
+    except ValueError:
+        flat = []
+    if len(flat) != width * len(toks):     # rescan for the first bad line
+        for (no, ln), row in zip(data, toks):
+            try:
+                row = [int(t) for t in row]
+            except ValueError:
+                raise ParameterRangeError(
+                    f"{path}:{no}: non-integer coordinate in {ln!r}") from None
+            if len(row) != width:
+                raise ParameterRangeError(
+                    f"{path}:{no}: {len(row)} coordinates, expected {width}")
     try:
-        return alg, m, rexp, _grid_rows(alg, rows, width, m, rexp)
+        return alg, m, rexp, _grid_rows(alg, flat, width, m, rexp)
     except ParameterRangeError as e:
-        big = (no for no, ln in lines[1:] if not ln.startswith("#") and
-               any(not -2 ** 63 <= int(t) < 2 ** 63 for t in ln.split()))
+        big = (no for no, ln in data
+               if any(not -2 ** 63 <= int(t) < 2 ** 63 for t in ln.split()))
         raise ParameterRangeError(f"{path}:{next(big, lines[0][0])}: {e}") from None
 
 

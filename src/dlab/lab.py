@@ -139,26 +139,27 @@ def gen_random_dset(alg, m: int, s, seed: int, C=8, tries: int = 10) -> DSet:
     radix = alg.radix
     if not (0 < s <= d):
         raise ParameterRangeError("need 0 < s <= d")
+    if radix ** m > 2 ** 63:
+        raise ParameterRangeError(f"cells below {radix}^{m} past int64")
     keep_prob = radix ** (s - d)
     branching = radix ** d
+    digits = np.array(list(itertools.product(range(radix), repeat=d)), dtype=np.int64)
     for attempt in range(tries):
         rng = random.Random(seed * 1_000_003 + attempt)
-        cells = [tuple([0] * d)]
+        cells = np.zeros((1, d), dtype=np.int64)
         for level in range(m):
-            nxt = []
-            for cell in cells:
-                if alg.is_real_base:
-                    children = [tuple(2 * c + b[k] for k, c in enumerate(cell))
-                                for b in itertools.product(range(2), repeat=d)]
-                else:
-                    children = [tuple(c + b[k] * radix ** level
-                                      for k, c in enumerate(cell))
-                                for b in itertools.product(range(radix), repeat=d)]
-                kept = [ch for ch in children if rng.random() < keep_prob]
-                if not kept:
-                    kept = [children[rng.randrange(branching)]]
-                nxt.extend(kept)
-            cells = nxt
+            if alg.is_real_base:
+                children = 2 * cells[:, None, :] + digits
+            else:
+                children = cells[:, None, :] + digits * radix ** level
+            # one draw per child in digit order, then one for an empty cell
+            kept = []
+            for _ in range(len(cells)):
+                row = [rng.random() < keep_prob for _ in range(branching)]
+                if not any(row):
+                    row[rng.randrange(branching)] = True
+                kept += row
+            cells = children.reshape(-1, d)[np.array(kept)]
         A = make_dset(alg, cells, scale_exp=m)
         rep = is_nonconcentrated(A, s, C)
         if rep.passed:

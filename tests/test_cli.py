@@ -86,6 +86,8 @@ HEADER = "#dlab v1 base=R p=- d=2 m=5 Rexp=0\n"
     ("#dlab v1 base=R p=- m=5 Rexp=0\n1 2\n", ":1: bad dlab header"),
     (HEADER + "1 2\n\n3\n", ":4: 1 coordinates, expected 2"),
     (HEADER + "1 2\n3 4 5\n", ":3: 3 coordinates, expected 2"),
+    (HEADER + "1 2 3\n4\n", ":2: 3 coordinates, expected 2"),
+    (HEADER + "1 2\n# 3 4\n5\n6 7\n", ":4: 1 coordinates, expected 2"),
     (HEADER + "# note\n1 x\n", ":3: non-integer coordinate"),
     (HEADER + "1 2.5\n", ":2: non-integer coordinate"),
     ("#dlab v2 base=Qp p=3 d=2 m=4 Rexp=0 poly=2,x,1\n1 2\n", ":1: bad dlab header"),
@@ -101,7 +103,9 @@ def test_malformed_dset_file_exit_2(tmp_path, capsys, text, where):
     """An empty file, a bad header (a poly= that is not an integer list, has
     the wrong degree, is reducible or is not monic), a ragged or non-integer
     row, a coordinate past int64 and a p-adic modulus past int64 exit 2 with
-    a message naming the path and the line."""
+    a message naming the path and the line.  Ragged rows whose token count is
+    a whole number of rows, and a comment between data rows, still name the
+    first bad line."""
     a = tmp_path / "a.dset"
     a.write_text(text)
     code = cli.main(["cover", "--in", str(a), "--k", "1"])

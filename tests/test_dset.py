@@ -1,6 +1,8 @@
 """Grid sets: covering numbers, non-concentration, refinement, file IO."""
 
 import itertools
+import os
+import tempfile
 from collections import Counter
 from unittest import mock
 
@@ -15,10 +17,10 @@ from dlab.dset import (
     DSet,
     _canon_points,
     _real_ball_counts,
-    _row_cells,
     _row_counts,
     _row_lookup,
     _row_mins,
+    _row_mult,
     _row_norm_sq,
     cell_ids,
     covering_number,
@@ -258,6 +260,61 @@ def test_v1_header_kept_and_read(tmp_path):
     assert A.points.tolist() == [[1, 2], [5, 7]]
 
 
+
+def _per_scalar_text(alg, scale_exp, radius_exp, rows, extra_comments=()):
+    """The text of a dlab file as the per-scalar formatter wrote it: one
+    str(int(v)) per coordinate."""
+    base = "R" if alg.is_real_base else "Qp"
+    p = "-" if alg.p is None else str(alg.p)
+    head = f"base={base} p={p} d={alg.d} m={scale_exp} Rexp={radius_exp}"
+    if alg.kind() == "Qp_ext":
+        head = "#dlab v2 " + head + " poly=" + ",".join(map(str, alg.poly))
+    else:
+        head = "#dlab v1 " + head
+    lines = [head]
+    lines.extend(str(c) for c in extra_comments)
+    for row in rows:
+        lines.append(" ".join(str(int(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+_FILE_ALGS = [("R", None, 1, 5), ("C", None, 1, 5), ("H", None, 1, 3), ("Qp", 3, 1, 4),
+              ("Qp", 2, 1, 62), ("Qp_ext", 3, 2, 4)]
+_EDGE = hst.sampled_from([-2 ** 63, -2 ** 63 + 1, -2 ** 62, 2 ** 62, 2 ** 63 - 2, 2 ** 63 - 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.sampled_from(_FILE_ALGS), hst.sampled_from([0, 1]), hst.booleans(),
+       hst.lists(hst.text("ab #=1-", max_size=8).map(lambda t: "#" + t), max_size=3),
+       hst.data())
+def test_write_equals_per_scalar_formatter(spec, radius, pairs, comments, data):
+    """write_dset and write_pairset write the bytes of the per-scalar
+    formatter, for every algebra, coordinates near +-2^63, extra comment
+    lines and pair files, and each file reads back equal."""
+    kind, p, d, m = spec
+    alg = al.make_algebra(kind, m=m) if p is None else al.make_algebra(kind, p=p, d=d, m=m)
+    width = (2 if pairs else 1) * alg.d
+    coord = hst.integers(-40, 40) | _EDGE
+    if not alg.is_real_base:
+        radius = 0 if m == 62 else radius
+        coord = hst.integers(0, alg.p ** (m + radius) - 1)
+    rows = data.draw(hst.lists(hst.lists(coord, min_size=width, max_size=width),
+                               max_size=12))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x")
+        if pairs:
+            X = make_pairset(alg, rows, radius_exp=radius)
+            write_pairset(X, path, comments)
+            pts, back = X.pairs, read_pairset(path)
+        else:
+            X = make_dset(alg, rows, radius_exp=radius)
+            write_dset(X, path, comments)
+            pts, back = X.points, read_dset(path)
+        with open(path, "rb") as fh:
+            assert fh.read() == _per_scalar_text(alg, m, radius, pts, comments).encode()
+        assert back == X
+        assert os.listdir(tmp) == ["x"]
+
 # --- array kernels against their loop references ----------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -306,33 +363,63 @@ def test_canon_points_equals_np_unique(d, bound, data):
        hst.sampled_from([1, 3, 2 ** 10, 2 ** 62]),
        hst.data())
 def test_row_counts_equal_np_unique(d, bound, data):
-    """Row multiplicities (_row_counts) and multiplicities with the inverse
-    (_row_cells) from packed keys equal np.unique's, including spans past
-    2^63 (bound 2^62 with d >= 2) and the empty array."""
+    """Row multiplicities (_row_counts) from packed keys equal np.unique's,
+    including spans past 2^63 (bound 2^62 with d >= 2) and the empty array."""
     rows = data.draw(hst.lists(hst.lists(hst.integers(-bound, bound), min_size=d,
                                          max_size=d), min_size=0, max_size=30))
     arr = np.array(rows, dtype=np.int64).reshape(-1, d)
     arr = np.vstack([arr, arr[: data.draw(hst.integers(0, len(arr)))]])
-    _, inverse, want = np.unique(arr, axis=0, return_inverse=True,
-                                 return_counts=True)
+    want = np.unique(arr, axis=0, return_counts=True)[1]
     assert np.array_equal(_row_counts(arr), want)
-    counts, inv = _row_cells(arr)
-    assert np.array_equal(counts, want)
-    assert inv.tolist() == inverse.reshape(-1).tolist()
-
-
-def test_row_cells_fallback_and_empty():
-    wide = np.array([[-2 ** 62, 1], [2 ** 62, 0], [5, 5], [-2 ** 62, 1]],
-                    dtype=np.int64)
-    counts, inverse = _row_cells(wide)
-    assert counts.tolist() == [2, 1, 1] and inverse.tolist() == [0, 2, 1, 0]
-    counts, inverse = _row_cells(np.zeros((0, 3), dtype=np.int64))
-    assert counts.shape == (0,) and inverse.shape == (0,)
 
 
 def _sorted_path():
     """Patch the key-table test so that every row-key kernel sorts."""
     return mock.patch.object(dset, "KEY_TABLE_FACTOR", 0)
+
+
+def _unique_mult(arr):
+    _, inverse, counts = np.unique(arr, axis=0, return_inverse=True, return_counts=True)
+    return counts[inverse.reshape(-1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.sampled_from([1, 2, 3, 4]),
+       hst.sampled_from(["table", "sorted", "edge"]), hst.integers(0, 40), hst.data())
+def test_row_mult_equals_np_unique(d, box, n, data):
+    """Each row's multiplicity (_row_mult) equals counts[inverse] of
+    np.unique(axis=0): on the key table (a box of at most 2 keys per row),
+    on sorted keys (a wide box, and the table's rows with the table patched
+    off), on np.unique(axis=0) past 2^63 keys, and on no rows."""
+    side = max(1, int((2 * n) ** (1 / d)))
+    coord = {"table": hst.integers(-3, side - 4), "sorted": hst.integers(-10 ** 6, 10 ** 6),
+             "edge": hst.sampled_from([-2 ** 63, -2 ** 62, -1, 0, 2 ** 62, 2 ** 63 - 1])}[box]
+    rows = data.draw(hst.lists(hst.lists(coord, min_size=d, max_size=d),
+                               min_size=n, max_size=n))
+    arr = np.array(rows, dtype=np.int64).reshape(-1, d)
+    arr = np.vstack([arr, arr[: data.draw(hst.integers(0, len(arr)))]])
+    if len(arr):
+        span = np.prod([int(h) - int(l) + 1 for h, l in zip(arr.max(0), arr.min(0))],
+                       dtype=object)
+        event("key table" if span <= dset.KEY_TABLE_FACTOR * len(arr)
+              else "sorted keys" if span < 2 ** 63 else "np.unique(axis=0)")
+    want = _unique_mult(arr)
+    got = _row_mult(arr)
+    assert got.shape == (len(arr),)
+    assert got.tolist() == want.tolist()
+    with _sorted_path():
+        assert _row_mult(arr).tolist() == want.tolist()
+
+
+def test_row_mult_fallback_and_empty():
+    wide = np.array([[-2 ** 62, 1], [2 ** 62, 0], [5, 5], [-2 ** 62, 1]],
+                    dtype=np.int64)
+    assert _row_mult(wide).tolist() == [2, 1, 1, 2]
+    assert _row_mult(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
+    # a box of 2 keys per row is one bincount, no np.unique
+    small = np.array([[0, 0], [1, 1], [0, 0], [1, 0]], dtype=np.int64)
+    with mock.patch.object(np, "unique", side_effect=AssertionError):
+        assert _row_mult(small).tolist() == [2, 1, 2, 1]
 
 
 @settings(max_examples=40, deadline=None)

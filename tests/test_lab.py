@@ -165,6 +165,14 @@ _GEN_DIGESTS = {
 }
 
 
+def test_gen_random_dset_cells_past_int64_raise():
+    """Cells below radix^m past int64 raise before any draw, not wrap."""
+    with pytest.raises(ParameterRangeError, match="past int64"):
+        lab.gen_random_dset(al.make_algebra("R", m=64), 64, 0.5, seed=0)
+    with pytest.raises(ParameterRangeError, match="past int64"):
+        lab.gen_random_dset(al.make_algebra("Qp", p=3, m=40), 40, 0.5, seed=0)
+
+
 @pytest.mark.parametrize("case", list(_GEN_DIGESTS), ids=lambda c: "-".join(map(str, c)))
 def test_gen_random_dset_digests(case):
     kind, p, d, m, s, seed, C = case
