@@ -387,15 +387,14 @@ def is_nonconcentrated(A: DSet, s: float, C: float) -> NCReport:
     best_C = 0.0
     worst = (0, 0, n)
     if A.alg.is_real_base:
-        scale_counts = _real_ball_counts(A)
+        counts = _real_ball_counts(A)
     else:   # the count of every point's cell
-        scale_counts = (_row_mult(cell_ids(A, k)) for k in range(A.scale_exp + 1))
-    for k, counts in enumerate(scale_counts):
-        i = int(np.argmax(counts))
-        ratio = counts[i] * float(A.alg.radix) ** (k * s) / n
+        counts = np.array([_row_mult(cell_ids(A, k)) for k in range(A.scale_exp + 1)])
+    for k, i in enumerate(counts.argmax(axis=1).tolist()):
+        ratio = counts[k, i] * float(A.alg.radix) ** (k * s) / n
         if ratio > best_C:
             best_C = ratio
-            worst = (i, k, int(counts[i]))
+            worst = (i, k, int(counts[k, i]))
     i, k, cnt = worst
     return NCReport(best_C <= C, s, C, tuple(int(v) for v in A.points[i]),
                     k, cnt, best_C)
@@ -473,7 +472,7 @@ def _stage_labels(A: DSet, T: int):
         yield k, label
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _radix_powers(radix: int) -> np.ndarray:
     """radix^0, radix^1, ... below 2^63, read-only."""
     powers = np.array([radix ** j for j in range(63) if radix ** j < 2 ** 63])
@@ -504,8 +503,8 @@ def uniformity_audit(A: DSet, T: int = 1):
     out = {}
     for k, label in _stage_labels(A, T):
         counts = _row_counts(label)
-        out[k] = (int(counts.max()), int(counts.min()),
-                  counts.max() / counts.min() <= A.alg.radix ** T)
+        mx, mn = counts.max(), counts.min()
+        out[k] = (int(mx), int(mn), mx / mn <= A.alg.radix ** T)
     return out
 
 

@@ -733,6 +733,11 @@ def _cell_set(spec, scale, radius, grid, rows):
 # the point 2^4 on the top boundary
 @example(("R", None, 1), 3, 1, 1, 1, [[0] * 4, [1] * 4, [8] * 4, [16] * 4], 1.0)
 @example(("Qp", 2, 1), 3, 0, 1, 1, [[0] * 4, [4] * 4, [1] * 4, [3] * 4], 0.4)
+# R with T = 2, the top point 2^4 clamped: a coarser stage label is the last
+# one shifted right by T bits
+@example(("R", None, 1), 4, 0, 2, 1, [[38] * 4, [1] * 4, [64] * 4, [-69] * 4], 1.0)
+# Qp at radius 1 with T = 2: a coarser stage label is a residue mod p^(k + 1)
+@example(("Qp", 2, 1), 3, 1, 2, 1, [[-53] * 4, [-28] * 4, [-30] * 4, [-5] * 4], 1.0)
 def test_uniform_subset_and_nc_equal_loops(spec, scale, radius, T, grid, rows, s):
     A = _cell_set(spec, scale, radius, grid, rows)
     assert np.array_equal(uniform_subset(A, T).points, _uniform_subset_loop(A, T))
