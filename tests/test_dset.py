@@ -260,7 +260,6 @@ def test_v1_header_kept_and_read(tmp_path):
     assert A.points.tolist() == [[1, 2], [5, 7]]
 
 
-
 def _per_scalar_text(alg, scale_exp, radius_exp, rows, extra_comments=()):
     """The text of a dlab file as the per-scalar formatter wrote it: one
     str(int(v)) per coordinate."""
@@ -314,6 +313,7 @@ def test_write_equals_per_scalar_formatter(spec, radius, pairs, comments, data):
             assert fh.read() == _per_scalar_text(alg, m, radius, pts, comments).encode()
         assert back == X
         assert os.listdir(tmp) == ["x"]
+
 
 # --- array kernels against their loop references ----------------------------
 
@@ -378,11 +378,6 @@ def _sorted_path():
     return mock.patch.object(dset, "KEY_TABLE_FACTOR", 0)
 
 
-def _unique_mult(arr):
-    _, inverse, counts = np.unique(arr, axis=0, return_inverse=True, return_counts=True)
-    return counts[inverse.reshape(-1)]
-
-
 @settings(max_examples=80, deadline=None)
 @given(hst.sampled_from([1, 2, 3, 4]),
        hst.sampled_from(["table", "sorted", "edge"]), hst.integers(0, 40), hst.data())
@@ -403,7 +398,8 @@ def test_row_mult_equals_np_unique(d, box, n, data):
                        dtype=object)
         event("key table" if span <= dset.KEY_TABLE_FACTOR * len(arr)
               else "sorted keys" if span < 2 ** 63 else "np.unique(axis=0)")
-    want = _unique_mult(arr)
+    _, inverse, counts = np.unique(arr, axis=0, return_inverse=True, return_counts=True)
+    want = counts[inverse.reshape(-1)]
     got = _row_mult(arr)
     assert got.shape == (len(arr),)
     assert got.tolist() == want.tolist()
