@@ -81,16 +81,32 @@ def _row_keys(arr: np.ndarray, lo, spans) -> np.ndarray:
     return key
 
 
+def _key_rows(key: np.ndarray, lo, spans, order: str = "C") -> np.ndarray:
+    """The rows whose _row_keys in the layout (lo, spans) are `key`, in the
+    memory order given: one divmod per column, lo added column by column."""
+    out = np.empty((len(key), len(spans)), dtype=np.int64, order=order)
+    for t in range(len(spans) - 1, 0, -1):
+        key, digit = np.divmod(key, spans[t])
+        np.add(digit, lo[t], out=out[:, t])
+    np.add(key, lo[0], out=out[:, 0])
+    return out
+
+
+def _small_box(size: int, n: int) -> bool:
+    """Whether a key box of `size` keys for n rows is one table: at most
+    KEY_TABLE_FACTOR keys per row, and at most point_budget() keys."""
+    return size <= KEY_TABLE_FACTOR * n and size <= point_budget()
+
+
 def _canon_points(arr: np.ndarray, d: int, order: str = "C") -> np.ndarray:
     """The distinct rows of `arr` (width d) in lexicographic order: the same
     array as np.unique(arr, axis=0), in the memory order given.
 
     Rows whose _row_keys already increase strictly (FFT sumsets,
     translations, subsets, product pairs) come back as a copy.  Otherwise the
-    keys are sorted in place, adjacent duplicates dropped and the rows
-    decoded from the unique keys.  When there are no keys to pack (no rows,
-    or keys past int64) the rows go through np.unique(axis=0) instead.
-    """
+    distinct keys, in order, are the marks of an occupancy table on a
+    _small_box and the sorted keys otherwise; _key_rows decodes them.  With
+    no keys to pack (no rows, or keys past int64): np.unique(axis=0)."""
     arr = np.asarray(arr, dtype=np.int64).reshape(-1, d)
     layout = _key_layout(arr)
     if layout is None:
@@ -99,28 +115,29 @@ def _canon_points(arr: np.ndarray, d: int, order: str = "C") -> np.ndarray:
     key = _row_keys(arr, lo, spans)
     if np.all(key[1:] > key[:-1]):
         return arr.copy(order=order)
-    key.sort()
-    fresh = np.empty(len(key), dtype=bool)
-    fresh[0] = True
-    np.not_equal(key[1:], key[:-1], out=fresh[1:])
-    key = key[fresh]
-    out = np.empty((len(key), d), dtype=np.int64, order=order)
-    for t in range(d - 1, 0, -1):
-        key, out[:, t] = np.divmod(key, spans[t])
-    out[:, 0] = key
-    out += lo
-    return out
+    size = math.prod(spans)
+    if _small_box(size, len(key)):
+        mark = np.zeros(size, dtype=bool)
+        mark[key] = True
+        key = np.flatnonzero(mark)
+    else:
+        key.sort()
+        fresh = np.empty(len(key), dtype=bool)
+        fresh[0] = True
+        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        key = key[fresh]
+    return _key_rows(key, lo, spans, order)
 
 
 def _row_counts(arr: np.ndarray) -> np.ndarray:
     """np.unique(arr, axis=0, return_counts=True)[1] of a 2-d int64 array:
-    one bincount of the row keys when their box has at most KEY_TABLE_FACTOR
-    len(arr) and point_budget() keys, else np.unique of the keys or rows."""
+    one bincount of the row keys on a _small_box, else np.unique of the keys
+    or rows."""
     layout = _key_layout(arr)
     if layout is None:
         return np.unique(arr, axis=0, return_counts=True)[1]
     keys, size = _row_keys(arr, *layout), math.prod(layout[1])
-    if size <= KEY_TABLE_FACTOR * len(arr) and size <= point_budget():
+    if _small_box(size, len(arr)):
         counts = np.bincount(keys, minlength=size)
         return counts[counts > 0]
     return np.unique(keys, return_counts=True)[1]
@@ -128,15 +145,15 @@ def _row_counts(arr: np.ndarray) -> np.ndarray:
 
 def _row_mult(arr: np.ndarray) -> np.ndarray:
     """Each row's multiplicity among the rows of a 2-d int64 array: counts[inverse]
-    of np.unique(arr, axis=0, return_inverse=True, return_counts=True).  The
-    same decision as _row_counts: one bincount of the row keys indexed by the
-    keys when their box is small, else np.unique of the keys or rows."""
+    of np.unique(arr, axis=0, return_inverse=True, return_counts=True): one
+    bincount of the row keys indexed by the keys on a _small_box, else
+    np.unique of the keys or rows."""
     layout = _key_layout(arr)
     if layout is None:
         _, inverse, counts = np.unique(arr, axis=0, return_inverse=True, return_counts=True)
         return counts[inverse.reshape(-1)]
     keys, size = _row_keys(arr, *layout), math.prod(layout[1])
-    if size <= KEY_TABLE_FACTOR * len(arr) and size <= point_budget():
+    if _small_box(size, len(arr)):
         return np.bincount(keys)[keys]
     _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     return counts[inverse]
@@ -176,11 +193,10 @@ def _row_lookup(rows: np.ndarray, offsets=None):
     (ParameterRangeError otherwise), count 0.  The offsets are folded into
     the _row_keys of that box, key(r - o) = key(r) - key(o): into one table
     (int32 while |rows| |offsets| < 2^31), one shifted add of the row counts
-    per offset, when the box has at most KEY_TABLE_FACTOR |rows| |offsets|
-    and point_budget() keys, each target then one index; else the target keys
-    shifted by each offset are found with np.searchsorted among the sorted
-    row keys; past 2^63 keys, the rows minus offsets are labelled with the
-    targets by np.unique(axis=0)."""
+    per offset, on a _small_box for |rows| |offsets| rows, each target then
+    one index; else the target keys shifted by each offset are found with
+    np.searchsorted among the sorted row keys; past 2^63 keys, the rows minus
+    offsets are labelled with the targets by np.unique(axis=0)."""
     d = rows.shape[1]
     offs = np.asarray([(0,) * d] if offsets is None else offsets, dtype=np.int64).reshape(-1, d)
     if len(rows) == 0:
@@ -204,7 +220,7 @@ def _row_lookup(rows: np.ndarray, offsets=None):
     else:
         keys, counts = np.unique(_row_keys(rows, low, spans), return_counts=True)
         shifts = _row_keys(offs, 0 * low, spans)
-        if size <= min(KEY_TABLE_FACTOR * len(rows) * len(offs), point_budget()):
+        if _small_box(size, len(rows) * len(offs)):
             table = np.zeros(size, dtype=np.int32 if len(rows) * len(offs) < 2 ** 31
                              else np.int64)
             for shift in shifts:
@@ -435,10 +451,7 @@ def remove_ball(A: DSet, center: Element, k: int) -> DSet:
         return A
     alg = A.alg
     if alg.is_real_base:
-        # express center in the set's units
-        vals = al.value_coords(alg, center)
-        cu = np.array([al.round_half_away(v.numerator * 2 ** A.scale_exp,
-                                          v.denominator) for v in vals],
+        cu = np.array(al._value_to_grid(alg, al.value_coords(alg, center), A.scale_exp, 0),
                       dtype=np.int64)
         thresh = 4 ** (A.scale_exp - k)  # (2^(scale-k))^2 grid units squared
         keep = _row_norm_sq(A.points - cu) > thresh

@@ -170,12 +170,9 @@ def gen_random_dset(alg, m: int, s, seed: int, C=8, tries: int = 10) -> DSet:
 def circle_net(alg, m: int) -> DSet:
     """Grid points nearest the unit circle in C: a natural s ~ 1 set."""
     n = 2 ** m
-    pts = []
-    steps = 8 * n
-    for k in range(steps):
-        th = 2 * math.pi * k / steps
-        pts.append((round(n * math.cos(th)), round(n * math.sin(th))))
-    return make_dset(alg, sorted(set(pts)), scale_exp=m)
+    ths = [2 * math.pi * k / (8 * n) for k in range(8 * n)]
+    return make_dset(alg, [(round(n * math.cos(th)), round(n * math.sin(th))) for th in ths],
+                     scale_exp=m)
 
 
 def gen_counterexample_parts(which: str, m: int):
@@ -271,7 +268,7 @@ def measure_projection_profile(G: so.PairSet, X: DSet, exp_id="profile",
 
 def _recenter(A: DSet) -> DSet:
     """Translate by the element minimizing the max coordinate norm
-    (lexicographic tie-break)."""
+    (lexicographic tie-break); A itself when that element is the origin."""
     if len(A) == 0 or not A.alg.is_real_base:
         return A
     pts = A.points
@@ -280,7 +277,7 @@ def _recenter(A: DSet) -> DSet:
         np.maximum(norm, np.abs(pts[:, t]), out=norm)
     # the rows are sorted, so the first of least max norm is the smallest
     best = np.argmin(norm)
-    return DSet(A.alg, A.scale_exp, A.radius_exp, pts - pts[best])
+    return A if norm[best] == 0 else DSet(A.alg, A.scale_exp, A.radius_exp, pts - pts[best])
 
 
 def run_expansion(A: DSet, schedule: Schedule, exp_id="expand", seed=None,
@@ -292,25 +289,19 @@ def run_expansion(A: DSet, schedule: Schedule, exp_id="expand", seed=None,
     if not rep.passed:
         raise TrappedInput(f"input is {1 / schedule.C}-close to sub-algebra "
                            f"{rep.worst_member}")
-    m = A.scale_exp
-    records = []
-    cur = A
-    cnt0 = covering_number(cur, m)
-    records.append(ExperimentRecord(
-        exp_id, _alg_label(alg), alg.p, alg.d, m, float(schedule.s),
-        float(schedule.sigma), float(schedule.t), "input", "", cnt0,
-        _exponent(cnt0, m, alg.radix, alg.d), seed))
+    m, cur = A.scale_exp, A
+
+    def record(op, cnt):
+        return ExperimentRecord(
+            exp_id, _alg_label(alg), alg.p, alg.d, m, float(schedule.s),
+            float(schedule.sigma), float(schedule.t), op, "", cnt,
+            _exponent(cnt, m, alg.radix, alg.d), seed)
+    records = [record("input", covering_number(cur, m))]
     for k in range(schedule.n_iters):
         grown = so.iterated(cur, schedule.n_sum, schedule.n_prod, clip=False)
-        grown = _recenter(grown)
-        grown = so.ball_intersect(grown, 0)
-        grown = uniform_subset(grown, T=1)
-        cnt = covering_number(grown, m)
-        records.append(ExperimentRecord(
-            exp_id, _alg_label(alg), alg.p, alg.d, m, float(schedule.s),
-            float(schedule.sigma), float(schedule.t), f"iter{k + 1}", "", cnt,
-            _exponent(cnt, m, alg.radix, alg.d), seed))
-        cur = grown
+        grown = so.ball_intersect(_recenter(grown), 0)
+        cur = uniform_subset(grown, T=1)
+        records.append(record(f"iter{k + 1}", covering_number(cur, m)))
     return records
 
 

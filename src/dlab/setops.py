@@ -35,6 +35,7 @@ from .dset import (
     _canon_points,
     _col_bounds,
     _grid_rows,
+    _key_rows,
     _read_rows,
     _row_mins,
     _row_norm_sq,
@@ -188,8 +189,8 @@ def _grid_dtype(alg, big, den, scale_exp, unit_out, add=0):
 def _to_grid(alg, raw, den, scale_exp, unit_out, op, plus=None) -> np.ndarray:
     """The exact values raw / den on the grid of scale_exp, plus the grid
     rows `plus` if given, as int64 rows; den is one int or one per row of
-    raw's second-to-last axis.  Real base: rounded once, half away from zero,
-    to units 2^-scale_exp.  p-adic base: in units p^-unit_out mod
+    raw's second-to-last axis.  Real base: |value| rounded once, half up, to
+    units 2^-scale_exp, times its sign.  p-adic base: in units p^-unit_out mod
     p^(scale_exp + unit_out).  A value finer than p^-unit_out, or a row past
     int64, raises ParameterRangeError naming op.  raw's dtype is the one
     _grid_dtype chose for its bound (and the sum's); the sum is taken in it."""
@@ -197,12 +198,11 @@ def _to_grid(alg, raw, den, scale_exp, unit_out, op, plus=None) -> np.ndarray:
     f, q = (np.array(v, dtype=raw.dtype).reshape(-1, 1) for v in (f, q))
     if alg.is_real_base:
         out = raw * f if np.any(f != 1) else raw
-        if np.any(q != 1):  # (2|v| + q) // 2q with v's sign: half away from zero
+        if np.any(q != 1):  # (|v| + q // 2) // q with v's sign: half away from zero
             r = np.abs(out)
-            r *= 2
-            r += q
-            r //= 2 * q
-            out = np.negative(r, out=r, where=out < 0)
+            r += q // 2
+            r //= q
+            out = np.multiply(r, np.sign(out), out=r)
     else:
         if np.any(q != 1):
             if np.any(raw % q != 0):
@@ -264,7 +264,9 @@ def _fft_support_sum(a_pts, b_pts, cyclic_mod=None):
     box, or at the box itself when that padded grid has more than
     FFT_CELL_CAP cells.  Otherwise circular convolution modulo cyclic_mod
     per axis (p-adic).  When both operands are the same array, one forward
-    transform is squared; each grid is freed once it has been used.
+    transform is squared; each grid is freed once it has been used.  The
+    support's flat indices in the box are its _row_keys: _key_rows decodes
+    them into rows (F order) already in the canonical order of a DSet.
 
     For 0/1 inputs the float error of every convolution entry is at most
     c u log2(N) |a|_2 |b|_2 (u the unit roundoff, N the transformed cell
@@ -296,7 +298,7 @@ def _fft_support_sum(a_pts, b_pts, cyclic_mod=None):
     conv = np.fft.irfftn(spec, shape, axes)
     del spec
     conv = conv[tuple(slice(0, n) for n in box)]
-    out = np.argwhere(conv > 0.5)
+    key = np.flatnonzero(conv > 0.5)    # the _row_keys of the sums, in the box
     # max |conv - rint(conv)| in blocks of the leading axis, so the check
     # holds no second grid
     err = max(float(np.abs(blk - np.rint(blk)).max())
@@ -305,8 +307,7 @@ def _fft_support_sum(a_pts, b_pts, cyclic_mod=None):
         raise ParameterRangeError(
             f"sumset: FFT convolution of sizes [{len(a_pts)}, {len(b_pts)}] is "
             f"{err} off the integers, past 1/4")
-    out += amin + bmin
-    return out
+    return _key_rows(key, amin + bmin, box, order="F")
 
 
 def sumset(A: DSet, B: DSet) -> DSet:

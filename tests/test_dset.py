@@ -344,18 +344,38 @@ def test_row_mins_equal_loop(d, bound, dtype, data):
                               np.unique(arr, axis=0, return_index=True)[1])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(hst.sampled_from([1, 2, 4, 8]),
-       hst.sampled_from([1, 3, 2 ** 10, 2 ** 40, 2 ** 62]),
-       hst.data())
-def test_canon_points_equals_np_unique(d, bound, data):
-    rows = data.draw(hst.lists(hst.lists(hst.integers(-bound, bound), min_size=d,
-                                         max_size=d), min_size=1, max_size=30))
+       hst.sampled_from([1, 3, 2 ** 10, 2 ** 40, 2 ** 62, "dense"]),
+       hst.sampled_from(["C", "F"]), hst.data())
+def test_canon_points_equals_np_unique(d, bound, order, data):
+    """_canon_points equals np.unique(axis=0) in the memory order asked for.
+    A dense draw (a key box of at most 2 keys per row, with duplicates)
+    takes the occupancy path; under DLAB_BUDGET_POINTS=1 the same draws
+    take the sort path."""
+    if bound == "dense":
+        n = data.draw(hst.integers(1, 40))
+        span = max(s for s in range(1, 2 * n + 1) if s ** d <= 2 * n)
+        low = data.draw(hst.integers(-2 ** 40, 2 ** 40))
+        coord, sizes = hst.integers(low, low + span - 1), (n, n)
+    else:
+        coord, sizes = hst.integers(-bound, bound), (1, 30)
+    rows = data.draw(hst.lists(hst.lists(coord, min_size=d, max_size=d),
+                               min_size=sizes[0], max_size=sizes[1]))
     arr = np.array(rows, dtype=np.int64)
     arr = np.vstack([arr, arr[: data.draw(hst.integers(0, len(arr)))]])
-    got = _canon_points(arr, d)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, np.unique(arr, axis=0))
+    arr = np.asarray(arr[data.draw(hst.permutations(range(len(arr))))], order=order)
+    want = np.unique(arr, axis=0)
+    if bound == "dense":
+        layout = dset._key_layout(arr)
+        assert dset._small_box(np.prod(layout[1]), len(arr))
+    for budget in (None, "1"):
+        env = {} if budget is None else {"DLAB_BUDGET_POINTS": budget}
+        with mock.patch.dict(os.environ, env):
+            got = _canon_points(arr, d, order)
+        assert got.dtype == np.int64
+        assert got.flags["C_CONTIGUOUS" if order == "C" else "F_CONTIGUOUS"]
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=40, deadline=None)

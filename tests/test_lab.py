@@ -431,6 +431,18 @@ def test_recenter_ties_take_the_smallest_row(spec, rows, center):
     assert np.array_equal(want.points, make_dset(alg, _recenter_oracle(A), 5).points)
 
 
+@pytest.mark.parametrize("spec", ["R", "C", "H"])
+def test_recenter_keeps_a_set_holding_the_origin(spec):
+    """A set with the origin as a point is translated by zero, so _recenter
+    hands back the set itself."""
+    alg = al.make_algebra(spec, m=5)
+    rnd = np.random.default_rng(alg.d)
+    A = make_dset(alg, np.vstack([rnd.integers(-3, 4, size=(20, alg.d)),
+                                  np.zeros((1, alg.d), dtype=np.int64)]), scale_exp=5)
+    assert lab._recenter(A) is A
+    assert np.array_equal(A.points, make_dset(alg, _recenter_oracle(A), 5).points)
+
+
 @settings(max_examples=50, deadline=None)
 @given(hst.sampled_from(["R", "C", "H"]), hst.integers(0, 10 ** 6))
 def test_recenter_equals_min_loop(spec, seed):

@@ -150,6 +150,16 @@ def _fft_branch(op, *args, **caps):
         return op(*args)
 
 
+def _fft_operands(spec, data):
+    """Two sets drawn for an _FFT_ALGEBRAS entry."""
+    kind, p, d, m, span = spec
+    alg = al.make_algebra(kind, p=p, d=d, m=m)
+    coord = (hst.integers(-span, span) if alg.is_real_base
+             else hst.integers(0, p ** m - 1))
+    rows = hst.lists(hst.tuples(*[coord] * d), min_size=1, max_size=12)
+    return make_dset(alg, data.draw(rows)), make_dset(alg, data.draw(rows))
+
+
 @settings(max_examples=80, deadline=None)
 @given(hst.sampled_from(_FFT_ALGEBRAS),
        hst.sampled_from(["same", "difference", "pair", "disjoint"]), hst.data())
@@ -157,18 +167,28 @@ def test_fft_sumset_equals_pairwise(spec, mode, data):
     """The FFT branch (smooth padded lengths on the real base, the cyclic
     grid p^k on the p-adic base, one squared spectrum when both operands
     are the same set) gives the pairwise sumset."""
-    kind, p, d, m, span = spec
-    alg = al.make_algebra(kind, p=p, d=d, m=m)
-    coord = (hst.integers(-span, span) if alg.is_real_base
-             else hst.integers(0, p ** m - 1))
-    rows = hst.lists(hst.tuples(*[coord] * d), min_size=1, max_size=12)
-    A = make_dset(alg, data.draw(rows))
-    B = make_dset(alg, data.draw(rows))
+    A, B = _fft_operands(spec, data)
+    alg, span = A.alg, spec[4]
     if mode == "disjoint":  # B's box far from A's on every axis
         B = make_dset(alg, B.points + (3 * span if alg.is_real_base else 0))
     op, args = {"same": (so.sumset, (A, A)), "difference": (so.difference_set, (A, A)),
                 "pair": (so.sumset, (A, B)), "disjoint": (so.sumset, (A, B))}[mode]
     assert _fft_branch(op, *args) == op(*args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.sampled_from(_FFT_ALGEBRAS), hst.booleans(), hst.data())
+def test_fft_support_sum_rows_are_canonical(spec, same, data):
+    """_fft_support_sum returns the support already distinct and in
+    lexicographic order, so a DSet only copies it: its raw rows equal
+    np.unique of themselves and the pairwise sumset's points."""
+    A, B = _fft_operands(spec, data)
+    B = A if same else B
+    mod = None if A.alg.is_real_base else A.alg.p ** A.scale_exp
+    out = so._fft_support_sum(A.points, B.points, cyclic_mod=mod)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, np.unique(out, axis=0))
+    assert np.array_equal(out, so.sumset(A, B).points)
 
 
 def _is_smooth(n):
@@ -251,6 +271,55 @@ def test_construction_past_int64_raises():
         make_dset(R, [(2 ** 63,)])
     with pytest.raises(ParameterRangeError, match="coordinates past int64"):
         so.make_pairset(R, [(0, -2 ** 63 - 1)])
+
+
+# --- the real-base grid step against the Fraction oracle --------------------
+
+_INT64_EDGE = [0, 2 ** 63, -2 ** 63, 2 ** 63 - 1, 1 - 2 ** 63]
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.integers(0, 6), hst.booleans(), hst.data())
+def test_to_grid_rounds_like_value_to_grid(scale_exp, per_row, data):
+    """Real-base _to_grid equals al._value_to_grid on Fractions: rounded
+    once, half away from zero, on int64 (when _grid_dtype allows it) and on
+    Python-int raw arrays, with one denominator or one per row, at exact
+    ties +-(k + 1/2), at zero and past 2^63.  A result row past int64
+    raises ParameterRangeError."""
+    C = al.make_algebra("C", m=6)
+    n = data.draw(hst.integers(1, 5))
+    den_st = hst.builds(lambda a, b: 2 ** a * b, hst.integers(0, 9),
+                        hst.sampled_from([1, 3, 5, 21]))
+    dens = (data.draw(hst.lists(den_st, min_size=n, max_size=n)) if per_row
+            else [data.draw(den_st)] * n)
+
+    def raw_value(den):
+        # a tie needs 2 raw 2^scale_exp = (2k + 1) den, so 2^(scale_exp + 1) | den
+        half = den >> (scale_exp + 1) if den % 2 ** (scale_exp + 1) == 0 else 0
+        tie = (2 * data.draw(hst.integers(0, 40)) + 1) * half
+        v = data.draw(hst.one_of(hst.integers(-100, 100), hst.integers(-2 ** 70, 2 ** 70),
+                                 hst.sampled_from(_INT64_EDGE + [tie, -tie])))
+        if tie and abs(v) == tie:
+            event("exact tie")
+        return v
+
+    rows = [[raw_value(den) for _ in range(2)] for den in dens]
+    want = [list(al._value_to_grid(C, [Fraction(v, den) for v in row], scale_exp, 0))
+            for row, den in zip(rows, dens)]
+    fits = all(-2 ** 63 <= v < 2 ** 63 for row in want for v in row)
+    den = dens if per_row else dens[0]
+    big = max(abs(v) for row in rows for v in row)
+    small = so._grid_dtype(C, big, den, scale_exp, 0) is np.int64
+    dtypes = [object, np.int64] if small else [object]
+    for dtype in dtypes:
+        raw = np.array(rows, dtype=dtype)
+        event(f"dtype {np.dtype(dtype).name}, fits {fits}")
+        if not fits:
+            with pytest.raises(ParameterRangeError):
+                so._to_grid(C, raw, den, scale_exp, 0, "test")
+            continue
+        got = so._to_grid(C, raw, den, scale_exp, 0, "test")
+        assert got.dtype == np.int64 and got.tolist() == want
 
 
 # --- products ---------------------------------------------------------------
