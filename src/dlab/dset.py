@@ -1,8 +1,10 @@
 """Delta-discretized sets: storage, covering numbers, non-concentration,
-neighborhoods, uniformization, and the text file format.  Cells are counted
-on packed int64 row keys, in one bincount on a small key box: _row_counts
-(the cell counts) and _row_mult (each row's cell count).  Uniformization
-labels the points once and derives each coarser stage label from the last
+neighborhoods, uniformization, and the text file format.  One kernel,
+_row_labels, labels rows: by their packed int64 row keys, else (no rows, keys
+past 2^63, object arrays) by their ranks after one lexsort.  On those labels
+_canon_points dedups, _row_mins takes first occurrences, and _row_counts and
+_row_mult count cells in one bincount on a small box.  Uniformization labels
+the points once and derives each coarser stage label from the last
 (_stage_labels); the real-base non-concentration certificate counts every
 ball at every scale with one searchsorted, bincount and cumulative sum.  The
 same keys give the row lookup _row_lookup of the counting engines and the
@@ -98,91 +100,87 @@ def _small_box(size: int, n: int) -> bool:
     return size <= KEY_TABLE_FACTOR * n and size <= point_budget()
 
 
+def _run_starts(srt: np.ndarray) -> np.ndarray:
+    """Mask of the first entry (row, for a 2-d array) of each run of equal
+    ones in a sorted array."""
+    fresh, neq = np.ones(len(srt), dtype=bool), srt[1:] != srt[:-1]
+    fresh[1:] = neq if srt.ndim == 1 else neq.any(axis=1)
+    return fresh
+
+
+def _row_labels(arr: np.ndarray):
+    """(labels, size, decode) of a 2-d array: one int64 label per row, equal
+    for equal rows only and increasing in lexicographic row order, with
+    0 <= label < size; decode(labels, order="C") gives back the rows of
+    distinct labels in the memory order given.  The labels are the _row_keys
+    of the _key_layout; with no layout (no rows, keys past 2^63, an object
+    array) they are the ranks of the distinct rows after one np.lexsort of
+    the columns."""
+    layout = None if arr.dtype == object else _key_layout(arr)
+    if layout is not None:
+        lo, spans = layout
+        return (_row_keys(arr, lo, spans), math.prod(spans),
+                lambda key, order="C": _key_rows(key, lo, spans, order))
+    perm = np.lexsort(arr.T[::-1])
+    fresh = _run_starts(arr[perm])
+    labels = np.empty(len(arr), dtype=np.int64)
+    labels[perm] = np.cumsum(fresh) - 1
+    distinct = arr[perm[fresh]]
+    return labels, len(distinct), lambda key, order="C": np.asarray(distinct[key], order=order)
+
+
 def _canon_points(arr: np.ndarray, d: int, order: str = "C") -> np.ndarray:
     """The distinct rows of `arr` (width d) in lexicographic order: the same
     array as np.unique(arr, axis=0), in the memory order given.
 
-    Rows whose _row_keys already increase strictly (FFT sumsets,
+    Rows whose _row_labels already increase strictly (FFT sumsets,
     translations, subsets, product pairs) come back as a copy.  Otherwise the
-    distinct keys, in order, are the marks of an occupancy table on a
-    _small_box and the sorted keys otherwise; _key_rows decodes them.  With
-    no keys to pack (no rows, or keys past int64): np.unique(axis=0)."""
+    distinct labels, in order, are the marks of an occupancy table on a
+    _small_box and the sorted labels otherwise; decode turns them back."""
     arr = np.asarray(arr, dtype=np.int64).reshape(-1, d)
-    layout = _key_layout(arr)
-    if layout is None:
-        return np.asarray(np.unique(arr, axis=0), order=order)
-    lo, spans = layout
-    key = _row_keys(arr, lo, spans)
+    key, size, decode = _row_labels(arr)
     if np.all(key[1:] > key[:-1]):
         return arr.copy(order=order)
-    size = math.prod(spans)
     if _small_box(size, len(key)):
         mark = np.zeros(size, dtype=bool)
         mark[key] = True
         key = np.flatnonzero(mark)
     else:
         key.sort()
-        fresh = np.empty(len(key), dtype=bool)
-        fresh[0] = True
-        np.not_equal(key[1:], key[:-1], out=fresh[1:])
-        key = key[fresh]
-    return _key_rows(key, lo, spans, order)
+        key = key[_run_starts(key)]
+    return decode(key, order)
 
 
 def _row_counts(arr: np.ndarray) -> np.ndarray:
-    """np.unique(arr, axis=0, return_counts=True)[1] of a 2-d int64 array:
-    one bincount of the row keys on a _small_box, else np.unique of the keys
-    or rows."""
-    layout = _key_layout(arr)
-    if layout is None:
-        return np.unique(arr, axis=0, return_counts=True)[1]
-    keys, size = _row_keys(arr, *layout), math.prod(layout[1])
+    """np.unique(arr, axis=0, return_counts=True)[1] of a 2-d array: one
+    bincount of the _row_labels on a _small_box, else np.unique of the
+    labels."""
+    labels, size, _ = _row_labels(arr)
     if _small_box(size, len(arr)):
-        counts = np.bincount(keys, minlength=size)
+        counts = np.bincount(labels, minlength=size)
         return counts[counts > 0]
-    return np.unique(keys, return_counts=True)[1]
+    return np.unique(labels, return_counts=True)[1]
 
 
 def _row_mult(arr: np.ndarray) -> np.ndarray:
-    """Each row's multiplicity among the rows of a 2-d int64 array: counts[inverse]
+    """Each row's multiplicity among the rows of a 2-d array: counts[inverse]
     of np.unique(arr, axis=0, return_inverse=True, return_counts=True): one
-    bincount of the row keys indexed by the keys on a _small_box, else
-    np.unique of the keys or rows."""
-    layout = _key_layout(arr)
-    if layout is None:
-        _, inverse, counts = np.unique(arr, axis=0, return_inverse=True, return_counts=True)
-        return counts[inverse.reshape(-1)]
-    keys, size = _row_keys(arr, *layout), math.prod(layout[1])
+    bincount of the _row_labels indexed by the labels on a _small_box, else
+    np.unique of the labels."""
+    labels, size, _ = _row_labels(arr)
     if _small_box(size, len(arr)):
-        return np.bincount(keys)[keys]
-    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        return np.bincount(labels)[labels]
+    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
     return counts[inverse]
 
 
 def _row_mins(arr: np.ndarray, prio=None) -> np.ndarray:
     """For every distinct row of a 2-d array, in lexicographic row order, the
     index of its first occurrence of smallest prio (no prio: np.unique(arr,
-    axis=0, return_index=True)[1]).  Rows are matched on their int64 row keys,
-    on np.unique(axis=0) labels past 2^63, in a dict for object arrays."""
-    if prio is None:
-        prio = np.arange(len(arr))
-    if arr.dtype == object:
-        best = {}
-        for t, row in enumerate(map(tuple, arr.tolist())):
-            if row not in best or prio[t] < prio[best[row]]:
-                best[row] = t
-        return np.array([best[row] for row in sorted(best)], dtype=np.int64)
-    layout = _key_layout(arr)
-    if layout is None:
-        key = np.unique(arr, axis=0, return_inverse=True)[1].reshape(-1)
-    else:
-        key = _row_keys(arr, *layout)
-    order = np.lexsort((prio, key))
-    key = key[order]
-    fresh = np.empty(len(key), dtype=bool)
-    fresh[:1] = True
-    np.not_equal(key[1:], key[:-1], out=fresh[1:])
-    return order[fresh]
+    axis=0, return_index=True)[1]): one lexsort of (prio, _row_labels)."""
+    labels = _row_labels(arr)[0]
+    order = np.lexsort((np.arange(len(arr)) if prio is None else prio, labels))
+    return order[_run_starts(labels[order])]
 
 
 def _row_lookup(rows: np.ndarray, offsets=None):
@@ -196,7 +194,7 @@ def _row_lookup(rows: np.ndarray, offsets=None):
     per offset, on a _small_box for |rows| |offsets| rows, each target then
     one index; else the target keys shifted by each offset are found with
     np.searchsorted among the sorted row keys; past 2^63 keys, the rows minus
-    offsets are labelled with the targets by np.unique(axis=0)."""
+    offsets are labelled with the targets by _row_labels."""
     d = rows.shape[1]
     offs = np.asarray([(0,) * d] if offsets is None else offsets, dtype=np.int64).reshape(-1, d)
     if len(rows) == 0:
@@ -209,14 +207,11 @@ def _row_lookup(rows: np.ndarray, offsets=None):
     low, spans = np.array([l for l, _ in box]), [h - l + 1 for l, h in box]
     size = math.prod(spans)
     if size >= 2 ** 63:
-        rows, counts = np.unique((rows[:, None, :] - offs).reshape(-1, d), axis=0,
-                                 return_counts=True)
+        shifted = (rows[:, None, :] - offs).reshape(-1, d)
 
         def find(T):
-            inv = np.unique(np.concatenate([rows, T]), axis=0, return_inverse=True)[1].ravel()
-            table = np.zeros(len(inv), dtype=np.int64)
-            table[inv[:len(rows)]] = counts
-            return table[inv[len(rows):]]
+            label, n_labels, _ = _row_labels(np.concatenate([shifted, T]))
+            return np.bincount(label[:len(shifted)], minlength=n_labels)[label[len(shifted):]]
     else:
         keys, counts = np.unique(_row_keys(rows, low, spans), return_counts=True)
         shifts = _row_keys(offs, 0 * low, spans)

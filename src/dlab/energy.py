@@ -12,7 +12,7 @@ p-adic base) into a key table or sorted keys, so that one lookup counts a
 target against every offset:
 
 * additive energy sums the squared multiplicities of the pairwise sums
-  a + b, counted on their row keys (dset._row_counts);
+  a + b, counted on their row labels (dset._row_counts);
 * the quintuple count forms the rows x a for every x at once (one product
   per unit_exp) and, for each x and block of b rows, looks the targets
   -(xb + xd) up among the n^2 differences a - c of A; the counts add up in
@@ -22,14 +22,15 @@ target against every offset:
   for all n^2 differences and counts in one lookup the second rows that
   cancel each first.  On the p-adic base the products are taken at the
   algebra's precision, as Element arithmetic takes them, and a product
-  finer than the set's units raises ParameterRangeError.
+  finer than the set's units raises ParameterRangeError;
+* graph extraction counts edge sums and vertex degrees on the same row
+  labels (dset._row_mult and _row_counts), with no loop over the edges.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,6 +42,7 @@ from .dset import (
     DSet,
     _row_counts,
     _row_lookup,
+    _row_mult,
     _row_norm_sq,
     _write_csv,
     covering_number,
@@ -51,6 +53,7 @@ from .errors import (
     BudgetExceeded,
     DivisionByNegligible,
     EmptyGraph,
+    EmptyInput,
 )
 
 
@@ -176,7 +179,7 @@ def quintuple_count_tv(A: DSet, X: DSet, rho_exp: int,
         idx = [k for k, x in enumerate(xs) if x.unit_exp == u]
         R[idx] = so._grid_products(alg, A.points, [xs[k].coords for k in idx],
                                    A.unit_exp() + u, A.scale_exp, "Right", A.unit_exp() + u,
-                                   "quintuple_count_tv").reshape(n, -1, d).transpose(1, 0, 2)
+                                   "quintuple_count_tv").reshape(n, len(idx), d).transpose(1, 0, 2)
     so._check_sum_bound("quintuple_count_tv targets", (R.reshape(-1, d), 2), (offsets, 1))
     lookup = _row_lookup(_diffs(A), offsets)
     near_count = far_count = 0
@@ -258,38 +261,28 @@ def quadruple_count_sparse(A: DSet, p: al.Element, q: al.Element,
 def bsg_extract(H: so.PairSet, A: DSet, B: DSet) -> BsgResult:
     """Dense-subgraph extraction along popular sums: keep edges whose sum
     value has at least half-average multiplicity, then high-degree left
-    vertices, then right vertices popular within the kept edges."""
+    vertices, then right vertices popular within the kept edges.  Sums and
+    vertices are counted on their row labels (dset._row_mult); the sums are
+    Python ints once 2 max|coord| reaches 2^63."""
     if len(H) == 0:
         raise EmptyGraph("no edges")
-    alg = H.alg
-    d = alg.d
-    edges = [tuple(map(int, row)) for row in H.pairs]
-    mod = None if alg.is_real_base else alg.p ** (H.scale_exp + H.radius_exp)
+    alg, d = H.alg, H.alg.d
+    pairs = H.pairs.astype(object) if 2 * max(H.big) >= 2 ** 63 else H.pairs
+    sums = pairs[:, :d] + pairs[:, d:]
+    if not alg.is_real_base:
+        sums %= alg.p ** (H.scale_exp + H.radius_exp)
 
-    def edge_sum(e):
-        return tuple((e[k] + e[d + k]) % mod if mod else e[k] + e[d + k]
-                     for k in range(d))
+    def popular(rows):
+        """Whether each row's multiplicity is at least half the average."""
+        return _row_mult(rows) >= len(rows) / len(_row_counts(rows)) / 2
 
-    mult = Counter(edge_sum(e) for e in edges)
-    avg_mult = len(edges) / len(mult)
-    popular = [e for e in edges if mult[edge_sum(e)] >= avg_mult / 2]
-    if not popular:
-        raise EmptyGraph("no popular edges")
-    deg = Counter(e[:d] for e in popular)
-    avg_deg = len(popular) / len(deg)
-    a_keep = {a for a, c in deg.items() if c >= avg_deg / 2}
-    kept = [e for e in popular if e[:d] in a_keep]
-    bdeg = Counter(e[d:] for e in kept)
-    avg_bdeg = len(kept) / len(bdeg)
-    b_keep = {b for b, c in bdeg.items() if c >= avg_bdeg / 2}
-
-    A_sub = DSet(alg, H.scale_exp, H.radius_exp,
-                 np.array(sorted(a_keep), dtype=np.int64).reshape(-1, d))
-    B_sub = DSet(alg, H.scale_exp, H.radius_exp,
-                 np.array(sorted(b_keep), dtype=np.int64).reshape(-1, d))
+    kept = H.pairs[popular(sums)]
+    kept = kept[popular(kept[:, :d])]
+    A_sub = DSet(alg, H.scale_exp, H.radius_exp, kept[:, :d])
+    B_sub = DSet(alg, H.scale_exp, H.radius_exp, kept[popular(kept[:, d:]), d:])
     S = so.sumset(A_sub, B_sub)
     sum_count = len(S)
-    K = (len(A) * len(B)) / len(edges)
+    K = (len(A) * len(B)) / len(H)
     C0, kexp = 16.0, 5
     bound = C0 * K ** kexp * (len(A) * len(B)) ** 0.5
     return BsgResult(A_sub, B_sub, len(A_sub) / max(len(A), 1),
@@ -340,6 +333,8 @@ def ledger_rows(env: dict, instances) -> list:
         den = 1
         for e in inst.den:
             den *= len(eval_expr(env, e))
+        if den == 0:
+            raise EmptyInput(f"ledger {inst.name}: empty set in the denominator")
         rhs = Fraction(num, den)
         slack = rhs / lhs if lhs else None
         rows.append({"instance": inst.name, "lhs": lhs, "rhs": float(rhs),
@@ -358,6 +353,8 @@ def ruzsa_triangle_instance(a="A", b="B", c="C") -> RuzsaInstance:
 
 def plunnecke_row(A: DSet, B: DSet) -> dict:
     """With K = |A+B|/|A|: checks |B+B-B| <= K^3 |A| exactly."""
+    if len(A) == 0:
+        raise EmptyInput("ledger plunnecke_2B-B: empty set A")
     K = Fraction(len(so.sumset(A, B)), len(A))
     lhs = len(so.difference_set(so.sumset(B, B), B))
     rhs = K ** 3 * len(A)

@@ -29,6 +29,7 @@ from .dset import (
     uniform_subset,
 )
 from .errors import (
+    EmptyInput,
     GenerationFailed,
     ParameterRangeError,
     TrappedInput,
@@ -307,6 +308,8 @@ def run_expansion(A: DSet, schedule: Schedule, exp_id="expand", seed=None,
 
 def probe_babyproj(A: DSet, X: DSet, exp_id="babyproj", seed=None):
     """max over x in X of N(A + xA); returns (record, argmax element)."""
+    if len(X) == 0:
+        raise EmptyInput("babyproj: empty direction set X")
     alg = A.alg
     best = None
     best_x = None
@@ -325,6 +328,8 @@ def probe_babyproj(A: DSet, X: DSet, exp_id="babyproj", seed=None):
 
 def fibre_profile(G: so.PairSet, X: DSet, c1=None, rho_exp: int = 1):
     """Heaviest rho-cell fibre mass of G under each projection direction."""
+    if len(G) == 0:
+        raise EmptyInput("fibre_profile: empty pair set G")
     alg, m, out = G.alg, G.scale_exp, {}
     xs = sorted(X.elements(), key=lambda e: e.coords)
     for x, (proj, r_out) in zip(xs, so._project_many(xs, G)):

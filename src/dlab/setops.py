@@ -37,6 +37,7 @@ from .dset import (
     _grid_rows,
     _key_rows,
     _read_rows,
+    _row_labels,
     _row_mins,
     _row_norm_sq,
     _write_rows,
@@ -460,7 +461,7 @@ def _distinct_differences(A: DSet):
     elems = sorted(A.elements(), key=lambda e: e.coords)
     coords = [e.coords for e in elems]
     n = len(elems)
-    rank = np.cumsum([0] + [a != b for a, b in zip(coords[1:], coords)])
+    rank = _row_labels(np.array(coords, dtype=object).reshape(n, A.alg.d))[0]
     rows = [[c * A.alg.radix ** (A.unit_exp() - e.unit_exp) for c in e.coords]
             for e in elems]
     big = max((abs(c) for row in rows for c in row), default=0)

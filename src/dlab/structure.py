@@ -39,10 +39,6 @@ class SubAlgebra:
     name: str
     basis: tuple  # tuple of d-tuples of Fractions; empty tuple = {0}
 
-    @property
-    def dim(self):
-        return len(self.basis)
-
 
 @dataclass(frozen=True)
 class SubAlgebraFamily:

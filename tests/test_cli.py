@@ -1,5 +1,6 @@
 """Command-line surface: determinism, formats, exit codes."""
 
+import itertools
 import json
 
 import pytest
@@ -226,3 +227,102 @@ def test_op_prod_past_int64_exits_2(tmp_path, capsys):
                      "--out", str(tmp_path / "out.dset")])
     assert code == 2
     assert "product_set: grid rows past int64" in capsys.readouterr().err
+
+
+def _empty_and_one(tmp_path, name, head, row):
+    """An empty file and a one-row file with the given header."""
+    empty, one = tmp_path / f"{name}_0", tmp_path / f"{name}_1"
+    empty.write_text(head)
+    one.write_text(f"{head}{row}\n")
+    return str(empty), str(one)
+
+
+C4 = "#dlab v1 base=R p=- d=2 m=4 Rexp=0\n"
+
+
+def test_count_tv_empty_set_counts_zero(tmp_path, capsys):
+    """An empty A against a non-empty X counts 0 quintuples, as against an
+    empty X."""
+    empty, one = _empty_and_one(tmp_path, "a", C4, "3 -5")
+    for x in (one, empty):
+        code, out = run(["count-tv", "--in", empty, "--x-set", x, "--rho", "1"], capsys)
+        rep = json.loads(out)
+        assert code == 0 and rep["total"] == 0
+        assert rep["breakdown"] == {"near": 0, "far": 0}
+
+
+@pytest.mark.parametrize("which", ["--in", "--in2"])
+def test_ledger_empty_set_exit_2(tmp_path, capsys, which):
+    """An empty A (K = |A+B|/|A|) or B (the Ruzsa triangle divides by |B|)
+    exits 2 naming the ledger."""
+    empty, one = _empty_and_one(tmp_path, "a", C4, "3 -5")
+    argv = {"--in": one, "--in2": one, "--in3": one, which: empty}
+    code = cli.main(["ledger", *itertools.chain(*argv.items())])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1 and err[0].startswith("dlab: ledger ")
+
+
+def test_babyproj_empty_direction_set_exit_2(tmp_path, capsys):
+    empty, one = _empty_and_one(tmp_path, "a", C4, "3 -5")
+    code = cli.main(["babyproj", "--in", one, "--x-set", empty])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and err == ["dlab: babyproj: empty direction set X"]
+
+
+def test_fibres_empty_pair_set_exit_2(tmp_path, capsys):
+    empty, one = _empty_and_one(tmp_path, "x", C4, "3 -5")
+    code = cli.main(["fibres", "--in-g", empty, "--x-set", one])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and err == ["dlab: fibre_profile: empty pair set G"]
+
+
+@pytest.mark.parametrize("head,row,x,one", [
+    (C4, "3 -5", "1,0", "16,0"),
+    ("#dlab v1 base=Qp p=3 d=1 m=3 Rexp=0\n", "4", "1", "1"),
+], ids=["C m=4", "Qp p=3 m=3"])
+def test_cli_degenerate_sets_exit_cleanly(tmp_path, capsys, head, row, x, one):
+    """Every subcommand on empty and one-point sets and pair sets (C m=4,
+    Qp p=3 m=3) exits 0, 2 or 3, never with a traceback; exits 2 and 3
+    print exactly one 'dlab:' line."""
+    sets = _empty_and_one(tmp_path, "set", head, row)
+    pairs = _empty_and_one(tmp_path, "pairs", head, f"{row} {row}")
+    zero = "0,0" if "d=2" in head else "0"
+    out = str(tmp_path / "out")
+    argvs = []
+    for A, B in itertools.product(sets, repeat=2):
+        argvs += [["op", "--op", op, "--in", A, "--in2", B, "--out", out]
+                  for op in ("sum", "diff", "prod")]
+        argvs += [["energy", "--in", A, "--in2", B],
+                  ["count-tv", "--in", A, "--x-set", B, "--rho", "1"],
+                  ["babyproj", "--in", A, "--x-set", B]]
+        argvs += [["ledger", "--in", A, "--in2", B, "--in3", C] for C in sets]
+    for A in sets:
+        argvs += [["cover", "--in", A, "--k", "1"],
+                  ["verify-nc", "--in", A, "--s", "1", "--C", "8"],
+                  ["uniformize", "--in", A, "--out", out],
+                  ["op", "--op", "iter", "--in", A, "--out", out],
+                  ["op", "--op", "quot", "--in", A, "--rho", "1", "--out", out],
+                  ["escape", "--in", A],
+                  ["avoid", "--in", A, "--C", "2"],
+                  ["avoid", "--in", A, "--C", "2", "--strong"],
+                  ["energy", "--in", A],
+                  ["count-sparse", "--in", A, "--p-coords", x, "--q-coords", x],
+                  ["expand", "--in", A, "--s", "1", "--t", "3/2", "--out", out]]
+    for G in pairs:
+        argvs += [["op", "--op", "proj", "--in", G, "--x", x, "--out", out],
+                  ["op", "--op", "linmap", "--in", G, "--matrix",
+                   f"{one}/{zero};{zero}/{one}", "--out", out]]
+        argvs += [["fibres", "--in-g", G, "--x-set", X] for X in sets]
+        argvs += [["bsg", "--in-h", G, "--in", A, "--in2", B]
+                  for A, B in itertools.product(sets, repeat=2)]
+    bad = []
+    for argv in argvs:
+        try:
+            code = cli.main(argv)
+        except Exception as e:     # the CLI would exit 1 with a traceback
+            code = repr(e)
+        err = capsys.readouterr().err.splitlines()
+        if code not in (0, 2, 3) or (code and not (len(err) == 1
+                                                   and err[0].startswith("dlab: "))):
+            bad.append((argv[0], argv[1:], code, err))
+    assert not bad

@@ -344,6 +344,38 @@ def test_row_mins_equal_loop(d, bound, dtype, data):
                               np.unique(arr, axis=0, return_index=True)[1])
 
 
+@settings(max_examples=100, deadline=None)
+@given(hst.sampled_from([1, 2, 3, 4]),
+       hst.sampled_from(["small", "wide", "edge", "object"]), hst.data())
+def test_row_labels_rank_rows(d, box, data):
+    """_row_labels on small boxes, wide boxes, spans past 2^63 (edge), no
+    rows, and object arrays of Python ints, some past 2^63: equal rows get
+    equal labels and only they do, label order is lexicographic row order,
+    0 <= label < size, and decode of the distinct labels is
+    np.unique(axis=0)."""
+    coord = {"small": hst.integers(-3, 3), "wide": hst.integers(-10 ** 6, 10 ** 6),
+             "edge": hst.sampled_from([-2 ** 63, -2 ** 62, -1, 0, 2 ** 62, 2 ** 63 - 1]),
+             "object": hst.integers(-3, 3) | hst.integers(-2 ** 70, 2 ** 70)}[box]
+    rows = data.draw(hst.lists(hst.lists(coord, min_size=d, max_size=d), max_size=30))
+    arr = np.array(rows, dtype=object if box == "object" else np.int64).reshape(-1, d)
+    arr = np.vstack([arr, arr[data.draw(hst.permutations(range(len(arr))))][
+        : data.draw(hst.integers(0, len(arr)))]])
+    labels, size, decode = dset._row_labels(arr)
+    event("keys" if box != "object" and dset._key_layout(arr) is not None else "lexsort")
+    assert labels.dtype == np.int64 and labels.shape == (len(arr),)
+    assert all(0 <= v < size for v in labels.tolist())
+    ranked = sorted(zip(map(tuple, arr.tolist()), labels.tolist()))
+    for (r, u), (s, v) in zip(ranked, ranked[1:]):
+        assert u == v if r == s else u < v
+    want = sorted(set(map(tuple, arr.tolist())))
+    for order in ("C", "F"):
+        got = decode(np.unique(labels), order)
+        assert list(map(tuple, got.tolist())) == want
+        assert got.flags["C_CONTIGUOUS" if order == "C" else "F_CONTIGUOUS"]
+    if box != "object":
+        assert np.array_equal(decode(np.unique(labels)), np.unique(arr, axis=0))
+
+
 @settings(max_examples=120, deadline=None)
 @given(hst.sampled_from([1, 2, 4, 8]),
        hst.sampled_from([1, 3, 2 ** 10, 2 ** 40, 2 ** 62, "dense"]),

@@ -4,10 +4,11 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
 from dlab import algebra as al
@@ -18,6 +19,7 @@ from dlab.errors import (
     BudgetExceeded,
     DivisionByNegligible,
     EmptyGraph,
+    EmptyInput,
     ParameterRangeError,
 )
 
@@ -565,6 +567,80 @@ def test_bsg_planted_block_recovery():
     assert rec >= len(planted) / 4
     assert res.sumset_count == len(so.sumset(res.A_sub, res.B_sub))
 
+
+
+def _loop_bsg(H):
+    """The popular-sums extraction as a loop over the edges, with Counters
+    of Python-int tuples: the sorted kept a-rows and b-rows."""
+    d = H.alg.d
+    edges = [tuple(map(int, row)) for row in H.pairs]
+    mod = None if H.alg.is_real_base else H.alg.p ** (H.scale_exp + H.radius_exp)
+
+    def edge_sum(e):
+        return tuple((e[k] + e[d + k]) % mod if mod else e[k] + e[d + k]
+                     for k in range(d))
+
+    mult = Counter(edge_sum(e) for e in edges)
+    avg_mult = len(edges) / len(mult)
+    popular = [e for e in edges if mult[edge_sum(e)] >= avg_mult / 2]
+    deg = Counter(e[:d] for e in popular)
+    avg_deg = len(popular) / len(deg)
+    a_keep = {a for a, c in deg.items() if c >= avg_deg / 2}
+    kept = [e for e in popular if e[:d] in a_keep]
+    bdeg = Counter(e[d:] for e in kept)
+    avg_bdeg = len(kept) / len(bdeg)
+    b_keep = {b for b, c in bdeg.items() if c >= avg_bdeg / 2}
+    return sorted(a_keep), sorted(b_keep)
+
+
+_BSG_ALGEBRAS = [("R", {"m": 62}), ("C", {"m": 62}), ("Qp", {"p": 3, "m": 4}),
+                 ("Qp", {"p": 5, "m": 27}), ("Qp_ext", {"p": 3, "d": 2, "m": 3}),
+                 ("Qp_ext", {"p": 11, "d": 2, "m": 18})]
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.sampled_from(_BSG_ALGEBRAS), hst.booleans(), hst.data())
+def test_bsg_equals_counter_loop(spec, edge, data):
+    """bsg_extract keeps the same A_sub and B_sub as the Counter loop on R, C,
+    Qp and Qp_ext graphs: small coordinates with many repeated sums, and
+    coordinates near +-2^62 (residues near p^m on Qp p=5 m=27 and Qp_ext
+    p=11 m=18) whose edge sums pass int64.  The sumset of the result is
+    stubbed out: past int64 it raises after the extraction."""
+    alg = al.make_algebra(spec[0], **spec[1])
+    if alg.is_real_base:
+        near = hst.integers(-3, 3).map(lambda c: c + (2 ** 62 if c >= 0 else -2 ** 62))
+    else:
+        near = hst.integers(1, 7).map(lambda c: alg.p ** alg.m - c)
+    coord = hst.integers(-3, 3) | near if edge else hst.integers(-3, 3)
+    vertex = hst.lists(coord, min_size=alg.d, max_size=alg.d)
+    a_pool = data.draw(hst.lists(vertex, min_size=1, max_size=6))
+    b_pool = data.draw(hst.lists(vertex, min_size=1, max_size=6))
+    edges = data.draw(hst.lists(hst.tuples(hst.sampled_from(a_pool), hst.sampled_from(b_pool)),
+                                min_size=1, max_size=30))
+    H = so.make_pairset(alg, [a + b for a, b in edges])
+    A, B = make_dset(alg, a_pool), make_dset(alg, b_pool)
+    event("sums past int64" if 2 * max(H.big) >= 2 ** 63 else "int64 sums")
+    with mock.patch.object(so, "sumset", lambda X, Y: X):
+        res = en.bsg_extract(H, A, B)
+    a_keep, b_keep = _loop_bsg(H)
+    assert list(map(tuple, res.A_sub.points.tolist())) == a_keep
+    assert list(map(tuple, res.B_sub.points.tolist())) == b_keep
+
+
+def test_bsg_padic_sums_past_int64():
+    """On Qp p=5 m=27 the edge (-1, -1) sums to -2 mod 5^27 with the six
+    edges (i, -2 - i), but its int64 sum wraps: summed in Python ints, it
+    stays popular and keeps its a-vertex.  (The sumset of the result then
+    passes int64, so it is stubbed out.)"""
+    alg = al.make_algebra("Qp", p=5, m=27)
+    top = 5 ** 27
+    edges = [(top - 1, top - 1), (0, 0), (1, 1)] + [(i, top - 2 - i) for i in range(6)]
+    H = so.make_pairset(alg, edges)
+    A = make_dset(alg, [(a,) for a, _ in edges])
+    with mock.patch.object(so, "sumset", lambda X, Y: X):
+        res = en.bsg_extract(H, A, A)
+    assert list(map(tuple, res.A_sub.points.tolist())) == _loop_bsg(H)[0]
+    assert res.A_sub.points.ravel().tolist() == [0, 1, 2, 3, 4, 5, top - 1]
 
 # --- ledgers ----------------------------------------------------------------
 
