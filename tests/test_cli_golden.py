@@ -3,9 +3,10 @@ quadruple count, fibre profiles and the energy on a Qp set, the
 verifiers (uniformize, verify-nc, cover) on C and Qp sets, projections
 and linear maps of C and Qp pair sets, sub-algebra avoidance and escape
 bases on C, H and Qp_ext sets, quintuple and quadruple counts on C, H and
-Qp_ext sets, and fibres and projections of construction Two must
-reproduce the recorded exit codes, stdout, stderr and output files byte
-for byte (the version string in config comments aside).
+Qp_ext sets, fibres and projections of construction Two, and a clipped
+iterated sumset on the FFT branch must reproduce the recorded exit codes,
+stdout, stderr and output files byte for byte (the version string in
+config comments aside).
 
 The reference lives in cli_golden.json next to this file.  To re-record it
 from the checked-out source, run `PYTHONPATH=src python3
@@ -101,6 +102,9 @@ COMMANDS = [
     "fibres --in-g g2.pairs --x-set x2.dset --rho 2",
     "op --op proj --in g2.pairs --x 16,48 --out pg2.dset",
     "op --op proj --in g2.pairs --x 0,64 --out pg3.dset",
+    # an iterated sumset whose last sum takes the FFT branch, clipped to
+    # the unit ball
+    "op --op iter --in a.dset --n-sum 2 --n-prod 1 --out iter.dset",
 ]
 
 _VERSION = re.compile(rb"# dlab \S+ config:")
