@@ -263,25 +263,29 @@ def bsg_extract(H: so.PairSet, A: DSet, B: DSet) -> BsgResult:
     value has at least half-average multiplicity, then high-degree left
     vertices, then right vertices popular within the kept edges.  Sums and
     vertices are counted on their row labels (dset._row_mult); the sums are
-    Python ints once 2 max|coord| reaches 2^63."""
+    Python ints once 2 max|coord| reaches 2^63, and |A_sub + B_sub| is then
+    counted from the rows of A_sub x B_sub, as the sumset kernel is int64."""
     if len(H) == 0:
         raise EmptyGraph("no edges")
     alg, d = H.alg, H.alg.d
-    pairs = H.pairs.astype(object) if 2 * max(H.big) >= 2 ** 63 else H.pairs
-    sums = pairs[:, :d] + pairs[:, d:]
-    if not alg.is_real_base:
-        sums %= alg.p ** (H.scale_exp + H.radius_exp)
+    wide = 2 * max(H.big) >= 2 ** 63
+
+    def sums(G):
+        """a + b for the rows (a, b) of the PairSet G, reduced p-adically."""
+        pairs = G.pairs.astype(object) if wide else G.pairs
+        s = pairs[:, :d] + pairs[:, d:]
+        return s if alg.is_real_base else s % alg.p ** (G.scale_exp + G.radius_exp)
 
     def popular(rows):
         """Whether each row's multiplicity is at least half the average."""
         return _row_mult(rows) >= len(rows) / len(_row_counts(rows)) / 2
 
-    kept = H.pairs[popular(sums)]
+    kept = H.pairs[popular(sums(H))]
     kept = kept[popular(kept[:, :d])]
     A_sub = DSet(alg, H.scale_exp, H.radius_exp, kept[:, :d])
     B_sub = DSet(alg, H.scale_exp, H.radius_exp, kept[popular(kept[:, d:]), d:])
-    S = so.sumset(A_sub, B_sub)
-    sum_count = len(S)
+    sum_count = len(_row_counts(sums(so.product_pairs(A_sub, B_sub))) if wide
+                    else so.sumset(A_sub, B_sub))
     K = (len(A) * len(B)) / len(H)
     C0, kexp = 16.0, 5
     bound = C0 * K ** kexp * (len(A) * len(B)) ** 0.5

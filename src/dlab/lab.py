@@ -267,23 +267,10 @@ def measure_projection_profile(G: so.PairSet, X: DSet, exp_id="profile",
     return out
 
 
-def _recenter(A: DSet) -> DSet:
-    """Translate by the element minimizing the max coordinate norm
-    (lexicographic tie-break); A itself when that element is the origin."""
-    if len(A) == 0 or not A.alg.is_real_base:
-        return A
-    pts = A.points
-    norm = np.abs(pts[:, 0])
-    for t in range(1, pts.shape[1]):
-        np.maximum(norm, np.abs(pts[:, t]), out=norm)
-    # the rows are sorted, so the first of least max norm is the smallest
-    best = np.argmin(norm)
-    return A if norm[best] == 0 else DSet(A.alg, A.scale_exp, A.radius_exp, pts - pts[best])
-
-
 def run_expansion(A: DSet, schedule: Schedule, exp_id="expand", seed=None,
                   family=None):
-    """Iterate the sum-product enlargement, recenter into the unit ball,
+    """Iterate the sum-product enlargement, clipped to the unit ball (the
+    origin is a point of n_sum (P - P), so no recentering is needed),
     re-uniformize, and record the covering exponent per round."""
     alg = A.alg
     rep = st.avoids_subalgebras(A, schedule.C, family=family)
@@ -299,8 +286,7 @@ def run_expansion(A: DSet, schedule: Schedule, exp_id="expand", seed=None,
             _exponent(cnt, m, alg.radix, alg.d), seed)
     records = [record("input", covering_number(cur, m))]
     for k in range(schedule.n_iters):
-        grown = so.iterated(cur, schedule.n_sum, schedule.n_prod, clip=False)
-        grown = so.ball_intersect(_recenter(grown), 0)
+        grown = so.iterated(cur, schedule.n_sum, schedule.n_prod, clip=True)
         cur = uniform_subset(grown, T=1)
         records.append(record(f"iter{k + 1}", covering_number(cur, m)))
     return records

@@ -192,18 +192,21 @@ def _to_grid(alg, raw, den, scale_exp, unit_out, op, plus=None) -> np.ndarray:
     rows `plus` if given, as int64 rows; den is one int or one per row of
     raw's second-to-last axis.  Real base: |value| rounded once, half up, to
     units 2^-scale_exp, times its sign.  p-adic base: in units p^-unit_out mod
-    p^(scale_exp + unit_out).  A value finer than p^-unit_out, or a row past
-    int64, raises ParameterRangeError naming op.  raw's dtype is the one
-    _grid_dtype chose for its bound (and the sum's); the sum is taken in it."""
+    p^(scale_exp + unit_out).  A value finer than p^-unit_out, a modulus past
+    int64 or a row past int64 raises ParameterRangeError naming op.  raw's
+    dtype is the one _grid_dtype chose for its bound (and the sum's); the sum
+    is taken in it."""
     f, q, mod = _grid_steps(alg, den, scale_exp, unit_out)
+    if mod is not None and mod >= 2 ** 63:
+        raise ParameterRangeError(f"{op}: modulus {alg.p}^{scale_exp + unit_out} past int64")
     f, q = (np.array(v, dtype=raw.dtype).reshape(-1, 1) for v in (f, q))
     if alg.is_real_base:
         out = raw * f if np.any(f != 1) else raw
         if np.any(q != 1):  # (|v| + q // 2) // q with v's sign: half away from zero
             r = np.abs(out)
             r += q // 2
-            r //= q
-            out = np.multiply(r, np.sign(out), out=r)
+            r //= q     # v's sign as int8: one full-size temporary, not two
+            out = np.multiply(r, (out > 0).view(np.int8) - (out < 0).view(np.int8), out=r)
     else:
         if np.any(q != 1):
             if np.any(raw % q != 0):
@@ -257,37 +260,48 @@ def _indicator(pts, shape) -> np.ndarray:
     return grid
 
 
-def _fft_support_sum(a_pts, b_pts, cyclic_mod=None):
-    """Support of the sumset via indicator convolution.
+def _fft_support_sum(a_pts, b_pts, cyclic_mod=None, window=None):
+    """Support of the sumset via indicator convolution, as rows already in
+    the canonical order of a DSet (the support's flat indices are _row_keys,
+    which _key_rows decodes in F order).
 
-    cyclic_mod None: linear convolution on the bounding boxes (real base),
-    transformed at the smallest 7-smooth length per axis that holds the
-    box, or at the box itself when that padded grid has more than
-    FFT_CELL_CAP cells.  Otherwise circular convolution modulo cyclic_mod
-    per axis (p-adic).  When both operands are the same array, one forward
-    transform is squared; each grid is freed once it has been used.  The
-    support's flat indices in the box are its _row_keys: _key_rows decodes
-    them into rows (F order) already in the canonical order of a DSet.
+    cyclic_mod None (real base): the sums inside the value box window =
+    (lo, hi), each one bound or a list per axis, by default the whole box of
+    span N = span a + span b - 1.  With [w0, w1] the window in index space,
+    clipped to [0, N - 1] (empty: no rows), the convolution is cyclic at the
+    smallest 7-smooth L >= max(N - w0, w1 + 1, span a, span b) per axis, or
+    at that bound when the smooth grid has more than FFT_CELL_CAP cells:
+    neither indicator wraps, and no alias j +- L of a window index j lies in
+    the box.  The whole box gives L = _smooth_len(N).  Otherwise circular
+    convolution modulo cyclic_mod per axis (p-adic; no window).  Both
+    operands the same array: one forward transform, squared; each grid is
+    freed once used.
 
     For 0/1 inputs the float error of every convolution entry is at most
     c u log2(N) |a|_2 |b|_2 (u the unit roundoff, N the transformed cell
     count; Schatzman, SIAM J. Sci. Comput. 17, 1996): about 1e-7 under
-    FFT_CELL_CAP.  The entries are counts, so an entry of the box farther
-    than 1/4 from an integer raises ParameterRangeError instead of being
-    thresholded.
+    FFT_CELL_CAP.  Every entry of the cyclic grid is an integer count, so
+    an entry farther than 1/4 from an integer raises ParameterRangeError
+    instead of being thresholded.
     """
     d = a_pts.shape[1]
     if cyclic_mod is None:
+        # Python-int bounds (object arrays): nothing wraps before the cap check
         (amin, amax), (bmin, bmax) = _col_bounds(a_pts), _col_bounds(b_pts)
-        # the box in Python ints, so that no span wraps before the cap check
-        box = tuple(int(ha) - int(la) + int(hb) - int(lb) + 1 for ha, la, hb, lb
-                    in zip(amax, amin, bmax, bmin))
-        shape = tuple(map(_smooth_len, box))
+        sa, sb = amax.astype(object) - amin + 1, bmax.astype(object) - bmin + 1
+        lo, n = amin.astype(object) + bmin, sa + sb - 1
+        wlo, whi = window or (lo, lo + n - 1)
+        w0 = np.maximum(np.array(wlo, dtype=object) - lo, 0)
+        w1 = np.minimum(np.array(whi, dtype=object) - lo, n - 1)
+        if np.any(w0 > w1):
+            return np.empty((0, d), dtype=np.int64)
+        need = tuple(map(max, n - w0, w1 + 1, sa, sb))
+        shape = tuple(map(_smooth_len, need))
         if math.prod(shape) > FFT_CELL_CAP:
-            shape = box
+            shape = need
     else:
-        amin = bmin = np.zeros(d, dtype=np.int64)
-        box = shape = (cyclic_mod,) * d
+        amin = bmin = lo = w0 = np.zeros(d, dtype=np.int64)
+        w1, shape = w0 + cyclic_mod - 1, (cyclic_mod,) * d
     if math.prod(shape) > FFT_CELL_CAP:
         raise BudgetExceeded("sumset grid too large for FFT", {"cells": math.prod(shape)})
     axes = tuple(range(d))
@@ -298,36 +312,37 @@ def _fft_support_sum(a_pts, b_pts, cyclic_mod=None):
         spec *= np.fft.rfftn(_indicator(b_pts - bmin, shape), shape, axes)
     conv = np.fft.irfftn(spec, shape, axes)
     del spec
-    conv = conv[tuple(slice(0, n) for n in box)]
-    key = np.flatnonzero(conv > 0.5)    # the _row_keys of the sums, in the box
     # max |conv - rint(conv)| in blocks of the leading axis, so the check
     # holds no second grid
     err = max(float(np.abs(blk - np.rint(blk)).max())
-              for blk in np.array_split(conv, min(box[0], 1 + conv.size // 65536)))
+              for blk in np.array_split(conv, min(shape[0], 1 + conv.size // 65536)))
     if not err < 0.25:
         raise ParameterRangeError(
             f"sumset: FFT convolution of sizes [{len(a_pts)}, {len(b_pts)}] is "
             f"{err} off the integers, past 1/4")
-    return _key_rows(key, amin + bmin, box, order="F")
+    key = np.flatnonzero(conv[tuple(map(slice, w0, w1 + 1))] > 0.5)
+    return _key_rows(key, (lo + w0).tolist(), (w1 - w0 + 1).tolist(), order="F")
 
 
 def sumset(A: DSet, B: DSet) -> DSet:
     """{a + b} on the grid."""
+    return _sumset(A, B)
+
+
+def _sumset(A: DSet, B: DSet, window=None) -> DSet:
+    """sumset(A, B), only inside the value box `window` on the real base's
+    FFT branch."""
     _check_compat(A, B)
     alg = A.alg
     r = max(A.radius_exp, B.radius_exp)
     a, b = _at_radius(A, r), _at_radius(B, r)
-    out_r = r + 1 if alg.is_real_base else r
+    out_r, mod = (r + 1, None) if alg.is_real_base else (r, alg.p ** (A.scale_exp + r))
     _check_sum_bound("sumset", (a, 1), (b, 1))
-    if len(a) * len(b) <= PAIRWISE_CAP:
-        pts = (a[:, None, :] + b[None, :, :]).reshape(-1, alg.d)
-        if not alg.is_real_base:
-            pts %= alg.p ** (A.scale_exp + r)
-        return DSet(alg, A.scale_exp, out_r, pts)
-    if alg.is_real_base:
-        pts = _fft_support_sum(a, b)
-    else:
-        pts = _fft_support_sum(a, b, cyclic_mod=alg.p ** (A.scale_exp + r))
+    if len(a) * len(b) > PAIRWISE_CAP:
+        return DSet(alg, A.scale_exp, out_r, _fft_support_sum(a, b, mod, window))
+    pts = (a[:, None, :] + b[None, :, :]).reshape(-1, alg.d)
+    if mod is not None:
+        pts %= mod
     return DSet(alg, A.scale_exp, out_r, pts)
 
 
@@ -435,16 +450,19 @@ def ball_intersect(A: DSet, radius_exp: int = 0) -> DSet:
 
 
 def iterated(A: DSet, n_sum: int, n_prod: int, clip: bool = True) -> DSet:
-    """n_sum*(A^(n_prod) - A^(n_prod)), intersected with B(0,1) when clip."""
+    """n_sum*(A^(n_prod) - A^(n_prod)), intersected with B(0,1) when clip.
+    On the real base the clipped last sum is formed only inside the box of
+    B(0,1) when it takes the FFT branch; ball_intersect makes the exact cut."""
     if n_sum < 1 or n_prod < 1:
         raise ParameterRangeError("n_sum and n_prod must be >= 1")
     P = A
     for _ in range(n_prod - 1):
         P = product_set(P, A, "Left")
-    D = difference_set(P, P)
-    S = D
-    for _ in range(n_sum - 1):
-        S = sumset(S, D)
+    # the last sum is S + T
+    S, T = (P, negate(P)) if n_sum == 1 else (difference_set(P, P),) * 2
+    for _ in range(n_sum - 2):
+        S = sumset(S, T)
+    S = _sumset(S, T, (-2 ** A.scale_exp, 2 ** A.scale_exp) if clip else None)
     return ball_intersect(S, 0) if clip else S
 
 

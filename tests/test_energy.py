@@ -598,14 +598,9 @@ _BSG_ALGEBRAS = [("R", {"m": 62}), ("C", {"m": 62}), ("Qp", {"p": 3, "m": 4}),
                  ("Qp_ext", {"p": 11, "d": 2, "m": 18})]
 
 
-@settings(max_examples=80, deadline=None)
-@given(hst.sampled_from(_BSG_ALGEBRAS), hst.booleans(), hst.data())
-def test_bsg_equals_counter_loop(spec, edge, data):
-    """bsg_extract keeps the same A_sub and B_sub as the Counter loop on R, C,
-    Qp and Qp_ext graphs: small coordinates with many repeated sums, and
-    coordinates near +-2^62 (residues near p^m on Qp p=5 m=27 and Qp_ext
-    p=11 m=18) whose edge sums pass int64.  The sumset of the result is
-    stubbed out: past int64 it raises after the extraction."""
+def _draw_graph(spec, edge, data):
+    """(H, A, B) for a _BSG_ALGEBRAS entry: vertex pools A and B and edges
+    between them, with coordinates near the int64 edge when `edge`."""
     alg = al.make_algebra(spec[0], **spec[1])
     if alg.is_real_base:
         near = hst.integers(-3, 3).map(lambda c: c + (2 ** 62 if c >= 0 else -2 ** 62))
@@ -618,8 +613,27 @@ def test_bsg_equals_counter_loop(spec, edge, data):
     edges = data.draw(hst.lists(hst.tuples(hst.sampled_from(a_pool), hst.sampled_from(b_pool)),
                                 min_size=1, max_size=30))
     H = so.make_pairset(alg, [a + b for a, b in edges])
-    A, B = make_dset(alg, a_pool), make_dset(alg, b_pool)
     event("sums past int64" if 2 * max(H.big) >= 2 ** 63 else "int64 sums")
+    return H, make_dset(alg, a_pool), make_dset(alg, b_pool)
+
+
+def _loop_sum_count(res):
+    """|A_sub + B_sub| from a set of Python-int tuples."""
+    alg, d = res.A_sub.alg, res.A_sub.alg.d
+    mod = None if alg.is_real_base else alg.p ** (res.A_sub.scale_exp + res.A_sub.radius_exp)
+    return len({tuple((a[k] + b[k]) % mod if mod else a[k] + b[k] for k in range(d))
+                for a in res.A_sub.points.tolist() for b in res.B_sub.points.tolist()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.sampled_from(_BSG_ALGEBRAS), hst.booleans(), hst.data())
+def test_bsg_equals_counter_loop(spec, edge, data):
+    """bsg_extract keeps the same A_sub and B_sub as the Counter loop on R, C,
+    Qp and Qp_ext graphs: small coordinates with many repeated sums, and
+    coordinates near +-2^62 (residues near p^m on Qp p=5 m=27 and Qp_ext
+    p=11 m=18) whose edge sums pass int64.  The sumset of the result is
+    stubbed out: past int64 it raises after the extraction."""
+    H, A, B = _draw_graph(spec, edge, data)
     with mock.patch.object(so, "sumset", lambda X, Y: X):
         res = en.bsg_extract(H, A, B)
     a_keep, b_keep = _loop_bsg(H)
@@ -641,6 +655,30 @@ def test_bsg_padic_sums_past_int64():
         res = en.bsg_extract(H, A, A)
     assert list(map(tuple, res.A_sub.points.tolist())) == _loop_bsg(H)[0]
     assert res.A_sub.points.ravel().tolist() == [0, 1, 2, 3, 4, 5, top - 1]
+
+
+def test_bsg_padic_sumset_count_past_int64():
+    """The same Qp p=5 m=27 graph with its sumset: |A_sub + B_sub| has sums
+    past int64, so it is counted from Python-int sums mod 5^27; it equals
+    the brute-force count."""
+    alg = al.make_algebra("Qp", p=5, m=27)
+    top = 5 ** 27
+    edges = [(top - 1, top - 1), (0, 0), (1, 1)] + [(i, top - 2 - i) for i in range(6)]
+    H = so.make_pairset(alg, edges)
+    A = make_dset(alg, [(a,) for a, _ in edges])
+    res = en.bsg_extract(H, A, A)
+    assert 2 * int(res.A_sub.points.max()) >= 2 ** 63
+    assert res.sumset_count == _loop_sum_count(res)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.sampled_from(_BSG_ALGEBRAS), hst.booleans(), hst.data())
+def test_bsg_sumset_count_equals_loop(spec, edge, data):
+    """bsg_extract's |A_sub + B_sub| equals the count of a set of Python-int
+    sums, with int64 sums (the sumset kernel) and past int64."""
+    H, A, B = _draw_graph(spec, edge, data)
+    res = en.bsg_extract(H, A, B)
+    assert res.sumset_count == _loop_sum_count(res)
 
 # --- ledgers ----------------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Schedules, generators, counterexamples, and experiment drivers."""
 
 import hashlib
-import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -345,7 +345,9 @@ _ROUND_DIGESTS = {
 def test_expansion_round_stage_digests():
     """Every stage of run_expansion's round is pinned: P = A A, D = P - P,
     S = D + D (the FFT branch with both operands the same set), then the
-    recentered, clipped and uniformized sets."""
+    recentered set (S itself: the origin is a point of S), the clipped set,
+    which iterated with clip forms inside the unit ball's box only, and the
+    uniformized set."""
     C = al.make_algebra("C", m=6)
     net = lab.circle_net(C, 6)
     P = so.product_set(net, net, "Left")
@@ -353,9 +355,9 @@ def test_expansion_round_stage_digests():
     assert len(D) ** 2 > so.PAIRWISE_CAP
     S = so.sumset(D, D)
     assert S == so.iterated(net, 2, 2, clip=False)
-    R = lab._recenter(S)
-    B = so.ball_intersect(R, 0)
-    stages = {"P": P, "D": D, "S": S, "recentered": R, "clipped": B,
+    B = so.ball_intersect(S, 0)
+    assert B == so.iterated(net, 2, 2, clip=True)
+    stages = {"P": P, "D": D, "S": S, "recentered": S, "clipped": B,
               "uniformized": uniform_subset(B, T=1)}
     got = {k: (len(X), X.radius_exp, hashlib.sha256(
                np.ascontiguousarray(X.points, dtype="<i8").tobytes()).hexdigest())
@@ -406,50 +408,89 @@ def test_records_csv_schema(tmp_path):
 
 
 def _recenter_oracle(A):
-    """_recenter's per-row min: max coordinate norm, then coordinates."""
+    """The per-row min of the old recentering step: the row of least max
+    coordinate norm, then least coordinates, translated to the origin."""
     best = min(range(len(A.points)),
                key=lambda i: (int(np.max(np.abs(A.points[i]))),
                               tuple(map(int, A.points[i]))))
     return A.points - A.points[best]
 
 
-@pytest.mark.parametrize("spec, rows, center", [
-    ("R", [(-3,), (3,), (7,), (-9,)], (-3,)),
-    ("C", [(2, -2), (-2, 1), (1, -2), (-1, 2), (-2, -2), (2, 2), (5, 0), (0, -7)],
-     (-2, -2)),
-    ("C", [(-4, 3), (-4, -1), (0, -4), (4, -4), (-5, 0)], (-4, -1)),
-    ("H", [r for r in itertools.product((-1, 0, 1), repeat=4) if any(r)]
-     + [(0, 0, 0, 3), (-2, 5, 0, 0)], (-1, -1, -1, -1)),
-])
-def test_recenter_ties_take_the_smallest_row(spec, rows, center):
-    """Of the many rows of least max norm, the lexicographically smallest is
-    the new origin."""
-    alg = al.make_algebra(spec, m=5)
-    A = make_dset(alg, rows, scale_exp=5)
-    want = make_dset(alg, np.array(rows) - np.array(center), scale_exp=5)
-    assert lab._recenter(A) == want
-    assert np.array_equal(want.points, make_dset(alg, _recenter_oracle(A), 5).points)
+def _expansion_oracle(A, sched):
+    """run_expansion's (op, count) records with each round taken as the
+    unclipped iterate, recentered by the min loop and then cut to the unit
+    ball; asserts that the origin is a point of every unclipped iterate."""
+    m, cur, out = A.scale_exp, A, [("input", covering_number(A, A.scale_exp))]
+    for k in range(sched.n_iters):
+        S = so.iterated(cur, sched.n_sum, sched.n_prod, clip=False)
+        assert np.any(np.all(S.points == 0, axis=1))
+        R = make_dset(S.alg, _recenter_oracle(S), m, S.radius_exp)
+        cur = uniform_subset(so.ball_intersect(R, 0), T=1)
+        out.append((f"iter{k + 1}", covering_number(cur, m)))
+    return out
+
+
+def _random_set(spec, m, n, seed):
+    """n random grid points of the unit ball (fewer if some repeat)."""
+    alg = al.make_algebra(spec, m=m)
+    rnd = np.random.default_rng(seed)
+    pts = rnd.integers(-2 ** m, 2 ** m + 1, size=(8 * n, alg.d))
+    return make_dset(alg, pts[(pts * pts).sum(axis=1) <= 4 ** m][:n], scale_exp=m)
+
+
+@pytest.mark.parametrize("A, n_sum, n_prod, n_iters", [
+    (lab.circle_net(al.make_algebra("C", m=5), 5), 2, 2, 2),
+    (lab.circle_net(al.make_algebra("C", m=6), 6), 2, 2, 1),
+    (lab.circle_net(al.make_algebra("C", m=6), 6), 1, 2, 1),
+    (_random_set("R", 11, 400, 1), 2, 1, 2),
+    (_random_set("R", 11, 400, 2), 3, 1, 1),
+    (_random_set("R", 6, 12, 3), 2, 2, 1),
+    (_random_set("H", 2, 12, 3), 2, 2, 1),
+    (_random_set("H", 2, 20, 5), 3, 1, 1),
+    (_random_set("H", 3, 10, 4), 1, 2, 1),
+], ids=["C5-net", "C6-net", "C6-net-diff", "R11-a", "R11-b", "R6", "H2-a", "H2-b", "H3"])
+def test_run_expansion_equals_recentered_oracle(A, n_sum, n_prod, n_iters):
+    """Clipping the last sum to the unit ball, with no recentering, gives
+    the records of the old round: the min-loop recentering of the unclipped
+    iterate, cut to the ball.  The last sums take the windowed FFT branch
+    on the C nets of (2,2), R11-a, R11-b, H2-a and H2-b, the pairwise one
+    on the others."""
+    sched = lab.Schedule(s=Fraction(1, 2), sigma=Fraction(1, 2), t=Fraction(3, 4),
+                         d=A.alg.d, delta_exp=A.scale_exp, n_iters=n_iters,
+                         n_sum=n_sum, n_prod=n_prod, C=64)
+    recs = lab.run_expansion(A, sched, seed=0)
+    assert [(r.op, r.count) for r in recs] == _expansion_oracle(A, sched)
 
 
 @pytest.mark.parametrize("spec", ["R", "C", "H"])
 def test_recenter_keeps_a_set_holding_the_origin(spec):
-    """A set with the origin as a point is translated by zero, so _recenter
-    hands back the set itself."""
+    """Every unclipped iterate n_sum (P - P) holds the origin, so the
+    min-loop recentering translates it by zero: run_expansion needs no
+    recentering step."""
     alg = al.make_algebra(spec, m=5)
     rnd = np.random.default_rng(alg.d)
-    A = make_dset(alg, np.vstack([rnd.integers(-3, 4, size=(20, alg.d)),
-                                  np.zeros((1, alg.d), dtype=np.int64)]), scale_exp=5)
-    assert lab._recenter(A) is A
-    assert np.array_equal(A.points, make_dset(alg, _recenter_oracle(A), 5).points)
+    top = 2 if spec == "H" else 8
+    A = make_dset(alg, rnd.integers(-top, top + 1, size=(12, alg.d)), scale_exp=5)
+    for n_sum, n_prod in ((1, 1), (2, 1), (1, 2), (3, 1), (2, 2)):
+        S = so.iterated(A, n_sum, n_prod, clip=False)
+        assert np.array_equal(_recenter_oracle(S), S.points)
 
 
 @settings(max_examples=50, deadline=None)
 @given(hst.sampled_from(["R", "C", "H"]), hst.integers(0, 10 ** 6))
 def test_recenter_equals_min_loop(spec, seed):
+    """iterated with clip equals the old round: the unclipped iterate,
+    recentered by the min loop, cut to the ball.  With n_prod = 1 the sums
+    are also forced onto the FFT branch, whose last sum is windowed to the
+    unit ball's box (products refuse a pairwise cap of 0)."""
     rnd = np.random.default_rng(seed)
     alg = al.make_algebra(spec, m=5)
-    n = int(rnd.integers(1, 40))
-    # small coordinates make ties on the max norm common
-    A = make_dset(alg, rnd.integers(-3, 4, size=(n, alg.d)), scale_exp=5)
-    got = lab._recenter(A)
-    assert np.array_equal(got.points, make_dset(alg, _recenter_oracle(A), 5).points)
+    n, n_sum, n_prod = (int(v) for v in rnd.integers(1, (13, 4, 3)))
+    top = 2 if spec == "H" else 16
+    A = make_dset(alg, rnd.integers(-top, top + 1, size=(n, alg.d)), scale_exp=5)
+    S = so.iterated(A, n_sum, n_prod, clip=False)
+    want = so.ball_intersect(make_dset(alg, _recenter_oracle(S), 5, S.radius_exp), 0)
+    assert so.iterated(A, n_sum, n_prod) == want
+    if n_prod == 1:
+        with mock.patch.object(so, "PAIRWISE_CAP", 0):
+            assert so.iterated(A, n_sum, n_prod) == want

@@ -133,6 +133,9 @@ def test_fft_sumset_off_integers_raises(monkeypatch):
     monkeypatch.setattr(np.fft, "irfftn", lambda *a: irfftn(*a) + 0.3)
     with pytest.raises(ParameterRangeError, match=r"sumset: .*sizes \[10, 10\]"):
         so.sumset(A, A)
+    # the windowed path: iterated's clipped last sum A - A
+    with pytest.raises(ParameterRangeError, match=r"sumset: .*sizes \[10, 10\]"):
+        so.iterated(A, 1, 1)
 
 
 # --- the FFT sumset against the pairwise one ---------------------------------
@@ -224,6 +227,92 @@ def test_fft_sumset_prime_length_and_cell_cap():
         _fft_branch(so.sumset, A, B, FFT_CELL_CAP=1032)
 
 
+def _window(lo, hi, where, draw):
+    """A value window per axis for sums in the box [lo, hi]: the box itself,
+    inside it, crossing its edges, or disjoint from it on one axis."""
+    d, w = len(lo), [h - l + 1 for l, h in zip(lo, hi)]
+    if where == "box":
+        return list(lo), list(hi)
+    if where == "inside":
+        a = [draw(hst.integers(l, h)) for l, h in zip(lo, hi)]
+        return a, [draw(hst.integers(u, h)) for u, h in zip(a, hi)]
+    a = [draw(hst.integers(l - t, h)) for l, h, t in zip(lo, hi, w)]
+    b = [draw(hst.integers(max(u, l), h + t)) for u, l, h, t in zip(a, lo, hi, w)]
+    if where == "edge":     # one axis at least crossing the box's edge
+        t = draw(hst.integers(0, d - 1))
+        a[t], b[t] = draw(hst.sampled_from([(lo[t] - w[t], hi[t] - 1),
+                                            (lo[t] + 1, hi[t] + w[t])]))
+        return a, b
+    t = draw(hst.integers(0, d - 1))   # "disjoint": below or above on axis t
+    a[t], b[t] = draw(hst.sampled_from([(lo[t] - w[t], lo[t] - 1),
+                                        (hi[t] + 1, hi[t] + w[t])]))
+    return a, b
+
+
+@settings(max_examples=120, deadline=None)
+@given(hst.sampled_from(_FFT_ALGEBRAS[:3]),
+       hst.sampled_from(["box", "inside", "edge", "disjoint"]), hst.booleans(),
+       hst.data())
+def test_windowed_fft_support_sum_equals_pairwise(spec, where, same, data):
+    """With a value window the FFT support is the pairwise sums inside the
+    window, distinct and in lexicographic order; a window disjoint from the
+    sums' box gives no rows."""
+    A, B = _fft_operands(spec, data)
+    a = A.points
+    b = a if same else B.points
+    lo = (a.min(axis=0) + b.min(axis=0)).tolist()
+    hi = (a.max(axis=0) + b.max(axis=0)).tolist()
+    wlo, whi = _window(lo, hi, where, data.draw)
+    want = sorted({s for s in (tuple(int(t) for t in u + v) for u in a for v in b)
+                   if all(l <= t <= h for t, l, h in zip(s, wlo, whi))})
+    got = so._fft_support_sum(a, b, window=(wlo, whi))
+    assert got.dtype == np.int64
+    assert [tuple(r) for r in got.tolist()] == want
+    if where == "disjoint":
+        assert got.shape == (0, A.alg.d)
+
+
+def test_fft_window_lengths():
+    """The cyclic length is the smallest 7-smooth L >= max(N - w0, w1 + 1,
+    span a, span b): the whole box keeps _smooth_len(N) (1050 for the prime
+    N = 1033), a window in the middle transforms a shorter grid, and even
+    a one-value window keeps the operands' spans."""
+    R = al.make_algebra("R", m=9)
+    rnd = random.Random(1033)
+    A = make_dset(R, [(0,), (516,)] + [(rnd.randrange(517),) for _ in range(40)])
+    B = make_dset(R, [(-3,), (513,)] + [(rnd.randrange(-3, 514),) for _ in range(40)])
+    pairs = {int(u + v) for u in A.points[:, 0] for v in B.points[:, 0]}
+    # (window in values, sums from -3; transformed length)
+    for (wlo, whi), length in (((-3, 1029), so._smooth_len(1033)),
+                               ((-100, 2000), 1050),
+                               ((397, 597), 640),     # max(1033 - 400, 601) = 633
+                               ((513, 513), 525)):    # all four are 517
+        with mock.patch.object(np.fft, "rfftn", wraps=np.fft.rfftn) as rfftn:
+            got = so._fft_support_sum(A.points, B.points, window=([wlo], [whi]))
+        assert [c.args[1] for c in rfftn.call_args_list] == [(length,)] * 2
+        assert got[:, 0].tolist() == sorted(v for v in pairs if wlo <= v <= whi)
+
+
+@pytest.mark.parametrize("n_sum", [1, 2, 3])
+@pytest.mark.parametrize("spec, m, top, n", [("R", 6, 64, 30), ("C", 4, 16, 20),
+                                             ("H", 2, 4, 10)])
+def test_clipped_iterated_fft_equals_ball_of_sumset(spec, m, top, n, n_sum):
+    """iterated with clip, whose last sum the FFT branch forms only inside
+    the unit ball's box, equals the ball of the whole sumset."""
+    alg = al.make_algebra(spec, m=m)
+    rnd = np.random.default_rng(n_sum)
+    A = make_dset(alg, rnd.integers(-top, top + 1, size=(n, alg.d)))
+    D = so.difference_set(A, A)
+    S = D
+    for _ in range(n_sum - 1):
+        S = so.sumset(S, D)
+    want = so.ball_intersect(S, 0)
+    with mock.patch.object(so, "_fft_support_sum", wraps=so._fft_support_sum) as fft:
+        assert _fft_branch(so.iterated, A, n_sum, 1) == want
+    assert fft.call_args.args[2:] == (None, (-2 ** m, 2 ** m))    # the last sum
+    assert len(want) < len(S)
+
+
 def test_grid_rows_past_int64_raise():
     """R m=62 at radius 1 holds 2^63 - 1; its square is 2^64 - 2 at the grid
     unit, past int64: the product, the scalar image and the projection raise
@@ -239,12 +328,29 @@ def test_grid_rows_past_int64_raise():
         so.project(x, so.product_pairs(A, A))
     small = make_dset(R, [(2 ** 62,), (3,)])
     assert so.product_set(small, small).points.tolist() == [[0], [3], [2 ** 62]]
-    # Qp p=2 m=62, x = 1/2: the output modulus 2^63 takes the sum a + xb to
-    # Python ints, and rows that fit come back (3 + 5/2 and 7 + 1/2)
-    Q2 = al.make_algebra("Qp", p=2, m=62)
-    half = al.element(Q2, (1,), unit_exp=1)
-    G = so.make_pairset(Q2, [(3, 5), (7, 1)])
+    # Qp p=2 m=61, x = 1/2: the output modulus 2^62 takes the sum a + xb to
+    # Python ints (bound max|xb| = 5 over 2, plus a below 2^62), and rows that
+    # fit come back (3 + 5/2 and 7 + 1/2); at m=62 the output modulus 2^63 is
+    # past int64 and refused up front
+    G = so.make_pairset(al.make_algebra("Qp", p=2, m=61), [(3, 5), (7, 1)])
+    half = al.element(G.alg, (1,), unit_exp=1)
+    assert so._grid_dtype(G.alg, 5, 2, 61, 1, 2 ** 62) is object
     assert so.project(half, G).points.tolist() == [[11], [15]]
+    G = so.make_pairset(al.make_algebra("Qp", p=2, m=62), [(3, 5), (7, 1)])
+    with pytest.raises(ParameterRangeError, match=r"project: modulus 2\^63 past int64"):
+        so.project(al.element(G.alg, (1,), unit_exp=1), G)
+
+
+def test_apply_dual_padic_modulus_past_int64_raises():
+    """apply_dual of the identity on Qp p=2 m=44 maps X = {3, 5} to radius
+    m // 2 + 1 = 23, modulus 2^67: the grid step refuses it, naming the op,
+    instead of returning a set that write_dset writes and read_dset
+    rejects."""
+    Q2 = al.make_algebra("Qp", p=2, m=44)
+    one, zero = (al.element(Q2, (c,)) for c in (1, 0))
+    X = make_dset(Q2, [(3,), (5,)])
+    with pytest.raises(ParameterRangeError, match=r"apply_dual: modulus 2\^67 past int64"):
+        so.apply_dual([[one, zero], [zero, one]], X)
 
 
 def test_sumset_radius_change_past_int64_raises():
