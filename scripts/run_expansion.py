@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Iterated sum-product expansion starting from the discretized unit circle.
 
-Runs the full pipeline (avoidance gate, sum/product rounds, recentering,
-ball restriction, uniformization) and reports the covering exponent after
-each round.
+Runs the full pipeline (avoidance gate, sum/product rounds, ball
+restriction, uniformization) and reports the covering exponent after each
+round.
 """
 
 import argparse

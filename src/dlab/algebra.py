@@ -373,8 +373,10 @@ def basis_element(alg: AlgebraDescriptor, j: int) -> Element:
 
 
 def _units_to_values(alg, row, unit_exp):
-    """Exact rational values of integer coordinates in units radix^-unit_exp."""
-    return tuple(Fraction(int(c), alg.radix ** unit_exp) for c in row)
+    """Exact rational values of integer coordinates in units radix^-unit_exp
+    (unit_exp < 0: units radix^|unit_exp|)."""
+    unit = Fraction(alg.radix) ** -unit_exp
+    return tuple(int(c) * unit for c in row)
 
 
 def value_coords(alg: AlgebraDescriptor, x: Element):

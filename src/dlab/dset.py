@@ -174,13 +174,11 @@ def _row_mult(arr: np.ndarray) -> np.ndarray:
     return counts[inverse]
 
 
-def _row_mins(arr: np.ndarray, prio=None) -> np.ndarray:
+def _row_mins(arr: np.ndarray) -> np.ndarray:
     """For every distinct row of a 2-d array, in lexicographic row order, the
-    index of its first occurrence of smallest prio (no prio: np.unique(arr,
-    axis=0, return_index=True)[1]): one lexsort of (prio, _row_labels)."""
-    labels = _row_labels(arr)[0]
-    order = np.lexsort((np.arange(len(arr)) if prio is None else prio, labels))
-    return order[_run_starts(labels[order])]
+    index of its first occurrence: np.unique(arr, axis=0, return_index=True)[1]
+    on the _row_labels."""
+    return np.unique(_row_labels(arr)[0], return_index=True)[1]
 
 
 def _row_lookup(rows: np.ndarray, offsets=None):

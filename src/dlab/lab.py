@@ -50,11 +50,7 @@ class Schedule:
     d: int
     delta_exp: int
     rho_exp: int = 0
-    Delta_exp: int = 0
-    c1: Fraction = Fraction(0)
-    c_tv: Fraction = Fraction(0)
     n_iters: int = 1
-    N_budget: int = 10_000_000
     n_sum: int = 2
     n_prod: int = 2
     C: Fraction = Fraction(4)
@@ -312,7 +308,7 @@ def probe_babyproj(A: DSet, X: DSet, exp_id="babyproj", seed=None):
     return rec, best_x
 
 
-def fibre_profile(G: so.PairSet, X: DSet, c1=None, rho_exp: int = 1):
+def fibre_profile(G: so.PairSet, X: DSet, rho_exp: int = 1):
     """Heaviest rho-cell fibre mass of G under each projection direction."""
     if len(G) == 0:
         raise EmptyInput("fibre_profile: empty pair set G")

@@ -11,7 +11,7 @@ spectrum for A + A; everything else is pairwise with a point budget.  An
 empty operand gives the empty set at the (scale_exp, radius_exp) of a
 one-point operand.
 
-Products, scalar images, projections and quotient numerators share one
+Products, scalar images, projections, quotients and the dual map share one
 bilinear array product (_raw_products) and one grid step (_to_grid); the
 counting engines take their rows from the same kernel.  It runs on int64
 while every raw product provably fits and on Python ints otherwise.  A
@@ -37,7 +37,6 @@ from .dset import (
     _grid_rows,
     _key_rows,
     _read_rows,
-    _row_labels,
     _row_mins,
     _row_norm_sq,
     _write_rows,
@@ -470,26 +469,21 @@ def iterated(A: DSet, n_sum: int, n_prod: int, clip: bool = True) -> DSet:
 # quotient sets
 
 def _distinct_differences(A: DSet):
-    """(coords, diffs, first, key): A's Element coords, sorted; the distinct
-    differences a - b as integer rows in one unit (2^-scale_exp, or
-    p^-radius_exp, which no unit_exp exceeds); for each, the index
-    i * |A| + j of its witness, the first pair (a_i, b_j) with it; and the
-    rank of the witness's coords.  Rows are sorted by key, then by first;
-    keys tie for p-adic elements with equal coords and different unit_exp."""
-    elems = sorted(A.elements(), key=lambda e: e.coords)
-    coords = [e.coords for e in elems]
-    n = len(elems)
-    rank = _row_labels(np.array(coords, dtype=object).reshape(n, A.alg.d))[0]
-    rows = [[c * A.alg.radix ** (A.unit_exp() - e.unit_exp) for c in e.coords]
-            for e in elems]
-    big = max((abs(c) for row in rows for c in row), default=0)
-    r = np.array(rows, dtype=np.int64 if 2 * big < 2 ** 63 else object)
-    r = r.reshape(n, A.alg.d)
-    diffs = (r[:, None, :] - r[None, :, :]).reshape(-1, A.alg.d)
+    """(diffs, first): the distinct differences a - b of A's rows in A's
+    units, p-adic rows reduced mod p^(alg.m + radius_exp) as an Element holds
+    them (rows lie below p^(scale_exp + radius_exp), so only scale_exp >
+    alg.m reduces); for each, the index i * |A| + j of its witness, the
+    first pair (a_i, b_j) of A's rows with it.  A's rows are distinct and
+    sorted, so the rows of diffs are in the lexicographic order of their
+    witnesses."""
+    alg, pts = A.alg, A.points
+    if not alg.is_real_base and A.scale_exp > alg.m:
+        pts = pts % alg.p ** (alg.m + A.radius_exp)
+    if 2 * _abs_max(pts) >= 2 ** 63:
+        pts = pts.astype(object)
+    diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, alg.d)
     first = np.sort(_row_mins(diffs))
-    key = rank[first // n] * n + rank[first % n]
-    order = np.argsort(key, kind="stable")
-    return coords, diffs[first[order]], first[order], key[order]
+    return diffs[first], first
 
 
 def quotient_set(A: DSet, rho_exp: int, side: str = "Left",
@@ -497,12 +491,11 @@ def quotient_set(A: DSet, rho_exp: int, side: str = "Left",
     """Delta-separated representatives of {(a-b)(c-d)^-1 : |c-d| > rho}
     (Left) or {(c-d)^-1(a-b)} (Right), Delta = delta/rho^3.
 
-    Representative per Delta-cell is the one with the lexicographically
-    smallest witness quadruple (a, b, c, d) of Element coords; of equal
-    quadruples, the first in row-major (difference, denominator) order.
+    Representative per Delta-cell is the one whose witness (a, b, c, d) is
+    the lexicographically smallest quadruple of A's rows.
 
     Exact integers throughout: with u = a - b and w = c - d as integer rows
-    in one unit, (a-b)(c-d)^-1 = u num / den for w^-1 = num / den
+    in A's units, (a-b)(c-d)^-1 = u num / den for w^-1 = num / den
     (algebra._int_inverse), rounded (real base) or reduced (p-adic base)
     once per cell.
     """
@@ -515,7 +508,7 @@ def quotient_set(A: DSet, rho_exp: int, side: str = "Left",
         radius_out = A.radius_exp + 1 + rho_exp
     else:
         radius_out = A.radius_exp + rho_exp
-    coords, diffs, first, key = _distinct_differences(A)
+    diffs, first = _distinct_differences(A)
     if alg.is_real_base:    # sum u^2 4^-m > 4^-rho
         far = _row_norm_sq(diffs) > 4 ** (m - rho_exp)
     else:                   # min v_p(u) - radius_exp < rho
@@ -526,53 +519,42 @@ def quotient_set(A: DSet, rho_exp: int, side: str = "Left",
     if len(diffs) * len(den_idx) > point_budget():
         raise BudgetExceeded("quotient set too large",
                              {"pairs": len(diffs) * len(den_idx)})
-    cells, pair = _quotient_cells(alg, diffs, den_idx, key, side,
-                                  scale_out, radius_out)
+    cells, pair = _quotient_cells(alg, diffs, den_idx, side, scale_out, radius_out)
     Q = DSet(alg, scale_out, radius_out, cells)
     if not with_witnesses:
         return Q
-    n, k = len(coords), len(den_idx)
+    n, k, rows = len(A), len(den_idx), list(map(tuple, A.points.tolist()))
     ab, cd = first[pair // k], first[den_idx[pair % k]]
-    quads = zip(*([coords[t] for t in col.tolist()]
+    quads = zip(*([rows[t] for t in col.tolist()]
                   for col in (ab // n, ab % n, cd // n, cd % n)))
     return Q, dict(zip(map(tuple, cells.tolist()), quads))
 
 
-def _quotient_cells(alg, diffs, den_idx, key, side, scale_out, radius_out):
+def _quotient_cells(alg, diffs, den_idx, side, scale_out, radius_out):
     """The distinct cells of diffs[i] dens[j]^-1 (Left) or dens[j]^-1 diffs[i]
-    (Right), dens = diffs[den_idx], lex-sorted, and for each the pair
-    i * len(dens) + j with the smallest witness (by key, then row-major).
-    int64 while every intermediate provably fits, Python ints otherwise;
-    QUOTIENT_CHUNK pairs at a time."""
+    (Right), dens = diffs[den_idx], lex-sorted, and for each the first pair
+    i * len(dens) + j in row-major order with it.  int64 while every
+    intermediate provably fits, Python ints otherwise; QUOTIENT_CHUNK pairs
+    at a time."""
     dens = diffs[den_idx]
     d, k = alg.d, len(dens)
     nums, den = zip(*(al._int_inverse(alg, [int(c) for c in w]) for w in dens))
     # |raw numerator| <= max|u| max|num| max_l sum_ij |c_ijl|
     dtype = _grid_dtype(alg, _product_bound(alg, _abs_max(diffs), _abs_max(nums)), den,
                         scale_out, radius_out)
-    # the rank of pair (i, j) among the witnesses: equal keys form blocks
-    # s .. s + z of rows and of denominators, ranked block pair by block
-    # pair and row-major inside one; without ties the rank is i * k + j
-    s_i = np.searchsorted(key, key)
-    z_i = np.searchsorted(key, key, "right") - s_i
-    s_j = np.searchsorted(key[den_idx], key[den_idx])
-    z_j = np.searchsorted(key[den_idx], key[den_idx], "right") - s_j
-    rows, pair, rank = [], [], []
+    rows, pair = [], []
     step = max(1, QUOTIENT_CHUNK // k)
     for lo in range(0, len(diffs), step):
         # every raw numerator: (u num_j)_l (Left) or (num_j u)_l (Right)
         N = _raw_products(alg, diffs[lo:lo + step], nums, side, dtype)
-        N = _to_grid(alg, N.reshape(-1, k, d), den, scale_out, radius_out, "quotient_set")
-        cell = N.reshape(-1, d)
-        i = np.arange(lo, lo + len(N))[:, None]
-        s, z = s_i[i], z_i[i]
-        r = (s * k + z * s_j + (i - s) * z_j + np.arange(k) - s_j).reshape(-1)
-        idx = _row_mins(cell, r)
+        cell = _to_grid(alg, N.reshape(-1, k, d), den, scale_out, radius_out,
+                        "quotient_set").reshape(-1, d)
+        idx = _row_mins(cell)
         rows.append(cell[idx])
         pair.append(idx + lo * k)
-        rank.append(r[idx])
+    # a cell occurs at most once per chunk, and the chunks go in pair order
     rows, pair = np.concatenate(rows), np.concatenate(pair)
-    idx = _row_mins(rows, np.concatenate(rank))
+    idx = _row_mins(rows)
     return rows[idx], pair[idx]
 
 
@@ -639,9 +621,9 @@ def apply_dual(L, X: DSet) -> DSet:
     if n < len(X) and alg.is_real_base:
         n = 0
     inv = [al._int_inverse(alg, list(w)) for w in w1[:n]]
-    C = np.array(alg.structure_constants, dtype=object)
-    T = np.tensordot(np.array([u for u, _ in inv], dtype=object).reshape(n, d), C,
-                     axes=(1, 0))   # T[i] is left multiplication by num_i
+    # T[i] is left multiplication by num_i: row j is num_i e_j
+    T = _raw_products(alg, [u for u, _ in inv], np.eye(d, dtype=object), "Left",
+                      object).reshape(n, d, d)
     pts = _to_grid(alg, (w2[:n, :, None] * T).sum(axis=1), [q for _, q in inv],
                    X.scale_exp, r_out, "apply_dual")
     if n < len(X):

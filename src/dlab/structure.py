@@ -463,11 +463,10 @@ def _basis_rows(Q: DSet, v):
     return e, B
 
 
-def _first_far(n: int, per_row: int, near_block):
+def _first_far(n: int, near_block):
     """The first (row, map) in row-major order at which near_block(lo, hi),
     the near mask of rows lo..hi-1 against every map, is False; None when
-    every image is near.  Rows go in blocks of doubling size 1, 2, 4, ...,
-    of at most point_budget() // per_row rows."""
+    every image is near.  Rows go in blocks of doubling size 1, 2, 4, ..."""
     lo, size = 0, 1
     while lo < n:
         hi = min(n, lo + size)
@@ -476,7 +475,7 @@ def _first_far(n: int, per_row: int, near_block):
         if len(far):
             i, j = divmod(int(far[0]), near.shape[1])
             return lo + i, j
-        lo, size = hi, max(1, min(2 * size, point_budget() // per_row))
+        lo, size = hi, 2 * size
     return None
 
 
@@ -486,7 +485,8 @@ def dichotomy_check(Q: DSet, v: list, delta_exp: int, rho_exp: int,
     """Either every halving/translate/field image of Q lands within Delta of Q
     (Dense: Q must essentially fill the ball), or some image escapes (Sparse:
     the witness carries a (p, q) or (u, v) decomposition built from the
-    quotient-set witnesses, read at A's unit 2^-delta_exp on the real base).
+    quotient-set witnesses, read at A's unit: 2^-delta_exp on the real base,
+    p^-(Q.radius_exp - rho_exp) on the p-adic base).
 
     The images of Q's rows are integer rows over one denominator in Q's
     units, tested by _near_rows; the first escaping (row, map) in Q's row
@@ -494,11 +494,11 @@ def dichotomy_check(Q: DSet, v: list, delta_exp: int, rho_exp: int,
     alg = Q.alg
     d = alg.d
     mode = mode or ("halving" if alg.is_real_base else "translate")
-    n_maps = {"halving": 2 ** d, "translate": d, "field": 2}[mode]
+    n_maps = {"halving": 2 ** d, "translate": d, "field": 2 * len(Q)}[mode]
     n_off = 3 ** d if alg.is_real_base else 1
     if len(Q) * n_maps * n_off > point_budget():
         raise BudgetExceeded("dichotomy scan too large",
-                             {"points": len(Q) * n_maps})
+                             {"points": len(Q), "images": len(Q) * n_maps * n_off})
     P, unit, lookup = Q.points, Q.unit_exp(), _row_lookup(Q.points)
     if mode == "field":     # x + y over 1 and the raw x y over radix^unit
         dt_sum = _image_dtype(Q, 2 * _abs_max(P))
@@ -528,17 +528,17 @@ def dichotomy_check(Q: DSet, v: list, delta_exp: int, rho_exp: int,
         def near_block(lo, hi):
             Y = (P[lo:hi].astype(dt) * L)[:, None, :] + S_arr[None, :, :]
             return _near_rows(Q, Y.reshape(-1, d), den, lookup).reshape(hi - lo, -1)
-    hit = _first_far(len(P), len(labels) * n_off, near_block)
+    hit = _first_far(len(P), near_block)
     if hit is not None:
         xc = tuple(P[hit[0]].tolist())
         wit = {"x": [str(t) for t in al._units_to_values(alg, xc, unit)],
                "x_coords": list(xc)}
-        w_unit = delta_exp if alg.is_real_base else 0
+        w_unit = delta_exp if alg.is_real_base else Q.radius_exp - rho_exp
 
         def split(key):     # (a - b, c - d) of a quotient witness, as values
-            a, b, c, dd = (al.element(alg, w, w_unit).coords for w in witnesses[key])
-            return [al._units_to_values(alg, [s - t for s, t in zip(f, g)], w_unit)
-                    for f, g in ((a, b), (c, dd))]
+            a, b, c, dd = (al.value_coords(alg, al.element(alg, w, w_unit))
+                           for w in witnesses[key])
+            return [[s - t for s, t in zip(f, g)] for f, g in ((a, b), (c, dd))]
         mul = al._vec_mul
         if mode == "field":
             y, op = labels[hit[1]]

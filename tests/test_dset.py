@@ -323,25 +323,18 @@ def test_write_equals_per_scalar_formatter(spec, radius, pairs, comments, data):
        hst.sampled_from(["int64", "object"]),
        hst.data())
 def test_row_mins_equal_loop(d, bound, dtype, data):
-    """The smallest-prio occurrence of every distinct row, in lex row order:
-    packed keys, the np.unique fallback past 2^63 (bound 2^62 with d >= 2)
-    and rows of Python ints all equal a dict loop; without prio it is
-    np.unique's return_index."""
+    """The first occurrence of every distinct row, in lex row order: packed
+    keys, the np.unique fallback past 2^63 (bound 2^62 with d >= 2) and rows
+    of Python ints all equal a dict loop, and np.unique's return_index."""
     rows = data.draw(hst.lists(hst.lists(hst.integers(-bound, bound), min_size=d,
                                          max_size=d), min_size=0, max_size=30))
     arr = np.array(rows, dtype=np.int64).reshape(-1, d)
     arr = np.vstack([arr, arr[: data.draw(hst.integers(0, len(arr)))]])
-    prio = np.array(data.draw(hst.lists(hst.integers(0, 5), min_size=len(arr),
-                                        max_size=len(arr))), dtype=np.int64)
-    best = {}
+    first = {}
     for t, row in enumerate(map(tuple, arr.tolist())):
-        if row not in best or prio[t] < prio[best[row]]:
-            best[row] = t
-    arr = arr.astype(dtype)
-    assert _row_mins(arr, prio).tolist() == [best[r] for r in sorted(best)]
-    if dtype == "int64":
-        assert np.array_equal(_row_mins(arr),
-                              np.unique(arr, axis=0, return_index=True)[1])
+        first.setdefault(row, t)
+    assert np.array_equal(_row_mins(arr), np.unique(arr, axis=0, return_index=True)[1])
+    assert _row_mins(arr.astype(dtype)).tolist() == [first[r] for r in sorted(first)]
 
 
 @settings(max_examples=100, deadline=None)

@@ -947,38 +947,36 @@ def _value_norm_gt(alg, vals, rho_exp) -> bool:
 
 def _loop_quotient_set(A, rho_exp, side="Left"):
     """quotient_set(..., with_witnesses=True) as a Fraction double loop over
-    (difference, denominator) pairs, keeping the lex-smallest witness."""
+    (difference, denominator) pairs of A's rows in order, each valued as
+    A.element(i), keeping the lex-smallest witness quadruple of rows."""
     alg = A.alg
     m = A.scale_exp
     if not (0 < rho_exp and m - 3 * rho_exp >= 1):
         raise ParameterRangeError("need 0 < rho_exp < m/3 so Delta is a scale")
     scale_out = m - 3 * rho_exp
     radius_out = A.radius_exp + rho_exp + (1 if alg.is_real_base else 0)
-    elems = sorted(A.elements(), key=lambda e: e.coords)
+    rows = [tuple(int(c) for c in r) for r in A.points]
+    vals = [al.value_coords(alg, A.element(i)) for i in range(len(A))]
     diffs = {}
-    for a in elems:
-        for b in elems:
-            dv = tuple(x - y for x, y in zip(al.value_coords(alg, a),
-                                             al.value_coords(alg, b)))
-            diffs.setdefault(dv, (a, b))
+    for a, va in zip(rows, vals):
+        for b, vb in zip(rows, vals):
+            diffs.setdefault(tuple(x - y for x, y in zip(va, vb)), (a, b))
     dens = {dv: w for dv, w in diffs.items() if _value_norm_gt(alg, dv, rho_exp)}
     if not dens:
         raise NoAdmissiblePairs("all pairwise differences are <= rho")
     if len(diffs) * len(dens) > so.point_budget():
         raise BudgetExceeded("quotient set too large",
                              {"pairs": len(diffs) * len(dens)})
-    den_list = [(dens[ev], _loop_inverse(alg, ev))
-                for ev in sorted(dens, key=lambda v: dens[v][0].coords + dens[v][1].coords)]
+    den_list = [(dens[ev], _loop_inverse(alg, ev)) for ev in sorted(dens, key=dens.get)]
     cells = {}
-    for dv in sorted(diffs, key=lambda v: diffs[v][0].coords + diffs[v][1].coords):
-        wa, wb = diffs[dv]
-        for (wc, wd), inv_ev in den_list:
+    for dv in sorted(diffs, key=diffs.get):
+        for cd, inv_ev in den_list:
             if side == "Left":
                 q = al._vec_mul(alg, dv, inv_ev)
             else:
                 q = al._vec_mul(alg, inv_ev, dv)
             cell = al._value_to_grid(alg, q, scale_out, radius_out, "quotient_set")
-            key = (wa.coords, wb.coords, wc.coords, wd.coords)
+            key = diffs[dv] + cd
             if cell not in cells or key < cells[cell]:
                 cells[cell] = key
     Q = DSet(alg, scale_out, radius_out, np.array(sorted(cells), dtype=np.int64))
@@ -1053,20 +1051,29 @@ def test_quotient_set_equals_fraction_loop(spec, side, data):
 
 
 def test_quotient_set_tied_witness_coords():
-    """p-adic elements of different unit_exp can carry equal coords, so equal
-    witness quadruples tie; the loop keeps the first in its order."""
+    """p-adic points whose Element coords tie (one divisible by p, one not,
+    at radius_exp 1): every witness is four rows of A, and the quotient of
+    their differences, read at A's unit p^-radius_exp, lands in its cell."""
     alg = al.make_algebra("Qp_ext", p=3, d=2, m=9)
     A = make_dset(alg, [[12322 * t, 11869 * t] for t in range(7)], 8, 1)
-    coords = sorted(e.coords for e in A.elements())
+    coords = [e.coords for e in A.elements()]
     assert len(set(coords)) < len(coords)
+    rows, unit = set(map(tuple, A.points.tolist())), Fraction(1, alg.p ** A.radius_exp)
+    want = _loop_quotient_set(A, 1, "Left")
     for chunk in (so.QUOTIENT_CHUNK, 3):
         so_chunk, so.QUOTIENT_CHUNK = so.QUOTIENT_CHUNK, chunk
         try:
-            got = so.quotient_set(A, 1, "Left", with_witnesses=True)
+            Q, wit = so.quotient_set(A, 1, "Left", with_witnesses=True)
         finally:
             so.QUOTIENT_CHUNK = so_chunk
-        want = _loop_quotient_set(A, 1, "Left")
-        assert got[0] == want[0] and got[1] == want[1]
+        assert set(wit) == set(map(tuple, Q.points.tolist()))
+        for cell, quad in wit.items():
+            assert set(quad) <= rows
+            a, b, c, dd = ([x * unit for x in w] for w in quad)
+            den = [x - y for x, y in zip(c, dd)]
+            q = al._vec_mul(alg, [x - y for x, y in zip(a, b)], _loop_inverse(alg, den))
+            assert tuple(al._value_to_grid(alg, q, Q.scale_exp, Q.radius_exp)) == cell
+        assert Q == want[0] and wit == want[1]
 
 
 def _nonfield_algebra(kind, m=5):

@@ -17,7 +17,7 @@ from dlab import algebra as al
 from dlab import setops as so
 from dlab import structure as st
 from dlab.dset import DSet, make_dset
-from dlab.errors import NotRealBase, ParameterRangeError, SubAlgebraTrapped
+from dlab.errors import BudgetExceeded, NotRealBase, ParameterRangeError, SubAlgebraTrapped
 
 
 # --- families and distances -------------------------------------------------
@@ -554,6 +554,26 @@ def test_dichotomy_witness_read_at_set_unit():
     assert al._vec_mul(C, p, _inv_of_value(C, q)) == img
 
 
+def test_dichotomy_padic_witness_read_at_set_unit():
+    """A at radius_exp 1 in Qp_ext p=3 m=5: the Sparse decomposition reads
+    the quotient witness at A's unit 3^-1, so q = c - d = (-132, -74) there
+    (it was (-153, -222), d reduced mod 3^5 at unit 3^0) and p = (a - b) +
+    w (c - d)."""
+    alg = al.make_algebra("Qp_ext", p=3, d=2, m=5)
+    A = make_dset(alg, [(64, 261), (120, 507), (137, 582), (214, 96), (460, 483),
+                        (667, 388)], scale_exp=5, radius_exp=1)
+    Q, wit = so.quotient_set(A, 1, with_witnesses=True)
+    v = [al.one(alg), al.basis_element(alg, 1)]
+    out = st.dichotomy_check(Q, v, 5, 1, witnesses=wit, mode="translate")
+    assert out.case == "Sparse"
+    w = out.witness
+    a, b, c, dd = ([Fraction(x, 3) for x in row] for row in w["abcd"])
+    num, den = [x - y for x, y in zip(a, b)], [x - y for x, y in zip(c, dd)]
+    shift = al.value_coords(alg, v[w["map"]])
+    assert w["q"] == [str(t) for t in den] == ["-132", "-74"]
+    assert w["p"] == [str(x + y) for x, y in zip(num, al._vec_mul(alg, shift, den))]
+
+
 def test_basis_rows_divide_out_a_shared_radix_power():
     """v = [one] over R m=62 and a scale-1 Q: the refined denominator 2^62
     and the row 2^62 share 2^61, so the rows are (0, [[2]]), not
@@ -595,7 +615,8 @@ def _oracle_near(alg, Qset, scale, radius, yvals):
 
 def _oracle_dichotomy(Q, v, delta_exp, rho_exp, witnesses=None, mode=None):
     """dichotomy_check as a per-point Fraction loop; witnesses are read at
-    the algebra's unit, which is A's unit when delta_exp = alg.m."""
+    A's unit: 2^-delta_exp (real base), p^-(Q.radius_exp - rho_exp)
+    (p-adic base)."""
     alg, d = Q.alg, Q.alg.d
     mode = mode or ("halving" if alg.is_real_base else "translate")
     scale, radius = Q.scale_exp, Q.radius_exp
@@ -608,7 +629,8 @@ def _oracle_dichotomy(Q, v, delta_exp, rho_exp, witnesses=None, mode=None):
         return tuple(Fraction(c, alg.radix ** Q.unit_exp()) for c in xc)
 
     def parts(key):
-        a, b, c, dd = (al.value_coords(alg, al.element(alg, w)) for w in witnesses[key])
+        unit = delta_exp if alg.is_real_base else radius - rho_exp
+        a, b, c, dd = (al.value_coords(alg, al.element(alg, w, unit)) for w in witnesses[key])
         return (tuple(s - t for s, t in zip(a, b)),
                 tuple(s - t for s, t in zip(c, dd)))
 
@@ -762,9 +784,10 @@ def test_dichotomy_int64_edge_equals_fraction_loop():
 
 
 def test_dichotomy_blocks_and_python_ints_equal_fraction_loop(monkeypatch):
-    """A budget that caps the doubling row blocks (at 2 rows in field mode)
-    and images past int64 (a basis element at 2^74 in Q's units) give the
-    loop's outcome."""
+    """The doubling row blocks and images past int64 (a basis element at
+    2^74 in Q's units) give the loop's outcome; a budget of 2000 images
+    admits the halving and translate scans (1764 and 882 images) and
+    refuses the field scan (2 49^2 9 = 43,218 images)."""
     C = al.make_algebra("C", m=4)
     Q = make_dset(C, [(x, y) for x in range(-3, 4) for y in range(-3, 4)])
     big = [al.element(C, (2 ** 74, 0)), al.element(C, (1, 1), 5)]
@@ -773,8 +796,27 @@ def test_dichotomy_blocks_and_python_ints_equal_fraction_loop(monkeypatch):
             want = _oracle_dichotomy(Q, v, 4, 1, None, mode).to_json()
             assert st.dichotomy_check(Q, v, 4, 1, mode=mode).to_json() == want
             monkeypatch.setenv("DLAB_BUDGET_POINTS", "2000")
-            assert st.dichotomy_check(Q, v, 4, 1, mode=mode).to_json() == want
+            if mode == "field":
+                with pytest.raises(BudgetExceeded):
+                    st.dichotomy_check(Q, v, 4, 1, mode=mode)
+            else:
+                assert st.dichotomy_check(Q, v, 4, 1, mode=mode).to_json() == want
             monkeypatch.delenv("DLAB_BUDGET_POINTS")
+
+
+def test_dichotomy_field_budget_counts_every_image(monkeypatch):
+    """Field mode scans x + y and x y for every pair of rows: 2 |Q|^2 images
+    per offset.  The budget check counts them all, so a Dense grid of Qp
+    p=3 whose 2 |Q| images fit the budget but whose 2 |Q|^2 do not is
+    refused before the scan, naming the image count."""
+    Q3 = al.make_algebra("Qp", p=3, d=1, m=4)
+    Q = make_dset(Q3, [(x,) for x in range(81)])
+    monkeypatch.setenv("DLAB_BUDGET_POINTS", str(2 * 81 * 81 - 1))
+    with pytest.raises(BudgetExceeded) as exc:
+        st.dichotomy_check(Q, [al.one(Q3)], 4, 1, mode="field")
+    assert exc.value.sizes == {"points": 81, "images": 2 * 81 * 81}
+    monkeypatch.setenv("DLAB_BUDGET_POINTS", str(2 * 81 * 81))
+    assert st.dichotomy_check(Q, [al.one(Q3)], 4, 1, mode="field").case == "Dense"
 
 
 @pytest.mark.parametrize("spec,m", [("R", 3), ("C", 3), ("H", 2)])
