@@ -7,9 +7,12 @@ point a, which at a tie can differ from rounding a + x b.  p-adic
 composites are exact.  Large sumsets fall
 back to an FFT indicator convolution, transformed at 7-smooth lengths on
 the real base (the cyclic grid p^k on the p-adic base) with one squared
-spectrum for A + A; everything else is pairwise with a point budget.  An
-empty operand gives the empty set at the (scale_exp, radius_exp) of a
-one-point operand.
+spectrum for A + A.  Smaller sumsets and every product set go through one
+blocked pair kernel (_pair_rows): blocks of at most PAIR_BLOCK pairs are
+put on the grid and marked in one occupancy table over an output box known
+in advance, or merged sorted-unique when that box is too large, so the
+point budget caps the distinct rows, not the pairs.  An empty operand gives
+the empty set at the (scale_exp, radius_exp) of a one-point operand.
 
 Products, scalar images, projections, quotients and the dual map share one
 bilinear array product (_raw_products) and one grid step (_to_grid); the
@@ -37,8 +40,10 @@ from .dset import (
     _grid_rows,
     _key_rows,
     _read_rows,
+    _row_keys,
     _row_mins,
     _row_norm_sq,
+    _small_box,
     _write_rows,
     point_budget,
 )
@@ -52,7 +57,8 @@ from .errors import (
     SingularMap,
 )
 
-PAIRWISE_CAP = 4_000_000
+PAIRWISE_CAP = 4_000_000   # sumsets of more pairs take the FFT branch
+PAIR_BLOCK = 1 << 16       # pairs per block of _pair_rows
 FFT_CELL_CAP = 1 << 24
 QUOTIENT_CHUNK = 1 << 20    # (difference, denominator) pairs per array pass
 
@@ -130,14 +136,20 @@ def _at_radius(A, r):
 
 def _raw_products(alg, U, V, side, dtype):
     """The raw products u v (Left) or v u (Right) of every row u of U with
-    every row v of V, in row-major (u, v) order: V is contracted with the
-    structure constants into one d x |V|d matrix W, and U @ W is one
-    matmul."""
+    every row v of V, in row-major (u, v) order: one matmul U @ W with the
+    _product_matrix W of V."""
+    W = _product_matrix(alg, V, side, dtype)
+    return (np.asarray(U, dtype=dtype).reshape(-1, alg.d) @ W).reshape(-1, alg.d)
+
+
+def _product_matrix(alg, V, side, dtype):
+    """V contracted with the structure constants into one d x |V|d matrix W:
+    the row u @ W holds the raw products u v (Left) or v u (Right) for every
+    row v of V in turn."""
     C = np.array(alg.structure_constants, dtype=dtype)
     W = np.tensordot(np.array(V, dtype=dtype), C,
                      axes=(1, 1 if side == "Left" else 0))
-    W = W.transpose(1, 0, 2).reshape(alg.d, -1)
-    return (np.asarray(U, dtype=dtype).reshape(-1, alg.d) @ W).reshape(-1, alg.d)
+    return W.transpose(1, 0, 2).reshape(alg.d, -1)
 
 
 def _product_bound(alg, big_u: int, big_v: int) -> int:
@@ -224,14 +236,69 @@ def _to_grid(alg, raw, den, scale_exp, unit_out, op, plus=None) -> np.ndarray:
         raise ParameterRangeError(f"{op}: grid rows past int64") from None
 
 
+def _grid_times(alg, V, big_u, unit, scale_exp, side, unit_out, op):
+    """The function taking rows U with max|U| <= big_u to the _to_grid of the
+    _raw_products of U and V, whose raw coordinates are in units
+    radix^-unit, into units radix^-unit_out (p-adic base).  int64 while the
+    raw products and the grid step provably fit, Python ints otherwise; V is
+    contracted with the structure constants once, for every U."""
+    den = alg.radix ** unit
+    dt = _grid_dtype(alg, _product_bound(alg, big_u, _abs_max(V)), den, scale_exp, unit_out)
+    W = _product_matrix(alg, V, side, dt)
+
+    def times(U):
+        raw = (np.asarray(U, dtype=dt).reshape(-1, alg.d) @ W).reshape(-1, alg.d)
+        return _to_grid(alg, raw, den, scale_exp, unit_out, op)
+    return times
+
+
 def _grid_products(alg, U, V, unit, scale_exp, side, unit_out, op) -> np.ndarray:
-    """_to_grid of the _raw_products of U and V, whose raw coordinates are in
-    units radix^-unit, into units radix^-unit_out (p-adic base).  int64 while
-    the raw products and the grid step provably fit, Python ints otherwise."""
-    den, big = alg.radix ** unit, _product_bound(alg, _abs_max(U), _abs_max(V))
-    dt = _grid_dtype(alg, big, den, scale_exp, unit_out)
-    return _to_grid(alg, _raw_products(alg, U, V, side, dt), den, scale_exp,
-                    unit_out, op)
+    """_grid_times of V applied to U."""
+    return _grid_times(alg, V, _abs_max(U), unit, scale_exp, side, unit_out, op)(U)
+
+
+# ---------------------------------------------------------------------------
+# the blocked pair kernel of sumsets and product sets
+
+def _pair_rows(op, alg, a, k, block, box):
+    """The rows of block(a[i:j]) over blocks of a's rows, each block of at
+    most PAIR_BLOCK and point_budget() pairs (one row of a at least):
+    block gives the int64 grid rows of its rows paired with the k rows of
+    the other operand.  One block comes back as it is, for the DSet to
+    canonicalize.  More come back distinct and in order: their _row_keys
+    are marked in one occupancy table when the box() = (lo, hi) bounding
+    every row is a _small_box for len(a) k rows; otherwise each block's
+    distinct rows are kept and merged sorted-unique at the end and whenever
+    they pass the budget, and BudgetExceeded, naming op and its sizes, is
+    raised when the distinct rows do.  point_budget() is read once."""
+    d, n, budget = alg.d, len(a), point_budget()
+    if n * k <= min(PAIR_BLOCK, budget):     # one block: its rows as they are
+        return block(a)
+    lo, hi = box()
+    spans = [h - l + 1 for l, h in zip(lo, hi)]
+    size = math.prod(spans)
+    mark = np.zeros(size, dtype=bool) if _small_box(size, n * k, budget) else None
+    kept, held = [], 0
+    step = max(1, min(PAIR_BLOCK, budget) // k)
+    for i in range(0, n, step):
+        rows = block(a[i:i + step])
+        if mark is not None:
+            mark[_row_keys(rows, lo, spans)] = True
+            continue
+        kept.append(_canon_points(rows, d, budget=budget))
+        held += len(kept[-1])
+        if held > budget:
+            kept = [_canon_points(np.concatenate(kept), d, budget=budget)]
+            held = len(kept[0])
+            if held > budget:
+                raise BudgetExceeded(
+                    f"{op}: operands of sizes [{n}, {k}] give at least {held} "
+                    f"distinct rows, past the point budget {budget}",
+                    {"pairs": n * k, "rows": held, "budget": budget})
+    if mark is not None:
+        return _key_rows(np.flatnonzero(mark), lo, spans)
+    return kept[0] if len(kept) == 1 else _canon_points(np.concatenate(kept), d,
+                                                         budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +406,19 @@ def _sumset(A: DSet, B: DSet, window=None) -> DSet:
     _check_sum_bound("sumset", (a, 1), (b, 1))
     if len(a) * len(b) > PAIRWISE_CAP:
         return DSet(alg, A.scale_exp, out_r, _fft_support_sum(a, b, mod, window))
-    pts = (a[:, None, :] + b[None, :, :]).reshape(-1, alg.d)
-    if mod is not None:
-        pts %= mod
-    return DSet(alg, A.scale_exp, out_r, pts)
+
+    def block(u):
+        pts = (u[:, None, :] + b[None, :, :]).reshape(-1, alg.d)
+        if mod is not None:
+            pts %= mod
+        return pts
+
+    def box():
+        if mod is not None:
+            return [0] * alg.d, [mod - 1] * alg.d
+        (alo, ahi), (blo, bhi) = _col_bounds(a), _col_bounds(b)
+        return (alo + blo).tolist(), (ahi + bhi).tolist()
+    return DSet(alg, A.scale_exp, out_r, _pair_rows("sumset", alg, a, len(b), block, box))
 
 
 def negate(A: DSet) -> DSet:
@@ -364,14 +440,20 @@ def product_set(A: DSet, B: DSet, side: str = "Left") -> DSet:
     _check_compat(A, B)
     if side not in ("Left", "Right"):
         raise ParameterRangeError(f"side must be Left or Right, got {side!r}")
-    alg = A.alg
-    if len(A) * len(B) > min(PAIRWISE_CAP, point_budget()):
-        raise BudgetExceeded("product set too large",
-                             {"pairs": len(A) * len(B)})
+    alg, a, b, scale = A.alg, A.points, B.points, A.scale_exp
     unit = A.unit_exp() + B.unit_exp()
-    pts = _grid_products(alg, A.points, B.points, unit, A.scale_exp, side, unit,
-                         "product_set")
-    return DSet(alg, A.scale_exp, A.radius_exp + B.radius_exp, pts)
+    block = _grid_times(alg, b, _abs_max(a), unit, scale, side, unit, "product_set")
+
+    def box():
+        if not alg.is_real_base:    # residues mod p^(scale + unit)
+            return [0] * alg.d, [alg.p ** (scale + unit) - 1] * alg.d
+        # R, C and H are normed: |raw coordinate| <= |u v| = |u| |v|
+        raw = math.isqrt(int(_row_norm_sq(a).max()) * int(_row_norm_sq(b).max()))
+        (f,), (q,), _ = _grid_steps(alg, alg.radix ** unit, scale, unit)
+        top = (raw * f + q // 2) // q
+        return [-top] * alg.d, [top] * alg.d
+    pts = _pair_rows("product_set", alg, a, len(b), block, box)
+    return DSet(alg, scale, A.radius_exp + B.radius_exp, pts)
 
 
 def scalar_image(x: Element, A: DSet, side: str = "Left") -> DSet:

@@ -279,11 +279,12 @@ def test_fibres_empty_pair_set_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("head,row,x,one", [
     (C4, "3 -5", "1,0", "16,0"),
     ("#dlab v1 base=Qp p=3 d=1 m=3 Rexp=0\n", "4", "1", "1"),
-], ids=["C m=4", "Qp p=3 m=3"])
+    ("#dlab v1 base=Qp_ext p=3 d=2 m=3 Rexp=0\n", "3 0", "1,0", "1,0"),
+], ids=["C m=4", "Qp p=3 m=3", "Qp_ext p=3 d=2 m=3"])
 def test_cli_degenerate_sets_exit_cleanly(tmp_path, capsys, head, row, x, one):
     """Every subcommand on empty and one-point sets and pair sets (C m=4,
-    Qp p=3 m=3) exits 0, 2 or 3, never with a traceback; exits 2 and 3
-    print exactly one 'dlab:' line."""
+    Qp p=3 m=3, Qp_ext p=3 d=2 m=3 with the point 3) exits 0, 2 or 3, never
+    with a traceback; exits 2 and 3 print exactly one 'dlab:' line."""
     sets = _empty_and_one(tmp_path, "set", head, row)
     pairs = _empty_and_one(tmp_path, "pairs", head, f"{row} {row}")
     zero = "0,0" if "d=2" in head else "0"

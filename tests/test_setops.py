@@ -13,6 +13,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
 from dlab import algebra as al
+from dlab import lab
 from dlab import setops as so
 from dlab.dset import DSet, make_dset
 from dlab.errors import (
@@ -714,6 +715,158 @@ def test_scalar_image_and_project_past_int64_equal_element_mul(kind, p, d, m):
         G = so.make_pairset(alg, [u.coords + v.coords for u in a for v in b])
         want = [al.add(alg, u, al.mul(alg, x, v)) for u in a for v in b]
         assert np.array_equal(so.project(x, G).points, _points(alg, want))
+
+
+# --- the blocked pair kernel against one-shot pairs ---------------------------
+
+# (kind, p, d, m): small grids, and grids whose raw products pass int64 (the
+# Python-int path): coordinates near 2^62 (R, C), 2^31 (H), 2^61 (Qp p=2) and
+# 3^21 (Qp_ext)
+_PAIR_ALGEBRAS = [("R", None, None, 6), ("C", None, None, 4), ("H", None, None, 2),
+                  ("Qp", 3, None, 3), ("Qp_ext", 3, 2, 2),
+                  ("R", None, None, 62), ("C", None, None, 61), ("H", None, None, 31),
+                  ("Qp", 2, None, 60), ("Qp_ext", 3, 2, 20)]
+
+
+def _one_shot_product(A, B, side):
+    """product_set as one _grid_products call over every pair."""
+    unit = A.unit_exp() + B.unit_exp()
+    return DSet(A.alg, A.scale_exp, A.radius_exp + B.radius_exp,
+                so._grid_products(A.alg, A.points, B.points, unit, A.scale_exp, side,
+                                  unit, "product_set"))
+
+
+def _one_shot_sum(A, B):
+    """The pairwise sumset as one broadcast a[:, None] + b[None]."""
+    alg, r = A.alg, max(A.radius_exp, B.radius_exp)
+    a, b = so._at_radius(A, r), so._at_radius(B, r)
+    pts = (a[:, None] + b[None]).reshape(-1, alg.d)
+    if alg.is_real_base:
+        return DSet(alg, A.scale_exp, r + 1, pts)
+    return DSet(alg, A.scale_exp, r, pts % alg.p ** (A.scale_exp + r))
+
+
+def _pair_operand(alg, data, label):
+    """1 to 14 rows.  Random: on the real base within a drawn box, from a
+    few grid units to the whole grid, so the product box is sometimes
+    small; on the p-adic base any residue at radius_exp 0 or 1.  Arithmetic
+    (i v) and geometric (2^|e - i| v, p^i v) progressions: few distinct sums
+    or products in a large box, the merge over many blocks."""
+    if alg.is_real_base:
+        top = min(2 ** alg.m, 2 ** 62 - 1)
+        span = data.draw(hst.sampled_from([1, 2, 7, top // 3, top]), label=f"{label} span")
+        coord, r, radix, mod = hst.integers(-span, span), 0, 2, None
+    else:
+        r = data.draw(hst.integers(0, 1), label=f"{label} radius")
+        radix, mod = alg.p, alg.p ** (alg.m + r)
+        coord = hst.integers(0, mod - 1)
+    n = data.draw(hst.integers(1, 14), label=f"{label} size")
+    shape = data.draw(hst.sampled_from(["random", "arithmetic", "geometric"]),
+                      label=f"{label} shape")
+    if shape == "random":
+        rows = data.draw(hst.lists(hst.tuples(*[coord] * alg.d), min_size=n, max_size=n),
+                         label=label)
+    else:
+        v = data.draw(hst.tuples(*[hst.integers(-2, 2)] * alg.d), label=f"{label} step")
+        if shape == "arithmetic":
+            rows = [[i * c for c in v] for i in range(n)]
+        else:
+            e = min(span, 2 ** 61).bit_length() - 3 if mod is None else 0
+            rows = [[c * radix ** abs(e - i) if mod is None else c * radix ** i for c in v]
+                    for i in range(n)]
+        rows = rows if mod is None else [[c % mod for c in row] for row in rows]
+    return make_dset(alg, rows, radius_exp=r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.sampled_from(_PAIR_ALGEBRAS), hst.sampled_from(["Left", "Right"]),
+       hst.sampled_from([None, "output", "below output", "pairs", 1, 5, 21, 89]),
+       hst.data())
+def test_blocked_pair_kernel_equals_one_shot(spec, side, budget, data):
+    """product_set (both sides) and the pairwise sumset, formed in one block
+    or in blocks of at most DLAB_BUDGET_POINTS pairs (many blocks of one or
+    a few rows under a budget near the output, one short of every pair, or
+    a small one) into an occupancy table or by a sorted-unique merge, equal
+    the one-shot _grid_products and a[:, None] + b[None]; or, when their
+    distinct rows pass the budget, raise BudgetExceeded naming the op.  A
+    row past int64 raises ParameterRangeError on both sides."""
+    kind, p, d, m = spec
+    alg = al.make_algebra(kind, p=p, d=d, m=m)
+    A = _pair_operand(alg, data, "A")
+    B = A if data.draw(hst.booleans(), label="B = A") else _pair_operand(alg, data, "B")
+    for op, one_shot, name in ((lambda: so.product_set(A, B, side),
+                                lambda: _one_shot_product(A, B, side), "product_set"),
+                               (lambda: so.sumset(A, B), lambda: _one_shot_sum(A, B),
+                                "sumset")):
+        try:
+            want = one_shot()
+        except ParameterRangeError:
+            with pytest.raises(ParameterRangeError):
+                op()
+            continue
+        cap = {"output": len(want) + data.draw(hst.integers(0, 3), label="slack"),
+               "below output": len(want) - 1,
+               "pairs": len(A) * len(B) - 1}.get(budget, budget)
+        env = {} if cap is None else {"DLAB_BUDGET_POINTS": str(cap)}
+        with mock.patch.dict(os.environ, env), \
+                mock.patch.object(so, "_key_rows", wraps=so._key_rows) as table:
+            if cap is not None and len(want) > cap:
+                with pytest.raises(BudgetExceeded, match=f"{name}: operands of sizes"):
+                    op()
+                event(f"{name}: budget exceeded")
+                continue
+            got = op()
+        assert got == want and (got.scale_exp, got.radius_exp) == (
+            want.scale_exp, want.radius_exp)
+        one = len(A) * len(B) <= min(so.PAIR_BLOCK, cap or so.PAIR_BLOCK)
+        event(f"{name}: " + ("one block" if one else
+                             f"{'table' if table.called else 'merge'}, many blocks"))
+
+
+def test_pair_kernel_takes_both_branches_in_many_blocks():
+    """The rotated m=7 circle net's product set (box 257^2 for 652,864
+    pairs, 2,380 rows) and the sumset of 600 points of even coordinates in
+    [-40, 40]^2 (box 161^2 for 360,000 pairs, sums on the even lattice) take
+    the occupancy table at the default budget and, under a budget below
+    their box but above their output, the merge; either way in many blocks,
+    with the one-shot result."""
+    C = al.make_algebra("C", m=7)
+    net = lab.circle_net(C, 7)
+    rnd = random.Random(600)
+    even = make_dset(C, rnd.sample([(2 * i, 2 * j) for i in range(-20, 21)
+                                    for j in range(-20, 21)], 600))
+    for op, one_shot, budget in (
+            (lambda: so.product_set(net, net), lambda: _one_shot_product(net, net, "Left"),
+             40_000),
+            (lambda: so.sumset(even, even), lambda: _one_shot_sum(even, even), 10_000)):
+        want = one_shot()
+        assert len(want) <= budget
+        for env, branch in (({}, "table"), ({"DLAB_BUDGET_POINTS": str(budget)}, "merge")):
+            with mock.patch.dict(os.environ, env), \
+                    mock.patch.object(so, "_key_rows", wraps=so._key_rows) as table, \
+                    mock.patch.object(so, "_row_keys", wraps=so._row_keys) as keys, \
+                    mock.patch.object(so, "_canon_points", wraps=so._canon_points) as canon:
+                assert op() == want
+            assert table.called == (branch == "table")
+            assert (keys if branch == "table" else canon).call_count >= 6
+
+
+def test_product_set_budget_caps_distinct_rows_not_pairs(monkeypatch):
+    """R m=10, A = {0, ..., 99} / 2^10: 10,000 pairs, but only the 11
+    products 0 .. 10 / 2^10 on the grid.  Under a budget of 50 points the
+    product set succeeds; under 10 its distinct rows pass the budget, and
+    BudgetExceeded names product_set and its sizes."""
+    R = al.make_algebra("R", m=10)
+    A = make_dset(R, [(k,) for k in range(100)])
+    want = _one_shot_product(A, A, "Left")
+    assert len(want) == 11
+    monkeypatch.setenv("DLAB_BUDGET_POINTS", "50")
+    assert so.product_set(A, A) == want
+    monkeypatch.setenv("DLAB_BUDGET_POINTS", "10")
+    with pytest.raises(BudgetExceeded, match=r"product_set: operands of sizes \[100, 100\] "
+                                             r"give at least 11 distinct rows") as exc:
+        so.product_set(A, A)
+    assert exc.value.sizes == {"pairs": 10_000, "rows": 11, "budget": 10}
 
 
 # --- iterated expressions ---------------------------------------------------

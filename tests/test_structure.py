@@ -201,15 +201,18 @@ def _real_dist_sq(alg, vals, basis) -> Fraction:
 
 
 def _padic_dist(alg, vals, basis) -> Fraction:
-    """Exact p-adic distance to the Q_p-span: the largest p^-v_p over the
-    coordinates of vals (no basis) or over its coordinates on the columns
-    completing the basis (_padic_isometry_data)."""
-    if basis:
-        cols = st._padic_isometry_data(alg, basis)
-        mat = [[cols[j][i] for j in range(alg.d)] for i in range(alg.d)]
-        vals = _solve_fraction(mat, list(vals))[len(basis):]
-    kmin = min((al.vq(v, alg.p) for v in vals if v != 0), default=None)
-    return Fraction(0) if kmin is None else Fraction(alg.p) ** -kmin
+    """Exact p-adic distance to the Q_p-span of the basis, without completing
+    it: |b_1 ^ ... ^ b_k ^ v| / |b_1 ^ ... ^ b_k|, where the norm of a wedge
+    of rows is the largest p^-v_p over its maximal minors.  GL_d(Z_p) keeps
+    the max norm of every exterior power, and a Z_p-basis of the span's
+    lattice, completed to a matrix in GL_d(Z_p), makes both sides the
+    largest |coefficient| of v on the completing columns."""
+    def wedge(rows):
+        minors = [al.det_fraction([[r[t] for t in ts] for r in rows])
+                  for ts in itertools.combinations(range(alg.d), len(rows))]
+        kmin = min((al.vq(v, alg.p) for v in minors if v != 0), default=None)
+        return Fraction(0) if kmin is None else Fraction(alg.p) ** -kmin
+    return wedge(list(basis) + [list(vals)]) / wedge(list(basis))
 
 
 def _oracle_dist(alg, a, basis):
@@ -374,6 +377,47 @@ def test_escape_basis_equals_fraction_loop(name, data):
     A, _, _ = data.draw(_avoid_case(name, 3 if spec == "H" else 5))
     floor = data.draw(hst.sampled_from([Fraction(1, 2), Fraction(1, 64), 0]))
     assert _outcome(st.escape_basis, A, floor) == _outcome(_oracle_escape, A, floor)
+
+
+def test_escape_basis_padic_chosen_vector_divisible_by_p():
+    """The one-point Qp_ext p=3 d=2 m=3 set {3}: its pool {3, 9} lies in
+    Q_3 1, so after 3 is chosen the pool spans a proper subspace.  The
+    completion of (3, 0), zero mod 3, raised RuntimeError before it was
+    scaled to (1, 0)."""
+    alg = al.make_algebra("Qp_ext", p=3, d=2, m=3)
+    A = make_dset(alg, [(3, 0)])
+    with pytest.raises(SubAlgebraTrapped, match="proper subspace") as exc:
+        st.escape_basis(A, 0)
+    assert exc.value.span == [(3, 0)]
+    assert _outcome(st.escape_basis, A, 0) == _outcome(_oracle_escape, A, 0)
+
+
+def test_escape_basis_padic_chosen_vector_with_p_in_a_denominator():
+    """Qp_ext p=3 d=2 m=3 (alpha^2 = -1) at radius_exp 1 with rows (1, 0)
+    and (0, 3), that is 1/3 and alpha: the pool is alpha, 1/3, -1, alpha/3
+    and 1/9.  1/9 (norm 9) is chosen first, then alpha/3 at distance 3 from
+    Q_3, so |det| = 27.  Reducing 1/9 mod 3 raised ValueError before it was
+    scaled to (1, 0)."""
+    alg = al.make_algebra("Qp_ext", p=3, d=2, m=3)
+    A = make_dset(alg, [(1, 0), (0, 3)], radius_exp=1)
+    basis = st.escape_basis(A, Fraction(1, 2))
+    assert [(e.coords, e.unit_exp) for e in basis] == [((1, 0), 2), ((0, 1), 1)]
+    assert al.det_basis(alg, basis) == 27
+    for floor in (Fraction(1, 2), 27, 28):
+        assert _outcome(st.escape_basis, A, floor) == _outcome(_oracle_escape, A, floor)
+
+
+def test_padic_distance_to_a_span_dependent_mod_p():
+    """Qp_ext p=3 d=3: (1, 0, 0) and (1, 3, 0) are each of norm 1 but equal
+    mod 3, and span e_1, e_2 over Q_3.  Completing them as they are raised
+    RuntimeError; the distances are those of the wedge oracle."""
+    alg = al.make_algebra("Qp_ext", p=3, d=3, m=3)
+    mem = st.SubAlgebra("e1, e1 + 3 e2", ((Fraction(1), Fraction(0), Fraction(0)),
+                                          (Fraction(1), Fraction(3), Fraction(0))))
+    want = {(0, 0, 1): 1, (0, 1, 0): 0, (0, 3, 9): Fraction(1, 9), (2, 5, 3): Fraction(1, 3)}
+    for coords, dist in want.items():
+        a = al.element(alg, coords)
+        assert st.distance_sq_or_exact(alg, a, mem) == dist == _oracle_dist(alg, a, mem.basis)
 
 
 def test_avoidance_ties_at_the_threshold():
