@@ -94,10 +94,10 @@ def _key_rows(key: np.ndarray, lo, spans, order: str = "C") -> np.ndarray:
     return out
 
 
-def _small_box(size: int, n: int, budget: int | None = None) -> bool:
+def _small_box(size: int, n: int) -> bool:
     """Whether a key box of `size` keys for n rows is one table: at most
-    KEY_TABLE_FACTOR keys per row, and at most budget (point_budget()) keys."""
-    return size <= KEY_TABLE_FACTOR * n and size <= (budget or point_budget())
+    KEY_TABLE_FACTOR keys per row, and at most point_budget() keys."""
+    return size <= KEY_TABLE_FACTOR * n and size <= point_budget()
 
 
 def _run_starts(srt: np.ndarray) -> np.ndarray:
@@ -129,11 +129,9 @@ def _row_labels(arr: np.ndarray):
     return labels, len(distinct), lambda key, order="C": np.asarray(distinct[key], order=order)
 
 
-def _canon_points(arr: np.ndarray, d: int, order: str = "C",
-                  budget: int | None = None) -> np.ndarray:
+def _canon_points(arr: np.ndarray, d: int, order: str = "C") -> np.ndarray:
     """The distinct rows of `arr` (width d) in lexicographic order: the same
-    array as np.unique(arr, axis=0), in the memory order given; budget is
-    passed to _small_box.
+    array as np.unique(arr, axis=0), in the memory order given.
 
     Rows whose _row_labels already increase strictly (FFT sumsets,
     translations, subsets, product pairs) come back as a copy.  Otherwise the
@@ -143,7 +141,7 @@ def _canon_points(arr: np.ndarray, d: int, order: str = "C",
     key, size, decode = _row_labels(arr)
     if np.all(key[1:] > key[:-1]):
         return arr.copy(order=order)
-    if _small_box(size, len(key), budget):
+    if _small_box(size, len(key)):
         mark = np.zeros(size, dtype=bool)
         mark[key] = True
         key = np.flatnonzero(mark)

@@ -9,8 +9,7 @@ back to an FFT indicator convolution, transformed at 7-smooth lengths on
 the real base (the cyclic grid p^k on the p-adic base) with one squared
 spectrum for A + A.  Smaller sumsets and every product set go through one
 blocked pair kernel (_pair_rows): blocks of at most PAIR_BLOCK pairs are
-put on the grid and marked in one occupancy table over an output box known
-in advance, or merged sorted-unique when that box is too large, so the
+put on the grid, and their distinct rows are merged sorted-unique, so the
 point budget caps the distinct rows, not the pairs.  An empty operand gives
 the empty set at the (scale_exp, radius_exp) of a one-point operand.
 
@@ -40,10 +39,8 @@ from .dset import (
     _grid_rows,
     _key_rows,
     _read_rows,
-    _row_keys,
     _row_mins,
     _row_norm_sq,
-    _small_box,
     _write_rows,
     point_budget,
 )
@@ -260,45 +257,35 @@ def _grid_products(alg, U, V, unit, scale_exp, side, unit_out, op) -> np.ndarray
 # ---------------------------------------------------------------------------
 # the blocked pair kernel of sumsets and product sets
 
-def _pair_rows(op, alg, a, k, block, box):
+def _pair_rows(op, alg, a, k, block):
     """The rows of block(a[i:j]) over blocks of a's rows, each block of at
     most PAIR_BLOCK and point_budget() pairs (one row of a at least):
     block gives the int64 grid rows of its rows paired with the k rows of
     the other operand.  One block comes back as it is, for the DSet to
-    canonicalize.  More come back distinct and in order: their _row_keys
-    are marked in one occupancy table when the box() = (lo, hi) bounding
-    every row is a _small_box for len(a) k rows; otherwise each block's
-    distinct rows are kept and merged sorted-unique at the end and whenever
-    they pass the budget, and BudgetExceeded, naming op and its sizes, is
-    raised when the distinct rows do.  point_budget() is read once."""
+    canonicalize.  More come back distinct and in order: each block's
+    distinct rows are kept, and merged sorted-unique at the end and
+    whenever they pass twice the last merge (and PAIR_BLOCK), so the merges
+    sort a constant times the blocks' distinct rows.  BudgetExceeded,
+    naming op and its sizes, is raised when a merge has more rows than
+    point_budget(), which is read once."""
     d, n, budget = alg.d, len(a), point_budget()
     if n * k <= min(PAIR_BLOCK, budget):     # one block: its rows as they are
         return block(a)
-    lo, hi = box()
-    spans = [h - l + 1 for l, h in zip(lo, hi)]
-    size = math.prod(spans)
-    mark = np.zeros(size, dtype=bool) if _small_box(size, n * k, budget) else None
-    kept, held = [], 0
+    kept, held, top = [], 0, PAIR_BLOCK
     step = max(1, min(PAIR_BLOCK, budget) // k)
     for i in range(0, n, step):
-        rows = block(a[i:i + step])
-        if mark is not None:
-            mark[_row_keys(rows, lo, spans)] = True
-            continue
-        kept.append(_canon_points(rows, d, budget=budget))
+        kept.append(_canon_points(block(a[i:i + step]), d))
         held += len(kept[-1])
-        if held > budget:
-            kept = [_canon_points(np.concatenate(kept), d, budget=budget)]
+        if held > top or i + step >= n:
+            kept = [_canon_points(np.concatenate(kept), d)]
             held = len(kept[0])
             if held > budget:
                 raise BudgetExceeded(
                     f"{op}: operands of sizes [{n}, {k}] give at least {held} "
                     f"distinct rows, past the point budget {budget}",
                     {"pairs": n * k, "rows": held, "budget": budget})
-    if mark is not None:
-        return _key_rows(np.flatnonzero(mark), lo, spans)
-    return kept[0] if len(kept) == 1 else _canon_points(np.concatenate(kept), d,
-                                                         budget=budget)
+            top = max(2 * held, PAIR_BLOCK)
+    return kept[0]
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +399,7 @@ def _sumset(A: DSet, B: DSet, window=None) -> DSet:
         if mod is not None:
             pts %= mod
         return pts
-
-    def box():
-        if mod is not None:
-            return [0] * alg.d, [mod - 1] * alg.d
-        (alo, ahi), (blo, bhi) = _col_bounds(a), _col_bounds(b)
-        return (alo + blo).tolist(), (ahi + bhi).tolist()
-    return DSet(alg, A.scale_exp, out_r, _pair_rows("sumset", alg, a, len(b), block, box))
+    return DSet(alg, A.scale_exp, out_r, _pair_rows("sumset", alg, a, len(b), block))
 
 
 def negate(A: DSet) -> DSet:
@@ -443,16 +424,7 @@ def product_set(A: DSet, B: DSet, side: str = "Left") -> DSet:
     alg, a, b, scale = A.alg, A.points, B.points, A.scale_exp
     unit = A.unit_exp() + B.unit_exp()
     block = _grid_times(alg, b, _abs_max(a), unit, scale, side, unit, "product_set")
-
-    def box():
-        if not alg.is_real_base:    # residues mod p^(scale + unit)
-            return [0] * alg.d, [alg.p ** (scale + unit) - 1] * alg.d
-        # R, C and H are normed: |raw coordinate| <= |u v| = |u| |v|
-        raw = math.isqrt(int(_row_norm_sq(a).max()) * int(_row_norm_sq(b).max()))
-        (f,), (q,), _ = _grid_steps(alg, alg.radix ** unit, scale, unit)
-        top = (raw * f + q // 2) // q
-        return [-top] * alg.d, [top] * alg.d
-    pts = _pair_rows("product_set", alg, a, len(b), block, box)
+    pts = _pair_rows("product_set", alg, a, len(b), block)
     return DSet(alg, scale, A.radius_exp + B.radius_exp, pts)
 
 

@@ -168,24 +168,6 @@ def _scaled(vec):
     return [int(c * L) for c in vec]
 
 
-def _saturated(basis, p):
-    """Rational rows spanning the Q_p-span of basis, every entry in Z_p, that
-    stay independent mod p: Gaussian elimination whose pivot is an entry of
-    least valuation, its row divided by it.  One vector becomes a Z_p-unit
-    multiple of its primitive integral form (3 -> 1, 1/9 -> 1 at p = 3)."""
-    rows, out = [[Fraction(c) for c in b] for b in basis], []
-    while rows:
-        piv = min(((al.vq(c, p), i, t) for i, r in enumerate(rows)
-                   for t, c in enumerate(r) if c), default=None)
-        if piv is None:
-            raise ParameterRangeError("sub-algebra basis is not independent")
-        _, i, t = piv
-        row = rows.pop(i)
-        out.append([c / row[t] for c in row])
-        rows = [[c - r[t] * e for c, e in zip(r, out[-1])] for r in rows]
-    return out
-
-
 def _adjugate(M):
     """adj(M) of a square integer matrix: the transposed cofactors."""
     return [[(-1) ** (i + j) * al._int_det([r[:i] + r[i + 1:]
@@ -194,30 +176,28 @@ def _adjugate(M):
 
 
 def _padic_isometry_data(alg, basis):
-    """Complete the basis greedily with standard vectors to d columns that
-    are independent mod p (so of unit determinant); returns them as
-    Fractions, the basis first.  ValueError when p divides a denominator."""
+    """d columns in Z_p^d (Fractions) of unit determinant whose first k
+    span the Q_p-span of the k basis vectors: Gaussian elimination
+    whose pivot is an entry of least valuation, its row divided by it, gives
+    Z_p rows with a unit pivot at distinct columns t, each row zero at the
+    pivots before it; the standard vectors e_t of the other columns
+    complete them.  One vector becomes a Z_p-unit multiple of its primitive
+    integral form (3 -> 1, 1/9 -> 1 at p = 3).  ParameterRangeError when
+    the basis is dependent."""
     p, d = alg.p, alg.d
-
-    def independent(cols):
-        vecs = [[Fraction(c).numerator * pow(Fraction(c).denominator, -1, p) % p
-                 for c in col] for col in cols]
-        for i, v in enumerate(vecs):    # row echelon form mod p
-            t = next((t for t, c in enumerate(v) if c), None)
-            if t is None:
-                return False
-            for w in vecs[i + 1:]:
-                f = w[t] * pow(v[t], -1, p)
-                w[:] = [(x - f * y) % p for x, y in zip(w, v)]
-        return True
-    cols = [list(b) for b in basis]
-    for k in range(d):
-        e = [Fraction(int(i == k)) for i in range(d)]
-        if len(cols) < d and independent(cols + [e]):
-            cols.append(e)
-    if len(cols) < d:
-        raise RuntimeError("could not complete p-adic basis")
-    return cols
+    rows, cols, pivots = [[Fraction(c) for c in b] for b in basis], [], set()
+    while rows:
+        piv = min(((al.vq(c, p), i, t) for i, r in enumerate(rows)
+                   for t, c in enumerate(r) if c), default=None)
+        if piv is None:
+            raise ParameterRangeError("sub-algebra basis is not independent")
+        _, i, t = piv
+        row = rows.pop(i)
+        cols.append([c / row[t] for c in row])
+        pivots.add(t)
+        rows = [[c - r[t] * e for c, e in zip(r, cols[-1])] for r in rows]
+    return cols + [[Fraction(int(i == t)) for i in range(d)]
+                   for t in range(d) if t not in pivots]
 
 
 def _span_distances(alg, basis, rows, u):
@@ -227,11 +207,10 @@ def _span_distances(alg, basis, rows, u):
     Real base, squared: with the basis scaled to integer rows B, G = B B^T
     and g = det G, (g |v|^2 - (Bv)^T adj(G) (Bv)) / (g 4^u).  p-adic base:
     p^(u - w), w the least valuation of the entries of adj(M) v outside the
-    span, M the integer completion (_padic_isometry_data) of the
-    _saturated basis, or 0 when they vanish: num = p^(W - w) over
-    den = p^(W - u), W = max(u, w).  int64 while a bound on |v| and the
-    matrices proves that every intermediate fits; Python ints in object
-    arrays otherwise."""
+    span, M the integer completion of the basis (_padic_isometry_data),
+    or 0 when they vanish: num = p^(W - w) over den = p^(W - u), W = max(u,
+    w).  int64 while a bound on |v| and the matrices proves that every
+    intermediate fits; Python ints in object arrays otherwise."""
     d, k, big = alg.d, len(basis), _abs_max(rows)
     if alg.is_real_base:
         B = [_scaled(b) for b in basis]
@@ -250,7 +229,7 @@ def _span_distances(alg, basis, rows, u):
                 num -= 2 * adj[i][j] * BV[i] * BV[j]
         return num, g * 4 ** u
     p = alg.p
-    cols = [_scaled(c) for c in _padic_isometry_data(alg, _saturated(basis, p))]
+    cols = [_scaled(c) for c in _padic_isometry_data(alg, basis)]
     R = _adjugate([list(r) for r in zip(*cols)])[k:] or [[0] * d]
     top = d * max(abs(c) for r in R for c in r) * big
     V = rows.astype(np.int64 if top < 2 ** 63 else object, copy=False)

@@ -13,6 +13,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
 from dlab import algebra as al
+from dlab import dset
 from dlab import lab
 from dlab import setops as so
 from dlab.dset import DSet, make_dset
@@ -786,8 +787,8 @@ def test_blocked_pair_kernel_equals_one_shot(spec, side, budget, data):
     """product_set (both sides) and the pairwise sumset, formed in one block
     or in blocks of at most DLAB_BUDGET_POINTS pairs (many blocks of one or
     a few rows under a budget near the output, one short of every pair, or
-    a small one) into an occupancy table or by a sorted-unique merge, equal
-    the one-shot _grid_products and a[:, None] + b[None]; or, when their
+    a small one) and merged sorted-unique, equal the one-shot
+    _grid_products and a[:, None] + b[None]; or, when their
     distinct rows pass the budget, raise BudgetExceeded naming the op.  A
     row past int64 raises ParameterRangeError on both sides."""
     kind, p, d, m = spec
@@ -808,8 +809,7 @@ def test_blocked_pair_kernel_equals_one_shot(spec, side, budget, data):
                "below output": len(want) - 1,
                "pairs": len(A) * len(B) - 1}.get(budget, budget)
         env = {} if cap is None else {"DLAB_BUDGET_POINTS": str(cap)}
-        with mock.patch.dict(os.environ, env), \
-                mock.patch.object(so, "_key_rows", wraps=so._key_rows) as table:
+        with mock.patch.dict(os.environ, env):
             if cap is not None and len(want) > cap:
                 with pytest.raises(BudgetExceeded, match=f"{name}: operands of sizes"):
                     op()
@@ -819,36 +819,65 @@ def test_blocked_pair_kernel_equals_one_shot(spec, side, budget, data):
         assert got == want and (got.scale_exp, got.radius_exp) == (
             want.scale_exp, want.radius_exp)
         one = len(A) * len(B) <= min(so.PAIR_BLOCK, cap or so.PAIR_BLOCK)
-        event(f"{name}: " + ("one block" if one else
-                             f"{'table' if table.called else 'merge'}, many blocks"))
+        event(f"{name}: " + ("one block" if one else "many blocks"))
 
 
-def test_pair_kernel_takes_both_branches_in_many_blocks():
-    """The rotated m=7 circle net's product set (box 257^2 for 652,864
-    pairs, 2,380 rows) and the sumset of 600 points of even coordinates in
-    [-40, 40]^2 (box 161^2 for 360,000 pairs, sums on the even lattice) take
-    the occupancy table at the default budget and, under a budget below
-    their box but above their output, the merge; either way in many blocks,
-    with the one-shot result."""
+def test_pair_kernel_many_blocks_on_table_and_sort():
+    """The rotated m=7 circle net's product set (652,864 pairs, 2,380 rows)
+    and the sumset of 600 points of even coordinates in [-40, 40]^2
+    (360,000 pairs, sums on the even lattice) run in many blocks and equal
+    the one-shot result.  At the default budget each block's distinct rows
+    come from an occupancy table over the block's box (257^2 and 161^2
+    keys); under a budget below that box but above the output, from a
+    sort."""
     C = al.make_algebra("C", m=7)
     net = lab.circle_net(C, 7)
     rnd = random.Random(600)
     even = make_dset(C, rnd.sample([(2 * i, 2 * j) for i in range(-20, 21)
                                     for j in range(-20, 21)], 600))
-    for op, one_shot, budget in (
+    real_small_box = dset._small_box
+    for op, one_shot, n, budget in (
             (lambda: so.product_set(net, net), lambda: _one_shot_product(net, net, "Left"),
-             40_000),
-            (lambda: so.sumset(even, even), lambda: _one_shot_sum(even, even), 10_000)):
+             len(net), 40_000),
+            (lambda: so.sumset(even, even), lambda: _one_shot_sum(even, even), 600, 10_000)):
         want = one_shot()
         assert len(want) <= budget
-        for env, branch in (({}, "table"), ({"DLAB_BUDGET_POINTS": str(budget)}, "merge")):
+        for cap, table in ((so.PAIR_BLOCK, True), (budget, False)):
+            seen = []
+
+            def small_box(size, rows):
+                seen.append(real_small_box(size, rows))
+                return seen[-1]
+            env = {} if table else {"DLAB_BUDGET_POINTS": str(budget)}
             with mock.patch.dict(os.environ, env), \
-                    mock.patch.object(so, "_key_rows", wraps=so._key_rows) as table, \
-                    mock.patch.object(so, "_row_keys", wraps=so._row_keys) as keys, \
+                    mock.patch.object(dset, "_small_box", small_box), \
                     mock.patch.object(so, "_canon_points", wraps=so._canon_points) as canon:
                 assert op() == want
-            assert table.called == (branch == "table")
-            assert (keys if branch == "table" else canon).call_count >= 6
+            blocks = -(-n // (cap // n))     # then the merges
+            assert blocks >= 6 and canon.call_count > blocks
+            assert seen[:blocks] == [table] * blocks
+
+
+def test_pair_kernel_merges_geometrically():
+    """R m=40: 3,000 + 1,000 random points give 3M pairs and about as many
+    distinct sums.  The kept rows are merged whenever they pass twice the
+    last merge, so there are about log2(3M / PAIR_BLOCK) merges, not one
+    per block; under a budget of 200,000 points the first merge past it
+    raises BudgetExceeded before the last block."""
+    R = al.make_algebra("R", m=40)
+    rng = np.random.default_rng(3)
+    A = make_dset(R, rng.integers(-2 ** 40, 2 ** 40, size=(3000, 1)))
+    B = make_dset(R, rng.integers(-2 ** 40, 2 ** 40, size=(1000, 1)))
+    with mock.patch.object(so, "_canon_points", wraps=so._canon_points) as canon:
+        got = so.sumset(A, B)
+    assert np.array_equal(got.points, _one_shot_sum(A, B).points)
+    blocks = -(-len(A) // (so.PAIR_BLOCK // len(B)))
+    merges = canon.call_count - blocks
+    assert 2 <= merges <= 2 + math.log2(len(got) / so.PAIR_BLOCK)
+    with mock.patch.dict(os.environ, {"DLAB_BUDGET_POINTS": "200000"}), \
+            pytest.raises(BudgetExceeded, match=r"sumset: operands of sizes \[3000, 1000\]") as exc:
+        so.sumset(A, B)
+    assert 200_000 < exc.value.sizes["rows"] <= 2 * 200_000 + so.PAIR_BLOCK
 
 
 def test_product_set_budget_caps_distinct_rows_not_pairs(monkeypatch):

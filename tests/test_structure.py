@@ -434,24 +434,31 @@ def test_avoidance_ties_at_the_threshold():
 
 @pytest.mark.parametrize("p, d", [(2, 3), (3, 2), (5, 2)])
 def test_padic_isometry_data_has_unit_determinant(p, d):
-    """The completion keeps the basis first, adds standard vectors and has a
-    unit determinant, so the oracle's distance does not depend on which
-    completion it is; it raises exactly when every k x k minor of the basis
-    vanishes mod p."""
+    """The completion's first k columns lie in Z_p and span the basis's
+    Q_p-span (their maximal minors are a nonzero multiple of the basis's),
+    the other columns are standard vectors, and the d columns have a unit
+    determinant, so the distance does not depend on which completion it
+    is; it raises exactly when every k x k minor of the basis vanishes.
+    Entries include multiples of p and p in denominators."""
     alg = al.make_algebra("Qp_ext", p=p, d=d, m=4)
     rnd = random.Random(p * d)
-    for _ in range(40):
-        basis = [tuple(Fraction(rnd.randrange(-4, 5), rnd.choice((1, p + 1)))
+
+    def minors(rows):
+        return [al.det_fraction([[r[t] for t in ts] for r in rows])
+                for ts in itertools.combinations(range(d), len(rows))]
+    for _ in range(60):
+        basis = [tuple(Fraction(rnd.randrange(-4, 5), rnd.choice((1, p, p + 1)))
                        for _ in range(d)) for _ in range(rnd.randrange(d))]
-        k = len(basis)
-        unit = any(al.vq(al.det_fraction([[b[t] for t in ts] for b in basis]), p) == 0
-                   for ts in itertools.combinations(range(d), k))
-        if not unit:
-            with pytest.raises(RuntimeError):
+        k, want = len(basis), minors(basis)
+        if not any(want):
+            with pytest.raises(ParameterRangeError, match="not independent"):
                 st._padic_isometry_data(alg, basis)
             continue
         cols = st._padic_isometry_data(alg, basis)
-        assert [tuple(c) for c in cols[:k]] == basis and len(cols) == d
+        assert len(cols) == d and all(al.vq(c, p) >= 0 for col in cols for c in col if c)
+        got = minors(cols[:k])
+        ratio = next(g / w for g, w in zip(got, want) if w)
+        assert ratio != 0 and got == [ratio * w for w in want]
         assert all(sorted(c) == [0] * (d - 1) + [1] for c in cols[k:])
         assert al.vq(al.det_fraction([list(r) for r in zip(*cols)]), p) == 0
 
