@@ -494,16 +494,6 @@ def norm_exp(alg: AlgebraDescriptor, x: Element):
     return v - x.unit_exp
 
 
-def norm(alg: AlgebraDescriptor, x: Element):
-    """Absolute value: Euclidean (real base, float) or p^-v (p-adic, Fraction)."""
-    if alg.is_real_base:
-        return float(norm_sq(alg, x)) ** 0.5
-    e = norm_exp(alg, x)
-    if e is None:
-        return Fraction(0)
-    return Fraction(1, alg.p ** e) if e >= 0 else Fraction(alg.p ** (-e))
-
-
 def _int_det(mat):
     """Exact determinant of a square integer matrix by Laplace expansion along
     the first row (d! terms: small for d <= 4)."""

@@ -14,8 +14,9 @@ point budget caps the distinct rows, not the pairs.  An empty operand gives
 the empty set at the (scale_exp, radius_exp) of a one-point operand.
 
 Products, scalar images, projections, quotients and the dual map share one
-bilinear array product (_raw_products) and one grid step (_to_grid); the
-counting engines take their rows from the same kernel.  It runs on int64
+bilinear array product (_raw_products) and one grid step (_to_grid, the
+exact _grid_exact cast to int64); the counting engines and the escape pool
+of structure take their rows from the same kernel.  It runs on int64
 while every raw product provably fits and on Python ints otherwise.  A
 PairSet keeps its a and b halves as contiguous columns with their bounds;
 _project_many projects it along many directions, doing once what does not
@@ -196,17 +197,25 @@ def _grid_dtype(alg, big, den, scale_exp, unit_out, add=0):
 
 
 def _to_grid(alg, raw, den, scale_exp, unit_out, op, plus=None) -> np.ndarray:
+    """_grid_exact as int64 rows: a modulus or a row past int64 raises
+    ParameterRangeError naming op."""
+    if not alg.is_real_base and alg.p ** (scale_exp + unit_out) >= 2 ** 63:
+        raise ParameterRangeError(f"{op}: modulus {alg.p}^{scale_exp + unit_out} past int64")
+    try:
+        return _grid_exact(alg, raw, den, scale_exp, unit_out, op, plus).astype(np.int64, copy=False)
+    except OverflowError:
+        raise ParameterRangeError(f"{op}: grid rows past int64") from None
+
+
+def _grid_exact(alg, raw, den, scale_exp, unit_out, op, plus=None) -> np.ndarray:
     """The exact values raw / den on the grid of scale_exp, plus the grid
-    rows `plus` if given, as int64 rows; den is one int or one per row of
+    rows `plus` if given, in raw's dtype; den is one int or one per row of
     raw's second-to-last axis.  Real base: |value| rounded once, half up, to
     units 2^-scale_exp, times its sign.  p-adic base: in units p^-unit_out mod
-    p^(scale_exp + unit_out).  A value finer than p^-unit_out, a modulus past
-    int64 or a row past int64 raises ParameterRangeError naming op.  raw's
-    dtype is the one _grid_dtype chose for its bound (and the sum's); the sum
-    is taken in it."""
+    p^(scale_exp + unit_out).  A value finer than p^-unit_out raises
+    ParameterRangeError naming op.  raw's dtype is the one _grid_dtype chose
+    for its bound (and the sum's); the sum is taken in it."""
     f, q, mod = _grid_steps(alg, den, scale_exp, unit_out)
-    if mod is not None and mod >= 2 ** 63:
-        raise ParameterRangeError(f"{op}: modulus {alg.p}^{scale_exp + unit_out} past int64")
     f, q = (np.array(v, dtype=raw.dtype).reshape(-1, 1) for v in (f, q))
     if alg.is_real_base:
         out = raw * f if np.any(f != 1) else raw
@@ -227,10 +236,7 @@ def _to_grid(alg, raw, den, scale_exp, unit_out, op, plus=None) -> np.ndarray:
     if plus is not None:
         out = out + plus.astype(out.dtype, copy=False)
         out = out if mod is None else out % mod
-    try:
-        return out.astype(np.int64, copy=False)
-    except OverflowError:
-        raise ParameterRangeError(f"{op}: grid rows past int64") from None
+    return out
 
 
 def _grid_times(alg, V, big_u, unit, scale_exp, side, unit_out, op):
@@ -557,11 +563,7 @@ def quotient_set(A: DSet, rho_exp: int, side: str = "Left",
     m = A.scale_exp
     if not (0 < rho_exp and m - 3 * rho_exp >= 1):
         raise ParameterRangeError("need 0 < rho_exp < m/3 so Delta is a scale")
-    scale_out = m - 3 * rho_exp
-    if alg.is_real_base:
-        radius_out = A.radius_exp + 1 + rho_exp
-    else:
-        radius_out = A.radius_exp + rho_exp
+    scale_out, radius_out = m - 3 * rho_exp, A.radius_exp + rho_exp + int(alg.is_real_base)
     diffs, first = _distinct_differences(A)
     if alg.is_real_base:    # sum u^2 4^-m > 4^-rho
         far = _row_norm_sq(diffs) > 4 ** (m - rho_exp)
@@ -625,8 +627,7 @@ def _linear_map_rows(alg, L):
     ents = [e for row in L for e in row]
     U = max(e.unit_exp for e in ents)
     rows = [[c * r ** (U - e.unit_exp) for c in e.coords] for e in ents]
-    P = _raw_products(alg, rows, np.eye(d, dtype=object), "Left", object)
-    P = P.reshape(4, d, d)
+    P = _raw_products(alg, rows, np.eye(d, dtype=object), "Left", object).reshape(4, d, d)
     M = np.block([[P[0], P[2]], [P[1], P[3]]])
     det = al.det_fraction(M.tolist())
     if det == 0:

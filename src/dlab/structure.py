@@ -21,7 +21,7 @@ import numpy as np
 from . import algebra as al
 from . import setops as so
 from .algebra import AlgebraDescriptor, Element
-from .dset import DSet, _abs_max, _row_lookup, point_budget
+from .dset import DSet, _abs_max, _row_lookup, _row_mins, point_budget
 from .errors import (
     BudgetExceeded,
     NotRealBase,
@@ -51,21 +51,16 @@ def _imaginary_net(net_exp: int):
     """Directions on the unit sphere of Im(H): cube-surface grid points at
     spacing 2^-net_exp, unnormalized (spans are scale-invariant)."""
     n = 2 ** net_exp
-    seen = set()
-    out = []
-    for face_axis in range(3):
-        for sign in (1, -1):
-            for u in range(-n, n + 1):
-                for v in range(-n, n + 1):
-                    vec = [0, 0, 0]
-                    vec[face_axis] = sign * n
-                    vec[(face_axis + 1) % 3] = u
-                    vec[(face_axis + 2) % 3] = v
-                    g = math.gcd(math.gcd(abs(vec[0]), abs(vec[1])), abs(vec[2]))
-                    prim = tuple(c // g for c in vec)
-                    if prim not in seen and tuple(-c for c in prim) not in seen:
-                        seen.add(prim)
-                        out.append(prim)
+    seen, out = set(), []
+    for axis, sign, u, v in itertools.product(range(3), (1, -1), range(-n, n + 1),
+                                              range(-n, n + 1)):
+        vec = [0, 0, 0]
+        vec[axis], vec[(axis + 1) % 3], vec[(axis + 2) % 3] = sign * n, u, v
+        g = math.gcd(*vec)
+        prim = tuple(c // g for c in vec)
+        if prim not in seen and tuple(-c for c in prim) not in seen:
+            seen.add(prim)
+            out.append(prim)
     return out
 
 
@@ -98,9 +93,7 @@ def residue_field_generator(alg):
     primes = _prime_factors(order)
     for coords in itertools.product(range(p), repeat=d):
         g = tuple(reversed(coords))  # low-degree-last iteration order
-        if all(c == 0 for c in g):
-            continue
-        if all(_gf_pow(alg, g, order // q) != one for q in primes):
+        if any(g) and all(_gf_pow(alg, g, order // q) != one for q in primes):
             return g
     raise RuntimeError("no generator found")  # unreachable for a field
 
@@ -113,13 +106,10 @@ def teichmuller_lift(alg, residue_coords, power: int = 1):
     t = al.element(alg, r)
     for _ in range(m + 1):
         # x -> x^(p^d) contracts onto the Teichmueller point
-        y = t
         for _ in range(d):
-            z = y
+            y = t
             for _ in range(p - 1):
-                z = al.mul(alg, z, y)
-            y = z
-        t = y
+                t = al.mul(alg, t, y)
     return t
 
 
@@ -129,10 +119,8 @@ def subfield_basis(alg, e: int):
     g = residue_field_generator(alg)
     t = teichmuller_lift(alg, g, (p ** d - 1) // (p ** e - 1))
     basis = [al.one(alg)]
-    cur = al.one(alg)
     for _ in range(e - 1):
-        cur = al.mul(alg, cur, t)
-        basis.append(cur)
+        basis.append(al.mul(alg, basis[-1], t))
     return [al.value_coords(alg, b) for b in basis]
 
 
@@ -251,18 +239,10 @@ def _cut(alg, den, thresh):
     return -(-den * t.numerator // t.denominator)
 
 
-def _element_rows(alg, elems):
-    """(rows, u): the coordinates of elems in units radix^-u, u their
-    largest unit_exp; int64 when they fit, Python ints otherwise."""
-    u = max((e.unit_exp for e in elems), default=0)
-    rows = np.array([[c * alg.radix ** (u - e.unit_exp) for c in e.coords]
-                     for e in elems], dtype=object).reshape(-1, alg.d)
-    return (rows.astype(np.int64) if _abs_max(rows) < 2 ** 63 else rows), u
-
-
 def distance_sq_or_exact(alg, a: Element, member: SubAlgebra):
     """Exact comparator value: squared distance (real) or distance (p-adic)."""
-    num, den = _span_distances(alg, member.basis, *_element_rows(alg, [a]))
+    num, den = _span_distances(alg, member.basis, np.array([a.coords], dtype=object),
+                               a.unit_exp)
     return Fraction(int(num[0]), den)
 
 
@@ -333,46 +313,72 @@ def strongly_avoids(A: DSet, C, family: SubAlgebraFamily | None = None):
 # ---------------------------------------------------------------------------
 # escape basis
 
+def _times(rows, f: int):
+    """rows * f exactly: on int64 while it fits, on Python ints otherwise."""
+    return rows * f if f * _abs_max(rows) < 2 ** 63 else rows.astype(object) * f
+
+
 def _candidate_pool(A: DSet, depth: int, cap: int = 100_000):
-    """Products of at most `depth` elements of A, deterministic order."""
-    alg = A.alg
-    elems = sorted(A.elements(), key=lambda e: e.coords)
-    pool, frontier, seen = list(elems), list(elems), set(elems)
+    """(rows, u, element): the products of at most `depth` elements of A as
+    rows in units radix^-u (int64 while they fit), and element(i), row i as
+    the Element that al.mul gives.  A's elements come first, in the order of
+    their canonical coordinates; then each depth's products f a, row-major
+    over the last depth's new products f and A's elements a, from one
+    _raw_products and _grid_exact pass.  A product is kept at its first
+    occurrence (_row_mins) unless an earlier candidate is the same Element
+    (real Elements compare with their unit: scale_exp for A's, m for
+    products); the pool stops at the product that brings it to `cap`."""
+    alg, r, m, u0 = A.alg, A.alg.radix, A.alg.m, A.unit_exp()
+    X, u = A.points, max(u0, m)
+    if not alg.is_real_base:    # reduced as al.element reduces, in canonical order
+        X, u = (X % r ** (m + u0) if A.scale_exp > m else X), depth * u0
+        canon = X.copy()
+        for _ in range(u0):
+            canon[np.all(canon % r == 0, axis=1)] //= r
+        X = X[np.lexsort(canon.T[::-1])]
+    n_el, skip = len(X), len(X) if alg.is_real_base and u0 != m else 0
+    P = frontier = X = _times(X, r ** (u - u0))
     for _ in range(depth - 1):
-        nxt = []
-        for f in frontier:
-            for a in elems:
-                prod = al.mul(alg, f, a)
-                if prod not in seen:
-                    seen.add(prod)
-                    pool.append(prod)
-                    nxt.append(prod)
-                if len(pool) >= cap:
-                    return pool
-        frontier = nxt
-    return pool
+        big, den = so._product_bound(alg, _abs_max(frontier), _abs_max(X)), r ** (2 * u)
+        raw = so._raw_products(alg, frontier, X, "Left", so._grid_dtype(alg, big, den, m, u))
+        Y = so._grid_exact(alg, raw, den, m, u, "escape_basis")
+        Y = _times(Y, r ** (u - m)) if alg.is_real_base else Y
+        new = np.zeros(len(P) - skip + len(Y), dtype=bool)
+        new[_row_mins(np.concatenate([P[skip:], Y]))] = True
+        new = new[len(P) - skip:]
+        full = len(P) + np.cumsum(new) >= cap     # cut after the product that fills it
+        new &= np.cumsum(full) - full == 0
+        frontier = Y[new]
+        P = np.concatenate([P, frontier])
+        if full.any():
+            break
+
+    def element(i):
+        e = u if not alg.is_real_base else u0 if i < n_el else m
+        return al.element(alg, [int(c) // r ** (u - e) for c in P[i]], e)
+    return P, u, element
 
 
 def escape_basis(A: DSet, floor) -> list:
-    """Greedy almost-orthogonal basis from products of <= d elements of A;
-    certificate is det_basis >= floor.  Each step scores the whole pool by
-    its distance to the span of the chosen elements in one _span_distances
-    call and takes the first candidate of largest (score, -|coords|)."""
+    """Greedy almost-orthogonal basis from products of <= d elements of A
+    (_candidate_pool); certificate is det_basis >= floor.  Each step scores
+    the pool's rows by their distance to the span of the rows chosen so far
+    in one _span_distances call and takes the first candidate of largest
+    (score, -|coords|); Elements are made for the d chosen rows only."""
     alg, d, floor = A.alg, A.alg.d, Fraction(floor)
-    pool = _candidate_pool(A, d)
-    rows, u = _element_rows(alg, pool)
-    neg_abs, chosen = -np.abs(rows), []
+    rows, u, element = _candidate_pool(A, d)
+    neg_abs, picks = -np.abs(rows), []
     for _ in range(d):
-        basis = tuple(al.value_coords(alg, c) for c in chosen)
-        score = _span_distances(alg, basis, rows, u)[0]
+        score = _span_distances(alg, rows[picks].tolist(), rows, u)[0]
         top = score.max(initial=0)
         if top <= 0:
             raise SubAlgebraTrapped("candidate pool spans a proper subspace",
-                                    span=[c.coords for c in chosen])
+                                    span=[element(i).coords for i in picks])
         best = score == top
         for t in range(d):
             best &= neg_abs[:, t] == neg_abs[best, t].max()
-        chosen.append(pool[int(np.flatnonzero(best)[0])])
+        picks.append(int(np.flatnonzero(best)[0]))
+    chosen = [element(i) for i in picks]
     det = al.det_basis(alg, chosen)
     det = abs(det) if alg.is_real_base else det
     if det < floor:

@@ -480,9 +480,9 @@ def test_recenter_keeps_a_set_holding_the_origin(spec):
 @given(hst.sampled_from(["R", "C", "H"]), hst.integers(0, 10 ** 6))
 def test_recenter_equals_min_loop(spec, seed):
     """iterated with clip equals the old round: the unclipped iterate,
-    recentered by the min loop, cut to the ball.  With n_prod = 1 the sums
-    are also forced onto the FFT branch, whose last sum is windowed to the
-    unit ball's box (products refuse a pairwise cap of 0)."""
+    recentered by the min loop, cut to the ball.  The sums are also forced
+    onto the FFT branch, whose last sum is windowed to the unit ball's box
+    (products do not read the pairwise cap)."""
     rnd = np.random.default_rng(seed)
     alg = al.make_algebra(spec, m=5)
     n, n_sum, n_prod = (int(v) for v in rnd.integers(1, (13, 4, 3)))
@@ -491,6 +491,5 @@ def test_recenter_equals_min_loop(spec, seed):
     S = so.iterated(A, n_sum, n_prod, clip=False)
     want = so.ball_intersect(make_dset(alg, _recenter_oracle(S), 5, S.radius_exp), 0)
     assert so.iterated(A, n_sum, n_prod) == want
-    if n_prod == 1:
-        with mock.patch.object(so, "PAIRWISE_CAP", 0):
-            assert so.iterated(A, n_sum, n_prod) == want
+    with mock.patch.object(so, "PAIRWISE_CAP", 0):
+        assert so.iterated(A, n_sum, n_prod) == want

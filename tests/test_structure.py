@@ -263,10 +263,31 @@ def _oracle_strongly(A, C, family):
                               sharp_passed=sharp, necessary_passed=necessary)
 
 
-def _oracle_escape(A, floor):
-    """escape_basis as a per-candidate Fraction loop."""
+def _element_pool(A: DSet, depth: int, cap: int = 100_000):
+    """Products of at most `depth` elements of A, deterministic order."""
     alg = A.alg
-    pool = st._candidate_pool(A, alg.d)
+    elems = sorted(A.elements(), key=lambda e: e.coords)
+    pool, frontier, seen = list(elems), list(elems), set(elems)
+    for _ in range(depth - 1):
+        nxt = []
+        for f in frontier:
+            for a in elems:
+                prod = al.mul(alg, f, a)
+                if prod not in seen:
+                    seen.add(prod)
+                    pool.append(prod)
+                    nxt.append(prod)
+                if len(pool) >= cap:
+                    return pool
+        frontier = nxt
+    return pool
+
+
+def _oracle_escape(A, floor):
+    """escape_basis as a per-candidate Fraction loop over the Element loop's
+    pool."""
+    alg = A.alg
+    pool = _element_pool(A, alg.d)
     chosen, chosen_vals = [], []
     for _ in range(alg.d):
         best = best_key = None
@@ -407,6 +428,81 @@ def test_escape_basis_padic_chosen_vector_with_p_in_a_denominator():
         assert _outcome(st.escape_basis, A, floor) == _outcome(_oracle_escape, A, floor)
 
 
+def _pool_is_element_loop(A, cap):
+    """The Element loop's pool, after checking that _candidate_pool gives the
+    same Elements in the same order, and rows of the same exact values."""
+    alg = A.alg
+    rows, u, element = st._candidate_pool(A, alg.d, cap)
+    want = _element_pool(A, alg.d, cap)
+    assert [element(i) for i in range(len(rows))] == want
+    assert ([tuple(Fraction(int(c), alg.radix ** u) for c in row) for row in rows]
+            == [al.value_coords(alg, e) for e in want])
+    return want, rows, u
+
+
+def _pool_trap(trap):
+    """The set of each named trap of the pool (see below)."""
+    if trap == "order-by-canonical-coords":
+        alg = al.make_algebra("Qp_ext", p=3, d=2, m=3)
+        return make_dset(alg, [(1, 5), (3, 0)], radius_exp=1)
+    if trap == "real-elements-compare-with-unit":
+        alg = al.make_algebra("C", m=4)
+        return make_dset(alg, [(8, 0), (16, 0)], scale_exp=3)
+    if trap == "H-products-past-int64":
+        alg = al.make_algebra("H", m=62)
+        return make_dset(alg, [(2 ** 62 - 1, 3 * 2 ** 60, -2 ** 61, 5),
+                               (-2 ** 62, 1, 2 ** 62 - 7, 2 ** 61)])
+    alg = al.make_algebra("Qp_ext", p=3, d=2, m=38)
+    return make_dset(alg, [(1, 2), (3 ** 39 - 1, 7)], radius_exp=1)
+
+
+@pytest.mark.parametrize("cap", [7, 100_000])
+@pytest.mark.parametrize("case", ["R", "C", "H", "Qp2", "Qp3", "Qp9",
+                                  "order-by-canonical-coords",
+                                  "real-elements-compare-with-unit",
+                                  "H-products-past-int64", "Qp9-modulus-3^40"])
+def test_candidate_pool_equals_element_loop(case, cap):
+    """_candidate_pool gives the Element loop's pool: the same candidates in
+    the same order, with the same Element units, cut at the same product
+    when the cap is reached.  Random sets of 0, 1, 2, ... points, then one
+    named case per trap:
+    - the order follows canonical Element coordinates, not A's row order:
+      the row (3, 0) at radius_exp 1 comes first, held as (1, 0) at unit 0;
+    - real Elements compare with their unit: (16, 0) at unit 3 and (32, 0)
+      at unit 4 are both the value 2, and both are kept;
+    - H m=62 products pass 2^63 and are kept in Python ints;
+    - on Qp_ext p=3 m=38 at radius_exp 1 the depth-2 modulus is 3^40."""
+    if case in ("R", "C", "H", "Qp2", "Qp3", "Qp9"):
+        spec, p, d, _, ms = _AVOID_ALGS["H1" if case == "H" else case]
+        rnd = random.Random(f"{case} {cap}")
+        for n in range(4 if spec == "H" else 9):
+            alg = al.make_algebra(spec, p=p, d=d, m=ms[rnd.randrange(2)])
+            if alg.is_real_base:
+                scale, radius = alg.m - rnd.randrange(2), 0
+                top = 2 ** scale
+                pts = [[rnd.randrange(-top, top + 1) for _ in range(alg.d)] for _ in range(n)]
+            else:
+                scale, radius = alg.m, rnd.randrange(2)
+                mod = p ** (alg.m + radius)
+                pts = [[rnd.randrange(mod) * p ** rnd.randrange(3) % mod
+                        for _ in range(alg.d)] for _ in range(n)]
+            _pool_is_element_loop(make_dset(alg, pts, scale_exp=scale, radius_exp=radius), cap)
+        return
+    A = _pool_trap(case)
+    want, rows, u = _pool_is_element_loop(A, cap)
+    if case == "order-by-canonical-coords":
+        assert want[:2] == [al.element(A.alg, (1, 0), 0), al.element(A.alg, (1, 5), 1)]
+    elif case == "real-elements-compare-with-unit":
+        assert [(e.coords, e.unit_exp) for e in want][:5] == [
+            ((8, 0), 3), ((16, 0), 3), ((16, 0), 4), ((32, 0), 4), ((64, 0), 4)]
+    elif case == "H-products-past-int64":
+        assert rows.dtype == object and st._abs_max(rows) >= 2 ** 63
+    else:
+        assert u == 2 and rows.dtype == object and max(e.unit_exp for e in want) == 2
+    if cap > len(want):
+        assert _outcome(st.escape_basis, A, 0) == _outcome(_oracle_escape, A, 0)
+
+
 def test_padic_distance_to_a_span_dependent_mod_p():
     """Qp_ext p=3 d=3: (1, 0, 0) and (1, 3, 0) are each of norm 1 but equal
     mod 3, and span e_1, e_2 over Q_3.  Completing them as they are raised
@@ -479,7 +575,8 @@ def test_padic_distance_past_int64():
     Q2 = al.make_algebra("Qp", p=2, m=80)
     zero = st.subalgebra_family(Q2).members[0]
     elems = [al.element(Q2, (c,)) for c in (1, 2 ** 70, 3 * 2 ** 70)]
-    num, den = st._span_distances(Q2, (), *st._element_rows(Q2, elems))
+    rows = np.array([[1], [2 ** 70], [3 * 2 ** 70]], dtype=object)
+    num, den = st._span_distances(Q2, (), rows, 0)
     assert den == 2 ** 70
     assert [Fraction(int(c), den) for c in num] == [_oracle_dist(Q2, a, ()) for a in elems]
     want = [1, Fraction(1, 2 ** 70), Fraction(1, 2 ** 70)]
