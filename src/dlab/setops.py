@@ -563,7 +563,11 @@ def quotient_set(A: DSet, rho_exp: int, side: str = "Left",
     m = A.scale_exp
     if not (0 < rho_exp and m - 3 * rho_exp >= 1):
         raise ParameterRangeError("need 0 < rho_exp < m/3 so Delta is a scale")
-    scale_out, radius_out = m - 3 * rho_exp, A.radius_exp + rho_exp + int(alg.is_real_base)
+    scale_out = m - 3 * rho_exp
+    if alg.is_real_base:
+        radius_out = A.radius_exp + 1 + rho_exp
+    else:
+        radius_out = A.radius_exp + rho_exp
     diffs, first = _distinct_differences(A)
     if alg.is_real_base:    # sum u^2 4^-m > 4^-rho
         far = _row_norm_sq(diffs) > 4 ** (m - rho_exp)
@@ -627,7 +631,8 @@ def _linear_map_rows(alg, L):
     ents = [e for row in L for e in row]
     U = max(e.unit_exp for e in ents)
     rows = [[c * r ** (U - e.unit_exp) for c in e.coords] for e in ents]
-    P = _raw_products(alg, rows, np.eye(d, dtype=object), "Left", object).reshape(4, d, d)
+    P = _raw_products(alg, rows, np.eye(d, dtype=object), "Left", object)
+    P = P.reshape(4, d, d)
     M = np.block([[P[0], P[2]], [P[1], P[3]]])
     det = al.det_fraction(M.tolist())
     if det == 0:

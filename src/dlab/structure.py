@@ -51,16 +51,21 @@ def _imaginary_net(net_exp: int):
     """Directions on the unit sphere of Im(H): cube-surface grid points at
     spacing 2^-net_exp, unnormalized (spans are scale-invariant)."""
     n = 2 ** net_exp
-    seen, out = set(), []
-    for axis, sign, u, v in itertools.product(range(3), (1, -1), range(-n, n + 1),
-                                              range(-n, n + 1)):
-        vec = [0, 0, 0]
-        vec[axis], vec[(axis + 1) % 3], vec[(axis + 2) % 3] = sign * n, u, v
-        g = math.gcd(*vec)
-        prim = tuple(c // g for c in vec)
-        if prim not in seen and tuple(-c for c in prim) not in seen:
-            seen.add(prim)
-            out.append(prim)
+    seen = set()
+    out = []
+    for face_axis in range(3):
+        for sign in (1, -1):
+            for u in range(-n, n + 1):
+                for v in range(-n, n + 1):
+                    vec = [0, 0, 0]
+                    vec[face_axis] = sign * n
+                    vec[(face_axis + 1) % 3] = u
+                    vec[(face_axis + 2) % 3] = v
+                    g = math.gcd(math.gcd(abs(vec[0]), abs(vec[1])), abs(vec[2]))
+                    prim = tuple(c // g for c in vec)
+                    if prim not in seen and tuple(-c for c in prim) not in seen:
+                        seen.add(prim)
+                        out.append(prim)
     return out
 
 
@@ -93,7 +98,9 @@ def residue_field_generator(alg):
     primes = _prime_factors(order)
     for coords in itertools.product(range(p), repeat=d):
         g = tuple(reversed(coords))  # low-degree-last iteration order
-        if any(g) and all(_gf_pow(alg, g, order // q) != one for q in primes):
+        if all(c == 0 for c in g):
+            continue
+        if all(_gf_pow(alg, g, order // q) != one for q in primes):
             return g
     raise RuntimeError("no generator found")  # unreachable for a field
 
@@ -106,10 +113,13 @@ def teichmuller_lift(alg, residue_coords, power: int = 1):
     t = al.element(alg, r)
     for _ in range(m + 1):
         # x -> x^(p^d) contracts onto the Teichmueller point
+        y = t
         for _ in range(d):
-            y = t
+            z = y
             for _ in range(p - 1):
-                t = al.mul(alg, t, y)
+                z = al.mul(alg, z, y)
+            y = z
+        t = y
     return t
 
 
@@ -119,8 +129,10 @@ def subfield_basis(alg, e: int):
     g = residue_field_generator(alg)
     t = teichmuller_lift(alg, g, (p ** d - 1) // (p ** e - 1))
     basis = [al.one(alg)]
+    cur = al.one(alg)
     for _ in range(e - 1):
-        basis.append(al.mul(alg, basis[-1], t))
+        cur = al.mul(alg, cur, t)
+        basis.append(cur)
     return [al.value_coords(alg, b) for b in basis]
 
 
@@ -313,49 +325,43 @@ def strongly_avoids(A: DSet, C, family: SubAlgebraFamily | None = None):
 # ---------------------------------------------------------------------------
 # escape basis
 
-def _times(rows, f: int):
-    """rows * f exactly: on int64 while it fits, on Python ints otherwise."""
-    return rows * f if f * _abs_max(rows) < 2 ** 63 else rows.astype(object) * f
-
-
 def _candidate_pool(A: DSet, depth: int, cap: int = 100_000):
     """(rows, u, element): the products of at most `depth` elements of A as
     rows in units radix^-u (int64 while they fit), and element(i), row i as
-    the Element that al.mul gives.  A's elements come first, in the order of
-    their canonical coordinates; then each depth's products f a, row-major
-    over the last depth's new products f and A's elements a, from one
-    _raw_products and _grid_exact pass.  A product is kept at its first
-    occurrence (_row_mins) unless an earlier candidate is the same Element
-    (real Elements compare with their unit: scale_exp for A's, m for
-    products); the pool stops at the product that brings it to `cap`."""
+    the Element that al.mul gives.  A's Elements come first, sorted by their
+    coordinates; then each depth's new products f a, row-major over the last
+    depth's new f and A's a, up to the one that brings the pool to `cap`.
+    The f go in blocks of at most PAIR_BLOCK products and the room left
+    under `cap`, one _raw_products and _grid_exact pass each.  A product is
+    new unless an earlier candidate is the same Element (real Elements
+    compare with their unit: scale_exp for A's, m for products)."""
     alg, r, m, u0 = A.alg, A.alg.radix, A.alg.m, A.unit_exp()
-    X, u = A.points, max(u0, m)
-    if not alg.is_real_base:    # reduced as al.element reduces, in canonical order
-        X, u = (X % r ** (m + u0) if A.scale_exp > m else X), depth * u0
-        canon = X.copy()
-        for _ in range(u0):
-            canon[np.all(canon % r == 0, axis=1)] //= r
-        X = X[np.lexsort(canon.T[::-1])]
-    n_el, skip = len(X), len(X) if alg.is_real_base and u0 != m else 0
-    P = frontier = X = _times(X, r ** (u - u0))
+    elems = sorted(A.elements(), key=lambda e: e.coords)
+    u = max(u0, m) if alg.is_real_base else depth * u0
+    X = np.array([[c * r ** (u - e.unit_exp) for c in e.coords] for e in elems],
+                 dtype=object).reshape(-1, alg.d)
+    P = X = X.astype(np.int64) if _abs_max(X) < 2 ** 63 else X
+    skip = len(X) if alg.is_real_base and u0 != m else 0
+    f = r ** (u - m) if alg.is_real_base else 1   # grid rows of scale m to unit u
+    den, start, full = r ** (2 * u), 0, False
     for _ in range(depth - 1):
-        big, den = so._product_bound(alg, _abs_max(frontier), _abs_max(X)), r ** (2 * u)
-        raw = so._raw_products(alg, frontier, X, "Left", so._grid_dtype(alg, big, den, m, u))
-        Y = so._grid_exact(alg, raw, den, m, u, "escape_basis")
-        Y = _times(Y, r ** (u - m)) if alg.is_real_base else Y
-        new = np.zeros(len(P) - skip + len(Y), dtype=bool)
-        new[_row_mins(np.concatenate([P[skip:], Y]))] = True
-        new = new[len(P) - skip:]
-        full = len(P) + np.cumsum(new) >= cap     # cut after the product that fills it
-        new &= np.cumsum(full) - full == 0
-        frontier = Y[new]
-        P = np.concatenate([P, frontier])
-        if full.any():
-            break
+        frontier, start, i = P[start:], len(P), 0
+        while i < len(frontier) and not full:
+            F = frontier[i:i + max(1, min(so.PAIR_BLOCK, cap - len(P)) // len(X))]
+            i += len(F)
+            big = so._product_bound(alg, _abs_max(F), _abs_max(X)) * f   # and Y * f
+            raw = so._raw_products(alg, F, X, "Left", so._grid_dtype(alg, big, den, m, u))
+            Y = so._grid_exact(alg, raw, den, m, u, "escape_basis") * f
+            new = np.zeros(len(P) - skip + len(Y), dtype=bool)
+            new[_row_mins(np.concatenate([P[skip:], Y]))] = True
+            new = new[len(P) - skip:]
+            cut = len(P) + np.cumsum(new) >= cap     # cut after the product that fills it
+            new &= np.cumsum(cut) - cut == 0
+            P, full = np.concatenate([P, Y[new]]), cut.any()
 
     def element(i):
-        e = u if not alg.is_real_base else u0 if i < n_el else m
-        return al.element(alg, [int(c) // r ** (u - e) for c in P[i]], e)
+        e = m if alg.is_real_base else u
+        return elems[i] if i < len(elems) else al.element(alg, P[i] // r ** (u - e), e)
     return P, u, element
 
 

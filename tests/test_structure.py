@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -478,7 +479,7 @@ def test_candidate_pool_equals_element_loop(case, cap):
         for n in range(4 if spec == "H" else 9):
             alg = al.make_algebra(spec, p=p, d=d, m=ms[rnd.randrange(2)])
             if alg.is_real_base:
-                scale, radius = alg.m - rnd.randrange(2), 0
+                scale, radius = alg.m + rnd.randrange(-1, 2), 0
                 top = 2 ** scale
                 pts = [[rnd.randrange(-top, top + 1) for _ in range(alg.d)] for _ in range(n)]
             else:
@@ -501,6 +502,24 @@ def test_candidate_pool_equals_element_loop(case, cap):
         assert u == 2 and rows.dtype == object and max(e.unit_exp for e in want) == 2
     if cap > len(want):
         assert _outcome(st.escape_basis, A, 0) == _outcome(_oracle_escape, A, 0)
+
+
+def test_candidate_pool_of_a_large_set_goes_in_blocks():
+    """A C set of 5,000 points, far above the square root of the cap: the
+    pool is the Element loop's, and its products are formed in blocks of
+    at most PAIR_BLOCK, so the pass traces a few MB; all products of the
+    frontier at once would be 25 million rows, about 400 MB of int64."""
+    alg, rnd = al.make_algebra("C", m=20), random.Random(5000)
+    A = make_dset(alg, [[rnd.randrange(-2 ** 20, 2 ** 20) for _ in range(2)]
+                        for _ in range(5000)])
+    tracemalloc.start()
+    try:
+        rows, u, element = st._candidate_pool(A, alg.d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert [element(i) for i in range(len(rows))] == _element_pool(A, alg.d)
 
 
 def test_padic_distance_to_a_span_dependent_mod_p():
