@@ -7,10 +7,14 @@ point a, which at a tie can differ from rounding a + x b.  p-adic
 composites are exact.  Large sumsets fall
 back to an FFT indicator convolution, transformed at 7-smooth lengths on
 the real base (the cyclic grid p^k on the p-adic base) with one squared
-spectrum for A + A.  Smaller sumsets and every product set go through one
-blocked pair kernel (_pair_rows): blocks of at most PAIR_BLOCK pairs are
-put on the grid, and their distinct rows are merged sorted-unique, so the
-point budget caps the distinct rows, not the pairs.  An empty operand gives
+spectrum for A + A.  A - A and iterated's whole chain n (P - P) take one
+spectrum F of P raised to |F|^(2n) and one inverse transform
+(_fft_power_sum) while a proven float-error bound holds, and the stepwise
+chain of sumsets otherwise.  Smaller sumsets and every product set go
+through one blocked pair kernel (_pair_rows): blocks of at most PAIR_BLOCK
+pairs are put on the grid, and their distinct rows are merged
+sorted-unique, so the point budget caps the distinct rows, not the pairs.
+An empty operand gives
 the empty set at the (scale_exp, radius_exp) of a one-point operand.
 
 Products, scalar images, projections, quotients and the dual map share one
@@ -58,6 +62,11 @@ from .errors import (
 PAIRWISE_CAP = 4_000_000   # sumsets of more pairs take the FFT branch
 PAIR_BLOCK = 1 << 16       # pairs per block of _pair_rows
 FFT_CELL_CAP = 1 << 24
+# c u of the FFT error bounds, u = 2^-53: c = 8 covers the radix-2 constant
+# mu + gamma_4 (sqrt 2 + mu) ~ 6.7 u with twiddles correct to mu = u (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 24.2) and the
+# rounding of |F|^(2n)
+_FFT_EPS = 8 * 2.0 ** -53
 QUOTIENT_CHUNK = 1 << 20    # (difference, denominator) pairs per array pass
 
 
@@ -313,74 +322,159 @@ def _smooth_len(n: int) -> int:
     return best
 
 
-def _indicator(pts, shape) -> np.ndarray:
-    grid = np.zeros(shape)
+def _indicator(pts, box) -> np.ndarray:
+    """The 0/1 grid of extent box with ones at the rows of pts."""
+    grid = np.zeros(tuple(map(int, box)))
     grid[tuple(pts.T)] = 1.0
     return grid
 
 
-def _fft_support_sum(a_pts, b_pts, cyclic_mod=None, window=None):
-    """Support of the sumset via indicator convolution, as rows already in
-    the canonical order of a DSet (the support's flat indices are _row_keys,
-    which _key_rows decodes in F order).
+def _fft_box(pts, cyclic_mod):
+    """(lo, span) of an operand's indicator: its column minima (int64) and
+    max - min + 1 in Python ints, so that nothing wraps before the cell cap
+    is checked; on the cyclic grid the minima are 0, so that an index is
+    its value."""
+    lo, hi = _col_bounds(pts)
+    if cyclic_mod is not None:
+        lo = np.zeros_like(lo)
+    return lo, hi.astype(object) - lo + 1
 
-    cyclic_mod None (real base): the sums inside the value box window =
-    (lo, hi), each one bound or a list per axis, by default the whole box of
-    span N = span a + span b - 1.  With [w0, w1] the window in index space,
-    clipped to [0, N - 1] (empty: no rows), the convolution is cyclic at the
-    smallest 7-smooth L >= max(N - w0, w1 + 1, span a, span b) per axis, or
-    at that bound when the smooth grid has more than FFT_CELL_CAP cells:
-    neither indicator wraps, and no alias j +- L of a window index j lies in
-    the box.  The whole box gives L = _smooth_len(N).  Otherwise circular
-    convolution modulo cyclic_mod per axis (p-adic; no window).  Both
-    operands the same array: one forward transform, squared; each grid is
-    freed once used.
 
-    For 0/1 inputs the float error of every convolution entry is at most
-    c u log2(N) |a|_2 |b|_2 (u the unit roundoff, N the transformed cell
-    count; Schatzman, SIAM J. Sci. Comput. 17, 1996): about 1e-7 under
-    FFT_CELL_CAP.  Every entry of the cyclic grid is an integer count, so
-    an entry farther than 1/4 from an integer raises ParameterRangeError
-    instead of being thresholded.
-    """
-    d = a_pts.shape[1]
+def _fft_grid(lo, n, spans, window, cyclic_mod, sizes):
+    """(w0, w1, shape) of a sum whose values lie in lo + [0, n - 1] per axis,
+    from operands of the given spans (Python ints in object arrays); None
+    when the window is empty.  Real base: [w0, w1] is the value box window =
+    (lo_w, hi_w) in index space, clipped to [0, n - 1], and shape the
+    smallest 7-smooth L >= max(n - w0, w1 + 1, spans) per axis, or that bound
+    when the smooth grid has more than FFT_CELL_CAP cells.  Cyclic grid: the
+    whole grid cyclic_mod^d.  A grid past FFT_CELL_CAP raises BudgetExceeded
+    naming the operand sizes."""
+    d = len(spans[0])
     if cyclic_mod is None:
-        # Python-int bounds (object arrays): nothing wraps before the cap check
-        (amin, amax), (bmin, bmax) = _col_bounds(a_pts), _col_bounds(b_pts)
-        sa, sb = amax.astype(object) - amin + 1, bmax.astype(object) - bmin + 1
-        lo, n = amin.astype(object) + bmin, sa + sb - 1
         wlo, whi = window or (lo, lo + n - 1)
         w0 = np.maximum(np.array(wlo, dtype=object) - lo, 0)
         w1 = np.minimum(np.array(whi, dtype=object) - lo, n - 1)
         if np.any(w0 > w1):
-            return np.empty((0, d), dtype=np.int64)
-        need = tuple(map(max, n - w0, w1 + 1, sa, sb))
+            return None
+        need = tuple(map(max, n - w0, w1 + 1, *spans))
         shape = tuple(map(_smooth_len, need))
         if math.prod(shape) > FFT_CELL_CAP:
             shape = need
     else:
-        amin = bmin = lo = w0 = np.zeros(d, dtype=np.int64)
+        w0 = np.zeros(d, dtype=object)
         w1, shape = w0 + cyclic_mod - 1, (cyclic_mod,) * d
     if math.prod(shape) > FFT_CELL_CAP:
-        raise BudgetExceeded("sumset grid too large for FFT", {"cells": math.prod(shape)})
-    axes = tuple(range(d))
-    spec = np.fft.rfftn(_indicator(a_pts - amin, shape), shape, axes)
+        raise BudgetExceeded(
+            f"sumset: FFT grid {'x'.join(map(str, shape))} for operands of sizes "
+            f"{sizes} has {math.prod(shape)} cells, past FFT_CELL_CAP {FFT_CELL_CAP}",
+            {"cells": math.prod(shape)})
+    return w0, w1, shape
+
+
+def _fft_rows(conv, lo, at, w0, w1, sizes):
+    """The rows lo + j, j in [w0, w1] per axis, whose count in the cyclic
+    convolution grid conv, at index (at + j) mod L, is positive: in the
+    canonical order of a DSet (the window's flat indices are _row_keys,
+    which _key_rows decodes in F order).  Every entry of conv is an integer
+    count, so one farther than 1/4 from an integer raises ParameterRangeError
+    naming the operand sizes; the check runs over blocks of the leading axis
+    through one reused buffer, so it holds no second grid."""
+    blocks = np.array_split(conv, min(len(conv), 1 + conv.size // 65536))
+    buf, errs = np.empty_like(blocks[0]), []
+    for blk in blocks:
+        off = buf[:len(blk)]
+        np.rint(blk, out=off)
+        np.subtract(blk, off, out=off)
+        errs.append(np.abs(off, out=off).max())
+    err = float(np.max(errs))
+    if not err < 0.25:
+        raise ParameterRangeError(
+            f"sumset: FFT convolution of sizes {sizes} is {err} off the integers, past 1/4")
+    start = (at + w0) % np.array(conv.shape, dtype=object)
+    stop = start + w1 - w0 + 1
+    if np.all(stop <= conv.shape):
+        win = conv[tuple(map(slice, start, stop))]
+    else:   # the window wraps around the cyclic grid
+        win = conv[np.ix_(*(np.arange(a, b) % n for a, b, n in zip(start, stop, conv.shape)))]
+    key = np.flatnonzero(win > 0.5)
+    return _key_rows(key, (lo + w0).tolist(), (w1 - w0 + 1).tolist(), order="F")
+
+
+def _fft_support_sum(a_pts, b_pts, cyclic_mod=None, window=None):
+    """Support of the sumset a + b via indicator convolution, as rows in the
+    canonical order of a DSet.
+
+    cyclic_mod None (real base): the sums inside the value box window =
+    (lo, hi), each one bound or a list per axis, by default the whole box of
+    span N = span a + span b - 1, at the cyclic length of _fft_grid: neither
+    indicator wraps, and no alias j +- L of a window index j lies in the
+    box.  The whole box gives L = _smooth_len(N).  Otherwise circular
+    convolution modulo cyclic_mod per axis (p-adic; no window).  Each
+    indicator spans its operand's own box and is zero-padded inside the
+    forward transform; both operands the same array: one forward transform,
+    squared.
+
+    For 0/1 inputs the float error of every convolution entry is at most
+    c u log2(L) |a|_2 |b|_2 (u the unit roundoff, L the transformed cell
+    count; Schatzman, SIAM J. Sci. Comput. 17, 1996): about 1e-7 under
+    FFT_CELL_CAP; _fft_rows checks it on every entry.
+    """
+    (amin, sa), (bmin, sb) = _fft_box(a_pts, cyclic_mod), _fft_box(b_pts, cyclic_mod)
+    lo, sizes = amin.astype(object) + bmin, [len(a_pts), len(b_pts)]
+    grid = _fft_grid(lo, sa + sb - 1, (sa, sb), window, cyclic_mod, sizes)
+    if grid is None:
+        return np.empty((0, a_pts.shape[1]), dtype=np.int64)
+    w0, w1, shape = grid
+    axes = tuple(range(len(shape)))
+    spec = np.fft.rfftn(_indicator(a_pts - amin, sa), shape, axes)
     if b_pts is a_pts:
         spec *= spec
     else:
-        spec *= np.fft.rfftn(_indicator(b_pts - bmin, shape), shape, axes)
+        spec *= np.fft.rfftn(_indicator(b_pts - bmin, sb), shape, axes)
     conv = np.fft.irfftn(spec, shape, axes)
     del spec
-    # max |conv - rint(conv)| in blocks of the leading axis, so the check
-    # holds no second grid
-    err = max(float(np.abs(blk - np.rint(blk)).max())
-              for blk in np.array_split(conv, min(shape[0], 1 + conv.size // 65536)))
-    if not err < 0.25:
-        raise ParameterRangeError(
-            f"sumset: FFT convolution of sizes [{len(a_pts)}, {len(b_pts)}] is "
-            f"{err} off the integers, past 1/4")
-    key = np.flatnonzero(conv[tuple(map(slice, w0, w1 + 1))] > 0.5)
-    return _key_rows(key, (lo + w0).tolist(), (w1 - w0 + 1).tolist(), order="F")
+    return _fft_rows(conv, lo, 0, w0, w1, sizes)
+
+
+def _fft_power_sum(p_pts, n, cyclic_mod=None, window=None):
+    """Support of n (p - p), the sums of n points of p minus n points of p,
+    from p's spectrum F alone: |F|^(2n) is the spectrum of the n-fold
+    convolution of 1_p with 1_(-p) (the conjugate of F is the spectrum of
+    -p), so on the cyclic grid every value v lands at index v mod L and one
+    inverse transform gives every count.  Grid, window and rows as in
+    _fft_support_sum: the values lie in [-n (span p - 1), n (span p - 1)],
+    and with the window of B(0, 1) the length is n (span p - 1) + 2^m + 1,
+    the length of the last windowed sum of the stepwise chain.
+
+    None, before any transform, unless the float-error bound below holds;
+    the caller then takes the stepwise chain.  With E_k(p) = (1/L) sum
+    |F|^(2k) <= |p|^(2k - 1) the k-fold additive energy, the computed F has
+    ||dF||_2 <= c u log2(L) ||F||_2 = c u log2(L) sqrt(L |p|) (normwise), so
+    to first order the entries of the exact inverse of the raised error are
+    at most (1/L) sum 2n |F|^(2n - 1) |dF| <= 2n sqrt(E_(2n-1)) ||dF||_2 /
+    sqrt(L) <= 2n c u log2(L) |p|^(2n - 1) (Cauchy-Schwarz, E_(2n-1) <=
+    |p|^(4n - 3)).  The inverse transform adds at most c u log2(L) (1/L) sum
+    |F|^(2n) = c u log2(L) E_n <= c u log2(L) |p|^(2n - 1) per entry (each
+    output of a Cooley-Tukey FFT depends on each input through one path).
+    So the path is taken only while (2n + 1) c u log2(L) |p|^(2n - 1) < 1/4,
+    with c u = _FFT_EPS; the entry check of _fft_rows still runs.
+    """
+    pmin, sp = _fft_box(p_pts, cyclic_mod)
+    lo = -n * (sp - 1) if cyclic_mod is None else pmin.astype(object)   # cyclic: 0
+    sizes = [len(p_pts)] * (2 * n)
+    grid = _fft_grid(lo, 2 * n * (sp - 1) + 1, (sp,), window, cyclic_mod, sizes)
+    if grid is None:
+        return np.empty((0, p_pts.shape[1]), dtype=np.int64)
+    w0, w1, shape = grid
+    if (2 * n + 1) * _FFT_EPS * math.log2(math.prod(shape)) * len(p_pts) ** (2 * n - 1) >= 0.25:
+        return None
+    axes = tuple(range(len(shape)))
+    power = np.abs(np.fft.rfftn(_indicator(p_pts - pmin, sp), shape, axes))
+    power *= power      # |F|^2, then |F|^(2n): a real spectrum, half the
+    power **= n         # inverse transform's complex input
+    conv = np.fft.irfftn(power, shape, axes)
+    del power
+    return _fft_rows(conv, lo, lo, w0, w1, sizes)
 
 
 def sumset(A: DSet, B: DSet) -> DSet:
@@ -415,8 +509,26 @@ def negate(A: DSet) -> DSet:
 
 
 def difference_set(A: DSet, B: DSet) -> DSet:
-    """{a - b}, implemented as a sumset with negation."""
-    return sumset(A, negate(B))
+    """{a - b}, implemented as a sumset with negation; A - A of the very
+    same set A takes _power_sum with n = 1 (one forward transform)."""
+    D = _power_sum(A, 1) if B is A else None
+    return sumset(A, negate(B)) if D is None else D
+
+
+def _power_sum(P: DSet, n: int, window=None):
+    """n (P - P) from P's spectrum alone (_fft_power_sum), only inside the
+    value box `window` on the real base, at the radius_exp of the stepwise
+    chain of sumsets (one more per sum on the real base).  None when P - P
+    takes the pairwise branch or the float-error bound does not hold."""
+    if len(P) ** 2 <= PAIRWISE_CAP:
+        return None
+    alg = P.alg
+    _check_sum_bound("sumset", (P.points, 1), (P.points, 1))
+    mod = None if alg.is_real_base else alg.p ** (P.scale_exp + P.radius_exp)
+    rows = _fft_power_sum(P.points, n, mod, window)
+    if rows is None:
+        return None
+    return DSet(alg, P.scale_exp, P.radius_exp + (n if alg.is_real_base else 0), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -510,18 +622,24 @@ def ball_intersect(A: DSet, radius_exp: int = 0) -> DSet:
 
 def iterated(A: DSet, n_sum: int, n_prod: int, clip: bool = True) -> DSet:
     """n_sum*(A^(n_prod) - A^(n_prod)), intersected with B(0,1) when clip.
-    On the real base the clipped last sum is formed only inside the box of
-    B(0,1) when it takes the FFT branch; ball_intersect makes the exact cut."""
+    With P = A^(n_prod), the whole sum chain is one _power_sum when P - P
+    takes the FFT branch and its float-error bound holds; otherwise the
+    stepwise chain D = P - P, D + D, ...  On the real base the clipped chain
+    is formed only inside the box of B(0,1) (the last sum of the stepwise
+    chain, when it takes the FFT branch); ball_intersect makes the exact
+    cut."""
     if n_sum < 1 or n_prod < 1:
         raise ParameterRangeError("n_sum and n_prod must be >= 1")
     P = A
     for _ in range(n_prod - 1):
         P = product_set(P, A, "Left")
-    # the last sum is S + T
-    S, T = (P, negate(P)) if n_sum == 1 else (difference_set(P, P),) * 2
-    for _ in range(n_sum - 2):
-        S = sumset(S, T)
-    S = _sumset(S, T, (-2 ** A.scale_exp, 2 ** A.scale_exp) if clip else None)
+    window = (-2 ** A.scale_exp, 2 ** A.scale_exp) if clip else None
+    S = _power_sum(P, n_sum, window)
+    if S is None:   # the stepwise chain: the last sum is S + T
+        S, T = (P, negate(P)) if n_sum == 1 else (difference_set(P, P),) * 2
+        for _ in range(n_sum - 2):
+            S = sumset(S, T)
+        S = _sumset(S, T, window)
     return ball_intersect(S, 0) if clip else S
 
 

@@ -365,6 +365,27 @@ def test_expansion_round_stage_digests():
     assert got == _ROUND_DIGESTS
 
 
+@pytest.mark.parametrize("m", [5, 6])
+def test_expansion_round_power_path_equals_chain(m):
+    """The (2,2) round from the circle net at m = 5 and 6, where |P|^2 is
+    below PAIRWISE_CAP and iterated takes the stepwise chain (P - P
+    pairwise, then D + D on the FFT branch), gives equal records when a
+    pairwise cap of 0 sends it through the power path, 2 (P - P) from P's
+    spectrum alone."""
+    net = lab.circle_net(al.make_algebra("C", m=m), m)
+    sched = lab.Schedule(s=1, sigma=1, t=Fraction(3, 2), d=2, delta_exp=m,
+                         n_iters=1, n_sum=2, n_prod=2, C=4)
+    with mock.patch.object(so, "_fft_power_sum", wraps=so._fft_power_sum) as power:
+        want = lab.run_expansion(net, sched, seed=0)
+        assert not power.called
+        with mock.patch.object(so, "PAIRWISE_CAP", 0):
+            got = lab.run_expansion(net, sched, seed=0)
+            clipped = so.iterated(net, 2, 2)
+    assert power.call_args.args[1] == 2
+    assert got == want
+    assert clipped == so.iterated(net, 2, 2)
+
+
 def test_full_grid_expansion_capped_at_dim():
     m = 4
     C = al.make_algebra("C", m=m)

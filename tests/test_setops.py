@@ -178,7 +178,10 @@ def test_fft_sumset_equals_pairwise(spec, mode, data):
         B = make_dset(alg, B.points + (3 * span if alg.is_real_base else 0))
     op, args = {"same": (so.sumset, (A, A)), "difference": (so.difference_set, (A, A)),
                 "pair": (so.sumset, (A, B)), "disjoint": (so.sumset, (A, B))}[mode]
-    assert _fft_branch(op, *args) == op(*args)
+    with mock.patch.object(np.fft, "rfftn", wraps=np.fft.rfftn) as rfftn:
+        assert _fft_branch(op, *args) == op(*args)
+    # one spectrum for A + A (squared) and for A - A (|F|^2)
+    assert rfftn.call_count == (1 if mode in ("same", "difference") else 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,7 +228,8 @@ def test_fft_sumset_prime_length_and_cell_cap():
     with mock.patch.object(np.fft, "rfftn", wraps=np.fft.rfftn) as rfftn:
         assert _fft_branch(so.sumset, A, A) == so.sumset(A, A)
     assert len(rfftn.call_args_list) == 1     # one spectrum, squared
-    with pytest.raises(BudgetExceeded, match="FFT"):
+    with pytest.raises(BudgetExceeded, match=rf"sumset: FFT grid 1033 for operands of "
+                       rf"sizes \[{len(A)}, {len(B)}\] has 1033 cells, past FFT_CELL_CAP 1032"):
         _fft_branch(so.sumset, A, B, FFT_CELL_CAP=1032)
 
 
@@ -299,8 +303,8 @@ def test_fft_window_lengths():
 @pytest.mark.parametrize("spec, m, top, n", [("R", 6, 64, 30), ("C", 4, 16, 20),
                                              ("H", 2, 4, 10)])
 def test_clipped_iterated_fft_equals_ball_of_sumset(spec, m, top, n, n_sum):
-    """iterated with clip, whose last sum the FFT branch forms only inside
-    the unit ball's box, equals the ball of the whole sumset."""
+    """iterated with clip, whose whole sum chain the FFT power path forms
+    only inside the unit ball's box, equals the ball of the whole sumset."""
     alg = al.make_algebra(spec, m=m)
     rnd = np.random.default_rng(n_sum)
     A = make_dset(alg, rnd.integers(-top, top + 1, size=(n, alg.d)))
@@ -309,10 +313,74 @@ def test_clipped_iterated_fft_equals_ball_of_sumset(spec, m, top, n, n_sum):
     for _ in range(n_sum - 1):
         S = so.sumset(S, D)
     want = so.ball_intersect(S, 0)
-    with mock.patch.object(so, "_fft_support_sum", wraps=so._fft_support_sum) as fft:
+    with mock.patch.object(so, "_fft_power_sum", wraps=so._fft_power_sum) as fft:
         assert _fft_branch(so.iterated, A, n_sum, 1) == want
-    assert fft.call_args.args[2:] == (None, (-2 ** m, 2 ** m))    # the last sum
+    assert fft.call_args.args[1:] == (n_sum, None, (-2 ** m, 2 ** m))    # the chain
     assert len(want) < len(S)
+
+
+def _spy_power_sum(monkeypatch):
+    """Patch _fft_power_sum with a wrapper; the returned list records, per
+    call, (n, whether the float-error bound sent the caller to the chain)."""
+    calls, power_sum = [], so._fft_power_sum
+
+    def spy(pts, n, *rest):
+        out = power_sum(pts, n, *rest)
+        calls.append((n, out is None))
+        return out
+    monkeypatch.setattr(so, "_fft_power_sum", spy)
+    return calls
+
+
+def _pairwise_chain(A, n_sum, clip):
+    """n_sum (A - A), clipped to B(0, 1) when clip, as the stepwise chain of
+    pairwise sumsets (the operands here are far below PAIRWISE_CAP pairs)."""
+    D = so.difference_set(A, A)
+    S = D
+    for _ in range(n_sum - 1):
+        S = so.sumset(S, D)
+    return so.ball_intersect(S, 0) if clip else S
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.sampled_from([spec for spec in _FFT_ALGEBRAS if spec[:2] != ("Qp", 5)]),
+       hst.integers(1, 3), hst.booleans(), hst.integers(0, 1), hst.data())
+def test_fft_power_sum_equals_pairwise_chain(spec, n_sum, clip, radius, data):
+    """iterated's power path, n_sum (A - A) from one forward and one inverse
+    transform (forced by a pairwise cap of 0), equals the stepwise chain of
+    pairwise sumsets, clipped or not, on the real base and on the cyclic
+    p-adic grid (at p-adic radius_exp 0 or 1)."""
+    kind, p, d, m, span = spec
+    alg = al.make_algebra(kind, p=p, d=d, m=m)
+    r = 0 if alg.is_real_base else radius
+    coord = (hst.integers(-span, span) if alg.is_real_base
+             else hst.integers(0, p ** (m + r) - 1))
+    A = make_dset(alg, data.draw(hst.lists(hst.tuples(*[coord] * d), min_size=1,
+                                           max_size=12)), radius_exp=r)
+    want = _pairwise_chain(A, n_sum, clip)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_power_sum(mp)
+        with mock.patch.object(so, "_fft_support_sum") as pair_fft:
+            got = _fft_branch(so.iterated, A, n_sum, 1, clip)
+    assert got == want
+    assert calls == [(n_sum, False)] and not pair_fft.called
+
+
+def test_fft_power_sum_bound_fails_takes_the_chain(monkeypatch):
+    """350 points of R m=8 with n_sum = 3: (2 n + 1) c u log2(L) |P|^(2n - 1)
+    is about 0.35 on the grid of 1792 cells, past 1/4, so iterated takes the
+    stepwise chain (whose D = P - P is the power path with n = 1) and gives
+    the pairwise chain's set."""
+    R = al.make_algebra("R", m=8)
+    rnd = random.Random(350)
+    A = make_dset(R, [(v,) for v in rnd.sample(range(-256, 257), 350)])
+    want = _pairwise_chain(A, 3, True)
+    calls = _spy_power_sum(monkeypatch)
+    with mock.patch.object(so, "_fft_support_sum", wraps=so._fft_support_sum) as pair_fft:
+        assert _fft_branch(so.iterated, A, 3, 1) == want
+    assert 7 * so._FFT_EPS * math.log2(1792) * 350 ** 5 > 0.25
+    assert calls == [(3, True), (1, False)]
+    assert pair_fft.call_count == 2     # (D + D) + D
 
 
 def test_grid_rows_past_int64_raise():
