@@ -9,7 +9,8 @@ the points once and derives each coarser stage label from the last
 ball at every scale with one searchsorted, bincount and cumulative sum.  The
 same keys give the row lookup _row_lookup of the counting engines and the
 dichotomy: a key table, or sorted keys, with any neighbour offsets folded
-in, so that one lookup counts a target against every offset.
+in, so that one lookup counts a target against every offset.  pass_rows is
+the one pass size of every blocked array pass, in every module.
 
 A DSet stores grid points of a normed division algebra inside the ball
 B(0, radix^radius_exp) at grid scale radix^-scale_exp.  Coordinates:
@@ -44,11 +45,18 @@ from .errors import (
 
 DEFAULT_POINT_BUDGET = 10_000_000
 KEY_TABLE_FACTOR = 2    # keys per row (and offset) up to which a box is one table
+PAIR_BLOCK = 1 << 16    # pairs per pass of every blocked array pass
 
 
 def point_budget() -> int:
     env = os.environ.get("DLAB_BUDGET_POINTS")
     return int(env) if env else DEFAULT_POINT_BUDGET
+
+
+def pass_rows(k: int, budget: int | None = None) -> int:
+    """Rows per pass of a blocked array pass pairing each row with k others: at
+    most min(PAIR_BLOCK, budget, by default point_budget()) pairs, one row at least."""
+    return max(1, min(PAIR_BLOCK, point_budget() if budget is None else budget) // max(k, 1))
 
 
 def _col_bounds(arr: np.ndarray):
@@ -360,7 +368,7 @@ def _real_ball_counts(A: DSet) -> np.ndarray:
     """counts[k, i]: the number of set points in the open linf ball of
     radius 2^-k around point i, for every k in 0..e = scale_exp.
 
-    Chebyshev distances are formed in row chunks of about 2^20 pairs.  A
+    Chebyshev distances are formed in passes of pass_rows(n) rows.  A
     pair's level, how many of the radii 2^0..2^e are at most its distance
     (one searchsorted), puts it in the balls of k <= e - level: one bincount
     per row and one cumulative sum.  int64 while 2 * max|coord| < 2^63 and
@@ -370,7 +378,7 @@ def _real_ball_counts(A: DSet) -> np.ndarray:
         pts = pts.astype(object)
     radii = np.array([2 ** j for j in range(e + 1)], dtype=pts.dtype)
     counts = np.empty((e + 1, n), dtype=np.int64)
-    step = max(1, (1 << 20) // n)
+    step = pass_rows(n)
     for lo in range(0, n, step):
         block = pts[lo:lo + step]
         cheb = np.abs(block[:, None, 0] - pts[None, :, 0])

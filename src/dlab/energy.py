@@ -46,6 +46,7 @@ from .dset import (
     _row_norm_sq,
     _write_csv,
     covering_number,
+    pass_rows,
     point_budget,
 )
 from .errors import (
@@ -161,8 +162,8 @@ def quintuple_count_tv(A: DSet, X: DSet, rho_exp: int,
     For each x and every (b, d) at once, the target -(xb + xd) (or
     xd - xb) is looked up in the difference multiset of A with the
     neighbour offsets folded in; the counts add up in an n x n matrix over
-    (b, d), which the near/far mask splits once.  Targets go in blocks of b
-    rows with at most point_budget() rows per lookup."""
+    (b, d), which the near/far mask splits once.  Targets go in passes of
+    pass_rows(n) b rows."""
     alg = A.alg
     if alg != X.alg:
         raise AlgebraMismatch("A and X live in different algebras")
@@ -183,7 +184,7 @@ def quintuple_count_tv(A: DSet, X: DSet, rho_exp: int,
     so._check_sum_bound("quintuple_count_tv targets", (R.reshape(-1, d), 2), (offsets, 1))
     lookup = _row_lookup(_diffs(A), offsets)
     near_count = far_count = 0
-    step = max(1, point_budget() // max(n, 1))
+    step = pass_rows(n)
     for lo in range(0, n, step):
         cnt = np.zeros((min(step, n - lo), n), dtype=np.int64)
         for Rx in R:

@@ -4,17 +4,17 @@ actions, projections, quotient sets and linear coordinate changes.
 Real-base composites are rounded to the grid once per operation
 (half-away-from-zero); a projection a + x b rounds x b and adds the grid
 point a, which at a tie can differ from rounding a + x b.  p-adic
-composites are exact.  Large sumsets fall
-back to an FFT indicator convolution, transformed at 7-smooth lengths on
-the real base (the cyclic grid p^k on the p-adic base) with one squared
-spectrum for A + A.  A - A and iterated's whole chain n (P - P) take one
-spectrum F of P raised to |F|^(2n) and one inverse transform
-(_fft_power_sum) while a proven float-error bound holds, and the stepwise
-chain of sumsets otherwise.  Smaller sumsets and every product set go
-through one blocked pair kernel (_pair_rows): blocks of at most PAIR_BLOCK
-pairs are put on the grid, and their distinct rows are merged
-sorted-unique, so the point budget caps the distinct rows, not the pairs.
-An empty operand gives
+composites are exact.  Large sumsets fall back to an FFT indicator
+convolution, transformed at 7-smooth lengths on the real base (the cyclic
+grid p^k on the p-adic base) with one squared spectrum for A + A.  A - A
+and iterated's whole chain n (P - P) take one spectrum F of P raised to
+|F|^(2n) and one inverse transform (_fft_power_sum) while a proven
+float-error bound holds, and the stepwise chain of sumsets otherwise.
+Smaller sumsets, every product set and the quotient cells go through one
+blocked pair kernel (_pair_rows), in passes of dset.pass_rows, the one pass
+size: each pass keeps its distinct rows (so the point budget caps the
+distinct rows, not the pairs), or each quotient cell's first pair, and the
+kept rows are merged.  An empty operand gives
 the empty set at the (scale_exp, radius_exp) of a one-point operand.
 
 Products, scalar images, projections, quotients and the dual map share one
@@ -47,6 +47,7 @@ from .dset import (
     _row_mins,
     _row_norm_sq,
     _write_rows,
+    pass_rows,
     point_budget,
 )
 from .errors import (
@@ -60,14 +61,12 @@ from .errors import (
 )
 
 PAIRWISE_CAP = 4_000_000   # sumsets of more pairs take the FFT branch
-PAIR_BLOCK = 1 << 16       # pairs per block of _pair_rows
 FFT_CELL_CAP = 1 << 24
 # c u of the FFT error bounds, u = 2^-53: c = 8 covers the radix-2 constant
 # mu + gamma_4 (sqrt 2 + mu) ~ 6.7 u with twiddles correct to mu = u (Higham,
 # Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 24.2) and the
 # rounding of |F|^(2n)
 _FFT_EPS = 8 * 2.0 ** -53
-QUOTIENT_CHUNK = 1 << 20    # (difference, denominator) pairs per array pass
 
 
 @dataclass(frozen=True)
@@ -270,36 +269,34 @@ def _grid_products(alg, U, V, unit, scale_exp, side, unit_out, op) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# the blocked pair kernel of sumsets and product sets
+# the blocked pair kernel of sumsets, product sets and quotient cells
 
-def _pair_rows(op, alg, a, k, block):
-    """The rows of block(a[i:j]) over blocks of a's rows, each block of at
-    most PAIR_BLOCK and point_budget() pairs (one row of a at least):
-    block gives the int64 grid rows of its rows paired with the k rows of
-    the other operand.  One block comes back as it is, for the DSet to
-    canonicalize.  More come back distinct and in order: each block's
-    distinct rows are kept, and merged sorted-unique at the end and
-    whenever they pass twice the last merge (and PAIR_BLOCK), so the merges
-    sort a constant times the blocks' distinct rows.  BudgetExceeded,
-    naming op and its sizes, is raised when a merge has more rows than
-    point_budget(), which is read once."""
-    d, n, budget = alg.d, len(a), point_budget()
-    if n * k <= min(PAIR_BLOCK, budget):     # one block: its rows as they are
+def _pair_rows(op, a, k, block, keep):
+    """The rows of block(a[i:j]) over passes of pass_rows(k) rows of a: block
+    gives the int64 rows of its rows paired with the k rows of the other
+    operand, keep(rows) the rows a pass keeps.  One pass comes back as it is,
+    for the caller to reduce.  More come back kept: the passes' kept rows are
+    merged in pass order by keep at the end and whenever they pass twice the
+    last merge (and one pass's pairs), so the merges reduce a constant times
+    the kept rows.  BudgetExceeded, naming op and its sizes, is raised when a
+    merge has more rows than point_budget(), which is read once."""
+    n, budget = len(a), point_budget()
+    step = pass_rows(k, budget)
+    if n <= step and n * k <= budget:     # one pass: its rows as they are
         return block(a)
-    kept, held, top = [], 0, PAIR_BLOCK
-    step = max(1, min(PAIR_BLOCK, budget) // k)
+    kept, held, top = [], 0, step * k
     for i in range(0, n, step):
-        kept.append(_canon_points(block(a[i:i + step]), d))
+        kept.append(keep(block(a[i:i + step])))
         held += len(kept[-1])
         if held > top or i + step >= n:
-            kept = [_canon_points(np.concatenate(kept), d)]
+            kept = [keep(np.concatenate(kept))]
             held = len(kept[0])
             if held > budget:
                 raise BudgetExceeded(
                     f"{op}: operands of sizes [{n}, {k}] give at least {held} "
                     f"distinct rows, past the point budget {budget}",
                     {"pairs": n * k, "rows": held, "budget": budget})
-            top = max(2 * held, PAIR_BLOCK)
+            top = max(2 * held, step * k)
     return kept[0]
 
 
@@ -377,11 +374,11 @@ def _fft_rows(conv, lo, at, w0, w1, sizes):
     canonical order of a DSet (the window's flat indices are _row_keys,
     which _key_rows decodes in F order).  Every entry of conv is an integer
     count, so one farther than 1/4 from an integer raises ParameterRangeError
-    naming the operand sizes; the check runs over blocks of the leading axis
-    through one reused buffer, so it holds no second grid."""
-    blocks = np.array_split(conv, min(len(conv), 1 + conv.size // 65536))
-    buf, errs = np.empty_like(blocks[0]), []
-    for blk in blocks:
+    naming the operand sizes; the check runs over passes of the leading axis
+    (pass_rows) through one reused buffer, so it holds no second grid."""
+    step = pass_rows(conv.size // len(conv))
+    buf, errs = np.empty_like(conv[:step]), []
+    for blk in (conv[i:i + step] for i in range(0, len(conv), step)):
         off = buf[:len(blk)]
         np.rint(blk, out=off)
         np.subtract(blk, off, out=off)
@@ -499,7 +496,8 @@ def _sumset(A: DSet, B: DSet, window=None) -> DSet:
         if mod is not None:
             pts %= mod
         return pts
-    return DSet(alg, A.scale_exp, out_r, _pair_rows("sumset", alg, a, len(b), block))
+    return DSet(alg, A.scale_exp, out_r, _pair_rows(
+        "sumset", a, len(b), block, lambda rows: _canon_points(rows, alg.d)))
 
 
 def negate(A: DSet) -> DSet:
@@ -542,7 +540,7 @@ def product_set(A: DSet, B: DSet, side: str = "Left") -> DSet:
     alg, a, b, scale = A.alg, A.points, B.points, A.scale_exp
     unit = A.unit_exp() + B.unit_exp()
     block = _grid_times(alg, b, _abs_max(a), unit, scale, side, unit, "product_set")
-    pts = _pair_rows("product_set", alg, a, len(b), block)
+    pts = _pair_rows("product_set", a, len(b), block, lambda rows: _canon_points(rows, alg.d))
     return DSet(alg, scale, A.radius_exp + B.radius_exp, pts)
 
 
@@ -677,15 +675,11 @@ def quotient_set(A: DSet, rho_exp: int, side: str = "Left",
     (algebra._int_inverse), rounded (real base) or reduced (p-adic base)
     once per cell.
     """
-    alg = A.alg
-    m = A.scale_exp
+    alg, m = A.alg, A.scale_exp
     if not (0 < rho_exp and m - 3 * rho_exp >= 1):
         raise ParameterRangeError("need 0 < rho_exp < m/3 so Delta is a scale")
     scale_out = m - 3 * rho_exp
-    if alg.is_real_base:
-        radius_out = A.radius_exp + 1 + rho_exp
-    else:
-        radius_out = A.radius_exp + rho_exp
+    radius_out = A.radius_exp + rho_exp + (1 if alg.is_real_base else 0)
     diffs, first = _distinct_differences(A)
     if alg.is_real_base:    # sum u^2 4^-m > 4^-rho
         far = _row_norm_sq(diffs) > 4 ** (m - rho_exp)
@@ -695,45 +689,41 @@ def quotient_set(A: DSet, rho_exp: int, side: str = "Left",
     if len(den_idx) == 0:
         raise NoAdmissiblePairs("all pairwise differences are <= rho")
     if len(diffs) * len(den_idx) > point_budget():
-        raise BudgetExceeded("quotient set too large",
-                             {"pairs": len(diffs) * len(den_idx)})
+        raise BudgetExceeded("quotient set too large", {"pairs": len(diffs) * len(den_idx)})
     cells, pair = _quotient_cells(alg, diffs, den_idx, side, scale_out, radius_out)
     Q = DSet(alg, scale_out, radius_out, cells)
     if not with_witnesses:
         return Q
     n, k, rows = len(A), len(den_idx), list(map(tuple, A.points.tolist()))
     ab, cd = first[pair // k], first[den_idx[pair % k]]
+    del cells, pair     # free the kernel's rows before the dict: Q's are the same
     quads = zip(*([rows[t] for t in col.tolist()]
                   for col in (ab // n, ab % n, cd // n, cd % n)))
-    return Q, dict(zip(map(tuple, cells.tolist()), quads))
+    return Q, dict(zip(zip(*Q.points.T.tolist()), quads))
 
 
 def _quotient_cells(alg, diffs, den_idx, side, scale_out, radius_out):
     """The distinct cells of diffs[i] dens[j]^-1 (Left) or dens[j]^-1 diffs[i]
     (Right), dens = diffs[den_idx], lex-sorted, and for each the first pair
-    i * len(dens) + j in row-major order with it.  int64 while every
-    intermediate provably fits, Python ints otherwise; QUOTIENT_CHUNK pairs
-    at a time."""
+    i * len(dens) + j in row-major order with it: passes of _pair_rows in pair
+    order, their cells carrying the pair as one more column, keep first
+    occurrences.  int64 while every intermediate provably fits, Python ints otherwise."""
     dens = diffs[den_idx]
     d, k = alg.d, len(dens)
     nums, den = zip(*(al._int_inverse(alg, [int(c) for c in w]) for w in dens))
     # |raw numerator| <= max|u| max|num| max_l sum_ij |c_ijl|
     dtype = _grid_dtype(alg, _product_bound(alg, _abs_max(diffs), _abs_max(nums)), den,
                         scale_out, radius_out)
-    rows, pair = [], []
-    step = max(1, QUOTIENT_CHUNK // k)
-    for lo in range(0, len(diffs), step):
-        # every raw numerator: (u num_j)_l (Left) or (num_j u)_l (Right)
-        N = _raw_products(alg, diffs[lo:lo + step], nums, side, dtype)
-        cell = _to_grid(alg, N.reshape(-1, k, d), den, scale_out, radius_out,
-                        "quotient_set").reshape(-1, d)
-        idx = _row_mins(cell)
-        rows.append(cell[idx])
-        pair.append(idx + lo * k)
-    # a cell occurs at most once per chunk, and the chunks go in pair order
-    rows, pair = np.concatenate(rows), np.concatenate(pair)
-    idx = _row_mins(rows)
-    return rows[idx], pair[idx]
+
+    def block(i):   # every raw numerator: (u num_j)_l (Left) or (num_j u)_l (Right)
+        N = _raw_products(alg, diffs[i], nums, side, dtype)
+        cell = _to_grid(alg, N.reshape(-1, k, d), den, scale_out, radius_out, "quotient_set")
+        return np.column_stack([cell.reshape(-1, d), (i[:, None] * k + np.arange(k)).ravel()])
+
+    def first(rows):
+        return rows[_row_mins(rows[:, :d])]
+    out = first(_pair_rows("quotient_set", np.arange(len(diffs)), k, block, first))
+    return out[:, :d], out[:, d]
 
 
 # ---------------------------------------------------------------------------

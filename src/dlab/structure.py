@@ -21,7 +21,7 @@ import numpy as np
 from . import algebra as al
 from . import setops as so
 from .algebra import AlgebraDescriptor, Element
-from .dset import DSet, _abs_max, _row_lookup, _row_mins, point_budget
+from .dset import DSet, _abs_max, _row_lookup, _row_mins, pass_rows, point_budget
 from .errors import (
     BudgetExceeded,
     NotRealBase,
@@ -331,8 +331,8 @@ def _candidate_pool(A: DSet, depth: int, cap: int = 100_000):
     the Element that al.mul gives.  A's Elements come first, sorted by their
     coordinates; then each depth's new products f a, row-major over the last
     depth's new f and A's a, up to the one that brings the pool to `cap`.
-    The f go in blocks of at most PAIR_BLOCK products and the room left
-    under `cap`, one _raw_products and _grid_exact pass each.  A product is
+    The f go in passes of pass_rows, at most the room left under `cap`
+    products too, one _raw_products and _grid_exact pass each.  A product is
     new unless an earlier candidate is the same Element (real Elements
     compare with their unit: scale_exp for A's, m for products)."""
     alg, r, m, u0 = A.alg, A.alg.radix, A.alg.m, A.unit_exp()
@@ -347,7 +347,7 @@ def _candidate_pool(A: DSet, depth: int, cap: int = 100_000):
     for _ in range(depth - 1):
         frontier, start, i = P[start:], len(P), 0
         while i < len(frontier) and not full:
-            F = frontier[i:i + max(1, min(so.PAIR_BLOCK, cap - len(P)) // len(X))]
+            F = frontier[i:i + pass_rows(len(X), min(point_budget(), cap - len(P)))]
             i += len(F)
             big = so._product_bound(alg, _abs_max(F), _abs_max(X)) * f   # and Y * f
             raw = so._raw_products(alg, F, X, "Left", so._grid_dtype(alg, big, den, m, u))
@@ -586,7 +586,7 @@ def dyadic_induction(Q: DSet, v: list, n: int = 4):
     """Constructive dense-case content: level-by-level membership of the
     dyadic-rational points sum_j v_j k_j 2^-level within Delta of Q, as
     integer rows sum_j k_j B[j] over 2^(level + e) (_basis_rows) in blocks
-    of at most point_budget() / 3^d points."""
+    of pass_rows(3^d) points."""
     alg = Q.alg
     if not alg.is_real_base:
         raise NotRealBase("dyadic induction applies to the real base")
@@ -595,7 +595,7 @@ def dyadic_induction(Q: DSet, v: list, n: int = 4):
     d = alg.d
     e, B = _basis_rows(Q, v[:d])
     lookup = _row_lookup(Q.points)
-    step = max(1, point_budget() // 3 ** d)
+    step = pass_rows(3 ** d)
     report = {}
     for level in range(n + 1):
         side = 2 ** level + 1

@@ -669,14 +669,19 @@ def _nc_best_per_k(A, s):
 
 @settings(max_examples=40, deadline=None)
 @given(hst.sampled_from(["R", "C", "H"]), hst.integers(0, 10 ** 6),
-       hst.sampled_from([0.5, 1.0, 1.7]))
-def test_all_scale_ball_counts_equal_per_k_loop(spec, seed, s):
+       hst.sampled_from([0.5, 1.0, 1.7]), hst.sampled_from([None, 7, 100]))
+def test_all_scale_ball_counts_equal_per_k_loop(spec, seed, s, budget):
+    """The counts of every ball at every scale equal the per-scale loop's, in
+    one pass or, under a small DLAB_BUDGET_POINTS, in passes of a few rows."""
     rnd = np.random.default_rng(seed)
     alg = al.make_algebra(spec, m=5)
     n = int(rnd.integers(1, 60))
     # a coarse lattice makes ties on the counts common
     A = make_dset(alg, 4 * rnd.integers(-8, 9, size=(n, alg.d)), scale_exp=5)
-    counts = _real_ball_counts(A)
+    env = {} if budget is None else {"DLAB_BUDGET_POINTS": str(budget)}
+    with mock.patch.dict(os.environ, env):
+        counts = _real_ball_counts(A)
+        event("one pass" if dset.pass_rows(n) >= n else "many passes")
     for k in range(A.scale_exp + 1):
         assert np.array_equal(counts[k], _ball_counts_per_k(A, k))
     best_C, (i, k, cnt) = _nc_best_per_k(A, s)

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -886,7 +887,7 @@ def test_blocked_pair_kernel_equals_one_shot(spec, side, budget, data):
             got = op()
         assert got == want and (got.scale_exp, got.radius_exp) == (
             want.scale_exp, want.radius_exp)
-        one = len(A) * len(B) <= min(so.PAIR_BLOCK, cap or so.PAIR_BLOCK)
+        one = len(A) * len(B) <= min(dset.PAIR_BLOCK, cap or dset.PAIR_BLOCK)
         event(f"{name}: " + ("one block" if one else "many blocks"))
 
 
@@ -910,7 +911,7 @@ def test_pair_kernel_many_blocks_on_table_and_sort():
             (lambda: so.sumset(even, even), lambda: _one_shot_sum(even, even), 600, 10_000)):
         want = one_shot()
         assert len(want) <= budget
-        for cap, table in ((so.PAIR_BLOCK, True), (budget, False)):
+        for cap, table in ((dset.PAIR_BLOCK, True), (budget, False)):
             seen = []
 
             def small_box(size, rows):
@@ -939,13 +940,13 @@ def test_pair_kernel_merges_geometrically():
     with mock.patch.object(so, "_canon_points", wraps=so._canon_points) as canon:
         got = so.sumset(A, B)
     assert np.array_equal(got.points, _one_shot_sum(A, B).points)
-    blocks = -(-len(A) // (so.PAIR_BLOCK // len(B)))
+    blocks = -(-len(A) // (dset.PAIR_BLOCK // len(B)))
     merges = canon.call_count - blocks
-    assert 2 <= merges <= 2 + math.log2(len(got) / so.PAIR_BLOCK)
+    assert 2 <= merges <= 2 + math.log2(len(got) / dset.PAIR_BLOCK)
     with mock.patch.dict(os.environ, {"DLAB_BUDGET_POINTS": "200000"}), \
             pytest.raises(BudgetExceeded, match=r"sumset: operands of sizes \[3000, 1000\]") as exc:
         so.sumset(A, B)
-    assert 200_000 < exc.value.sizes["rows"] <= 2 * 200_000 + so.PAIR_BLOCK
+    assert 200_000 < exc.value.sizes["rows"] <= 2 * 200_000 + dset.PAIR_BLOCK
 
 
 def test_product_set_budget_caps_distinct_rows_not_pairs(monkeypatch):
@@ -1271,22 +1272,22 @@ def _quotient_input(data, name, p, d):
 def test_quotient_set_equals_fraction_loop(spec, side, data):
     """Q, its scale and radius and the witness dict equal the Fraction loop's,
     or both raise the same error (a rho too large for the scale,
-    NoAdmissiblePairs, BudgetExceeded), with the pairs cut into chunks of
+    NoAdmissiblePairs, BudgetExceeded), with the pairs cut into passes of
     any size."""
     A = _quotient_input(data, *spec)
     top = (A.scale_exp - 1) // 3     # rho = top + 1 is rejected
     rho = data.draw(hst.sampled_from([*range(1, top + 1)] * 4 + [top + 1]), label="rho")
     budget = data.draw(hst.sampled_from([None, "40"]), label="budget")
-    chunk = data.draw(hst.sampled_from([so.QUOTIENT_CHUNK, 1, 5]), label="chunk")
-    saved_budget, saved_chunk = os.environ.get("DLAB_BUDGET_POINTS"), so.QUOTIENT_CHUNK
+    chunk = data.draw(hst.sampled_from([dset.PAIR_BLOCK, 1, 5]), label="chunk")
+    saved_budget, saved_chunk = os.environ.get("DLAB_BUDGET_POINTS"), dset.PAIR_BLOCK
     try:
         if budget:
             os.environ["DLAB_BUDGET_POINTS"] = budget
-        so.QUOTIENT_CHUNK = chunk
+        dset.PAIR_BLOCK = chunk
         got = _outcome(lambda: so.quotient_set(A, rho, side, with_witnesses=True))
         want = _outcome(lambda: _loop_quotient_set(A, rho, side))
     finally:
-        so.QUOTIENT_CHUNK = saved_chunk
+        dset.PAIR_BLOCK = saved_chunk
         if saved_budget is None:
             os.environ.pop("DLAB_BUDGET_POINTS", None)
         else:
@@ -1310,12 +1311,9 @@ def test_quotient_set_tied_witness_coords():
     assert len(set(coords)) < len(coords)
     rows, unit = set(map(tuple, A.points.tolist())), Fraction(1, alg.p ** A.radius_exp)
     want = _loop_quotient_set(A, 1, "Left")
-    for chunk in (so.QUOTIENT_CHUNK, 3):
-        so_chunk, so.QUOTIENT_CHUNK = so.QUOTIENT_CHUNK, chunk
-        try:
+    for chunk in (dset.PAIR_BLOCK, 3):
+        with mock.patch.object(dset, "PAIR_BLOCK", chunk):
             Q, wit = so.quotient_set(A, 1, "Left", with_witnesses=True)
-        finally:
-            so.QUOTIENT_CHUNK = so_chunk
         assert set(wit) == set(map(tuple, Q.points.tolist()))
         for cell, quad in wit.items():
             assert set(quad) <= rows
@@ -1373,20 +1371,40 @@ def test_quotient_set_exact_past_int64(name, p, m, rows):
 
 
 def test_quotient_set_chunks_match_single_pass():
-    """More than QUOTIENT_CHUNK pairs: the chunked pass equals one pass."""
+    """More than PAIR_BLOCK pairs: the passes equal one pass."""
     import random
     rnd = random.Random(17)
     R = al.make_algebra("R", m=12)
     A = make_dset(R, [(c,) for c in rnd.sample(range(-4096, 4097), 40)])
     Q, wit = so.quotient_set(A, 1, with_witnesses=True)
     n_diffs = len({a - b for a in A.points[:, 0] for b in A.points[:, 0]})
-    assert n_diffs * (n_diffs - 1) > so.QUOTIENT_CHUNK
-    so_chunk, so.QUOTIENT_CHUNK = so.QUOTIENT_CHUNK, 1 << 30
-    try:
+    assert n_diffs * (n_diffs - 1) > dset.PAIR_BLOCK
+    with mock.patch.object(dset, "PAIR_BLOCK", 1 << 30):
         Q1, wit1 = so.quotient_set(A, 1, with_witnesses=True)
-    finally:
-        so.QUOTIENT_CHUNK = so_chunk
     assert Q == Q1 and wit == wit1
+
+
+def test_quotient_set_many_passes_stay_small():
+    """C m=9, |A| = 40: about 2M (difference, denominator) pairs, so the
+    cells go in many passes of the pair kernel.  Q and the witness dict
+    equal one pass over every pair, and the traced peak stays under 32 MB:
+    each pass's first occurrences are merged as they come (keeping every
+    pass's cells to the end traced about 66 MB)."""
+    C = al.make_algebra("C", m=9)
+    flat = random.Random(40).sample(range(1025 ** 2), 40)
+    A = make_dset(C, [(f // 1025 - 512, f % 1025 - 512) for f in flat])
+    diffs, _ = so._distinct_differences(A)
+    assert len(diffs) ** 2 > 30 * dset.PAIR_BLOCK
+    tracemalloc.start()
+    try:
+        Q, wit = so.quotient_set(A, 1, with_witnesses=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with mock.patch.object(dset, "PAIR_BLOCK", 1 << 30):
+        Q1, wit1 = so.quotient_set(A, 1, with_witnesses=True)
+    assert Q == Q1 and wit == wit1
+    assert peak < 32 * 2 ** 20
 
 
 # --- linear-map oracles: the Fraction loops the integer maps replaced ------

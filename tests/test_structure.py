@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -999,7 +1000,12 @@ def test_dyadic_induction_equals_fraction_loop(spec, m, data):
     v = [al.element(alg, [rnd.randrange(-5, 6) for _ in range(alg.d)],
                     data.draw(hst.integers(m - 1, m + 2))) for _ in range(alg.d)]
     n = 2 if alg.d == 4 else 3
-    assert st.dyadic_induction(Q, v, n=n) == _oracle_dyadic(Q, v, n)
+    want = _oracle_dyadic(Q, v, n)
+    # a small budget puts the points of a level in many passes
+    budget = data.draw(hst.sampled_from([None, 50, 500]), label="budget")
+    env = {} if budget is None else {"DLAB_BUDGET_POINTS": str(budget)}
+    with mock.patch.dict(os.environ, env):
+        assert st.dyadic_induction(Q, v, n=n) == want
 
 
 # generators recorded from sympy.factorint before trial division replaced it
