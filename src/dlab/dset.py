@@ -45,6 +45,8 @@ from .errors import (
 
 DEFAULT_POINT_BUDGET = 10_000_000
 KEY_TABLE_FACTOR = 2    # keys per row (and offset) up to which a box is one table
+MIN_TABLE_FACTOR = 8    # the same for _row_mins: its int32 table holds about
+                        # the memory of the sort it replaces
 PAIR_BLOCK = 1 << 16    # pairs per pass of every blocked array pass
 
 
@@ -141,8 +143,9 @@ def _canon_points(arr: np.ndarray, d: int, order: str = "C") -> np.ndarray:
     """The distinct rows of `arr` (width d) in lexicographic order: the same
     array as np.unique(arr, axis=0), in the memory order given.
 
-    Rows whose _row_labels already increase strictly (FFT sumsets,
-    translations, subsets, product pairs) come back as a copy.  Otherwise the
+    Rows whose _row_labels already increase strictly (FFT sumsets, the
+    pair kernel's sumsets and product sets, translations, subsets, product
+    pairs) come back as a copy.  Otherwise the
     distinct labels, in order, are the marks of an occupancy table on a
     _small_box and the sorted labels otherwise; decode turns them back."""
     arr = np.asarray(arr, dtype=np.int64).reshape(-1, d)
@@ -185,8 +188,16 @@ def _row_mult(arr: np.ndarray) -> np.ndarray:
 def _row_mins(arr: np.ndarray) -> np.ndarray:
     """For every distinct row of a 2-d array, in lexicographic row order, the
     index of its first occurrence: np.unique(arr, axis=0, return_index=True)[1]
-    on the _row_labels."""
-    return np.unique(_row_labels(arr)[0], return_index=True)[1]
+    on the _row_labels.  On a key box of at most MIN_TABLE_FACTOR keys a row
+    (and point_budget() keys) the least index of each label is taken in one
+    int32 table by np.minimum.at, with no sort."""
+    labels, size, _ = _row_labels(arr)
+    n = len(arr)
+    if size <= MIN_TABLE_FACTOR * n and size <= point_budget() and n < 2 ** 31:
+        first = np.full(size, n, dtype=np.int32)
+        np.minimum.at(first, labels, np.arange(n, dtype=np.int32))
+        return first[first < n].astype(np.intp)
+    return np.unique(labels, return_index=True)[1]
 
 
 def _row_lookup(rows: np.ndarray, offsets=None):

@@ -275,11 +275,12 @@ def _pair_rows(op, a, k, block, keep):
     """The rows of block(a[i:j]) over passes of pass_rows(k) rows of a: block
     gives the int64 rows of its rows paired with the k rows of the other
     operand, keep(rows) the rows a pass keeps.  One pass comes back as it is,
-    for the caller to reduce.  More come back kept: the passes' kept rows are
-    merged in pass order by keep at the end and whenever they pass twice the
-    last merge (and one pass's pairs), so the merges reduce a constant times
-    the kept rows.  BudgetExceeded, naming op and its sizes, is raised when a
-    merge has more rows than point_budget(), which is read once."""
+    for the caller to reduce (a DSet canonicalizes it anyway).  More come
+    back kept: the passes' kept rows are merged in pass order by keep at the
+    end and whenever they pass twice the last merge (and one pass's pairs),
+    so the merges reduce a constant times the kept rows.  BudgetExceeded,
+    naming op and its sizes, is raised when a merge has more rows than
+    point_budget(), which is read once."""
     n, budget = len(a), point_budget()
     step = pass_rows(k, budget)
     if n <= step and n * k <= budget:     # one pass: its rows as they are
@@ -675,11 +676,15 @@ def quotient_set(A: DSet, rho_exp: int, side: str = "Left",
     (algebra._int_inverse), rounded (real base) or reduced (p-adic base)
     once per cell.
     """
-    alg, m = A.alg, A.scale_exp
+    alg = A.alg
+    m = A.scale_exp
     if not (0 < rho_exp and m - 3 * rho_exp >= 1):
         raise ParameterRangeError("need 0 < rho_exp < m/3 so Delta is a scale")
     scale_out = m - 3 * rho_exp
-    radius_out = A.radius_exp + rho_exp + (1 if alg.is_real_base else 0)
+    if alg.is_real_base:
+        radius_out = A.radius_exp + 1 + rho_exp
+    else:
+        radius_out = A.radius_exp + rho_exp
     diffs, first = _distinct_differences(A)
     if alg.is_real_base:    # sum u^2 4^-m > 4^-rho
         far = _row_norm_sq(diffs) > 4 ** (m - rho_exp)
@@ -689,7 +694,8 @@ def quotient_set(A: DSet, rho_exp: int, side: str = "Left",
     if len(den_idx) == 0:
         raise NoAdmissiblePairs("all pairwise differences are <= rho")
     if len(diffs) * len(den_idx) > point_budget():
-        raise BudgetExceeded("quotient set too large", {"pairs": len(diffs) * len(den_idx)})
+        raise BudgetExceeded("quotient set too large",
+                             {"pairs": len(diffs) * len(den_idx)})
     cells, pair = _quotient_cells(alg, diffs, den_idx, side, scale_out, radius_out)
     Q = DSet(alg, scale_out, radius_out, cells)
     if not with_witnesses:

@@ -585,8 +585,9 @@ def dichotomy_check(Q: DSet, v: list, delta_exp: int, rho_exp: int,
 def dyadic_induction(Q: DSet, v: list, n: int = 4):
     """Constructive dense-case content: level-by-level membership of the
     dyadic-rational points sum_j v_j k_j 2^-level within Delta of Q, as
-    integer rows sum_j k_j B[j] over 2^(level + e) (_basis_rows) in blocks
-    of pass_rows(3^d) points."""
+    integer rows sum_j k_j B[j] over 2^(level + e) (_basis_rows) in passes
+    of pass_rows(1) points: _near_rows looks the 3^d neighbour offsets up one
+    after another, so a pass holds its points, not points x offsets."""
     alg = Q.alg
     if not alg.is_real_base:
         raise NotRealBase("dyadic induction applies to the real base")
@@ -595,7 +596,7 @@ def dyadic_induction(Q: DSet, v: list, n: int = 4):
     d = alg.d
     e, B = _basis_rows(Q, v[:d])
     lookup = _row_lookup(Q.points)
-    step = pass_rows(3 ** d)
+    step = pass_rows(1)
     report = {}
     for level in range(n + 1):
         side = 2 ** level + 1

@@ -337,6 +337,27 @@ def test_row_mins_equal_loop(d, bound, dtype, data):
     assert _row_mins(arr.astype(dtype)).tolist() == [first[r] for r in sorted(first)]
 
 
+@settings(max_examples=40, deadline=None)
+@given(hst.sampled_from([1, 2, 3]), hst.integers(1, 60), hst.data())
+def test_row_mins_table_equals_sorted(d, n, data):
+    """Rows in a box of at most MIN_TABLE_FACTOR keys per row take their
+    first occurrences from one table, with no np.unique; the indices equal a
+    dict loop and the sorted path's (the table patched off)."""
+    side = max(1, int((dset.MIN_TABLE_FACTOR * n) ** (1 / d)))
+    rows = data.draw(hst.lists(hst.lists(hst.integers(-3, side - 4), min_size=d,
+                                         max_size=d), min_size=n, max_size=n))
+    arr = np.array(rows, dtype=np.int64).reshape(-1, d)
+    first = {}
+    for t, row in enumerate(map(tuple, arr.tolist())):
+        first.setdefault(row, t)
+    want = [first[r] for r in sorted(first)]
+    with mock.patch.object(np, "unique", side_effect=AssertionError):
+        got = _row_mins(arr)
+    assert got.dtype == np.intp and got.tolist() == want
+    with mock.patch.object(dset, "MIN_TABLE_FACTOR", 0):
+        assert _row_mins(arr).tolist() == want
+
+
 @settings(max_examples=100, deadline=None)
 @given(hst.sampled_from([1, 2, 3, 4]),
        hst.sampled_from(["small", "wide", "edge", "object"]), hst.data())
