@@ -464,15 +464,6 @@ def mul(alg: AlgebraDescriptor, x: Element, y: Element) -> Element:
     return _canonical(alg, raw, x.unit_exp + y.unit_exp)
 
 
-def mul_exact(alg: AlgebraDescriptor, x: Element, y: Element) -> Element:
-    """Product kept at combined precision (no grid rounding; real base only
-    differs from mul)."""
-    raw = _vec_mul(alg, x.coords, y.coords)
-    if alg.is_real_base:
-        return Element(tuple(raw), x.unit_exp + y.unit_exp)
-    return _canonical(alg, raw, x.unit_exp + y.unit_exp)
-
-
 # ---------------------------------------------------------------------------
 # norms, inverses, determinants
 

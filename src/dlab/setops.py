@@ -4,17 +4,16 @@ actions, projections, quotient sets and linear coordinate changes.
 Real-base composites are rounded to the grid once per operation
 (half-away-from-zero); a projection a + x b rounds x b and adds the grid
 point a, which at a tie can differ from rounding a + x b.  p-adic
-composites are exact.  Large sumsets fall back to an FFT indicator
-convolution, transformed at 7-smooth lengths on the real base (the cyclic
-grid p^k on the p-adic base) with one squared spectrum for A + A.  A - A
-and iterated's whole chain n (P - P) take one spectrum F of P raised to
-|F|^(2n) and one inverse transform (_fft_power_sum) while a proven
-float-error bound holds, and the stepwise chain of sumsets otherwise.
-Smaller sumsets, every product set and the quotient cells go through one
-blocked pair kernel (_pair_rows), in passes of dset.pass_rows, the one pass
-size: each pass keeps its distinct rows (so the point budget caps the
-distinct rows, not the pairs), or each quotient cell's first pair, and the
-kept rows are merged.  An empty operand gives
+composites are exact.  Every sum is one _sumset, n (A + B) with B None
+for -A.  Past PAIRWISE_CAP pairs it is one inverse transform of (F_A F_B)^n
+(_fft_sum) at 7-smooth lengths on the real base (the cyclic grid p^k on
+the p-adic base): one squared spectrum for A + A, and the real |F_A|^(2n)
+for n (A - A) while a proven float-error bound holds, the stepwise chain
+of sums otherwise.  Smaller sums, every product set and the quotient cells
+go through one blocked pair kernel (_pair_rows), in passes of
+dset.pass_rows, the one pass size: each pass keeps its distinct rows (so
+the point budget caps the distinct rows, not the pairs), or each quotient
+cell's first pair, and the kept rows are merged.  An empty operand gives
 the empty set at the (scale_exp, radius_exp) of a one-point operand.
 
 Products, scalar images, projections, quotients and the dual map share one
@@ -398,81 +397,65 @@ def _fft_rows(conv, lo, at, w0, w1, sizes):
     return _key_rows(key, (lo + w0).tolist(), (w1 - w0 + 1).tolist(), order="F")
 
 
-def _fft_support_sum(a_pts, b_pts, cyclic_mod=None, window=None):
-    """Support of the sumset a + b via indicator convolution, as rows in the
-    canonical order of a DSet.
+def _fft_sum(a, b, n=1, cyclic_mod=None, window=None):
+    """Support of n (a + b), b None standing for -a, as rows in the canonical
+    order of a DSet, from one inverse transform of (F_a F_b)^n.  -a has the
+    spectrum conj F_a, so its product is the real |F_a|^(2n); n > 1 only for
+    -a.  b the very array a squares one spectrum.  Each indicator spans its
+    operand's own box, zero-padded inside the forward transform.
 
-    cyclic_mod None (real base): the sums inside the value box window =
-    (lo, hi), each one bound or a list per axis, by default the whole box of
-    span N = span a + span b - 1, at the cyclic length of _fft_grid: neither
-    indicator wraps, and no alias j +- L of a window index j lies in the
-    box.  The whole box gives L = _smooth_len(N).  Otherwise circular
-    convolution modulo cyclic_mod per axis (p-adic; no window).  Each
-    indicator spans its operand's own box and is zero-padded inside the
-    forward transform; both operands the same array: one forward transform,
-    squared.
+    cyclic_mod None (real base): the sums inside the value box window = (lo,
+    hi), each one bound or a list per axis, by default the whole box of the
+    sums, at the cyclic length of _fft_grid: no indicator wraps, and no alias
+    j +- L of a window index j lies in the box (the whole box: L = _smooth_len
+    of span a + span b - 1, or of 2n (span a - 1) + 1 for -a).  Otherwise
+    circular convolution modulo cyclic_mod per axis (p-adic; no window).  A
+    sum of a + b lies at index value - lo, one of n (a - a) at value mod L.
 
-    For 0/1 inputs the float error of every convolution entry is at most
-    c u log2(L) |a|_2 |b|_2 (u the unit roundoff, L the transformed cell
-    count; Schatzman, SIAM J. Sci. Comput. 17, 1996): about 1e-7 under
-    FFT_CELL_CAP; _fft_rows checks it on every entry.
+    For 0/1 inputs the float error of every entry of a + b is at most c u
+    log2(L) |a|_2 |b|_2 (u the unit roundoff, L the transformed cell count;
+    Schatzman, SIAM J. Sci. Comput. 17, 1996): about 1e-7 under FFT_CELL_CAP.
+    For n (a - a), with E_k(a) = (1/L) sum |F|^(2k) <= |a|^(2k - 1) the k-fold
+    additive energy, the computed F has ||dF||_2 <= c u log2(L) ||F||_2 = c u
+    log2(L) sqrt(L |a|) (normwise), so to first order the entries of the exact
+    inverse of the raised error are at most (1/L) sum 2n |F|^(2n - 1) |dF| <=
+    2n sqrt(E_(2n-1)) ||dF||_2 / sqrt(L) <= 2n c u log2(L) |a|^(2n - 1)
+    (Cauchy-Schwarz, E_(2n-1) <= |a|^(4n - 3)).  The inverse transform adds
+    at most c u log2(L) (1/L) sum |F|^(2n) = c u log2(L) E_n <= c u log2(L)
+    |a|^(2n - 1) per entry (each output of a Cooley-Tukey FFT depends on each
+    input through one path).  So n (a - a) returns None, before any
+    transform, unless (2n + 1) c u log2(L) |a|^(2n - 1) < 1/4, with c u =
+    _FFT_EPS: at n = 1 that is at most 1.1e-6 under FFT_CELL_CAP, so only n
+    >= 2 returns None.  _fft_rows checks every entry of every sum.
     """
-    (amin, sa), (bmin, sb) = _fft_box(a_pts, cyclic_mod), _fft_box(b_pts, cyclic_mod)
-    lo, sizes = amin.astype(object) + bmin, [len(a_pts), len(b_pts)]
-    grid = _fft_grid(lo, sa + sb - 1, (sa, sb), window, cyclic_mod, sizes)
-    if grid is None:
-        return np.empty((0, a_pts.shape[1]), dtype=np.int64)
-    w0, w1, shape = grid
-    axes = tuple(range(len(shape)))
-    spec = np.fft.rfftn(_indicator(a_pts - amin, sa), shape, axes)
-    if b_pts is a_pts:
-        spec *= spec
+    amin, sa = _fft_box(a, cyclic_mod)
+    if b is None:   # values in [-n (span a - 1), n (span a - 1)]; cyclic: 0
+        lo = -n * (sa - 1) if cyclic_mod is None else amin.astype(object)
+        at, sizes = lo, [len(a)] * (2 * n)
+        grid = _fft_grid(lo, 2 * n * (sa - 1) + 1, (sa,), window, cyclic_mod, sizes)
     else:
-        spec *= np.fft.rfftn(_indicator(b_pts - bmin, sb), shape, axes)
-    conv = np.fft.irfftn(spec, shape, axes)
-    del spec
-    return _fft_rows(conv, lo, 0, w0, w1, sizes)
-
-
-def _fft_power_sum(p_pts, n, cyclic_mod=None, window=None):
-    """Support of n (p - p), the sums of n points of p minus n points of p,
-    from p's spectrum F alone: |F|^(2n) is the spectrum of the n-fold
-    convolution of 1_p with 1_(-p) (the conjugate of F is the spectrum of
-    -p), so on the cyclic grid every value v lands at index v mod L and one
-    inverse transform gives every count.  Grid, window and rows as in
-    _fft_support_sum: the values lie in [-n (span p - 1), n (span p - 1)],
-    and with the window of B(0, 1) the length is n (span p - 1) + 2^m + 1,
-    the length of the last windowed sum of the stepwise chain.
-
-    None, before any transform, unless the float-error bound below holds;
-    the caller then takes the stepwise chain.  With E_k(p) = (1/L) sum
-    |F|^(2k) <= |p|^(2k - 1) the k-fold additive energy, the computed F has
-    ||dF||_2 <= c u log2(L) ||F||_2 = c u log2(L) sqrt(L |p|) (normwise), so
-    to first order the entries of the exact inverse of the raised error are
-    at most (1/L) sum 2n |F|^(2n - 1) |dF| <= 2n sqrt(E_(2n-1)) ||dF||_2 /
-    sqrt(L) <= 2n c u log2(L) |p|^(2n - 1) (Cauchy-Schwarz, E_(2n-1) <=
-    |p|^(4n - 3)).  The inverse transform adds at most c u log2(L) (1/L) sum
-    |F|^(2n) = c u log2(L) E_n <= c u log2(L) |p|^(2n - 1) per entry (each
-    output of a Cooley-Tukey FFT depends on each input through one path).
-    So the path is taken only while (2n + 1) c u log2(L) |p|^(2n - 1) < 1/4,
-    with c u = _FFT_EPS; the entry check of _fft_rows still runs.
-    """
-    pmin, sp = _fft_box(p_pts, cyclic_mod)
-    lo = -n * (sp - 1) if cyclic_mod is None else pmin.astype(object)   # cyclic: 0
-    sizes = [len(p_pts)] * (2 * n)
-    grid = _fft_grid(lo, 2 * n * (sp - 1) + 1, (sp,), window, cyclic_mod, sizes)
+        bmin, sb = _fft_box(b, cyclic_mod)
+        lo, at, sizes = amin.astype(object) + bmin, 0, [len(a), len(b)]
+        grid = _fft_grid(lo, sa + sb - 1, (sa, sb), window, cyclic_mod, sizes)
     if grid is None:
-        return np.empty((0, p_pts.shape[1]), dtype=np.int64)
+        return np.empty((0, a.shape[1]), dtype=np.int64)
     w0, w1, shape = grid
-    if (2 * n + 1) * _FFT_EPS * math.log2(math.prod(shape)) * len(p_pts) ** (2 * n - 1) >= 0.25:
+    if b is None and ((2 * n + 1) * _FFT_EPS * math.log2(math.prod(shape))
+                      * len(a) ** (2 * n - 1) >= 0.25):
         return None
     axes = tuple(range(len(shape)))
-    power = np.abs(np.fft.rfftn(_indicator(p_pts - pmin, sp), shape, axes))
-    power *= power      # |F|^2, then |F|^(2n): a real spectrum, half the
-    power **= n         # inverse transform's complex input
-    conv = np.fft.irfftn(power, shape, axes)
-    del power
-    return _fft_rows(conv, lo, lo, w0, w1, sizes)
+    spec = np.fft.rfftn(_indicator(a - amin, sa), shape, axes)
+    if b is None:
+        spec = np.abs(spec)     # |F|^2, then |F|^(2n): a real spectrum, half
+        spec *= spec            # the inverse transform's complex input
+        spec **= n
+    elif b is a:
+        spec *= spec
+    else:
+        spec *= np.fft.rfftn(_indicator(b - bmin, sb), shape, axes)
+    conv = np.fft.irfftn(spec, shape, axes)
+    del spec
+    return _fft_rows(conv, lo, at, w0, w1, sizes)
 
 
 def sumset(A: DSet, B: DSet) -> DSet:
@@ -480,17 +463,30 @@ def sumset(A: DSet, B: DSet) -> DSet:
     return _sumset(A, B)
 
 
-def _sumset(A: DSet, B: DSet, window=None) -> DSet:
-    """sumset(A, B), only inside the value box `window` on the real base's
-    FFT branch."""
-    _check_compat(A, B)
-    alg = A.alg
-    r = max(A.radius_exp, B.radius_exp)
-    a, b = _at_radius(A, r), _at_radius(B, r)
-    out_r, mod = (r + 1, None) if alg.is_real_base else (r, alg.p ** (A.scale_exp + r))
+def _sumset(A: DSet, B: DSet | None = None, n: int = 1, window=None) -> DSet:
+    """n (A + B), B None standing for -A (n > 1 only then), at the radius_exp
+    of the stepwise chain (one more per sum on the real base).  Past
+    PAIRWISE_CAP pairs one _fft_sum, only inside the value box `window` on
+    the real base, while its float-error bound holds; otherwise the stepwise
+    chain D = A + B, D + D, ..., the last sum windowed (n > 1), or one
+    pairwise pass of the pair kernel."""
+    C = A if B is None else B   # -A has A's sizes and bounds
+    _check_compat(A, C)
+    alg, r = A.alg, max(A.radius_exp, C.radius_exp)
+    a, b = _at_radius(A, r), _at_radius(C, r)
+    out_r, mod = (r + n, None) if alg.is_real_base else (r, alg.p ** (A.scale_exp + r))
     _check_sum_bound("sumset", (a, 1), (b, 1))
     if len(a) * len(b) > PAIRWISE_CAP:
-        return DSet(alg, A.scale_exp, out_r, _fft_support_sum(a, b, mod, window))
+        rows = _fft_sum(a, None if B is None else b, n, mod, window)
+        if rows is not None:
+            return DSet(alg, A.scale_exp, out_r, rows)
+    if n > 1:
+        D = S = _sumset(A, B)
+        for _ in range(n - 2):
+            S = _sumset(S, D)
+        return _sumset(S, D, 1, window)
+    if B is None:
+        b = negate(A).points
 
     def block(u):
         pts = (u[:, None, :] + b[None, :, :]).reshape(-1, alg.d)
@@ -508,26 +504,10 @@ def negate(A: DSet) -> DSet:
 
 
 def difference_set(A: DSet, B: DSet) -> DSet:
-    """{a - b}, implemented as a sumset with negation; A - A of the very
-    same set A takes _power_sum with n = 1 (one forward transform)."""
-    D = _power_sum(A, 1) if B is A else None
-    return sumset(A, negate(B)) if D is None else D
-
-
-def _power_sum(P: DSet, n: int, window=None):
-    """n (P - P) from P's spectrum alone (_fft_power_sum), only inside the
-    value box `window` on the real base, at the radius_exp of the stepwise
-    chain of sumsets (one more per sum on the real base).  None when P - P
-    takes the pairwise branch or the float-error bound does not hold."""
-    if len(P) ** 2 <= PAIRWISE_CAP:
-        return None
-    alg = P.alg
-    _check_sum_bound("sumset", (P.points, 1), (P.points, 1))
-    mod = None if alg.is_real_base else alg.p ** (P.scale_exp + P.radius_exp)
-    rows = _fft_power_sum(P.points, n, mod, window)
-    if rows is None:
-        return None
-    return DSet(alg, P.scale_exp, P.radius_exp + (n if alg.is_real_base else 0), rows)
+    """{a - b}: A - A of the very same set A is _sumset with B None (on the
+    FFT branch one spectrum F of A, as |F|^2), any other B the sumset of A
+    and negate(B)."""
+    return _sumset(A) if B is A else sumset(A, negate(B))
 
 
 # ---------------------------------------------------------------------------
@@ -620,25 +600,19 @@ def ball_intersect(A: DSet, radius_exp: int = 0) -> DSet:
 
 
 def iterated(A: DSet, n_sum: int, n_prod: int, clip: bool = True) -> DSet:
-    """n_sum*(A^(n_prod) - A^(n_prod)), intersected with B(0,1) when clip.
-    With P = A^(n_prod), the whole sum chain is one _power_sum when P - P
-    takes the FFT branch and its float-error bound holds; otherwise the
-    stepwise chain D = P - P, D + D, ...  On the real base the clipped chain
-    is formed only inside the box of B(0,1) (the last sum of the stepwise
-    chain, when it takes the FFT branch); ball_intersect makes the exact
-    cut."""
+    """n_sum*(A^(n_prod) - A^(n_prod)), intersected with B(0,1) when clip:
+    the one _sumset n_sum (P - P) of P = A^(n_prod), which on its FFT branch
+    raises one spectrum F of P to |F|^(2 n_sum) while the float-error bound
+    holds (always at n_sum = 1) and takes the stepwise chain D = P - P, D +
+    D, ... otherwise.  On the real base's FFT branch the clipped chain is
+    formed only inside the box of B(0,1); ball_intersect makes the exact cut."""
     if n_sum < 1 or n_prod < 1:
         raise ParameterRangeError("n_sum and n_prod must be >= 1")
     P = A
     for _ in range(n_prod - 1):
         P = product_set(P, A, "Left")
     window = (-2 ** A.scale_exp, 2 ** A.scale_exp) if clip else None
-    S = _power_sum(P, n_sum, window)
-    if S is None:   # the stepwise chain: the last sum is S + T
-        S, T = (P, negate(P)) if n_sum == 1 else (difference_set(P, P),) * 2
-        for _ in range(n_sum - 2):
-            S = sumset(S, T)
-        S = _sumset(S, T, window)
+    S = _sumset(P, None, n_sum, window)
     return ball_intersect(S, 0) if clip else S
 
 

@@ -258,11 +258,6 @@ def distance_sq_or_exact(alg, a: Element, member: SubAlgebra):
     return Fraction(int(num[0]), den)
 
 
-def distance_to_subalgebra(alg, a: Element, member: SubAlgebra) -> float:
-    v = distance_sq_or_exact(alg, a, member)
-    return math.sqrt(float(v)) if alg.is_real_base else float(v)
-
-
 # ---------------------------------------------------------------------------
 # avoidance
 
@@ -391,29 +386,6 @@ def escape_basis(A: DSet, floor) -> list:
         raise SubAlgebraTrapped(f"greedy determinant {det} below floor {floor}",
                                 span=[c.coords for c in chosen])
     return chosen
-
-
-# ---------------------------------------------------------------------------
-# halving / translate maps
-
-def halving_map(alg, v: list, ibits, x: Element) -> Element:
-    """f_i(x) = sum_j ((x_j + i_j)/2) v_j in coordinates relative to the
-    basis v, that is (x + sum_{i_j=1} v_j) / 2, snapped to the grid."""
-    if not alg.is_real_base:
-        raise NotRealBase("halving maps require the real base")
-    if len(v) != alg.d or al.det_basis(alg, v) == 0:
-        raise ParameterRangeError("v is not a basis")
-    img, _ = _halving_value(alg, v, ibits, al.value_coords(alg, x))
-    return al.from_value_coords(alg, img)
-
-
-def _halving_value(alg, v, ibits, xvals):
-    """f_i on exact value coordinates: (x + sum_{i_j=1} v_j) / 2."""
-    shift = (Fraction(0),) * alg.d
-    for j, b in enumerate(ibits):
-        if b:
-            shift = tuple(s + c for s, c in zip(shift, al.value_coords(alg, v[j])))
-    return tuple((x + s) / 2 for x, s in zip(xvals, shift)), shift
 
 
 # ---------------------------------------------------------------------------

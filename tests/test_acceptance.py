@@ -18,6 +18,8 @@ from dlab import setops as so
 from dlab import structure as st
 from dlab.dset import covering_number, make_dset, uniform_subset, uniformity_audit
 
+from oracles import halving_value
+
 
 def _report(n, ok, detail):
     print(f"criterion {n}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -279,7 +281,7 @@ def test_criterion_8_escape_and_dichotomy():
         if out.case == "Sparse":
             sparse_seen += 1
             xvals = tuple(Fraction(s) for s in out.witness["x"])
-            img, _ = st._halving_value(C7, v, out.witness["map"], xvals)
+            img, _ = halving_value(C7, v, out.witness["map"], xvals)
             Delta = Fraction(1, 2 ** Q.scale_exp)
             for row in Q.points:
                 qv = tuple(Fraction(int(c)) * Delta for c in row)

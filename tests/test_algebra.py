@@ -15,6 +15,8 @@ from dlab.errors import (
     UnsupportedRealDim,
 )
 
+from oracles import mul_exact
+
 
 # --- construction -----------------------------------------------------------
 
@@ -204,7 +206,7 @@ def test_real_norm_multiplicative_before_rounding(a, b, c, d):
     C = al.make_algebra("C", m=6)
     x = al.element(C, (a, b))
     y = al.element(C, (c, d))
-    prod = al.mul_exact(C, x, y)
+    prod = mul_exact(C, x, y)
     assert al.norm_sq(C, prod) == al.norm_sq(C, x) * al.norm_sq(C, y)
 
 

@@ -23,6 +23,8 @@ from dlab.errors import (
     ParameterRangeError,
 )
 
+from oracles import mul_exact
+
 
 def _rset(alg, rnd, n, lo=-16, hi=17):
     pts = {tuple(rnd.randrange(lo, hi) for _ in range(alg.d)) for _ in range(n)}
@@ -85,7 +87,7 @@ def _brute_quintuple(A, X, symmetric):
     for x in X.elements():
         R = {}
         for e in elems:
-            prod = al.mul_exact(alg, x, e)
+            prod = mul_exact(alg, x, e)
             vals = al.value_coords(alg, prod)
             if alg.is_real_base:
                 R[e.coords] = tuple(al.round_half_away(v.numerator * 2 ** m,
@@ -360,7 +362,7 @@ def _brute_quadruple(A, p, q):
     elems = A.elements()
 
     def rounded(u, x):
-        prod = al.mul_exact(alg, u, x)
+        prod = mul_exact(alg, u, x)
         vals = al.value_coords(alg, prod)
         if alg.is_real_base:
             return tuple(al.round_half_away(v.numerator * 2 ** m, v.denominator)
@@ -433,7 +435,7 @@ def _loop_quadruple(A, p, q):
     def rounded_mult(x):
         out = Counter()
         for u, cnt in D.items():
-            prod = al.mul_exact(alg, al.element(alg, u, A.unit_exp()), x)
+            prod = mul_exact(alg, al.element(alg, u, A.unit_exp()), x)
             if alg.is_real_base:
                 key = tuple(al.round_half_away(v.numerator * 2 ** A.scale_exp,
                                                v.denominator)

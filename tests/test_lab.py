@@ -375,13 +375,14 @@ def test_expansion_round_power_path_equals_chain(m):
     net = lab.circle_net(al.make_algebra("C", m=m), m)
     sched = lab.Schedule(s=1, sigma=1, t=Fraction(3, 2), d=2, delta_exp=m,
                          n_iters=1, n_sum=2, n_prod=2, C=4)
-    with mock.patch.object(so, "_fft_power_sum", wraps=so._fft_power_sum) as power:
+    with mock.patch.object(so, "_fft_sum", wraps=so._fft_sum) as fft:
         want = lab.run_expansion(net, sched, seed=0)
-        assert not power.called
+        # D + D only: no power-path call, whose b is None
+        assert fft.called and all(c.args[1] is not None for c in fft.call_args_list)
         with mock.patch.object(so, "PAIRWISE_CAP", 0):
             got = lab.run_expansion(net, sched, seed=0)
             clipped = so.iterated(net, 2, 2)
-    assert power.call_args.args[1] == 2
+    assert fft.call_args.args[1:3] == (None, 2)
     assert got == want
     assert clipped == so.iterated(net, 2, 2)
 

