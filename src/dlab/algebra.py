@@ -36,19 +36,24 @@ PADIC = "Qp"
 # ---------------------------------------------------------------------------
 # small number-theory helpers
 
+def _prime_factors(n: int) -> list:
+    """Distinct prime factors of n >= 1, ascending, by trial division up to
+    sqrt(n)."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and _prime_factors(n) == [n]
 
 
 def vp(n: int, p: int) -> int:
@@ -149,7 +154,7 @@ def poly_is_irreducible(f, p) -> bool:
     if _poly_trim([(a - b) % p for a, b in itertools.zip_longest(h, x, fillvalue=0)]) not in ([], [0]):
         return False
     # gcd(x^(p^(d/q)) - x, f) == 1 for prime divisors q of d
-    for q in sorted({q for q in range(2, d + 1) if d % q == 0 and is_prime(q)}):
+    for q in _prime_factors(d):
         h = x
         for _ in range(d // q):
             h = _poly_powmod(h, p, f, p)
@@ -486,12 +491,25 @@ def norm_exp(alg: AlgebraDescriptor, x: Element):
 
 
 def _int_det(mat):
-    """Exact determinant of a square integer matrix by Laplace expansion along
-    the first row (d! terms: small for d <= 4)."""
-    if not mat:
-        return 1
-    return sum((-1) ** j * c * _int_det([row[:j] + row[j + 1:] for row in mat[1:]])
-               for j, c in enumerate(mat[0]) if c)
+    """Exact determinant of a square matrix of Python ints by fraction-free
+    Bareiss elimination (Bareiss, Math. Comp. 22, 1968): after step k every
+    entry below and right of the pivot is a (k + 1) x (k + 1) minor, so each
+    division by the last pivot is exact.  The pivot is the first nonzero
+    entry of its column from row k down (a swap negates the sign); none
+    makes the determinant 0."""
+    a = [list(row) for row in mat]
+    n, sign, last = len(a), 1, 1
+    for k in range(n - 1):
+        r = next((r for r in range(k, n) if a[r][k]), None)
+        if r is None:
+            return 0
+        if r != k:
+            a[k], a[r], sign = a[r], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // last
+        last = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
 
 def _int_inverse(alg: AlgebraDescriptor, coords):
@@ -540,28 +558,6 @@ def inv(alg: AlgebraDescriptor, x: Element) -> Element:
                              padic_precision=prec)
 
 
-def det_fraction(mat):
-    """Exact determinant of a square matrix of Fractions."""
-    n = len(mat)
-    a = [[Fraction(v) for v in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        invp = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * invp
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
-
-
 def det_basis(alg: AlgebraDescriptor, vs):
     """Determinant of d candidate basis vectors.
 
@@ -570,8 +566,7 @@ def det_basis(alg: AlgebraDescriptor, vs):
     """
     if len(vs) != alg.d:
         raise ParameterRangeError(f"expected exactly {alg.d} elements")
-    mat = [list(value_coords(alg, v)) for v in vs]
-    det = det_fraction(mat)
+    det = Fraction(alg.radix) ** -sum(v.unit_exp for v in vs) * _int_det([v.coords for v in vs])
     if alg.is_real_base:
         return det
     return Fraction(0) if det == 0 else Fraction(alg.p) ** -vq(det, alg.p)

@@ -484,7 +484,12 @@ def remove_ball(A: DSet, center: Element, k: int) -> DSet:
 def _stage_labels(A: DSet, T: int):
     """(k, cell_ids(A, k)) at the stage scales k = scale_exp - T, scale_exp - 2T,
     ... and 0.  Stage cells nest: the first stage labels the points (with the
-    one top clamp of the real base) and each coarser label comes from the last."""
+    one top clamp of the real base) and each coarser label comes from the last.
+    EmptyInput for an empty A, ParameterRangeError for T < 1."""
+    if len(A) == 0:
+        raise EmptyInput("cannot uniformize an empty set")
+    if T < 1:
+        raise ParameterRangeError("stage size T must be >= 1")
     scales = list(range(A.scale_exp - T, -1, -T))
     scales += [0] if scales and scales[-1] != 0 else []
     for t, k in enumerate(scales):
@@ -509,10 +514,6 @@ def uniform_subset(A: DSet, T: int = 1) -> DSet:
     """Refine A so all nonempty cells at every stage scale carry counts in a
     single radix-power class; keeps the heaviest class at each stage (the
     class of a count c is floor(log_radix c); of equal masses, the larger)."""
-    if len(A) == 0:
-        raise EmptyInput("cannot uniformize an empty set")
-    if T < 1:
-        raise ParameterRangeError("stage size T must be >= 1")
     powers = _radix_powers(A.alg.radix)
     idx = np.arange(len(A))
     for _, label in _stage_labels(A, T):

@@ -6,7 +6,7 @@ agree up to an adjacent cell (real base, l-infinity) or lie in the same
 residue class (p-adic).  Counts are exact for that convention.
 
 The counting engines are array code on the grid-product kernel of setops
-(setops._grid_products) and on the row-key lookup of dset (_row_lookup),
+(setops._grid_times) and on the row-key lookup of dset (_row_lookup),
 which folds the 3^d neighbour offsets of the tolerance (one offset on the
 p-adic base) into a key table or sorted keys, so that one lookup counts a
 target against every offset:
@@ -40,6 +40,7 @@ from . import algebra as al
 from . import setops as so
 from .dset import (
     DSet,
+    _abs_max,
     _row_counts,
     _row_lookup,
     _row_mult,
@@ -178,9 +179,10 @@ def quintuple_count_tv(A: DSet, X: DSet, rho_exp: int,
     R = np.zeros((len(xs), n, d), dtype=np.int64)   # R[k]: x a for x = xs[k]
     for u in {x.unit_exp for x in xs}:
         idx = [k for k, x in enumerate(xs) if x.unit_exp == u]
-        R[idx] = so._grid_products(alg, A.points, [xs[k].coords for k in idx],
-                                   A.unit_exp() + u, A.scale_exp, "Right", A.unit_exp() + u,
-                                   "quintuple_count_tv").reshape(n, len(idx), d).transpose(1, 0, 2)
+        unit = A.unit_exp() + u
+        times = so._grid_times(alg, [xs[k].coords for k in idx], _abs_max(A.points),
+                               alg.radix ** unit, A.scale_exp, "Right", unit, "quintuple_count_tv")
+        R[idx] = times(A.points).reshape(n, len(idx), d).transpose(1, 0, 2)
     so._check_sum_bound("quintuple_count_tv targets", (R.reshape(-1, d), 2), (offsets, 1))
     lookup = _row_lookup(_diffs(A), offsets)
     near_count = far_count = 0
@@ -236,8 +238,9 @@ def quadruple_count_sparse(A: DSet, p: al.Element, q: al.Element,
 
     def product_rows(x, name):
         """Grid rows of (a - a') x, in units p^-r on the p-adic base."""
-        return so._grid_products(alg, diffs, [x.coords], A.unit_exp() + x.unit_exp, scale,
-                                 "Left", r, f"quadruple_count_sparse: (a - a') {name}")
+        den = alg.radix ** (A.unit_exp() + x.unit_exp)
+        return so._grid_times(alg, [x.coords], _abs_max(diffs), den, scale, "Left", r,
+                              f"quadruple_count_sparse: (a - a') {name}")(diffs)
 
     T = -product_rows(q, "q")
     lookup = _row_lookup(product_rows(p, "p"), _neighbor_offsets(alg))

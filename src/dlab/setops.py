@@ -18,12 +18,15 @@ the empty set at the (scale_exp, radius_exp) of a one-point operand.
 
 Products, scalar images, projections, quotients and the dual map share one
 bilinear array product (_raw_products) and one grid step (_to_grid, the
-exact _grid_exact cast to int64); the counting engines and the escape pool
-of structure take their rows from the same kernel.  It runs on int64
-while every raw product provably fits and on Python ints otherwise.  A
-PairSet keeps its a and b halves as contiguous columns with their bounds;
-_project_many projects it along many directions, doing once what does not
-depend on the direction, so a direction costs one matmul and one grid step.
+exact _grid_exact cast to int64).  Product sets, scalar images, quotient
+cells and the counting engines round products onto the grid through one
+entry, _grid_times, over one denominator or one per row of its second
+operand; the escape pool of structure takes its rows from the same kernel.
+It runs on int64 while every raw product provably fits and on Python ints
+otherwise.  A PairSet keeps its a and b halves as contiguous columns with
+their bounds; _project_many projects it along many directions, doing once
+what does not depend on the direction, so a direction costs one matmul and
+one grid step.
 """
 
 from __future__ import annotations
@@ -246,25 +249,20 @@ def _grid_exact(alg, raw, den, scale_exp, unit_out, op, plus=None) -> np.ndarray
     return out
 
 
-def _grid_times(alg, V, big_u, unit, scale_exp, side, unit_out, op):
-    """The function taking rows U with max|U| <= big_u to the _to_grid of the
-    _raw_products of U and V, whose raw coordinates are in units
-    radix^-unit, into units radix^-unit_out (p-adic base).  int64 while the
-    raw products and the grid step provably fit, Python ints otherwise; V is
-    contracted with the structure constants once, for every U."""
-    den = alg.radix ** unit
+def _grid_times(alg, V, big_u, den, scale_exp, side, unit_out, op):
+    """The function taking rows U with max|U| <= big_u to the _to_grid, over
+    den (one int, or one per row of V), of the _raw_products of U and V,
+    into units radix^-unit_out (p-adic base).  int64 while the raw products
+    and the grid step provably fit, Python ints otherwise; V is contracted
+    with the structure constants once, for every U."""
     dt = _grid_dtype(alg, _product_bound(alg, big_u, _abs_max(V)), den, scale_exp, unit_out)
-    W = _product_matrix(alg, V, side, dt)
+    W, k = _product_matrix(alg, V, side, dt), len(V)
 
     def times(U):
-        raw = (np.asarray(U, dtype=dt).reshape(-1, alg.d) @ W).reshape(-1, alg.d)
-        return _to_grid(alg, raw, den, scale_exp, unit_out, op)
+        raw = np.asarray(U, dtype=dt).reshape(-1, alg.d) @ W
+        return _to_grid(alg, raw.reshape(len(raw), k, alg.d), den, scale_exp, unit_out,
+                        op).reshape(-1, alg.d)
     return times
-
-
-def _grid_products(alg, U, V, unit, scale_exp, side, unit_out, op) -> np.ndarray:
-    """_grid_times of V applied to U."""
-    return _grid_times(alg, V, _abs_max(U), unit, scale_exp, side, unit_out, op)(U)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +518,7 @@ def product_set(A: DSet, B: DSet, side: str = "Left") -> DSet:
         raise ParameterRangeError(f"side must be Left or Right, got {side!r}")
     alg, a, b, scale = A.alg, A.points, B.points, A.scale_exp
     unit = A.unit_exp() + B.unit_exp()
-    block = _grid_times(alg, b, _abs_max(a), unit, scale, side, unit, "product_set")
+    block = _grid_times(alg, b, _abs_max(a), alg.radix ** unit, scale, side, unit, "product_set")
     pts = _pair_rows("product_set", a, len(b), block, lambda rows: _canon_points(rows, alg.d))
     return DSet(alg, scale, A.radius_exp + B.radius_exp, pts)
 
@@ -528,8 +526,8 @@ def product_set(A: DSet, B: DSet, side: str = "Left") -> DSet:
 def scalar_image(x: Element, A: DSet, side: str = "Left") -> DSet:
     """{xa} or {ax} on the grid."""
     alg, unit = A.alg, A.unit_exp() + x.unit_exp
-    pts = _grid_products(alg, A.points, [x.coords], unit, A.scale_exp,
-                         "Right" if side == "Left" else "Left", unit, "scalar_image")
+    pts = _grid_times(alg, [x.coords], _abs_max(A.points), alg.radix ** unit, A.scale_exp,
+                      "Right" if side == "Left" else "Left", unit, "scalar_image")(A.points)
     r_out = A.radius_exp + (_norm_ceil_exp(x) if alg.is_real_base else x.unit_exp)
     return DSet(alg, A.scale_exp, r_out, pts)
 
@@ -691,14 +689,11 @@ def _quotient_cells(alg, diffs, den_idx, side, scale_out, radius_out):
     dens = diffs[den_idx]
     d, k = alg.d, len(dens)
     nums, den = zip(*(al._int_inverse(alg, [int(c) for c in w]) for w in dens))
-    # |raw numerator| <= max|u| max|num| max_l sum_ij |c_ijl|
-    dtype = _grid_dtype(alg, _product_bound(alg, _abs_max(diffs), _abs_max(nums)), den,
-                        scale_out, radius_out)
+    times = _grid_times(alg, nums, _abs_max(diffs), den, scale_out, side, radius_out,
+                        "quotient_set")
 
-    def block(i):   # every raw numerator: (u num_j)_l (Left) or (num_j u)_l (Right)
-        N = _raw_products(alg, diffs[i], nums, side, dtype)
-        cell = _to_grid(alg, N.reshape(-1, k, d), den, scale_out, radius_out, "quotient_set")
-        return np.column_stack([cell.reshape(-1, d), (i[:, None] * k + np.arange(k)).ravel()])
+    def block(i):   # the cells of u num_j / den_j (Left) or num_j u / den_j (Right)
+        return np.column_stack([times(diffs[i]), (i[:, None] * k + np.arange(k)).ravel()])
 
     def first(rows):
         return rows[_row_mins(rows[:, :d])]
@@ -722,7 +717,7 @@ def _linear_map_rows(alg, L):
     P = _raw_products(alg, rows, np.eye(d, dtype=object), "Left", object)
     P = P.reshape(4, d, d)
     M = np.block([[P[0], P[2]], [P[1], P[3]]])
-    det = al.det_fraction(M.tolist())
+    det = al._int_det(M.tolist())
     if det == 0:
         raise SingularMap("linear map is singular")
     floor_exp = alg.m // 2

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import algebra as al
 from . import setops as so
-from .algebra import AlgebraDescriptor, Element
+from .algebra import AlgebraDescriptor
 from .dset import DSet, _abs_max, _row_lookup, _row_mins, pass_rows, point_budget
 from .errors import (
     BudgetExceeded,
@@ -75,27 +75,12 @@ def _gf_pow(alg, a, e):
     return tuple(r) + (0,) * (alg.d - len(r))
 
 
-def _prime_factors(n: int) -> list:
-    """Distinct prime factors of n >= 1 by trial division up to sqrt(n)."""
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def residue_field_generator(alg):
     """Smallest multiplicative generator of F_{p^d} under the power basis."""
     p, d = alg.p, alg.d
     order = p ** d - 1
     one = tuple([1] + [0] * (d - 1))
-    primes = _prime_factors(order)
+    primes = al._prime_factors(order)
     for coords in itertools.product(range(p), repeat=d):
         g = tuple(reversed(coords))  # low-degree-last iteration order
         if all(c == 0 for c in g):
@@ -249,13 +234,6 @@ def _cut(alg, den, thresh):
     """The least integer num with num / den >= thresh^2 (real) or thresh."""
     t = Fraction(thresh) ** (2 if alg.is_real_base else 1)
     return -(-den * t.numerator // t.denominator)
-
-
-def distance_sq_or_exact(alg, a: Element, member: SubAlgebra):
-    """Exact comparator value: squared distance (real) or distance (p-adic)."""
-    num, den = _span_distances(alg, member.basis, np.array([a.coords], dtype=object),
-                               a.unit_exp)
-    return Fraction(int(num[0]), den)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,10 @@
 """Reference functions the tests check dlab's kernels against: an exact
-algebra product, the float distance to a sub-algebra and the halving maps
-of the dichotomy.  No dlab module calls them."""
+algebra product, a determinant over Fractions and the halving maps of the
+dichotomy.  No dlab module calls them."""
 
-import math
 from fractions import Fraction
 
 from dlab import algebra as al
-from dlab import structure as st
 from dlab.algebra import Element
 from dlab.errors import NotRealBase, ParameterRangeError
 
@@ -20,9 +18,27 @@ def mul_exact(alg, x: Element, y: Element) -> Element:
     return al._canonical(alg, raw, x.unit_exp + y.unit_exp)
 
 
-def distance_to_subalgebra(alg, a: Element, member) -> float:
-    v = st.distance_sq_or_exact(alg, a, member)
-    return math.sqrt(float(v)) if alg.is_real_base else float(v)
+def det_fraction(mat):
+    """Exact determinant of a square matrix of Fractions by Gaussian
+    elimination."""
+    n = len(mat)
+    a = [[Fraction(v) for v in row] for row in mat]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        invp = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                f = a[r][col] * invp
+                for c in range(col, n):
+                    a[r][c] -= f * a[col][c]
+    return det
 
 
 def halving_map(alg, v: list, ibits, x: Element) -> Element:

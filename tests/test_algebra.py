@@ -15,7 +15,7 @@ from dlab.errors import (
     UnsupportedRealDim,
 )
 
-from oracles import mul_exact
+from oracles import det_fraction, mul_exact
 
 
 # --- construction -----------------------------------------------------------
@@ -40,6 +40,30 @@ def test_reducible_poly_rejected():
     # x^2 - 1 factors mod 3
     with pytest.raises(ReduciblePoly):
         al.make_algebra("Qp_ext", p=3, d=2, m=3, poly=(-1, 0, 1))
+
+
+def test_is_prime_equals_sieve():
+    n = 5000
+    sieve = [False, False] + [True] * (n - 2)
+    for q in range(2, n):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(sieve[q * q::q])
+    assert [al.is_prime(k) for k in range(-3, n)] == [False] * 3 + sieve
+
+
+# the lexicographically first monic irreducible polynomial, constant term first
+_FIRST_IRREDUCIBLE = {
+    (2, 2): (1, 1, 1), (2, 3): (1, 0, 1, 1), (2, 4): (1, 0, 0, 1, 1),
+    (3, 2): (1, 0, 1), (3, 3): (1, 0, 2, 1), (3, 4): (1, 0, 1, 1, 1),
+    (5, 2): (1, 1, 1), (5, 3): (1, 0, 1, 1), (5, 4): (1, 0, 1, 1, 1),
+    (7, 2): (1, 0, 1), (7, 3): (1, 0, 1, 1), (7, 4): (1, 0, 0, 1, 1),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_find_irreducible_poly_pinned(p, d):
+    assert al.find_irreducible_poly(p, d) == _FIRST_IRREDUCIBLE.get((p, d), (0, 1))
 
 
 def test_quaternion_table():
@@ -147,11 +171,11 @@ def test_int_inverse_raises_on_zero_divisor():
 
 
 def _cramer(mat, rhs):
-    """mat^-1 rhs over Fractions by Cramer's rule on al.det_fraction; None
+    """mat^-1 rhs over Fractions by Cramer's rule on det_fraction; None
     when mat is singular."""
-    det = al.det_fraction(mat)
+    det = det_fraction(mat)
     return None if det == 0 else [
-        al.det_fraction([r[:j] + [b] + r[j + 1:] for r, b in zip(mat, rhs)]) / det
+        det_fraction([r[:j] + [b] + r[j + 1:] for r, b in zip(mat, rhs)]) / det
         for j in range(len(mat))]
 
 
@@ -235,6 +259,53 @@ def test_det_basis_padic():
     Q9 = al.make_algebra("Qp_ext", p=3, d=2, m=3)
     basis = [al.one(Q9), al.basis_element(Q9, 1)]
     assert al.det_basis(Q9, basis) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.data())
+def test_int_det_equals_fraction_elimination(data):
+    """Bareiss _int_det equals the Fraction elimination on n x n integer
+    matrices, n 0..8, entries up to 2^70; zero and small entries make zero
+    pivots, and a row that is a combination of two others makes the matrix
+    singular."""
+    n = data.draw(hst.integers(0, 8), label="n")
+    entry = hst.one_of(hst.just(0), hst.integers(-3, 3), hst.integers(-2 ** 70, 2 ** 70))
+    mat = [data.draw(hst.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    singular = n >= 2 and data.draw(hst.booleans(), label="singular")
+    if singular:    # row i = s row j + t row k, j != i and k != i
+        i, j, *rest = data.draw(hst.permutations(range(n)))
+        k = rest[-1] if rest else j
+        s, t = data.draw(hst.integers(-5, 5)), data.draw(hst.integers(-5, 5))
+        mat[i] = [s * a + t * b for a, b in zip(mat[j], mat[k])]
+    det = al._int_det(mat)
+    assert det == det_fraction(mat) and type(det) is int
+    assert det == 0 or not singular
+
+
+@pytest.mark.parametrize("mat, det", [
+    ([], 1), ([[0]], 0), ([[0, 1], [1, 0]], -1),
+    ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], -1),    # the second pivot becomes 0
+    ([[2, 4, 1], [1, 2, 5], [3, 6, 7]], 0),     # and no row below can replace it
+])
+def test_int_det_zero_pivots(mat, det):
+    assert al._int_det(mat) == det == det_fraction(mat)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.sampled_from(_ALGEBRAS), hst.integers(1, 8), hst.data())
+def test_det_basis_equals_fraction_determinant(spec, m, data):
+    """det_basis of d Elements of mixed unit_exp is the Fraction determinant
+    of their value coordinates (real base) or its p-adic absolute value."""
+    name, p, d, poly = spec
+    alg = al.make_algebra(name, p=p, d=d, m=m, poly=poly)
+    top = alg.radix ** (m + 1)
+    coords = hst.lists(hst.integers(-top, top), min_size=alg.d, max_size=alg.d)
+    vs = [al.element(alg, data.draw(coords), data.draw(hst.integers(0, m)))
+          for _ in range(alg.d)]
+    det = det_fraction([al.value_coords(alg, v) for v in vs])
+    if not alg.is_real_base:
+        det = Fraction(0) if det == 0 else Fraction(p) ** -al.vq(det, p)
+    assert al.det_basis(alg, vs) == det
 
 
 def test_round_half_away():

@@ -183,6 +183,19 @@ def test_uniform_subset_empty_raises():
         uniform_subset(make_dset(R, []))
 
 
+@pytest.mark.parametrize("fn", [uniform_subset, uniformity_audit])
+@pytest.mark.parametrize("T", [0, -1])
+def test_uniformization_bad_input_raises_dlab_errors(fn, T):
+    """uniform_subset and uniformity_audit reject an empty set with
+    EmptyInput and a stage size T < 1 with ParameterRangeError, both
+    DlabErrors, from the stage labels they share."""
+    A = _line(3)
+    with pytest.raises(EmptyInput):
+        fn(make_dset(A.alg, []), 1)
+    with pytest.raises(ParameterRangeError, match="T must be >= 1"):
+        fn(A, T)
+
+
 def test_uniform_subset_selects_heavier_class():
     # dense left half (all 16 points) vs sparse right half (2 points)
     R = al.make_algebra("R", m=5)

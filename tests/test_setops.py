@@ -28,7 +28,7 @@ from dlab.errors import (
     SingularMap,
 )
 
-from oracles import mul_exact
+from oracles import det_fraction, mul_exact
 
 
 def _ap(m, n, step=1):
@@ -802,11 +802,11 @@ _PAIR_ALGEBRAS = [("R", None, None, 6), ("C", None, None, 4), ("H", None, None, 
 
 
 def _one_shot_product(A, B, side):
-    """product_set as one _grid_products call over every pair."""
-    unit = A.unit_exp() + B.unit_exp()
-    return DSet(A.alg, A.scale_exp, A.radius_exp + B.radius_exp,
-                so._grid_products(A.alg, A.points, B.points, unit, A.scale_exp, side,
-                                  unit, "product_set"))
+    """product_set as one _grid_times call over every pair."""
+    alg, unit = A.alg, A.unit_exp() + B.unit_exp()
+    times = so._grid_times(alg, B.points, dset._abs_max(A.points), alg.radix ** unit,
+                           A.scale_exp, side, unit, "product_set")
+    return DSet(alg, A.scale_exp, A.radius_exp + B.radius_exp, times(A.points))
 
 
 def _one_shot_sum(A, B):
@@ -860,7 +860,7 @@ def test_blocked_pair_kernel_equals_one_shot(spec, side, budget, data):
     or in blocks of at most DLAB_BUDGET_POINTS pairs (many blocks of one or
     a few rows under a budget near the output, one short of every pair, or
     a small one) and merged sorted-unique, equal the one-shot
-    _grid_products and a[:, None] + b[None]; or, when their
+    _grid_times and a[:, None] + b[None]; or, when their
     distinct rows pass the budget, raise BudgetExceeded naming the op.  A
     row past int64 raises ParameterRangeError on both sides."""
     kind, p, d, m = spec
@@ -1172,11 +1172,11 @@ def test_ball_intersect_equals_object_path(spec, scale, radius_exp, data):
 # --- quotient-set oracle ----------------------------------------------------
 
 def _cramer(mat, rhs):
-    """mat^-1 rhs over Fractions by Cramer's rule on al.det_fraction; None
+    """mat^-1 rhs over Fractions by Cramer's rule on det_fraction; None
     when mat is singular."""
-    det = al.det_fraction(mat)
+    det = det_fraction(mat)
     return None if det == 0 else [
-        al.det_fraction([r[:j] + [b] + r[j + 1:] for r, b in zip(mat, rhs)]) / det
+        det_fraction([r[:j] + [b] + r[j + 1:] for r, b in zip(mat, rhs)]) / det
         for j in range(len(mat))]
 
 
@@ -1443,7 +1443,7 @@ def _loop_linear_map_matrix(alg, L):
 
 def _loop_check_invertible(alg, L):
     mat = _loop_linear_map_matrix(alg, L)
-    det = al.det_fraction(mat)
+    det = det_fraction(mat)
     if det == 0:
         raise SingularMap("linear map is singular")
     floor_exp = alg.m // 2

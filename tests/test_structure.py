@@ -21,10 +21,18 @@ from dlab import structure as st
 from dlab.dset import DSet, make_dset
 from dlab.errors import BudgetExceeded, NotRealBase, ParameterRangeError, SubAlgebraTrapped
 
-from oracles import distance_to_subalgebra, halving_map, halving_value
+from oracles import det_fraction, halving_map, halving_value
 
 
 # --- families and distances -------------------------------------------------
+
+def _distance(alg, a, member):
+    """The _span_distances value of one element: its exact squared distance
+    (real base) or distance (p-adic base) to the span of member."""
+    num, den = st._span_distances(alg, member.basis, np.array([a.coords], dtype=object),
+                                  a.unit_exp)
+    return Fraction(int(num[0]), den)
+
 
 def test_complex_family_members():
     C = al.make_algebra("C", m=5)
@@ -42,21 +50,20 @@ def test_distance_member_is_zero():
     C = al.make_algebra("C", m=5)
     fam = st.subalgebra_family(C)
     R = fam.members[1]
-    assert distance_to_subalgebra(C, al.one(C), R) == 0.0
+    assert _distance(C, al.one(C), R) == 0
 
 
 def test_distance_i_to_reals_is_one():
     C = al.make_algebra("C", m=5)
     R = st.subalgebra_family(C).members[1]
-    assert distance_to_subalgebra(C, al.basis_element(C, 1), R) == 1.0
+    assert _distance(C, al.basis_element(C, 1), R) == 1
 
 
 def test_distance_diagonal_element():
     C = al.make_algebra("C", m=6)
     R = st.subalgebra_family(C).members[1]
     x = al.element(C, (45, 45))  # about (1+i)/sqrt(2) on the grid
-    d = distance_to_subalgebra(C, x, R)
-    assert abs(d - 45 / 64) < 1e-12  # exact projection leaves the i-part
+    assert _distance(C, x, R) == Fraction(45, 64) ** 2  # exact projection leaves the i-part
 
 
 def test_quaternion_net_distance():
@@ -64,14 +71,14 @@ def test_quaternion_net_distance():
     fam = st.subalgebra_family(H, net_exp=2)
     member = next(m for m in fam.members if m.name == "C[1,0,0]")
     j = al.element(H, (0, 0, 16, 0))
-    assert distance_to_subalgebra(H, j, member) == 1.0
+    assert _distance(H, j, member) == 1
 
 
 def test_padic_subfield_distance_and_closure():
     Q9 = al.make_algebra("Qp_ext", p=3, d=2, m=4)
     sub = next(m for m in st.subalgebra_family(Q9).members if m.name == "Qp^1")
-    assert distance_to_subalgebra(Q9, al.element(Q9, (5, 0)), sub) == 0.0
-    assert distance_to_subalgebra(Q9, al.basis_element(Q9, 1), sub) == 1.0
+    assert _distance(Q9, al.element(Q9, (5, 0)), sub) == 0
+    assert _distance(Q9, al.basis_element(Q9, 1), sub) == 1
 
 
 def test_teichmuller_lift_is_fixed_point():
@@ -212,7 +219,7 @@ def _padic_dist(alg, vals, basis) -> Fraction:
     lattice, completed to a matrix in GL_d(Z_p), makes both sides the
     largest |coefficient| of v on the completing columns."""
     def wedge(rows):
-        minors = [al.det_fraction([[r[t] for t in ts] for r in rows])
+        minors = [det_fraction([[r[t] for t in ts] for r in rows])
                   for ts in itertools.combinations(range(alg.d), len(rows))]
         kmin = min((al.vq(v, alg.p) for v in minors if v != 0), default=None)
         return Fraction(0) if kmin is None else Fraction(alg.p) ** -kmin
@@ -375,7 +382,7 @@ def _avoid_case(draw, name, max_points=10):
 @given(data=hst.data())
 def test_avoidance_equals_fraction_loops(name, data):
     """avoids_subalgebras and strongly_avoids give the per-element Fraction
-    loops' reports, max_distance bit for bit, and distance_sq_or_exact
+    loops' reports, max_distance bit for bit, and _span_distances
     gives the loops' Fraction on A's points and on products of two of them
     (whose unit_exp differs from A's)."""
     A, C, fam = data.draw(_avoid_case(name, 4 if name == "H2" else 10))
@@ -389,7 +396,7 @@ def test_avoidance_equals_fraction_loops(name, data):
     elems += [al.mul(alg, a, b) for a in elems[:2] for b in elems[:2]]
     for a in elems:
         for mem in fam.members[:12]:
-            assert st.distance_sq_or_exact(alg, a, mem) == _oracle_dist(alg, a, mem.basis)
+            assert _distance(alg, a, mem) == _oracle_dist(alg, a, mem.basis)
 
 
 @pytest.mark.parametrize("name", sorted(_AVOID_ALGS))
@@ -535,7 +542,7 @@ def test_padic_distance_to_a_span_dependent_mod_p():
     want = {(0, 0, 1): 1, (0, 1, 0): 0, (0, 3, 9): Fraction(1, 9), (2, 5, 3): Fraction(1, 3)}
     for coords, dist in want.items():
         a = al.element(alg, coords)
-        assert st.distance_sq_or_exact(alg, a, mem) == dist == _oracle_dist(alg, a, mem.basis)
+        assert _distance(alg, a, mem) == dist == _oracle_dist(alg, a, mem.basis)
 
 
 def test_avoidance_ties_at_the_threshold():
@@ -562,7 +569,7 @@ def test_padic_isometry_data_has_unit_determinant(p, d):
     rnd = random.Random(p * d)
 
     def minors(rows):
-        return [al.det_fraction([[r[t] for t in ts] for r in rows])
+        return [det_fraction([[r[t] for t in ts] for r in rows])
                 for ts in itertools.combinations(range(d), len(rows))]
     for _ in range(60):
         basis = [tuple(Fraction(rnd.randrange(-4, 5), rnd.choice((1, p, p + 1)))
@@ -578,7 +585,7 @@ def test_padic_isometry_data_has_unit_determinant(p, d):
         ratio = next(g / w for g, w in zip(got, want) if w)
         assert ratio != 0 and got == [ratio * w for w in want]
         assert all(sorted(c) == [0] * (d - 1) + [1] for c in cols[k:])
-        assert al.vq(al.det_fraction([list(r) for r in zip(*cols)]), p) == 0
+        assert al.vq(det_fraction([list(r) for r in zip(*cols)]), p) == 0
 
 def test_real_distance_to_a_dependent_basis_raises():
     """A real basis with g = det G = 0 has no distance formula; the Fraction
@@ -586,7 +593,7 @@ def test_real_distance_to_a_dependent_basis_raises():
     C = al.make_algebra("C", m=4)
     bad = st.SubAlgebra("bad", ((Fraction(1), Fraction(0)), (Fraction(2), Fraction(0))))
     with pytest.raises(ParameterRangeError, match="not independent"):
-        st.distance_sq_or_exact(C, al.one(C), bad)
+        _distance(C, al.one(C), bad)
     with pytest.raises(TypeError):
         _oracle_dist(C, al.one(C), bad.basis)
 
@@ -602,7 +609,7 @@ def test_padic_distance_past_int64():
     assert den == 2 ** 70
     assert [Fraction(int(c), den) for c in num] == [_oracle_dist(Q2, a, ()) for a in elems]
     want = [1, Fraction(1, 2 ** 70), Fraction(1, 2 ** 70)]
-    assert [st.distance_sq_or_exact(Q2, a, zero) for a in elems] == want
+    assert [_distance(Q2, a, zero) for a in elems] == want
 
 
 # --- halving maps -----------------------------------------------------------
