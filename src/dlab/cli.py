@@ -26,7 +26,7 @@ from .dset import (
     uniformity_audit,
     write_dset,
 )
-from .errors import BudgetExceeded, DlabError
+from .errors import BudgetExceeded, DlabError, ParameterRangeError, ScaleOutOfRange
 
 
 def _config_comment(args) -> str:
@@ -35,14 +35,30 @@ def _config_comment(args) -> str:
     return f"# dlab {__version__} config: {items}"
 
 
-def _parse_coords(text):
-    return tuple(int(t) for t in text.replace(",", " ").split())
+def _flag(args, name, parse=str):
+    """parse(value) of the flag --name: a missing flag, or one parse rejects,
+    raises ParameterRangeError naming the flag (exit 2)."""
+    text = getattr(args, name.replace("-", "_"))
+    if text is None:
+        raise ParameterRangeError(f"--{name} is required")
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError, ParameterRangeError) as e:
+        raise ParameterRangeError(f"--{name} {text}: {e}") from None
 
 
 def _element_for(A, text):
-    alg = A.alg
-    unit = A.scale_exp if alg.is_real_base else 0
-    return al.element(alg, _parse_coords(text), unit_exp=unit)
+    """The Element with the coordinates of text, '1,2' or '1 2', in A's units."""
+    coords = [int(t) for t in text.replace(",", " ").split()]
+    return al.element(A.alg, coords, unit_exp=A.scale_exp if A.alg.is_real_base else 0)
+
+
+def _matrix_for(G, text):
+    """The 2 x 2 matrix of Elements of text, 'a/b;c/d' with coordinate lists."""
+    rows = [row.split("/") for row in text.split(";")]
+    if [len(row) for row in rows] != [2, 2]:
+        raise ValueError("expected 2 x 2 entries 'a/b;c/d'")
+    return [[_element_for(G, e) for e in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -90,18 +106,15 @@ def cmd_op(args):
     if op in ("proj", "linmap"):
         G = so.read_pairset(getattr(args, "in"))
         if op == "proj":
-            write_dset(so.project(_element_for(G, args.x), G), args.out,
-                       [_config_comment(args)])
+            x = _flag(args, "x", lambda text: _element_for(G, text))
+            write_dset(so.project(x, G), args.out, [_config_comment(args)])
             return 0
-        ent = [_parse_coords(c) for r in args.matrix.split(";") for c in r.split("/")]
-        unit = G.alg.m if G.alg.is_real_base else 0
-        L = [[al.element(G.alg, e, unit_exp=unit) for e in ent[i:i + 2]]
-             for i in (0, 2)]
+        L = _flag(args, "matrix", lambda text: _matrix_for(G, text))
         so.write_pairset(so.apply_linear_map(L, G), args.out, [_config_comment(args)])
         return 0
     A = read_dset(getattr(args, "in"))
     if op in ("sum", "diff", "prod"):
-        B = read_dset(args.in2, A.alg)
+        B = read_dset(_flag(args, "in2"), A.alg)
         fn = {"sum": so.sumset, "diff": so.difference_set}.get(op)
         out = fn(A, B) if fn else so.product_set(A, B, args.side)
     elif op == "iter":
@@ -114,7 +127,7 @@ def cmd_op(args):
 
 def cmd_escape(args):
     A = read_dset(getattr(args, "in"))
-    basis = st.escape_basis(A, Fraction(args.floor))
+    basis = st.escape_basis(A, _flag(args, "floor", Fraction))
     det = al.det_basis(A.alg, basis)
     print(json.dumps({"basis": [list(b.coords) for b in basis],
                       "det": str(det)}))
@@ -147,8 +160,8 @@ def cmd_count_tv(args):
 
 def cmd_count_sparse(args):
     A = read_dset(getattr(args, "in"))
-    p = _element_for(A, args.p_coords)
-    q = _element_for(A, args.q_coords)
+    p = _flag(args, "p-coords", lambda text: _element_for(A, text))
+    q = _flag(args, "q-coords", lambda text: _element_for(A, text))
     rep = en.quadruple_count_sparse(A, p, q, s=args.s, rho_exp=args.rho)
     print(rep.to_json())
     return 0
@@ -184,10 +197,11 @@ def cmd_ledger(args):
 
 def cmd_expand(args):
     A = read_dset(getattr(args, "in"))
-    sched = lab.Schedule(s=Fraction(args.s), sigma=Fraction(args.sigma or args.s),
-                         t=Fraction(args.t), d=A.alg.d, delta_exp=A.scale_exp,
+    s, t, C = (_flag(args, name, Fraction) for name in ("s", "t", "C"))
+    sched = lab.Schedule(s=s, sigma=_flag(args, "sigma", Fraction) if args.sigma else s,
+                         t=t, d=A.alg.d, delta_exp=A.scale_exp,
                          n_iters=args.n_iters, n_sum=args.n_sum,
-                         n_prod=args.n_prod, C=Fraction(args.C))
+                         n_prod=args.n_prod, C=C)
     recs = lab.run_expansion(A, sched, seed=args.seed)
     lab.write_records_csv(recs, args.out, _config_comment(args)[2:])
     return 0
@@ -198,7 +212,7 @@ def cmd_babyproj(args):
     X = read_dset(args.x_set, A.alg)
     rec, _ = lab.probe_babyproj(A, X, seed=args.seed)
     if args.format == "csv":
-        lab.write_records_csv([rec], args.out, _config_comment(args)[2:])
+        lab.write_records_csv([rec], _flag(args, "out"), _config_comment(args)[2:])
     else:
         print(json.dumps(rec.row()))
     return 0
@@ -207,7 +221,10 @@ def cmd_babyproj(args):
 def cmd_fibres(args):
     G = so.read_pairset(args.in_g)
     X = read_dset(args.x_set, G.alg)
-    rep = lab.fibre_profile(G, X, rho_exp=args.rho)
+    try:
+        rep = lab.fibre_profile(G, X, rho_exp=args.rho)
+    except ScaleOutOfRange as e:
+        raise ParameterRangeError(f"--rho {args.rho}: {e}") from None
     print(json.dumps({" ".join(map(str, k)): v for k, v in rep.items()}))
     return 0
 
@@ -229,39 +246,40 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("gen", help="random non-concentrated set")
+    def command(name, func, about, *required):
+        """The subcommand `name` running func, with the string flags
+        `required` required."""
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(func=func)
+        for flag in required:
+            p.add_argument(flag, required=True)
+        return p
+
+    p = command("gen", cmd_gen, "random non-concentrated set")
     _add_alg_flags(p)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--C", type=float, default=8)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("counterexample", help="flat product constructions")
+    p = command("counterexample", cmd_counterexample, "flat product constructions")
     p.add_argument("--which", required=True, choices=["1", "2", "One", "Two"])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--out-g", required=True)
     p.add_argument("--out-x", required=True)
-    p.set_defaults(func=cmd_counterexample)
 
-    p = sub.add_parser("cover", help="covering number at scale 2^-k / p^-k")
-    p.add_argument("--in", required=True)
+    p = command("cover", cmd_cover, "covering number at scale 2^-k / p^-k", "--in")
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_cover)
 
-    p = sub.add_parser("verify-nc", help="non-concentration check")
-    p.add_argument("--in", required=True)
+    p = command("verify-nc", cmd_verify_nc, "non-concentration check", "--in")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--C", type=float, required=True)
-    p.set_defaults(func=cmd_verify_nc)
 
-    p = sub.add_parser("uniformize", help="pigeonhole a uniform subset")
-    p.add_argument("--in", required=True)
+    p = command("uniformize", cmd_uniformize, "pigeonhole a uniform subset", "--in")
     p.add_argument("--T", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_uniformize)
 
-    p = sub.add_parser("op", help="set calculus operations")
+    p = command("op", cmd_op, "set calculus operations")
     p.add_argument("--op", required=True,
                    choices=["sum", "diff", "prod", "iter", "proj", "quot",
                             "linmap"])
@@ -274,61 +292,40 @@ def build_parser():
     p.add_argument("--n-sum", type=int, default=1)
     p.add_argument("--n-prod", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_op)
 
-    p = sub.add_parser("escape", help="greedy almost-orthogonal basis")
-    p.add_argument("--in", required=True)
+    p = command("escape", cmd_escape, "greedy almost-orthogonal basis", "--in")
     p.add_argument("--floor", default="1/2")
-    p.set_defaults(func=cmd_escape)
 
-    p = sub.add_parser("avoid", help="sub-algebra avoidance report")
-    p.add_argument("--in", required=True)
+    p = command("avoid", cmd_avoid, "sub-algebra avoidance report", "--in")
     p.add_argument("--C", type=int, required=True)
     p.add_argument("--strong", action="store_true")
-    p.set_defaults(func=cmd_avoid)
 
-    p = sub.add_parser("energy", help="additive energy")
-    p.add_argument("--in", required=True)
+    p = command("energy", cmd_energy, "additive energy", "--in")
     p.add_argument("--in2")
-    p.set_defaults(func=cmd_energy)
 
-    p = sub.add_parser("count-tv", help="quintuple incidence count")
-    p.add_argument("--in", required=True)
-    p.add_argument("--x-set", required=True)
+    p = command("count-tv", cmd_count_tv, "quintuple incidence count", "--in", "--x-set")
     p.add_argument("--rho", type=int, required=True)
     p.add_argument("--s", type=float)
     p.add_argument("--sigma", type=float)
     p.add_argument("--t", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--symmetric", action="store_true")
-    p.set_defaults(func=cmd_count_tv)
 
-    p = sub.add_parser("count-sparse", help="quadruple incidence count")
-    p.add_argument("--in", required=True)
-    p.add_argument("--p-coords", required=True)
-    p.add_argument("--q-coords", required=True)
+    p = command("count-sparse", cmd_count_sparse, "quadruple incidence count",
+                "--in", "--p-coords", "--q-coords")
     p.add_argument("--s", type=float)
     p.add_argument("--rho", type=int)
-    p.set_defaults(func=cmd_count_sparse)
 
-    p = sub.add_parser("bsg", help="popular-sums subgraph extraction")
-    p.add_argument("--in-h", required=True)
-    p.add_argument("--in", required=True)
-    p.add_argument("--in2", required=True)
+    p = command("bsg", cmd_bsg, "popular-sums subgraph extraction",
+                "--in-h", "--in", "--in2")
     p.add_argument("--out-a")
     p.add_argument("--out-b")
-    p.set_defaults(func=cmd_bsg)
 
-    p = sub.add_parser("ledger", help="exact sumset-inequality ledger")
-    p.add_argument("--in", required=True)
-    p.add_argument("--in2", required=True)
-    p.add_argument("--in3", required=True)
+    p = command("ledger", cmd_ledger, "exact sumset-inequality ledger",
+                "--in", "--in2", "--in3")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_ledger)
 
-    p = sub.add_parser("expand", help="sum-product expansion rounds")
-    p.add_argument("--in", required=True)
-    p.add_argument("--s", required=True)
+    p = command("expand", cmd_expand, "sum-product expansion rounds", "--in", "--s")
     p.add_argument("--sigma")
     p.add_argument("--t", required=True)
     p.add_argument("--C", default="4")
@@ -337,37 +334,27 @@ def build_parser():
     p.add_argument("--n-prod", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("babyproj", help="max sum-product projection growth")
-    p.add_argument("--in", required=True)
-    p.add_argument("--x-set", required=True)
+    p = command("babyproj", cmd_babyproj, "max sum-product projection growth",
+                "--in", "--x-set")
     p.add_argument("--format", choices=["csv", "json"], default="json")
     p.add_argument("--out")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_babyproj)
 
-    p = sub.add_parser("fibres", help="heaviest projection fibres")
-    p.add_argument("--in-g", required=True)
-    p.add_argument("--x-set", required=True)
+    p = command("fibres", cmd_fibres, "heaviest projection fibres", "--in-g", "--x-set")
     p.add_argument("--rho", type=int, default=1)
-    p.set_defaults(func=cmd_fibres)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceeded as e:
         print(f"dlab: budget exhausted: {e} {e.sizes}", file=sys.stderr)
         return 3
-    except DlabError as e:
-        print(f"dlab: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (DlabError, FileNotFoundError) as e:
         print(f"dlab: {e}", file=sys.stderr)
         return 2
 

@@ -150,7 +150,7 @@ def _canon_points(arr: np.ndarray, d: int, order: str = "C") -> np.ndarray:
     _small_box and the sorted labels otherwise; decode turns them back."""
     arr = np.asarray(arr, dtype=np.int64).reshape(-1, d)
     key, size, decode = _row_labels(arr)
-    if np.all(key[1:] > key[:-1]):
+    if (key[1:] > key[:-1]).all():
         return arr.copy(order=order)
     if _small_box(size, len(key)):
         mark = np.zeros(size, dtype=bool)
@@ -337,8 +337,8 @@ def _cell_rows(alg, scale_exp, radius_exp, rows, k) -> np.ndarray:
     if alg.is_real_base:
         # half-open boxes; the right endpoint 2^(scale_exp + radius_exp) of
         # the bounding ball joins the last cell by clamping
-        rows = np.where(rows == 2 ** (scale_exp + radius_exp), rows - 1, rows)
-        return rows // (2 ** (scale_exp - k))
+        rows = rows - (rows == 2 ** (scale_exp + radius_exp))
+        return rows >> (scale_exp - k) if k < scale_exp else rows
     return rows % alg.p ** (k + radius_exp)
 
 

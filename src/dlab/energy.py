@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -335,12 +336,8 @@ def ledger_rows(env: dict, instances) -> list:
     rows = []
     for inst in instances:
         lhs = len(eval_expr(env, inst.lhs))
-        num = 1
-        for e in inst.num:
-            num *= len(eval_expr(env, e))
-        den = 1
-        for e in inst.den:
-            den *= len(eval_expr(env, e))
+        num = math.prod(len(eval_expr(env, e)) for e in inst.num)
+        den = math.prod(len(eval_expr(env, e)) for e in inst.den)
         if den == 0:
             raise EmptyInput(f"ledger {inst.name}: empty set in the denominator")
         rhs = Fraction(num, den)

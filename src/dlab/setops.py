@@ -25,8 +25,8 @@ operand; the escape pool of structure takes its rows from the same kernel.
 It runs on int64 while every raw product provably fits and on Python ints
 otherwise.  A PairSet keeps its a and b halves as contiguous columns with
 their bounds; _project_many projects it along many directions, doing once
-what does not depend on the direction, so a direction costs one matmul and
-one grid step.
+what does not depend on the direction, so a direction costs multiply-adds
+over b's contiguous rows and one grid step.
 """
 
 from __future__ import annotations
@@ -219,33 +219,38 @@ def _to_grid(alg, raw, den, scale_exp, unit_out, op, plus=None) -> np.ndarray:
 
 def _grid_exact(alg, raw, den, scale_exp, unit_out, op, plus=None) -> np.ndarray:
     """The exact values raw / den on the grid of scale_exp, plus the grid
-    rows `plus` if given, in raw's dtype; den is one int or one per row of
-    raw's second-to-last axis.  Real base: |value| rounded once, half up, to
-    units 2^-scale_exp, times its sign.  p-adic base: in units p^-unit_out mod
-    p^(scale_exp + unit_out).  A value finer than p^-unit_out raises
-    ParameterRangeError naming op.  raw's dtype is the one _grid_dtype chose
-    for its bound (and the sum's); the sum is taken in it."""
+    rows `plus` if given, in raw's dtype; den is one int (f and q stay Python
+    ints) or one per row of raw's second-to-last axis.  Real base: raw f / q
+    rounded once, half away from zero, to units 2^-scale_exp by one floor
+    division in raw's memory, which callers pass as scratch.  p-adic base: in
+    units p^-unit_out mod p^(scale_exp + unit_out).  A value finer than
+    p^-unit_out raises ParameterRangeError naming op.  raw's dtype is the one
+    _grid_dtype chose for its bound (and the sum's); the sum is taken in it."""
     f, q, mod = _grid_steps(alg, den, scale_exp, unit_out)
-    f, q = (np.array(v, dtype=raw.dtype).reshape(-1, 1) for v in (f, q))
+    scaled, divided = set(f) != {1}, set(q) != {1}
+    f, q = (v[0] if len(v) == 1 else  # rows as wide as raw's: numpy broadcasts whole rows
+            np.array(v, dtype=raw.dtype)[:, None].repeat(raw.shape[-1], axis=1)
+            for v in (f, q))
     if alg.is_real_base:
-        out = raw * f if np.any(f != 1) else raw
-        if np.any(q != 1):  # (|v| + q // 2) // q with v's sign: half away from zero
-            r = np.abs(out)
-            r += q // 2
-            r //= q     # v's sign as int8: one full-size temporary, not two
-            out = np.multiply(r, (out > 0).view(np.int8) - (out < 0).view(np.int8), out=r)
+        out = raw * f if scaled else raw
+        if divided:     # half away from zero: (v + q // 2 - [v < 0 and q even]) // q
+            tie = (q % 2 == 0 and out < 0) if isinstance(q, int) else (out < 0) & (q % 2 == 0)
+            out += q // 2
+            out -= tie
+            out //= q
     else:
-        if np.any(q != 1):
-            if np.any(raw % q != 0):
+        if divided:
+            if (raw % q != 0).any():
                 raise ParameterRangeError(f"{op}: value finer than p^-{unit_out}")
             raw = raw // q
         out = raw % mod
-        if np.any(f != 1):
+        if scaled:
             out *= f
             out %= mod
     if plus is not None:
-        out = out + plus.astype(out.dtype, copy=False)
-        out = out if mod is None else out % mod
+        out += plus
+        if mod is not None:
+            out %= mod
     return out
 
 
@@ -496,8 +501,10 @@ def _sumset(A: DSet, B: DSet | None = None, n: int = 1, window=None) -> DSet:
 
 
 def negate(A: DSet) -> DSet:
+    """-A: on the real base A's rows negated in reverse order, which is
+    lexicographic, so that canonicalizing them is one copy."""
     pts = -A.points
-    return DSet(A.alg, A.scale_exp, A.radius_exp, pts if A.alg.is_real_base
+    return DSet(A.alg, A.scale_exp, A.radius_exp, pts[::-1] if A.alg.is_real_base
                 else pts % A.alg.p ** (A.scale_exp + A.radius_exp))
 
 
@@ -550,27 +557,36 @@ def _project_many(xs, G: PairSet):
 
     Done once: G's bounds (G.big), the d x d left-multiplication matrices of
     all of xs (one _raw_products call), and per output radius a's grid step
-    and the int64-or-object decision.  A direction is then one matmul on b's
-    columns and one grid step.  On the object path a + x b is summed in
-    Python ints before the int64 cast: only a + x b past int64 raises."""
+    (none on the real base, where it is the identity) and the int64-or-object
+    decision.  A direction is then at most d multiply-adds per coordinate on
+    b's contiguous rows and one grid step.  On the object path a + x b is
+    summed in Python ints before the int64 cast: only a + x b past int64
+    raises."""
     alg, d, unit, scale = G.alg, G.alg.d, G.unit_exp(), G.scale_exp
     big_a, big_b = G.big
     bound = _product_bound(alg, big_b, _abs_max([x.coords for x in xs]))
     M = _raw_products(alg, [x.coords for x in xs], np.eye(d, dtype=np.int64), "Left",
                       np.int64 if bound < 2 ** 63 else object)
-    M = M.reshape(-1, d, d).transpose(0, 2, 1)     # M[i] @ b.T = (x_i b).T
+    M = M.reshape(-1, d, d).transpose(0, 2, 1).tolist()   # (x_i b)[t] = sum_s M[i][t][s] b[s]
     den_a, steps = alg.radix ** unit, {}
     for x, Mx in zip(xs, M):
         r = G.radius_exp + (1 + _norm_ceil_exp(x) if alg.is_real_base else max(x.unit_exp, 0))
         den = alg.radix ** (unit + x.unit_exp)
         if (x.unit_exp, r) not in steps:
             # a's grid values are at most max|a| (real) or below p^(scale + r)
-            a = G.cols[:d].astype(_grid_dtype(alg, big_a, den_a, scale, r), copy=False)
-            a = _to_grid(alg, a, den_a, scale, r, "project")
+            a = G.cols[:d]
+            if _grid_steps(alg, den_a, scale, r)[:2] != ([1], [1]):
+                a = _to_grid(alg, a.astype(_grid_dtype(alg, big_a, den_a, scale, r)),
+                             den_a, scale, r, "project")
             add = big_a if alg.is_real_base else alg.p ** (scale + r)
-            steps[x.unit_exp, r] = _grid_dtype(alg, bound, den, scale, r, add), a
-        dt, a = steps[x.unit_exp, r]
-        raw = Mx.astype(dt) @ G.cols[d:].astype(dt, copy=False)
+            dt = _grid_dtype(alg, bound, den, scale, r, add)
+            steps[x.unit_exp, r] = dt, a, G.cols[d:].astype(dt, copy=False)
+        dt, a, b = steps[x.unit_exp, r]
+        raw = np.zeros((d, len(G)), dtype=dt)
+        for row, coef in zip(raw, Mx):
+            for c, col in zip(coef, b):
+                if c:   # a direction on an axis skips its zero terms
+                    row += c * col
         yield _to_grid(alg, raw, den, scale, r, "project", plus=a).T, r
 
 

@@ -327,3 +327,38 @@ def test_cli_degenerate_sets_exit_cleanly(tmp_path, capsys, head, row, x, one):
                                                    and err[0].startswith("dlab: "))):
             bad.append((argv[0], argv[1:], code, err))
     assert not bad
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["op", "--op", "proj", "--in", "{g}", "--x", "1,a", "--out", "{o}"], "--x"),
+    (["op", "--op", "proj", "--in", "{g}", "--out", "{o}"], "--x"),
+    (["op", "--op", "proj", "--in", "{g}", "--x", "1", "--out", "{o}"], "--x"),
+    (["op", "--op", "linmap", "--in", "{g}", "--out", "{o}"], "--matrix"),
+    (["op", "--op", "linmap", "--in", "{g}", "--matrix", "1,0/0,0;0,0", "--out", "{o}"],
+     "--matrix"),
+    (["op", "--op", "sum", "--in", "{a}", "--out", "{o}"], "--in2"),
+    (["escape", "--in", "{a}", "--floor", "abc"], "--floor"),
+    (["escape", "--in", "{a}", "--floor", "1/0"], "--floor"),
+    (["count-sparse", "--in", "{a}", "--p-coords", "1,x", "--q-coords", "1,2"],
+     "--p-coords"),
+    (["count-sparse", "--in", "{a}", "--p-coords", "1,2", "--q-coords", ""], "--q-coords"),
+    (["fibres", "--in-g", "{g}", "--x-set", "{x}", "--rho", "9"], "--rho"),
+    (["expand", "--in", "{a}", "--s", "abc", "--t", "3/2", "--out", "{o}"], "--s"),
+    (["expand", "--in", "{a}", "--s", "1", "--sigma", "1/0", "--t", "3/2", "--out", "{o}"],
+     "--sigma"),
+    (["babyproj", "--in", "{a}", "--x-set", "{x}", "--format", "csv"], "--out"),
+])
+def test_malformed_or_missing_flag_exit_2(tmp_path, capsys, argv, flag):
+    """A flag that is missing where its operation needs it, or that does not
+    parse (coordinates that are not integers or of the wrong count, a matrix
+    that is not 2 x 2, a floor or an exponent that is not a fraction, a
+    scale outside [0, m]), exits 2 with one 'dlab:' line naming the flag: no traceback."""
+    files = {name: str(tmp_path / name) for name in ("g", "x", "a", "o")}
+    cli.main(["counterexample", "--which", "Two", "--m", "4",
+              "--out-g", files["g"], "--out-x", files["x"]])
+    cli.main(["gen", "--alg", "C", "--m", "4", "--s", "1.0", "--out", files["a"]])
+    capsys.readouterr()
+    code = cli.main([arg.format(**files) for arg in argv])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1
+    assert err[0].startswith(f"dlab: {flag} ")

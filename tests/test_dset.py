@@ -34,7 +34,7 @@ from dlab.dset import (
     write_dset,
 )
 from dlab.errors import EmptyInput, ParameterRangeError
-from dlab.setops import make_pairset, read_pairset, write_pairset
+from dlab.setops import make_pairset, negate, read_pairset, write_pairset
 
 
 def _line(m, step=1):
@@ -66,6 +66,51 @@ def test_empty_covering_zero():
     R = al.make_algebra("R", m=4)
     A = make_dset(R, [])
     assert covering_number(A, 2) == 0
+
+
+def _where_floor_cells(rows, scale_exp, radius_exp, k):
+    """Real-base cell ids in the np.where + floor-division form: rows at the
+    top 2^(scale_exp + radius_exp) clamped one down, then floored."""
+    rows = np.where(rows == 2 ** (scale_exp + radius_exp), rows - 1, rows)
+    return rows // (2 ** (scale_exp - k))
+
+
+@pytest.mark.parametrize("kind,radius_exp", [("R", 0), ("C", 0), ("C", 1), ("H", 0)])
+def test_cell_rows_equal_where_floor_form(kind, radius_exp):
+    """cell_ids (clamp by subtracting the top mask, right shift by
+    scale_exp - k, none at k = scale_exp) equals the where + floor form on
+    rows at +-top, past the top and negative, at every k, on C- and
+    F-ordered rows, and leaves A.points unchanged."""
+    alg, m = al.make_algebra(kind, m=4), 4
+    top = 2 ** (m + radius_exp)
+    vals = [-2 * top, -top - 1, -top, -top + 1, -5, -1, 0, 1, 7, top - 1, top, top + 1, 3 * top]
+    rng = np.random.default_rng(alg.d)
+    A = DSet(alg, m, radius_exp, rng.choice(vals, size=(200, alg.d)))
+    before = A.points.copy()
+    assert {top, -top, top + 1}.issubset(A.points.ravel().tolist())
+    for k in range(m + 1):
+        want = _where_floor_cells(A.points, m, radius_exp, k)
+        assert np.array_equal(cell_ids(A, k), want)
+        cols = np.ascontiguousarray(A.points.T).T    # a profile's F-ordered rows
+        assert np.array_equal(dset._cell_rows(alg, m, radius_exp, cols, k), want)
+    assert np.array_equal(A.points, before)
+
+
+@pytest.mark.parametrize("kind", ["R", "C", "H"])
+def test_negate_is_unique_of_negated_rows_by_copy(kind, monkeypatch):
+    """Real-base negate equals np.unique(-A.points, axis=0) for d = 1, 2, 4
+    and canonicalizes by the copy path: neither the occupancy table
+    (_small_box) nor the sort (_run_starts) runs."""
+    alg = al.make_algebra(kind, m=4)
+    rng = np.random.default_rng(alg.d)
+    A = DSet(alg, 4, 0, rng.integers(-16, 17, size=(60, alg.d)))
+    want = np.unique(-A.points, axis=0)
+
+    def spy(*args):
+        raise AssertionError("negate canonicalized by a table or a sort")
+    monkeypatch.setattr(dset, "_small_box", spy)
+    monkeypatch.setattr(dset, "_run_starts", spy)
+    assert np.array_equal(negate(A).points, want)
 
 
 @settings(max_examples=40)

@@ -502,6 +502,52 @@ def test_to_grid_rounds_like_value_to_grid(scale_exp, per_row, data):
         assert got.dtype == np.int64 and got.tolist() == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(hst.integers(0, 3), hst.booleans(), hst.data())
+def test_grid_exact_rounds_each_entry_half_away(scale_exp, per_row, data):
+    """Real-base _grid_exact rounds every entry v of raw to
+    algebra.round_half_away(v 2^scale_exp, den), on int64 and on Python-int
+    raw arrays, with one denominator or one per row of raw's second-to-last
+    axis, odd and even: at exact ties +-(k + 1/2) q (q = den / gcd(den,
+    2^scale_exp), so the raw value is +-(k + 1/2) q / f), next to them, and
+    at the int64 guard, the largest |v| _grid_dtype lets int64 take."""
+    R = al.make_algebra("R", m=4)
+    rows, width = data.draw(hst.integers(1, 3)), data.draw(hst.integers(1, 3))
+    den_st = hst.builds(lambda a, b: 2 ** a * b, hst.integers(0, 6), hst.integers(1, 9))
+    dens = data.draw(hst.lists(den_st, min_size=rows, max_size=rows)) if per_row \
+        else [data.draw(den_st)] * rows
+    den = dens if per_row else dens[0]
+    f, q, _ = so._grid_steps(R, den, scale_exp, 0)
+    guard, past = 0, 2 ** 63    # _grid_dtype takes int64 for |raw| <= guard only
+    while past - guard > 1:
+        mid = (guard + past) // 2
+        guard, past = (mid, past) if so._grid_dtype(R, mid, den, scale_exp, 0) is np.int64 \
+            else (guard, mid)
+
+    def value(fi, qi):
+        k, sign = data.draw(hst.integers(0, 30)), data.draw(hst.sampled_from([1, -1]))
+        tie = (2 * k + 1) * qi // 2 // fi if ((2 * k + 1) * qi) % (2 * fi) == 0 else 0
+        if tie:
+            event("exact tie")
+        return sign * data.draw(hst.one_of(
+            hst.integers(0, 200), hst.sampled_from([tie, tie + 1, max(tie - 1, 0)]),
+            hst.sampled_from([guard, guard - 1]), hst.integers(guard + 1, 2 ** 70)))
+
+    steps = [(f[i], q[i]) if per_row else (f[0], q[0]) for i in range(rows)]
+    raw = [[[value(fi, qi) for _ in range(width)] for fi, qi in steps] for _ in range(2)]
+    want = [[[al.round_half_away(v * 2 ** scale_exp, dn) for v in row]
+             for row, dn in zip(block, dens)] for block in raw]
+    event("q even" if any(v % 2 == 0 for v in q) else "q odd")
+    small = so._grid_dtype(R, max(abs(v) for b in raw for r in b for v in r),
+                           den, scale_exp, 0) is np.int64
+    if small and guard in {abs(v) for b in raw for r in b for v in r}:
+        event("int64 at the guard")
+    for dtype in [object, np.int64] if small else [object]:
+        event(f"dtype {np.dtype(dtype).name}")
+        got = so._grid_exact(R, np.array(raw, dtype=dtype), den, scale_exp, 0, "test")
+        assert got.dtype == dtype and got.tolist() == want
+
+
 # --- products ---------------------------------------------------------------
 
 def test_product_with_one():
