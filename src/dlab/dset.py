@@ -264,17 +264,25 @@ def _abs_max(arr) -> int:
     return max(-int(arr.min(initial=0)), int(arr.max(initial=0)))
 
 
-def _row_norm_sq(pts: np.ndarray) -> np.ndarray:
-    """Exact squared Euclidean norm of every row: int64 when
-    d * max|coord|^2 < 2^63, Python ints in an object array otherwise."""
-    big = _abs_max(pts)
-    if pts.shape[1] * big * big < 2 ** 63:
-        out = pts[:, 0] * pts[:, 0]
-        for t in range(1, pts.shape[1]):    # not a slow reduction over axis 1
-            out += pts[:, t] * pts[:, t]
-        return out
-    obj = pts.astype(object)
-    return (obj * obj).sum(axis=1)
+def _within(alg, rows, unit: int, k: int) -> np.ndarray:
+    """Whether each integer row (coordinates on the last axis, int64 or Python
+    ints in an object array), in units radix^-unit, has norm at most
+    radix^-k, decided exactly: the one ball test of every set kernel.  Real
+    base: the squared norm, summed on int64 while d max|coord|^2 < 2^63 and
+    in Python ints otherwise, is at most 4^(unit - k), so it is 0 when
+    k > unit.  p-adic base: every coordinate is divisible by p^(unit + k)."""
+    if alg.is_real_base:
+        big = _abs_max(rows)
+        if rows.shape[-1] * big * big >= 2 ** 63:
+            rows = rows.astype(object)
+        norm = rows[..., 0] * rows[..., 0]
+        for t in range(1, rows.shape[-1]):    # not a slow reduction over the last axis
+            norm += rows[..., t] * rows[..., t]
+        return norm <= 4 ** (unit - k) if k <= unit else norm == 0
+    q = alg.p ** max(0, unit + k)
+    # an int64 coordinate is divisible by q >= 2^63 only when it is 0
+    return np.all(rows % q == 0 if q < 2 ** 63 or rows.dtype == object else rows == 0,
+                  axis=-1)
 
 
 @dataclass(frozen=True)
@@ -463,18 +471,12 @@ def remove_ball(A: DSet, center: Element, k: int) -> DSet:
         return A
     alg = A.alg
     if alg.is_real_base:
-        cu = np.array(al._value_to_grid(alg, al.value_coords(alg, center), A.scale_exp, 0),
-                      dtype=np.int64)
-        thresh = 4 ** (A.scale_exp - k)  # (2^(scale-k))^2 grid units squared
-        keep = _row_norm_sq(A.points - cu) > thresh
-        return DSet(alg, A.scale_exp, A.radius_exp, A.points[keep])
-    p = alg.p
-    if center.unit_exp > A.radius_exp:
+        cu = al._value_to_grid(alg, al.value_coords(alg, center), A.scale_exp, 0)
+    elif center.unit_exp > A.radius_exp:
         raise ParameterRangeError("center finer than set resolution")
-    cu = np.array([c * p ** (A.radius_exp - center.unit_exp) for c in center.coords],
-                  dtype=np.int64)
-    mod = p ** (k + A.radius_exp)
-    keep = np.any((A.points - cu) % mod != 0, axis=1)
+    else:
+        cu = [c * alg.p ** (A.radius_exp - center.unit_exp) for c in center.coords]
+    keep = ~_within(alg, A.points - np.array(cu, dtype=np.int64), A.unit_exp(), k)
     return DSet(alg, A.scale_exp, A.radius_exp, A.points[keep])
 
 

@@ -6,10 +6,11 @@ agree up to an adjacent cell (real base, l-infinity) or lie in the same
 residue class (p-adic).  Counts are exact for that convention.
 
 The counting engines are array code on the grid-product kernel of setops
-(setops._grid_times) and on the row-key lookup of dset (_row_lookup),
-which folds the 3^d neighbour offsets of the tolerance (one offset on the
-p-adic base) into a key table or sorted keys, so that one lookup counts a
-target against every offset:
+(setops._grid_times), the grid reduction of dset (_grid_rows, for the
+sums, differences and lookup targets of the counts) and the row-key lookup
+of dset (_row_lookup), which folds the 3^d neighbour offsets of the
+tolerance (one offset on the p-adic base) into a key table or sorted keys,
+so that one lookup counts a target against every offset:
 
 * additive energy sums the squared multiplicities of the pairwise sums
   a + b, counted on their row labels (dset._row_counts);
@@ -17,7 +18,8 @@ target against every offset:
   per unit_exp) and, for each x and block of b rows, looks the targets
   -(xb + xd) up among the n^2 differences a - c of A; the counts add up in
   an n x n matrix over (b, d), and the near/far split at
-  |b - d| = radix^-rho is one exact boolean mask over it;
+  |b - d| = radix^-rho is one exact boolean mask over it, from the one ball
+  test of every set kernel (dset._within);
 * the quadruple count forms the grid rows of (a1 - a2) q and (a3 - a4) p
   for all n^2 differences and counts in one lookup the second rows that
   cancel each first.  On the p-adic base the products are taken at the
@@ -42,10 +44,11 @@ from . import setops as so
 from .dset import (
     DSet,
     _abs_max,
+    _grid_rows,
     _row_counts,
     _row_lookup,
     _row_mult,
-    _row_norm_sq,
+    _within,
     _write_csv,
     covering_number,
     pass_rows,
@@ -57,6 +60,7 @@ from .errors import (
     DivisionByNegligible,
     EmptyGraph,
     EmptyInput,
+    ParameterRangeError,
 )
 
 
@@ -104,9 +108,7 @@ def additive_energy(A: DSet, B: DSet) -> int:
         raise BudgetExceeded("energy pair count too large",
                              {"pairs": len(a) * len(b)})
     so._check_sum_bound("additive_energy", (a, 1), (b, 1))
-    sums = (a[:, None, :] + b[None, :, :]).reshape(-1, A.alg.d)
-    if not A.alg.is_real_base:
-        sums %= A.alg.p ** (A.scale_exp + r)
+    sums = _grid_rows(A.alg, a[:, None, :] + b[None, :, :], A.alg.d, A.scale_exp, r)
     return sum(c * c for c in _row_counts(sums).tolist())
 
 
@@ -114,36 +116,23 @@ def additive_energy(A: DSet, B: DSet) -> int:
 # differences and row lookups
 
 def _diffs(A: DSet) -> np.ndarray:
-    """All n^2 differences a - a' as rows, reduced mod p^(m+r) on the p-adic
-    base; ParameterRangeError past int64 (only real rows can get there)."""
-    alg = A.alg
-    if alg.is_real_base:
+    """All n^2 differences a - a' as rows on A's grid (dset._grid_rows);
+    ParameterRangeError past int64 (only real rows can get there)."""
+    if A.alg.is_real_base:
         so._check_sum_bound("_diffs", (A.points, 2))
-    diffs = (A.points[:, None, :] - A.points[None, :, :]).reshape(-1, alg.d)
-    if not alg.is_real_base:
-        diffs %= alg.p ** (A.scale_exp + A.radius_exp)
-    return diffs
+    return _grid_rows(A.alg, A.points[:, None, :] - A.points[None, :, :], A.alg.d,
+                      A.scale_exp, A.radius_exp)
 
 
 def _near_mask(A: DSet, B: np.ndarray, rho_exp: int) -> np.ndarray:
     """mask[i, j]: |b - d| <= radix^-rho_exp for b = B[i] and d = A.points[j],
-    decided exactly on the coordinates.
-
-    Real base: |b - d|^2 = sum(c^2) / 4^m, so the test is
-    sum(c^2) * 4^rho <= 4^m in integers (_row_norm_sq falls back to Python
-    ints past int64).  p-adic base: as elements, b and d are taken mod p^M
-    (M = alg.m) in units p^-r, and b - d is near when it is 0 there or has
-    valuation >= rho; that is, when every coordinate difference is divisible
-    by p^(min(rho, M) + r)."""
+    decided exactly on the coordinates by the one ball test dset._within.
+    On the p-adic base b and d are taken mod p^M (M = alg.m) as elements, so
+    b - d is near when it is 0 there or has valuation >= rho: the radius is
+    radix^-min(rho, M)."""
     alg = A.alg
-    diff = B[:, None, :] - A.points[None, :, :]
-    if alg.is_real_base:
-        e = A.scale_exp - rho_exp
-        norms = _row_norm_sq(diff.reshape(-1, alg.d)).reshape(diff.shape[:2])
-        return norms <= 4 ** e if e >= 0 else norms == 0
-    q = alg.p ** max(0, min(rho_exp, alg.m) + A.radius_exp)
-    # an int64 difference is divisible by q >= 2^63 only when it is 0
-    return np.all(diff % q == 0 if q < 2 ** 63 else diff == 0, axis=2)
+    k = rho_exp if alg.is_real_base else min(rho_exp, alg.m)
+    return _within(alg, B[:, None, :] - A.points[None, :, :], A.unit_exp(), k)
 
 
 def _neighbor_offsets(alg):
@@ -153,6 +142,19 @@ def _neighbor_offsets(alg):
 
 # ---------------------------------------------------------------------------
 # quintuple count (projection-energy form)
+
+def tv_gain(s, sigma, t, eps=0) -> Fraction:
+    """The gain c = s (t - sigma + eps) / t of the quintuple count's bound
+    (and of lab.choose_rho_tv), as an exact rational; ParameterRangeError
+    unless 0 < s <= sigma <= t, all finite."""
+    try:
+        s, sigma, t, eps = map(Fraction, (s, sigma, t, eps))
+    except (ValueError, OverflowError):     # nan or inf
+        raise ParameterRangeError(f"exponents {s}, {sigma}, {t}, {eps} not finite") from None
+    if not 0 < s <= sigma <= t:
+        raise ParameterRangeError("need 0 < s <= sigma <= t")
+    return s * (t - sigma + eps) / t
+
 
 def quintuple_count_tv(A: DSet, X: DSet, rho_exp: int,
                        s=None, sigma=None, t=None, eps=Fraction(0),
@@ -165,8 +167,10 @@ def quintuple_count_tv(A: DSet, X: DSet, rho_exp: int,
     xd - xb) is looked up in the difference multiset of A with the
     neighbour offsets folded in; the counts add up in an n x n matrix over
     (b, d), which the near/far mask splits once.  Targets go in passes of
-    pass_rows(n) b rows."""
+    pass_rows(n) b rows.  With s, sigma and t all given, the report carries
+    the bound radix^(-m tv_gain) n^3 |X|."""
     alg = A.alg
+    c_exp = None if None in (s, sigma, t) else tv_gain(s, sigma, t, eps)
     if alg != X.alg:
         raise AlgebraMismatch("A and X live in different algebras")
     n = len(A)
@@ -175,7 +179,6 @@ def quintuple_count_tv(A: DSet, X: DSet, rho_exp: int,
                              {"work": len(X) * n ** 2, "n": n, "X": len(X),
                               "offsets": 3 ** alg.d})
     offsets = np.array(_neighbor_offsets(alg), dtype=np.int64)
-    mod = None if alg.is_real_base else alg.p ** (A.scale_exp + A.radius_exp)
     xs, d = X.elements(), alg.d
     R = np.zeros((len(xs), n, d), dtype=np.int64)   # R[k]: x a for x = xs[k]
     for u in {x.unit_exp for x in xs}:
@@ -194,14 +197,13 @@ def quintuple_count_tv(A: DSet, X: DSet, rho_exp: int,
             # target for (a - c): the printed form needs a - c = -(xb + xd)
             Rb = Rx[lo:lo + step, None, :]
             T = (Rx[None, :, :] - Rb if symmetric else -(Rb + Rx[None, :, :])).reshape(-1, d)
-            cnt += lookup(T % mod if mod else T).reshape(cnt.shape)
+            cnt += lookup(_grid_rows(alg, T, d, A.scale_exp, A.radius_exp)).reshape(cnt.shape)
         near = _near_mask(A, A.points[lo:lo + step], rho_exp)
         near_count += int(cnt[near].sum())
         far_count += int(cnt[~near].sum())
     total = near_count + far_count
     bound = ratio = None
-    if None not in (s, sigma, t):
-        c_exp = Fraction(s) * (Fraction(t) - Fraction(sigma) + Fraction(eps)) / Fraction(t)
+    if c_exp is not None:
         bound = float(Fraction(alg.radix) ** (-A.scale_exp * c_exp) * n ** 3 * len(X))
         ratio = total / bound if bound else None
     return CountReport(total,
@@ -228,14 +230,11 @@ def quadruple_count_sparse(A: DSet, p: al.Element, q: al.Element,
             small = ne is None or ne > rho_exp
         if small:
             raise DivisionByNegligible("|q| below the rho floor")
-    n, r, diffs = len(A), A.radius_exp, _diffs(A)
-    if alg.is_real_base:
-        scale, mod = A.scale_exp, None
-    else:
-        # as Elements: a - a' mod p^(M+r) and products mod p^M (M = alg.m),
-        # then on the set's grid, mod p^(scale_exp+r) in units p^-r
-        diffs %= alg.p ** (alg.m + r)
-        scale, mod = min(alg.m, A.scale_exp), alg.p ** (A.scale_exp + r)
+    n, r = len(A), A.radius_exp
+    # as Elements (p-adic): a - a' mod p^(M+r) and products mod p^M (M =
+    # alg.m), then on the set's grid, mod p^(scale_exp+r) in units p^-r
+    diffs = _grid_rows(alg, _diffs(A), alg.d, alg.m, r)
+    scale = A.scale_exp if alg.is_real_base else min(alg.m, A.scale_exp)
 
     def product_rows(x, name):
         """Grid rows of (a - a') x, in units p^-r on the p-adic base."""
@@ -245,7 +244,7 @@ def quadruple_count_sparse(A: DSet, p: al.Element, q: al.Element,
 
     T = -product_rows(q, "q")
     lookup = _row_lookup(product_rows(p, "p"), _neighbor_offsets(alg))
-    total = int(lookup(T % mod if mod else T).sum())
+    total = int(lookup(_grid_rows(alg, T, alg.d, A.scale_exp, r)).sum())
     bound = ratio = None
     if s is not None and rho_exp is not None:
         bound = float(Fraction(alg.radix) ** (-A.scale_exp * Fraction(s))

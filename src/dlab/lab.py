@@ -10,12 +10,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
 from . import algebra as al
+from . import energy as en
 from . import setops as so
 from . import structure as st
 from .dset import (
@@ -49,7 +50,6 @@ class Schedule:
     t: Fraction
     d: int
     delta_exp: int
-    rho_exp: int = 0
     n_iters: int = 1
     n_sum: int = 2
     n_prod: int = 2
@@ -63,8 +63,6 @@ class Schedule:
             raise ParameterRangeError("need 0 < s <= sigma")
         if not (0 < self.s < self.d):
             raise ParameterRangeError("need 0 < s < d")
-        if self.rho_exp and not (0 < self.rho_exp < self.delta_exp / 3):
-            raise ParameterRangeError("need 0 < rho_exp < m/3")
 
 
 def choose_c1(s, d) -> Fraction:
@@ -89,14 +87,10 @@ def choose_rho_expand(s, d, delta_exp: int):
 
 
 def choose_rho_tv(s, sigma, t, eps, delta_exp: int):
-    """rho = delta^((t-sigma+eps)/t) and the gain c = s(t-sigma+eps)/t."""
-    s, sigma, t, eps = map(Fraction, (s, sigma, t, eps))
-    if t <= 0 or not (0 < s <= sigma <= t):
-        raise ParameterRangeError("need 0 < s <= sigma <= t")
-    exact = (t - sigma + eps) / t
-    c = s * exact
-    rho_exp = round(delta_exp * exact)
-    return rho_exp, c
+    """rho = delta^((t-sigma+eps)/t) and the gain c = s(t-sigma+eps)/t
+    (energy.tv_gain)."""
+    c = en.tv_gain(s, sigma, t, eps)
+    return round(delta_exp * c / Fraction(s)), c
 
 
 def iteration_budget(s, t, d, commutative: bool = True):
@@ -224,26 +218,28 @@ class ExperimentRecord:
     exponent: float
     seed: int | None
 
-    FIELDS = ("exp_id", "algebra", "p", "d", "m", "s", "sigma", "t", "op",
-              "x_coords", "count", "exponent", "seed")
-
     def row(self):
-        return {f: getattr(self, f) for f in self.FIELDS}
+        return asdict(self)
 
 
 def write_records_csv(records, path: str, header_comment: str | None = None):
-    _write_csv(path, ExperimentRecord.FIELDS, (r.row() for r in records),
-               header_comment)
+    _write_csv(path, [f.name for f in fields(ExperimentRecord)],
+               (r.row() for r in records), header_comment)
 
 
-def _alg_label(alg):
-    return alg.kind() if alg.is_real_base else f"Qp[{alg.p}^{alg.d}]"
-
-
-def _exponent(count, m, radix, d):
-    if count <= 1:
-        return 0.0
-    return min(float(d), math.log(count) / (m * math.log(radix)))
+def _record(exp_id, alg, m, op, count, seed, x=None, schedule=None) -> ExperimentRecord:
+    """The record of a count at scale m: the algebra's label (its kind on the
+    real base, Qp[p^d] otherwise), the schedule's s, sigma and t and the
+    direction x's coordinates when given, and the covering exponent
+    log(count) / (m log radix), capped at d and 0 for a count of at most 1."""
+    label = alg.kind() if alg.is_real_base else f"Qp[{alg.p}^{alg.d}]"
+    exps = ((None,) * 3 if schedule is None else
+            tuple(float(v) for v in (schedule.s, schedule.sigma, schedule.t)))
+    x_coords = "" if x is None else " ".join(map(str, x.coords))
+    exponent = (0.0 if count <= 1 else
+                min(float(alg.d), math.log(count) / (m * math.log(alg.radix))))
+    return ExperimentRecord(exp_id, label, alg.p, alg.d, m, *exps, op, x_coords, count,
+                            exponent, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +252,7 @@ def measure_projection_profile(G: so.PairSet, X: DSet, exp_id="profile",
     xs = sorted(X.elements(), key=lambda e: e.coords)
     for x, (rows, r_out) in zip(xs, so._project_many(xs, G)):
         cnt = len(_row_counts(_cell_rows(alg, m, r_out, rows, m)))
-        out.append(ExperimentRecord(
-            exp_id, _alg_label(alg), alg.p, alg.d, m, None, None, None,
-            "proj", " ".join(map(str, x.coords)), cnt,
-            _exponent(cnt, m, alg.radix, alg.d), seed))
+        out.append(_record(exp_id, alg, m, "proj", cnt, seed, x=x))
     return out
 
 
@@ -274,17 +267,13 @@ def run_expansion(A: DSet, schedule: Schedule, exp_id="expand", seed=None,
         raise TrappedInput(f"input is {1 / schedule.C}-close to sub-algebra "
                            f"{rep.worst_member}")
     m, cur = A.scale_exp, A
-
-    def record(op, cnt):
-        return ExperimentRecord(
-            exp_id, _alg_label(alg), alg.p, alg.d, m, float(schedule.s),
-            float(schedule.sigma), float(schedule.t), op, "", cnt,
-            _exponent(cnt, m, alg.radix, alg.d), seed)
-    records = [record("input", covering_number(cur, m))]
+    records = [_record(exp_id, alg, m, "input", covering_number(cur, m), seed,
+                       schedule=schedule)]
     for k in range(schedule.n_iters):
         grown = so.iterated(cur, schedule.n_sum, schedule.n_prod, clip=True)
         cur = uniform_subset(grown, T=1)
-        records.append(record(f"iter{k + 1}", covering_number(cur, m)))
+        records.append(_record(exp_id, alg, m, f"iter{k + 1}", covering_number(cur, m),
+                               seed, schedule=schedule))
     return records
 
 
@@ -292,7 +281,6 @@ def probe_babyproj(A: DSet, X: DSet, exp_id="babyproj", seed=None):
     """max over x in X of N(A + xA); returns (record, argmax element)."""
     if len(X) == 0:
         raise EmptyInput("babyproj: empty direction set X")
-    alg = A.alg
     best = None
     best_x = None
     for x in sorted(X.elements(), key=lambda e: e.coords):
@@ -301,11 +289,7 @@ def probe_babyproj(A: DSet, X: DSet, exp_id="babyproj", seed=None):
         if best is None or cnt > best:
             best = cnt
             best_x = x
-    rec = ExperimentRecord(
-        exp_id, _alg_label(alg), alg.p, alg.d, A.scale_exp, None, None, None,
-        "babyproj", " ".join(map(str, best_x.coords)), best,
-        _exponent(best, A.scale_exp, alg.radix, alg.d), seed)
-    return rec, best_x
+    return _record(exp_id, A.alg, A.scale_exp, "babyproj", best, seed, x=best_x), best_x
 
 
 def fibre_profile(G: so.PairSet, X: DSet, rho_exp: int = 1):

@@ -47,7 +47,7 @@ from .dset import (
     _key_rows,
     _read_rows,
     _row_mins,
-    _row_norm_sq,
+    _within,
     _write_rows,
     pass_rows,
     point_budget,
@@ -132,14 +132,13 @@ def _check_compat(A, B):
 
 
 def _at_radius(A, r):
-    """Points of A re-expressed at p-adic radius_exp r >= A.radius_exp
-    (real base: unchanged)."""
-    pts = A.points if isinstance(A, DSet) else A.pairs
+    """Points of the DSet A re-expressed at p-adic radius_exp r >=
+    A.radius_exp (real base: unchanged)."""
     if A.alg.is_real_base or r == A.radius_exp:
-        return pts
+        return A.points
     f = A.alg.p ** (r - A.radius_exp)
-    _check_sum_bound(f"radius change {A.radius_exp} -> {r}", (pts, f))
-    return pts * f
+    _check_sum_bound(f"radius change {A.radius_exp} -> {r}", (A.points, f))
+    return A.points * f
 
 
 def _raw_products(alg, U, V, side, dtype):
@@ -602,14 +601,12 @@ def project(x: Element, G: PairSet) -> DSet:
 def ball_intersect(A: DSet, radius_exp: int = 0) -> DSet:
     """A ∩ B(0, radix^radius_exp) (closed Euclidean ball / ultrametric ball)."""
     alg = A.alg
-    if alg.is_real_base:
-        keep = _row_norm_sq(A.points) <= 4 ** (A.scale_exp + radius_exp)
-        return DSet(alg, A.scale_exp, radius_exp, A.points[keep])
-    if radius_exp >= A.radius_exp:
+    if not alg.is_real_base and radius_exp >= A.radius_exp:
         return A
-    keep = np.all(A.points % alg.p ** (A.radius_exp - radius_exp) == 0, axis=1)
-    pts = _to_grid(alg, A.points[keep], alg.p ** A.radius_exp, A.scale_exp,
-                   radius_exp, "ball_intersect")
+    pts = A.points[_within(alg, A.points, A.unit_exp(), -radius_exp)]
+    if not alg.is_real_base:
+        pts = _to_grid(alg, pts, alg.p ** A.radius_exp, A.scale_exp, radius_exp,
+                       "ball_intersect")
     return DSet(alg, A.scale_exp, radius_exp, pts)
 
 
@@ -674,11 +671,7 @@ def quotient_set(A: DSet, rho_exp: int, side: str = "Left",
     else:
         radius_out = A.radius_exp + rho_exp
     diffs, first = _distinct_differences(A)
-    if alg.is_real_base:    # sum u^2 4^-m > 4^-rho
-        far = _row_norm_sq(diffs) > 4 ** (m - rho_exp)
-    else:                   # min v_p(u) - radius_exp < rho
-        far = np.any(diffs % alg.p ** (A.radius_exp + rho_exp) != 0, axis=1)
-    den_idx = np.flatnonzero(far)
+    den_idx = np.flatnonzero(~_within(alg, diffs, A.unit_exp(), rho_exp))
     if len(den_idx) == 0:
         raise NoAdmissiblePairs("all pairwise differences are <= rho")
     if len(diffs) * len(den_idx) > point_budget():
@@ -770,10 +763,7 @@ def apply_dual(L, X: DSet) -> DSet:
     rows[:, 0], rows[:, d:] = alg.radix ** unit, X.points
     W = rows @ M
     w1, w2 = W[:, :d], W[:, d:]
-    if alg.is_real_base:    # |w1| > 2^-floor
-        far = _row_norm_sq(w1) * 4 ** floor_exp > 4 ** (unit + U)
-    else:                   # some coordinate of valuation below the floor
-        far = np.any(w1 % alg.p ** (floor_exp + unit + U) != 0, axis=1)
+    far = ~_within(alg, w1, unit + U, floor_exp)     # |w1| > radix^-floor
     # the rows before the first one below the floor are mapped and may raise a
     # p-adic value finer than the grid; past int64 only when every row maps
     n = int(np.argmin(np.append(far, False)))

@@ -24,7 +24,6 @@ from .algebra import AlgebraDescriptor
 from .dset import DSet, _abs_max, _row_lookup, _row_mins, pass_rows, point_budget
 from .errors import (
     BudgetExceeded,
-    NotRealBase,
     ParameterRangeError,
     SubAlgebraTrapped,
 )
@@ -530,32 +529,3 @@ def dichotomy_check(Q: DSet, v: list, delta_exp: int, rho_exp: int,
     audit = {"measured": len(Q), "bound": float(bound), "Delta_exp": Q.scale_exp,
              "det": str(det), "passed": len(Q) >= bound}
     return DichotomyOutcome("Dense", mode, None, audit)
-
-
-def dyadic_induction(Q: DSet, v: list, n: int = 4):
-    """Constructive dense-case content: level-by-level membership of the
-    dyadic-rational points sum_j v_j k_j 2^-level within Delta of Q, as
-    integer rows sum_j k_j B[j] over 2^(level + e) (_basis_rows) in passes
-    of pass_rows(1) points: _near_rows looks the 3^d neighbour offsets up one
-    after another, so a pass holds its points, not points x offsets."""
-    alg = Q.alg
-    if not alg.is_real_base:
-        raise NotRealBase("dyadic induction applies to the real base")
-    if n > 6:
-        raise ParameterRangeError("induction depth capped at 6")
-    d = alg.d
-    e, B = _basis_rows(Q, v[:d])
-    lookup = _row_lookup(Q.points)
-    step = pass_rows(1)
-    report = {}
-    for level in range(n + 1):
-        side = 2 ** level + 1
-        dt = _image_dtype(Q, 2 ** level * sum(max(map(abs, b)) for b in B))
-        hits = 0
-        for lo in range(0, side ** d, step):
-            idx = np.arange(lo, min(lo + step, side ** d))
-            ks = np.stack(np.unravel_index(idx, (side,) * d), axis=1).astype(dt)
-            near = _near_rows(Q, ks @ np.array(B, dtype=dt), 2 ** (level + e), lookup)
-            hits += int(near.sum())
-        report[level] = (hits, side ** d)
-    return report

@@ -251,6 +251,22 @@ def test_count_tv_empty_set_counts_zero(tmp_path, capsys):
         assert rep["breakdown"] == {"near": 0, "far": 0}
 
 
+@pytest.mark.parametrize("exps", [("1", "1", "0"), ("1", "1", "0.5"), ("-1", "1", "2"),
+                                  ("nan", "1", "2")],
+                         ids=["t=0", "t<sigma", "s<0", "s=nan"])
+def test_count_tv_bad_exponents_exit_2(tmp_path, capsys, exps):
+    """--s, --sigma and --t outside 0 < s <= sigma <= t exit 2 with one
+    'dlab:' line, where t = 0 was a ZeroDivisionError traceback and the
+    others printed a meaningless bound."""
+    a = str(tmp_path / "a.dset")
+    cli.main(["gen", "--alg", "C", "--m", "4", "--s", "1.0", "--out", a])
+    capsys.readouterr()
+    flags = itertools.chain(*zip(("--s", "--sigma", "--t"), exps))
+    code = cli.main(["count-tv", "--in", a, "--x-set", a, "--rho", "1", *flags])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1 and err[0].startswith("dlab: ")
+
+
 @pytest.mark.parametrize("which", ["--in", "--in2"])
 def test_ledger_empty_set_exit_2(tmp_path, capsys, which):
     """An empty A (K = |A+B|/|A|) or B (the Ruzsa triangle divides by |B|)

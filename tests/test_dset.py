@@ -1,9 +1,11 @@
 """Grid sets: covering numbers, non-concentration, refinement, file IO."""
 
 import itertools
+import math
 import os
 import tempfile
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -21,7 +23,7 @@ from dlab.dset import (
     _row_lookup,
     _row_mins,
     _row_mult,
-    _row_norm_sq,
+    _within,
     cell_ids,
     covering_number,
     is_nonconcentrated,
@@ -671,17 +673,66 @@ def test_canon_points_sorted_input_is_copied():
     assert np.array_equal(A.points, before)
 
 
-@settings(max_examples=40, deadline=None)
-@given(hst.sampled_from([1, 2, 4]),
-       hst.sampled_from([2 ** 20, 2 ** 30, int(2 ** 31.5), 2 ** 40]),
-       hst.data())
-def test_row_norm_sq_is_exact(d, big, data):
-    rows = data.draw(hst.lists(hst.lists(hst.integers(-big, big), min_size=d,
-                                         max_size=d), min_size=1, max_size=20))
-    got = _row_norm_sq(np.array(rows, dtype=np.int64))
-    assert [int(v) for v in got] == [sum(c * c for c in r) for r in rows]
-    top = max(abs(c) for r in rows for c in r)
-    assert (got.dtype == object) == (d * top * top >= 2 ** 63)
+_WITHIN_ALGS = {"R": al.make_algebra("R", m=8), "C": al.make_algebra("C", m=8),
+                "H": al.make_algebra("H", m=8), "Qp": al.make_algebra("Qp", p=3, m=8),
+                "Qp_ext": al.make_algebra("Qp_ext", p=2, d=2, m=8)}
+
+
+def _within_oracle(alg, row, unit, k):
+    """|row radix^-unit| <= radix^-k: by Fractions on the real base, by the
+    least p-adic valuation of the coordinates on the p-adic base."""
+    if alg.is_real_base:
+        return Fraction(sum(c * c for c in row)) <= Fraction(4) ** (unit - k)
+
+    def val(c):
+        e = 0
+        while c % alg.p == 0:
+            c, e = c // alg.p, e + 1
+        return e
+    return all(c == 0 or val(c) - unit >= k for c in row)
+
+
+@hst.composite
+def _within_cases(draw):
+    """(kind, rows, unit, k) with max|coord| on either side of the int64
+    switch d max^2 = 2^63, k < 0 and k > unit, and p^(unit + k) past 2^63;
+    some first rows sit on the sphere |row| = radix^-k or are multiples of
+    p^(unit + k)."""
+    kind = draw(hst.sampled_from(sorted(_WITHIN_ALGS)))
+    d = _WITHIN_ALGS[kind].d
+    edge = math.isqrt((2 ** 63 - 1) // d)    # the largest max|coord| on int64
+    big = draw(hst.sampled_from([1, 2 ** 20, edge, edge + 1, 2 ** 40, 2 ** 62]))
+    rows = draw(hst.lists(hst.lists(hst.integers(-big, big), min_size=d, max_size=d),
+                          min_size=1, max_size=20))
+    unit, k = draw(hst.integers(-4, 40)), draw(hst.integers(-44, 44))
+    radix = _WITHIN_ALGS[kind].radix
+    if draw(hst.booleans()):
+        rows[0][0] = big
+    elif kind in ("R", "C", "H") and 0 <= unit - k < 31:
+        rows[0] = [radix ** (unit - k)] + [0] * (d - 1)
+    elif kind in ("Qp", "Qp_ext") and radix ** max(0, unit + k) < 2 ** 63:
+        q = radix ** max(0, unit + k)
+        rows[0] = [q * c for c in draw(hst.lists(hst.integers(-(2 ** 63 // q), 2 ** 63 // q - 1),
+                                                 min_size=d, max_size=d))]
+    return kind, rows, unit, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_within_cases())
+@example(("R", [[3037000500], [3037000499]], 0, 0))      # the object side of the switch
+@example(("C", [[4, 0], [4, 1]], 3, 1))                  # on the sphere: 16 = 4^(3 - 1)
+@example(("H", [[0, 0, 0, 0], [0, 1, 0, 0]], 2, 5))      # k > unit: only 0 is within
+@example(("Qp", [[0], [3 ** 39], [-2 * 3 ** 39]], 1, 39))  # p^(unit + k) = 3^40 > 2^63
+@example(("Qp_ext", [[1, 2], [4, 8]], 1, -3))           # unit + k < 0: every row
+def test_within_is_exact(case):
+    kind, rows, unit, k = case
+    alg = _WITHIN_ALGS[kind]
+    arr = np.array(rows, dtype=np.int64)
+    got = _within(alg, arr, unit, k)
+    assert got.dtype == bool and got.tolist() == [_within_oracle(alg, r, unit, k) for r in rows]
+    # coordinates on the last axis of any array; Python ints give the same mask
+    assert np.array_equal(_within(alg, arr.reshape(1, -1, alg.d), unit, k), got[None])
+    assert np.array_equal(_within(alg, arr.astype(object), unit, k), got)
 
 
 def _remove_ball_oracle(A, center, k):

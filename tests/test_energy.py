@@ -13,6 +13,7 @@ from hypothesis import strategies as hst
 
 from dlab import algebra as al
 from dlab import energy as en
+from dlab import lab
 from dlab import setops as so
 from dlab.dset import make_dset
 from dlab.errors import (
@@ -148,6 +149,25 @@ def test_quintuple_bound_fields():
     rep = en.quintuple_count_tv(A, X, rho_exp=1, s=Fraction(1, 2),
                                 sigma=Fraction(1, 2), t=1)
     assert rep.bound is not None and rep.ratio == rep.total / rep.bound
+
+
+@pytest.mark.parametrize("s,sigma,t", [(1, 1, 0), (1, 1, Fraction(1, 2)), (-1, 1, 2),
+                                       (0, 1, 2), (float("nan"), 1, 2), (1, 1, float("inf"))],
+                         ids=["t=0", "t<sigma", "s<0", "s=0", "s=nan", "t=inf"])
+def test_quintuple_bad_exponents_raise(s, sigma, t):
+    """s, sigma and t all given must satisfy 0 < s <= sigma <= t, all
+    finite, as lab.choose_rho_tv requires (both read energy.tv_gain); with
+    none of them the count carries no bound."""
+    R = al.make_algebra("R", m=5)
+    A = make_dset(R, [(0,), (7,)])
+    X = make_dset(R, [(16,)])
+    with pytest.raises(ParameterRangeError, match="need 0 < s <= sigma <= t|not finite"):
+        en.quintuple_count_tv(A, X, rho_exp=1, s=s, sigma=sigma, t=t)
+    rep = en.quintuple_count_tv(A, X, rho_exp=1)
+    assert rep.bound is None and rep.ratio is None
+    c = en.tv_gain(Fraction(1, 2), Fraction(3, 4), 1, Fraction(1, 10))
+    assert c == Fraction(1, 2) * Fraction(7, 20)
+    assert lab.choose_rho_tv(Fraction(1, 2), Fraction(3, 4), 1, Fraction(1, 10), 8) == (3, c)
 
 
 def _grid_diffs(A):

@@ -86,9 +86,7 @@ def test_schedule_validation():
         lab.Schedule(s=2, sigma=2, t=2, d=2, delta_exp=6)
     with pytest.raises(ParameterRangeError):
         lab.Schedule(s=1, sigma=Fraction(1, 2), t=1, d=2, delta_exp=6)
-    sched = lab.Schedule(s=1, sigma=1, t=Fraction(3, 2), d=2, delta_exp=9,
-                         rho_exp=2)
-    assert sched.rho_exp == 2
+    lab.Schedule(s=1, sigma=1, t=Fraction(3, 2), d=2, delta_exp=9)
 
 
 # --- generators -------------------------------------------------------------

