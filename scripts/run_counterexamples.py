@@ -8,9 +8,11 @@ construction and prints the extremes.
 
 import argparse
 import math
+import sys
 
 from dlab import lab
 from dlab import setops as so
+from dlab.cli import run
 from dlab.dset import covering_number
 
 
@@ -43,4 +45,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run(main))

@@ -7,10 +7,12 @@ round.
 """
 
 import argparse
+import sys
 from fractions import Fraction
 
 from dlab import algebra as al
 from dlab import lab
+from dlab.cli import run
 
 
 def main():
@@ -42,4 +44,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run(main))

@@ -9,9 +9,11 @@ A slack below 1 would mean a violated inequality; none should occur.
 
 import argparse
 import random
+import sys
 
 from dlab import algebra as al
 from dlab import energy as en
+from dlab.cli import run
 from dlab.dset import make_dset
 
 
@@ -42,4 +44,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run(main))

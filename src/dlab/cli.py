@@ -62,33 +62,29 @@ def _matrix_for(G, text):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns None on success (exit 0)
 
 def cmd_gen(args):
     alg = al.make_algebra(args.alg, p=args.p, d=args.d, m=args.m)
     A = lab.gen_random_dset(alg, args.m, args.s, args.seed, C=args.C)
     write_dset(A, args.out, [_config_comment(args)])
-    return 0
 
 
 def cmd_counterexample(args):
     G, X = lab.gen_counterexample(str(args.which), args.m)
     so.write_pairset(G, args.out_g, [_config_comment(args)])
     write_dset(X, args.out_x, [_config_comment(args)])
-    return 0
 
 
 def cmd_cover(args):
     A = read_dset(getattr(args, "in"))
     print(covering_number(A, args.k))
-    return 0
 
 
 def cmd_verify_nc(args):
     A = read_dset(getattr(args, "in"))
     rep = is_nonconcentrated(A, args.s, args.C)
     print(json.dumps(rep.to_dict(), default=str))
-    return 0
 
 
 def cmd_uniformize(args):
@@ -98,7 +94,6 @@ def cmd_uniformize(args):
     audit = uniformity_audit(U, T=args.T)
     print(json.dumps({str(k): [int(v[0]), int(v[1]), bool(v[2])]
                       for k, v in audit.items()}))
-    return 0
 
 
 def cmd_op(args):
@@ -108,10 +103,10 @@ def cmd_op(args):
         if op == "proj":
             x = _flag(args, "x", lambda text: _element_for(G, text))
             write_dset(so.project(x, G), args.out, [_config_comment(args)])
-            return 0
-        L = _flag(args, "matrix", lambda text: _matrix_for(G, text))
-        so.write_pairset(so.apply_linear_map(L, G), args.out, [_config_comment(args)])
-        return 0
+        else:
+            L = _flag(args, "matrix", lambda text: _matrix_for(G, text))
+            so.write_pairset(so.apply_linear_map(L, G), args.out, [_config_comment(args)])
+        return
     A = read_dset(getattr(args, "in"))
     if op in ("sum", "diff", "prod"):
         B = read_dset(_flag(args, "in2"), A.alg)
@@ -122,7 +117,6 @@ def cmd_op(args):
     else:
         out = so.quotient_set(A, args.rho, args.side)
     write_dset(out, args.out, [_config_comment(args)])
-    return 0
 
 
 def cmd_escape(args):
@@ -131,21 +125,18 @@ def cmd_escape(args):
     det = al.det_basis(A.alg, basis)
     print(json.dumps({"basis": [list(b.coords) for b in basis],
                       "det": str(det)}))
-    return 0
 
 
 def cmd_avoid(args):
     A = read_dset(getattr(args, "in"))
     rep = (st.strongly_avoids if args.strong else st.avoids_subalgebras)(A, args.C)
     print(json.dumps(rep.to_dict(), default=str))
-    return 0
 
 
 def cmd_energy(args):
     A = read_dset(getattr(args, "in"))
     B = read_dset(args.in2, A.alg) if args.in2 else A
     print(en.additive_energy(A, B))
-    return 0
 
 
 def cmd_count_tv(args):
@@ -155,7 +146,6 @@ def cmd_count_tv(args):
                                 t=args.t, eps=args.eps or 0,
                                 symmetric=args.symmetric)
     print(rep.to_json())
-    return 0
 
 
 def cmd_count_sparse(args):
@@ -164,7 +154,6 @@ def cmd_count_sparse(args):
     q = _flag(args, "q-coords", lambda text: _element_for(A, text))
     rep = en.quadruple_count_sparse(A, p, q, s=args.s, rho_exp=args.rho)
     print(rep.to_json())
-    return 0
 
 
 def cmd_bsg(args):
@@ -177,7 +166,6 @@ def cmd_bsg(args):
         write_dset(res.A_sub, args.out_a, [_config_comment(args)])
     if args.out_b:
         write_dset(res.B_sub, args.out_b, [_config_comment(args)])
-    return 0
 
 
 def cmd_ledger(args):
@@ -192,7 +180,6 @@ def cmd_ledger(args):
         en.write_ledger_csv(rows, args.out)
     else:
         print(json.dumps(rows))
-    return 0
 
 
 def cmd_expand(args):
@@ -204,7 +191,6 @@ def cmd_expand(args):
                          n_prod=args.n_prod, C=C)
     recs = lab.run_expansion(A, sched, seed=args.seed)
     lab.write_records_csv(recs, args.out, _config_comment(args)[2:])
-    return 0
 
 
 def cmd_babyproj(args):
@@ -215,7 +201,6 @@ def cmd_babyproj(args):
         lab.write_records_csv([rec], _flag(args, "out"), _config_comment(args)[2:])
     else:
         print(json.dumps(rec.row()))
-    return 0
 
 
 def cmd_fibres(args):
@@ -226,7 +211,6 @@ def cmd_fibres(args):
     except ScaleOutOfRange as e:
         raise ParameterRangeError(f"--rho {args.rho}: {e}") from None
     print(json.dumps({" ".join(map(str, k)): v for k, v in rep.items()}))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +331,23 @@ def build_parser():
     return ap
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def run(func, *args) -> int:
+    """func(*args) as an exit code, None as 0, for the CLI and the scripts: a
+    BudgetExceeded exits 3, any other DlabError or a missing file 2, each
+    reported on one line of standard error."""
     try:
-        return args.func(args)
+        return func(*args) or 0
     except BudgetExceeded as e:
         print(f"dlab: budget exhausted: {e} {e.sizes}", file=sys.stderr)
         return 3
     except (DlabError, FileNotFoundError) as e:
         print(f"dlab: {e}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return run(args.func, args)
 
 
 if __name__ == "__main__":

@@ -2,11 +2,12 @@
 neighborhoods, uniformization, and the text file format.  One kernel,
 _row_labels, labels rows: by their packed int64 row keys, else (no rows, keys
 past 2^63, object arrays) by their ranks after one lexsort.  On those labels
-_canon_points dedups, _row_mins takes first occurrences, and _row_counts and
-_row_mult count cells in one bincount on a small box.  Uniformization labels
-the points once and derives each coarser stage label from the last
-(_stage_labels); the real-base non-concentration certificate counts every
-ball at every scale with one searchsorted, bincount and cumulative sum.  The
+_canon_points dedups, _row_mins takes first occurrences (a table, else one
+argsort), and _row_counts and _row_mult count cells (_key_counts, a bincount
+on a small box).  Uniformization and the p-adic non-concentration
+certificate count cells on per-stage int64 keys from one labelling
+(_stage_keys); the real-base certificate counts every ball at every scale
+with one searchsorted, bincount and cumulative sum.  The
 same keys give the row lookup _row_lookup of the counting engines and the
 dichotomy: a key table, or sorted keys, with any neighbour offsets folded
 in, so that one lookup counts a target against every offset.  pass_rows is
@@ -162,27 +163,28 @@ def _canon_points(arr: np.ndarray, d: int, order: str = "C") -> np.ndarray:
     return decode(key, order)
 
 
+def _key_counts(key: np.ndarray, size: int):
+    """(counts, where) of int64 keys 0 <= key < size: counts[where] is each
+    key's multiplicity, counts > 0 those of the distinct keys in key order:
+    one bincount on a _small_box (where is key), else np.unique."""
+    if _small_box(size, len(key)):
+        return np.bincount(key, minlength=size), key
+    _, where, counts = np.unique(key, return_inverse=True, return_counts=True)
+    return counts, where
+
+
 def _row_counts(arr: np.ndarray) -> np.ndarray:
-    """np.unique(arr, axis=0, return_counts=True)[1] of a 2-d array: one
-    bincount of the _row_labels on a _small_box, else np.unique of the
-    labels."""
-    labels, size, _ = _row_labels(arr)
-    if _small_box(size, len(arr)):
-        counts = np.bincount(labels, minlength=size)
-        return counts[counts > 0]
-    return np.unique(labels, return_counts=True)[1]
+    """np.unique(arr, axis=0, return_counts=True)[1] of a 2-d array: the
+    _key_counts of its _row_labels."""
+    counts, _ = _key_counts(*_row_labels(arr)[:2])
+    return counts[counts > 0]
 
 
 def _row_mult(arr: np.ndarray) -> np.ndarray:
-    """Each row's multiplicity among the rows of a 2-d array: counts[inverse]
-    of np.unique(arr, axis=0, return_inverse=True, return_counts=True): one
-    bincount of the _row_labels indexed by the labels on a _small_box, else
-    np.unique of the labels."""
-    labels, size, _ = _row_labels(arr)
-    if _small_box(size, len(arr)):
-        return np.bincount(labels)[labels]
-    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    return counts[inverse]
+    """Each row's multiplicity among the rows of a 2-d array (counts[inverse]
+    of np.unique(arr, axis=0, ...)): the _key_counts of its _row_labels."""
+    counts, where = _key_counts(*_row_labels(arr)[:2])
+    return counts[where]
 
 
 def _row_mins(arr: np.ndarray) -> np.ndarray:
@@ -190,14 +192,16 @@ def _row_mins(arr: np.ndarray) -> np.ndarray:
     index of its first occurrence: np.unique(arr, axis=0, return_index=True)[1]
     on the _row_labels.  On a key box of at most MIN_TABLE_FACTOR keys a row
     (and point_budget() keys) the least index of each label is taken in one
-    int32 table by np.minimum.at, with no sort."""
+    int32 table by np.minimum.at, with no sort; otherwise by one argsort of
+    the labels (not a stable sort) and np.minimum.reduceat over its runs."""
     labels, size, _ = _row_labels(arr)
     n = len(arr)
     if size <= MIN_TABLE_FACTOR * n and size <= point_budget() and n < 2 ** 31:
         first = np.full(size, n, dtype=np.int32)
         np.minimum.at(first, labels, np.arange(n, dtype=np.int32))
         return first[first < n].astype(np.intp)
-    return np.unique(labels, return_index=True)[1]
+    order = np.argsort(labels)
+    return np.minimum.reduceat(order, np.flatnonzero(_run_starts(labels[order])))
 
 
 def _row_lookup(rows: np.ndarray, offsets=None):
@@ -424,8 +428,10 @@ def is_nonconcentrated(A: DSet, s: float, C: float) -> NCReport:
     worst = (0, 0, n)
     if A.alg.is_real_base:
         counts = _real_ball_counts(A)
-    else:   # the count of every point's cell
-        counts = np.array([_row_mult(cell_ids(A, k)) for k in range(A.scale_exp + 1)])
+    else:   # the count of every point's cell at k = 0, ..., scale_exp
+        stages = _stage_keys(A, 1, A.scale_exp)
+        mult = [c[w] for c, w in (_key_counts(key, size) for _, key, size in stages)]
+        counts = np.array(mult[::-1])
     for k, i in enumerate(counts.argmax(axis=1).tolist()):
         ratio = counts[k, i] * float(A.alg.radix) ** (k * s) / n
         if ratio > best_C:
@@ -483,45 +489,53 @@ def remove_ball(A: DSet, center: Element, k: int) -> DSet:
 # ---------------------------------------------------------------------------
 # uniformization (up-the-tree pigeonholing)
 
-def _stage_labels(A: DSet, T: int):
-    """(k, cell_ids(A, k)) at the stage scales k = scale_exp - T, scale_exp - 2T,
-    ... and 0.  Stage cells nest: the first stage labels the points (with the
-    one top clamp of the real base) and each coarser label comes from the last.
-    EmptyInput for an empty A, ParameterRangeError for T < 1."""
+def _stage_keys(A: DSet, T: int, top: int | None = None):
+    """(k, key, size) at the stage scales k = top, top - T, ... and 0, top =
+    scale_exp - T by default (none when top < 0): one int64 key per point,
+    0 <= key < size, equal for points of one cell of cell_ids(A, k) only.
+    The points are labelled at the first scale (with the real base's top
+    clamp); a coarser label is that one shifted right (real base) or reduced
+    mod p^(k + radius_exp), with the first label's column bounds shifted
+    alike, or [0, min(p^(k + radius_exp), hi + 1)), as its key layout.  Past
+    2^63 keys, the label's _row_labels.  EmptyInput for an empty A,
+    ParameterRangeError for T < 1."""
     if len(A) == 0:
         raise EmptyInput("cannot uniformize an empty set")
     if T < 1:
         raise ParameterRangeError("stage size T must be >= 1")
-    scales = list(range(A.scale_exp - T, -1, -T))
-    scales += [0] if scales and scales[-1] != 0 else []
-    for t, k in enumerate(scales):
-        if t == 0:
-            label = cell_ids(A, k)
-        elif A.alg.is_real_base:
-            label = label >> (scales[t - 1] - k)
+    scales = list(range(A.scale_exp - T if top is None else top, -1, -T))
+    if not scales:
+        return
+    scales += [0] if scales[-1] != 0 else []
+    first = cell_ids(A, scales[0])
+    lo, hi = (v.tolist() for v in _col_bounds(first))
+    for k in scales:
+        if A.alg.is_real_base:
+            shift = scales[0] - k
+            label, low = first >> shift, [v >> shift for v in lo]
+            spans = [(h >> shift) - v + 1 for h, v in zip(hi, low)]
         else:
-            label = label % A.alg.p ** (k + A.radius_exp)
-        yield k, label
-
-
-@functools.lru_cache(maxsize=64)
-def _radix_powers(radix: int) -> np.ndarray:
-    """radix^0, radix^1, ... below 2^63, read-only."""
-    powers = np.array([radix ** j for j in range(63) if radix ** j < 2 ** 63])
-    powers.setflags(write=False)
-    return powers
+            q = A.alg.p ** (k + A.radius_exp)
+            label, low, spans = first % q, [0] * len(lo), [min(q, h + 1) for h in hi]
+        if math.prod(spans) < 2 ** 63:
+            yield k, _row_keys(label, low, spans), math.prod(spans)
+        else:
+            yield k, *_row_labels(label)[:2]
 
 
 def uniform_subset(A: DSet, T: int = 1) -> DSet:
     """Refine A so all nonempty cells at every stage scale carry counts in a
     single radix-power class; keeps the heaviest class at each stage (the
-    class of a count c is floor(log_radix c); of equal masses, the larger)."""
-    powers = _radix_powers(A.alg.radix)
-    idx = np.arange(len(A))
-    for _, label in _stage_labels(A, T):
-        classes = np.searchsorted(powers, _row_mult(label[idx]), side="right") - 1
-        mass = np.bincount(classes)
-        idx = idx[classes == len(mass) - 1 - np.argmax(mass[::-1])]
+    class of a count c is floor(log_radix c); of equal masses, the larger).
+    A class's mass sums its cells' _key_counts on the kept points."""
+    n, radix = len(A), A.alg.radix
+    powers = np.array([radix ** j for j in range(n.bit_length()) if radix ** j <= n])
+    idx = np.arange(n)
+    for _, key, size in _stage_keys(A, T):
+        counts, where = _key_counts(key[idx], size)
+        classes = np.searchsorted(powers, counts, side="right")    # class + 1; empty: 0
+        mass = np.bincount(classes, weights=counts)
+        idx = idx[classes[where] == len(mass) - 1 - np.argmax(mass[::-1])]
     return DSet(A.alg, A.scale_exp, A.radius_exp, A.points[idx])
 
 
@@ -529,9 +543,9 @@ def uniformity_audit(A: DSet, T: int = 1):
     """Max/min nonempty cell-count ratio at every stage scale; uniform sets
     satisfy ratio <= radix^T everywhere."""
     out = {}
-    for k, label in _stage_labels(A, T):
-        counts = _row_counts(label)
-        mx, mn = counts.max(), counts.min()
+    for k, key, size in _stage_keys(A, T):
+        counts, _ = _key_counts(key, size)
+        mx, mn = counts.max(), counts[counts > 0].min()
         out[k] = (int(mx), int(mn), mx / mn <= A.alg.radix ** T)
     return out
 

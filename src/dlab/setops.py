@@ -13,8 +13,9 @@ of sums otherwise.  Smaller sums, every product set and the quotient cells
 go through one blocked pair kernel (_pair_rows), in passes of
 dset.pass_rows, the one pass size: each pass keeps its distinct rows (so
 the point budget caps the distinct rows, not the pairs), or each quotient
-cell's first pair, and the kept rows are merged.  An empty operand gives
-the empty set at the (scale_exp, radius_exp) of a one-point operand.
+cell's first pair, and the kept rows are merged.  A + A, and A A in a
+commutative algebra, form each unordered pair about once.  An empty operand
+gives the empty set at the (scale_exp, radius_exp) of a one-point operand.
 
 Products, scalar images, projections, quotients and the dual map share one
 bilinear array product (_raw_products) and one grid step (_to_grid, the
@@ -254,41 +255,41 @@ def _grid_exact(alg, raw, den, scale_exp, unit_out, op, plus=None) -> np.ndarray
 
 
 def _grid_times(alg, V, big_u, den, scale_exp, side, unit_out, op):
-    """The function taking rows U with max|U| <= big_u to the _to_grid, over
-    den (one int, or one per row of V), of the _raw_products of U and V,
-    into units radix^-unit_out (p-adic base).  int64 while the raw products
-    and the grid step provably fit, Python ints otherwise; V is contracted
-    with the structure constants once, for every U."""
+    """The function taking rows U with max|U| <= big_u, and j, to the
+    _to_grid, over den (one int, or one per row of V), of the _raw_products
+    of U and the rows of V from j on (j > 0 with one den only), into units
+    radix^-unit_out (p-adic base).  int64 while the raw products and the grid
+    step provably fit, Python ints otherwise; V is contracted once."""
     dt = _grid_dtype(alg, _product_bound(alg, big_u, _abs_max(V)), den, scale_exp, unit_out)
-    W, k = _product_matrix(alg, V, side, dt), len(V)
+    W, k, d = _product_matrix(alg, V, side, dt), len(V), alg.d
 
-    def times(U):
-        raw = np.asarray(U, dtype=dt).reshape(-1, alg.d) @ W
-        return _to_grid(alg, raw.reshape(len(raw), k, alg.d), den, scale_exp, unit_out,
-                        op).reshape(-1, alg.d)
+    def times(U, j=0):
+        raw = np.asarray(U, dtype=dt).reshape(-1, d) @ W[:, j * d:]
+        return _to_grid(alg, raw.reshape(len(raw), k - j, d), den, scale_exp, unit_out,
+                        op).reshape(-1, d)
     return times
 
 
 # ---------------------------------------------------------------------------
 # the blocked pair kernel of sumsets, product sets and quotient cells
 
-def _pair_rows(op, a, k, block, keep):
-    """The rows of block(a[i:j]) over passes of pass_rows(k) rows of a: block
-    gives the int64 rows of its rows paired with the k rows of the other
-    operand, keep(rows) the rows a pass keeps.  One pass comes back as it is,
-    for the caller to reduce (a DSet canonicalizes it anyway).  More come
-    back kept: the passes' kept rows are merged in pass order by keep at the
-    end and whenever they pass twice the last merge (and one pass's pairs),
-    so the merges reduce a constant times the kept rows.  BudgetExceeded,
-    naming op and its sizes, is raised when a merge has more rows than
-    point_budget(), which is read once."""
+def _pair_rows(op, a, k, block, keep, symmetric=False):
+    """The rows of block(a[i:j], i) over passes of pass_rows(k) rows of a:
+    block(u, i) gives the int64 rows of the rows u paired with the k rows of
+    the other operand, only those from index i on when symmetric (the other
+    operand is a, and a pair's value does not depend on its order: about n^2
+    / 2 pairs), keep(rows) the rows a pass keeps.  One pass comes back as it
+    is, for the caller to reduce.  More come back kept: the passes' kept rows
+    are merged by keep at the end and whenever they pass twice the last
+    merge (and one pass's pairs).  BudgetExceeded, naming op and its sizes,
+    is raised when a merge has more rows than point_budget(), read once."""
     n, budget = len(a), point_budget()
     step = pass_rows(k, budget)
     if n <= step and n * k <= budget:     # one pass: its rows as they are
-        return block(a)
+        return block(a, 0)
     kept, held, top = [], 0, step * k
     for i in range(0, n, step):
-        kept.append(keep(block(a[i:i + step])))
+        kept.append(keep(block(a[i:i + step], i if symmetric else 0)))
         held += len(kept[-1])
         if held > top or i + step >= n:
             kept = [keep(np.concatenate(kept))]
@@ -490,13 +491,14 @@ def _sumset(A: DSet, B: DSet | None = None, n: int = 1, window=None) -> DSet:
     if B is None:
         b = negate(A).points
 
-    def block(u):
-        pts = (u[:, None, :] + b[None, :, :]).reshape(-1, alg.d)
+    def block(u, j):
+        pts = (u[:, None, :] + b[None, j:, :]).reshape(-1, alg.d)
         if mod is not None:
             pts %= mod
         return pts
     return DSet(alg, A.scale_exp, out_r, _pair_rows(
-        "sumset", a, len(b), block, lambda rows: _canon_points(rows, alg.d)))
+        "sumset", a, len(b), block, lambda rows: _canon_points(rows, alg.d),
+        b is a or np.array_equal(a, b)))
 
 
 def negate(A: DSet) -> DSet:
@@ -525,7 +527,10 @@ def product_set(A: DSet, B: DSet, side: str = "Left") -> DSet:
     alg, a, b, scale = A.alg, A.points, B.points, A.scale_exp
     unit = A.unit_exp() + B.unit_exp()
     block = _grid_times(alg, b, _abs_max(a), alg.radix ** unit, scale, side, unit, "product_set")
-    pts = _pair_rows("product_set", a, len(b), block, lambda rows: _canon_points(rows, alg.d))
+    sc = np.array(alg.structure_constants)     # commutative: e_i e_j = e_j e_i
+    symmetric = np.array_equal(sc, sc.transpose(1, 0, 2)) and (b is a or np.array_equal(a, b))
+    pts = _pair_rows("product_set", a, len(b), block, lambda rows: _canon_points(rows, alg.d),
+                     symmetric)
     return DSet(alg, scale, A.radius_exp + B.radius_exp, pts)
 
 
@@ -701,7 +706,7 @@ def _quotient_cells(alg, diffs, den_idx, side, scale_out, radius_out):
     times = _grid_times(alg, nums, _abs_max(diffs), den, scale_out, side, radius_out,
                         "quotient_set")
 
-    def block(i):   # the cells of u num_j / den_j (Left) or num_j u / den_j (Right)
+    def block(i, _):    # the cells of u num_j / den_j (Left) or num_j u / den_j (Right)
         return np.column_stack([times(diffs[i]), (i[:, None] * k + np.arange(k)).ravel()])
 
     def first(rows):

@@ -397,6 +397,23 @@ def test_row_mins_equal_loop(d, bound, dtype, data):
     assert _row_mins(arr.astype(dtype)).tolist() == [first[r] for r in sorted(first)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(hst.sampled_from([1, 2, 3]), hst.sampled_from([3, 2 ** 40]), hst.integers(0, 400),
+       hst.integers(1, 50), hst.integers(0, 2 ** 32))
+def test_row_mins_sort_path_equals_np_unique(d, bound, n, distinct, seed):
+    """The sort path of _row_mins (the table patched off), one argsort of
+    the labels that need not be stable and np.minimum.reduceat over its
+    runs, gives the first occurrence of every distinct row as
+    np.unique(arr, axis=0, return_index=True) does: long runs of equal rows,
+    packed keys and the ranks past 2^63 (bound 2^40 with d >= 2)."""
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(-bound, bound + 1, size=(distinct, d))
+    arr = pool[rng.integers(0, distinct, size=n)]
+    with mock.patch.object(dset, "MIN_TABLE_FACTOR", 0):
+        got = _row_mins(arr)
+    assert np.array_equal(got, np.unique(arr, axis=0, return_index=True)[1])
+
+
 @settings(max_examples=40, deadline=None)
 @given(hst.sampled_from([1, 2, 3]), hst.integers(1, 60), hst.data())
 def test_row_mins_table_equals_sorted(d, n, data):
@@ -914,9 +931,27 @@ def _cell_set(spec, scale, radius, grid, rows):
 @example(("R", None, 1), 4, 0, 2, 1, [[38] * 4, [1] * 4, [64] * 4, [-69] * 4], 1.0)
 # Qp at radius 1 with T = 2: a coarser stage label is a residue mod p^(k + 1)
 @example(("Qp", 2, 1), 3, 1, 2, 1, [[-53] * 4, [-28] * 4, [-30] * 4, [-5] * 4], 1.0)
+# T > scale_exp: no stages, the set comes back whole and the audit is empty
+@example(("C", None, 1), 2, 0, 3, 1, [[3] * 4, [1] * 4, [-2] * 4], 1.0)
+# H at m = 40, coordinates near 2^40: the finer stages' key layouts pass 2^63
+# (the _row_labels fallback), the coarser ones pack
+@example(("H", None, 1), 40, 0, 3, 2 ** 34,
+         [[70, -70, 3, 9], [69, -70, 3, 9], [-64, 70, 70, -1], [1, 2, 3, 4]], 1.0)
+# Qp 3 at radius 1: residues up to 242 > 3^(k + 1), so the stage keys' spans
+# are capped by the modulus, not the column maxima
+@example(("Qp", 3, 1), 4, 1, 1, 1, [[-1] * 4, [80] * 4, [-28] * 4, [26] * 4, [2] * 4], 1.0)
 def test_uniform_subset_and_nc_equal_loops(spec, scale, radius, T, grid, rows, s):
+    """uniform_subset, is_nonconcentrated and uniformity_audit equal their
+    per-stage loops over np.unique(axis=0) cells."""
     A = _cell_set(spec, scale, radius, grid, rows)
     assert np.array_equal(uniform_subset(A, T).points, _uniform_subset_loop(A, T))
+    scales = list(range(A.scale_exp - T, -1, -T))
+    audit = {}
+    for k in scales + [0] if scales else []:
+        counts = np.unique(cell_ids(A, k), axis=0, return_counts=True)[1]
+        audit[k] = (int(counts.max()), int(counts.min()),
+                    counts.max() / counts.min() <= A.alg.radix ** T)
+    assert uniformity_audit(A, T) == audit
     rep = is_nonconcentrated(A, s, 4)
     assert (rep.passed, rep.worst_center, rep.worst_radius_exp, rep.worst_count,
             rep.best_C) == _nc_loop(A, s, 4)

@@ -38,3 +38,20 @@ def test_script_runs_and_writes_csv(tmp_path, script, args, outputs, header):
     for name in outputs:
         assert _header(tmp_path / name) == header
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("script,args,env,code,line", [
+    ("run_expansion.py", ["--m", "5", "--out", "expansion.csv"],
+     {"DLAB_BUDGET_POINTS": "1000"}, 3, "dlab: budget exhausted: sumset:"),
+    ("run_counterexamples.py", ["--m", "0"], {}, 2, "dlab: precision exponent"),
+], ids=["budget", "validation"])
+def test_script_errors_exit_like_the_cli(tmp_path, monkeypatch, script, args, env, code, line):
+    """A script ends on a dlab error as the CLI does: one line on standard
+    error and exit 3 for an exhausted budget, 2 for any other error, with no
+    traceback."""
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    proc = _run(script, *args, cwd=tmp_path)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(line) and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

@@ -940,24 +940,83 @@ def test_blocked_pair_kernel_equals_one_shot(spec, side, budget, data):
         event(f"{name}: " + ("one block" if one else "many blocks"))
 
 
+@settings(max_examples=150, deadline=None)
+@given(hst.sampled_from(_PAIR_ALGEBRAS), hst.sampled_from(["Left", "Right"]),
+       hst.sampled_from([None, 1, 3, 17]), hst.sampled_from([None, 1, 5, 40, 300]),
+       hst.booleans(), hst.data())
+def test_symmetric_pair_passes_equal_full_square(spec, side, block, budget, copy, data):
+    """A A in a commutative algebra (R, C, Qp, Qp_ext: decided from the
+    structure constants) and the pairwise sumset A + A, with B the very
+    operand A or an equal copy of it, take the symmetric pass, each pass
+    pairing its rows only with A's rows from its first row's index on, and
+    equal the full-square oracles _one_shot_product and _one_shot_sum; or,
+    when their distinct rows pass a small DLAB_BUDGET_POINTS, raise
+    BudgetExceeded naming the op.  H's product set takes the full square.
+    A small PAIR_BLOCK forces many passes and merges.  The clipped chain
+    2 (A - A) ∩ B(0, 1), whose D + D is symmetric, equals its oracle too."""
+    kind, p, d, m = spec
+    alg = al.make_algebra(kind, p=p, d=d, m=m)
+    A = _pair_operand(alg, data, "A")
+    B = DSet(alg, A.scale_exp, A.radius_exp, A.points.copy()) if copy else A
+    env = {} if budget is None else {"DLAB_BUDGET_POINTS": str(budget)}
+    for op, one_shot, name, symmetric in (
+            (lambda: so.product_set(A, B, side), lambda: _one_shot_product(A, A, side),
+             "product_set", kind != "H"),
+            (lambda: so.sumset(A, B), lambda: _one_shot_sum(A, A), "sumset", True)):
+        try:
+            want = one_shot()
+        except ParameterRangeError:
+            with pytest.raises(ParameterRangeError):
+                op()
+            continue
+        with mock.patch.object(dset, "PAIR_BLOCK", block or dset.PAIR_BLOCK), \
+                mock.patch.dict(os.environ, env), \
+                mock.patch.object(so, "_pair_rows", wraps=so._pair_rows) as kernel:
+            if budget is not None and len(want) > budget:
+                with pytest.raises(BudgetExceeded, match=f"{name}: operands of sizes"):
+                    op()
+                event(f"{name}: budget exceeded")
+            else:
+                assert op() == want
+                cap = min(block or dset.PAIR_BLOCK, budget or dset.PAIR_BLOCK)
+                event(f"{name}: " + ("one pass" if len(A) ** 2 <= cap else "many passes"))
+            assert kernel.call_args.args[5] is symmetric
+    try:
+        D = _one_shot_sum(A, so.negate(A))
+        want = so.ball_intersect(_one_shot_sum(D, D), 0)
+    except ParameterRangeError:
+        return
+    with mock.patch.object(dset, "PAIR_BLOCK", block or dset.PAIR_BLOCK), \
+            mock.patch.object(so, "_pair_rows", wraps=so._pair_rows) as kernel:
+        assert so.iterated(A, 2, 1, clip=True) == want
+    assert [c.args[5] for c in kernel.call_args_list] == [
+        np.array_equal(A.points, so.negate(A).points), True]
+
+
 def test_pair_kernel_many_blocks_on_table_and_sort():
-    """The rotated m=7 circle net's product set (652,864 pairs, 2,380 rows)
-    and the sumset of 600 points of even coordinates in [-40, 40]^2
-    (360,000 pairs, sums on the even lattice) run in many blocks and equal
-    the one-shot result.  At the default budget each block's distinct rows
-    come from an occupancy table over the block's box (257^2 and 161^2
-    keys); under a budget below that box but above the output, from a
-    sort."""
+    """The product set of the net whose first point is moved to the origin
+    with the rotated m=7 circle net (804 points; 652,864 pairs, 2,380 rows)
+    and the sumset of two samples of 600 points of even coordinates in
+    [-40, 40]^2 (360,000 pairs, sums on the even lattice) run in many blocks
+    and equal the one-shot result.  At the default budget each block's
+    distinct rows come from an occupancy table over the block's box (257^2
+    and 161^2 keys); under a budget below that box but above the output,
+    from a sort.  The operands differ, so every block pairs its rows with
+    all of the second operand.  The net's own product set is symmetric: as
+    many blocks, each pairing its rows with the net's rows from its first
+    row's index on, about half the pairs."""
     C = al.make_algebra("C", m=7)
     net = lab.circle_net(C, 7)
+    moved = make_dset(C, np.vstack([[[0, 0]], net.points[1:]]))
     rnd = random.Random(600)
-    even = make_dset(C, rnd.sample([(2 * i, 2 * j) for i in range(-20, 21)
-                                    for j in range(-20, 21)], 600))
+    even, even2 = (make_dset(C, rnd.sample([(2 * i, 2 * j) for i in range(-20, 21)
+                                            for j in range(-20, 21)], 600)) for _ in "ab")
+    assert len(moved) == len(net) and moved != net and even != even2
     real_small_box = dset._small_box
     for op, one_shot, n, budget in (
-            (lambda: so.product_set(net, net), lambda: _one_shot_product(net, net, "Left"),
+            (lambda: so.product_set(moved, net), lambda: _one_shot_product(moved, net, "Left"),
              len(net), 40_000),
-            (lambda: so.sumset(even, even), lambda: _one_shot_sum(even, even), 600, 10_000)):
+            (lambda: so.sumset(even, even2), lambda: _one_shot_sum(even, even2), 600, 10_000)):
         want = one_shot()
         assert len(want) <= budget
         for cap, table in ((dset.PAIR_BLOCK, True), (budget, False)):
@@ -974,6 +1033,14 @@ def test_pair_kernel_many_blocks_on_table_and_sort():
             blocks = -(-n // (cap // n))     # then the merges
             assert blocks >= 6 and canon.call_count > blocks
             assert seen[:blocks] == [table] * blocks
+    n, step = len(net), dset.PAIR_BLOCK // len(net)
+    with mock.patch.object(so, "_canon_points", wraps=so._canon_points) as canon:
+        assert so.product_set(net, net) == _one_shot_product(net, net, "Left")
+    blocks = -(-n // step)
+    pairs = [min(step, n - i) * (n - i) for i in range(0, n, step)]
+    assert blocks == 10 and canon.call_count > blocks
+    assert [len(c.args[0]) for c in canon.call_args_list[:blocks]] == pairs
+    assert sum(pairs) < 0.6 * n * n
 
 
 def test_pair_kernel_merges_geometrically():
